@@ -7,13 +7,20 @@ pseudo-arclength continuation, and runs a finite-dimensional two-subspace
 Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
 solutions are constant along the fibers.
 
-Branch switching solves the residual together with an amplitude pin
-<c - c_triv, n> = amplitude in the extended unknowns (c, t), with n a unit
-kernel direction.  When the kernel is multi-dimensional (a circle-factor
-eigenvalue carries a cos/sin pair) the rotation orbit of a solution is a
-genuine null direction of the extended Jacobian; additional phase rows
-<c - c_triv, n_perp> = 0 remove it, and the resulting overdetermined but
-consistent systems are corrected by damped Gauss-Newton least squares.
+Branch switching, continuation and the fiber-constancy trials share one
+corrector: damped Newton on a square bordered system (Keller's
+pseudo-arclength corrector in the bordered form of Govaerts), one dense
+solve per step.  The unknowns are (c, t) and the equations are
+residual(c, t) = 0 plus one affine row: the amplitude pin
+<c - c_triv, n> = amplitude when switching, with n a unit kernel direction,
+or the arclength row when continuing.  When the kernel is the cos/sin pair
+of one circle-factor frequency, the rotation orbit of a solution is a null
+direction of that system.  An unfolding unknown mu then enters as
+residual(c, t) + mu R c = 0, with R the rotation generator of the circle
+factor, and a phase row <c - c_triv, w> = 0 with w the orbit direction
+inside the kernel span fixes the rotation.  By equivariance mu vanishes on
+solutions.  The branch tangent is the solution of the same bordered matrix
+with the previous tangent as its last row.
 """
 
 from __future__ import annotations
@@ -214,95 +221,161 @@ def newton_solve(model: GalerkinModel, t, initial: State,
     )
 
 
-def _solve_pinned(model, coeffs, t, rows, targets,
-                  tol=TOL_NEWTON, max_iter=MAX_NEWTON_ITER):
-    """Damped Gauss-Newton for residual(c, t) = 0 subject to affine rows
-    row_c . c + row_t * t = target, unknowns (c, t).  With more rows than
-    one the system is overdetermined but consistent by construction; least
-    squares keeps the step well defined.  Raises NoConvergenceError with a
-    `positivity` attribute telling whether the line search ever hit the
+@dataclass(frozen=True)
+class _Orbit:
+    """The rotation orbit of a branch through a cos/sin kernel pair:
+    `gen` is d/dphi of the circle factor on flat coefficients, [n, n], and
+    `phase` the unit orbit direction of the kernel part of the branch, [n]."""
+
+    gen: np.ndarray
+    phase: np.ndarray
+
+
+def _circle_generator(factor) -> np.ndarray:
+    """d/dphi on one Fourier factor's coefficients: the frequency-k pair
+    (cos, sin) maps to (k sin-coefficient, -k cos-coefficient)."""
+    gen = np.zeros((factor.count, factor.count))
+    for a in range(1, factor.count, 2):
+        k = factor.frequencies[a]
+        gen[a, a + 1] = k
+        gen[a + 1, a] = -k
+    return gen
+
+
+def _rotation_generator(model, bp):
+    """Rotation generator of the circle factor whose cos/sin pair spans the
+    kernel of `bp`, [n, n]; None when there is no rotation orbit to fix
+    (no branch point, or a one-mode kernel)."""
+    if bp is None or bp.kernel_dim == 1:
+        return None
+
+    def is_pair(factor, a, b):
+        return factor.label == "fourier" and a % 2 == 1 and b == a + 1
+
+    nb, nf = model.shape
+    if bp.kernel_dim == 2:
+        (i1, j1), (i2, j2) = sorted(bp.kernel_modes)
+        if j1 == j2 and is_pair(model.base, i1, i2):
+            return np.kron(_circle_generator(model.base), np.eye(nf))
+        if i1 == i2 and is_pair(model.fiber, j1, j2):
+            return np.kron(np.eye(nb), _circle_generator(model.fiber))
+    raise PreconditionError(
+        f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
+        "circle-factor frequency; the bordered corrector supports one-mode "
+        "kernels and such pairs only"
+    )
+
+
+def _orbit(model, bp, gen, align):
+    """The orbit data for a branch whose kernel part points along `align`
+    (flattened); None without a generator or when `align` has no kernel
+    part, since then there is no orbit direction to fix."""
+    if gen is None:
+        return None
+    span = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    coords = span @ align
+    if np.linalg.norm(coords) <= 1e-12:
+        return None
+    phase = gen @ (coords @ span)
+    return _Orbit(gen, phase / np.linalg.norm(phase))
+
+
+def _bordered_matrix(model, state, orbit, row, mu=0.0):
+    """The square Jacobian of the bordered system at `state`: unknowns
+    (c, t) and, with an orbit, mu; rows residual + mu gen c, then with an
+    orbit the phase row, then `row` over (c, t)."""
+    n = model.n_modes
+    k = 0 if orbit is None else 1
+    mat = np.zeros((n + 1 + k, n + 1 + k))
+    mat[:n, :n] = galerkin.residual_jacobian(model, state)
+    mat[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
+    if orbit is not None:
+        mat[:n, :n] += mu * orbit.gen
+        mat[:n, n + 1] = orbit.gen @ state.coeffs.ravel()
+        mat[n, :n] = orbit.phase
+    mat[n + k, :n + 1] = row
+    return mat
+
+
+def _solve_bordered(model, coeffs, t, orbit, row, target,
+                    tol=TOL_NEWTON, max_iter=MAX_NEWTON_ITER):
+    """Damped Newton on the square bordered system
+
+        residual(c, t) + mu gen c = 0,  <phase, c> = 0,  row . (c, t) = target
+
+    (the mu term and the phase row only with an orbit; the phase row lies in
+    the kernel span, orthogonal to the constant, so it reads
+    <phase, c - c_triv> = 0).  Each step is one dense solve.  Stops when the
+    bordered residual and residual(c, t) alone are both below `tol`, and
+    returns the state and mu.  Raises NoConvergenceError, whose
+    `positivity_boundary` tells whether the line search ever hit the
     positivity boundary."""
     n = model.n_modes
-    rows_c = np.array([np.asarray(rc, float).ravel() for rc, _ in rows]).reshape(len(rows), n)
-    rows_t = np.array([rt for _, rt in rows], dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    row = np.asarray(row, dtype=float)
     positivity_seen = False
 
-    def evaluate(cv, tv):
-        st = State(tv, cv.reshape(model.shape))
-        full = np.concatenate([
-            galerkin.residual(model, st).ravel(),
-            rows_c @ cv + rows_t * tv - targets,
-        ])
-        return full, st
+    def mu_of(x):
+        return 0.0 if orbit is None else float(x[n + 1])
 
-    c = np.asarray(coeffs, dtype=float).ravel().copy()
-    t = float(t)
-    F, state = evaluate(c, t)
+    def evaluate(x):
+        c = x[:n]
+        st = State(x[n], c.reshape(model.shape))
+        res = galerkin.residual(model, st).ravel()
+        last = row @ x[:n + 1] - target
+        if orbit is None:
+            full = np.append(res, last)
+        else:
+            full = np.concatenate([res + x[n + 1] * (orbit.gen @ c),
+                                   [orbit.phase @ c, last]])
+        return full, st, float(np.linalg.norm(res))
+
+    x = np.append(np.asarray(coeffs, dtype=float).ravel(),
+                  [float(t)] if orbit is None else [float(t), 0.0])
+    F, state, plain = evaluate(x)
     norm = float(np.linalg.norm(F))
     for _ in range(max_iter):
-        if norm < tol:
-            return state
-        J = np.zeros((n + len(rows), n + 1))
-        J[:n, :n] = galerkin.residual_jacobian(model, state)
-        J[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
-        J[n:, :n] = rows_c
-        J[n:, n] = rows_t
-        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        if norm < tol and plain < tol:
+            return state, mu_of(x)
+        mat = _bordered_matrix(model, state, orbit, row, mu_of(x))
+        try:
+            step = np.linalg.solve(mat, -F)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(
+                f"singular bordered matrix near t = {x[n]}"
+            ) from exc
         alpha = 1.0
         while True:
-            cand_c = c + alpha * step[:n]
-            cand_t = t + alpha * step[n]
-            if cand_t > 0:
+            cand = x + alpha * step
+            if cand[n] > 0:
                 try:
-                    F_new, state_new = evaluate(cand_c, cand_t)
+                    F_new, state_new, plain_new = evaluate(cand)
                 except PositivityViolationError:
                     positivity_seen = True
                 else:
                     new_norm = float(np.linalg.norm(F_new))
                     if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < tol:
-                        c, t, F, state, norm = cand_c, cand_t, F_new, state_new, new_norm
+                        x, F, state, plain, norm = cand, F_new, state_new, plain_new, new_norm
                         break
             alpha *= 0.5
             if alpha < _MIN_DAMPING:
-                err = NoConvergenceError(
-                    f"pinned solve stalled near t = {t} (residual {norm:.3e})"
+                raise NoConvergenceError(
+                    f"bordered solve stalled near t = {x[n]} (residual {norm:.3e})",
+                    positivity_boundary=positivity_seen,
                 )
-                err.positivity = positivity_seen
-                raise err
-    err = NoConvergenceError(
-        f"pinned solve: no convergence in {max_iter} iterations (residual {norm:.3e})"
+    raise NoConvergenceError(
+        f"bordered solve: no convergence in {max_iter} iterations (residual {norm:.3e})",
+        positivity_boundary=positivity_seen,
     )
-    err.positivity = positivity_seen
-    raise err
 
 
-def _phase_rows(model, bp, align):
-    """Orthonormal directions inside the kernel span orthogonal to the
-    kernel component of `align` (flattened); pinning these to zero removes
-    the rotation freedom of multi-dimensional kernels.  The rows must stay
-    within the span: anything outside it would pin harmonic content the
-    branch legitimately carries."""
-    if bp is None or bp.kernel_dim <= 1:
-        return []
-    span = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
-    coords = span @ align
-    basis = []
-    nrm = np.linalg.norm(coords)
-    if nrm > 1e-12:
-        basis.append(coords / nrm)
-    rows = []
-    for k in range(bp.kernel_dim):
-        w = np.zeros(bp.kernel_dim)
-        w[k] = 1.0
-        for b in basis:
-            w -= (w @ b) * b
-        wn = np.linalg.norm(w)
-        if wn > 1e-10:
-            w /= wn
-            basis.append(w)
-            rows.append(w @ span)
-    return rows
+def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
+    """The branch-switching corrector of `switch_branch` and
+    `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
+    phase along n_hat, and solve from `start` at t = bp.t."""
+    orbit = _orbit(model, bp, gen, n_hat)
+    state, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
+                               n_hat @ c_triv + amplitude)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +387,9 @@ def _candidate_directions(model, bp, direction):
         if direction in (1, -1):
             return [direction * vecs[0]]
         return [vecs[0], -vecs[0]]
-    if bp.kernel_dim == 2:
-        angles = 2 * np.pi * np.arange(_CIRCLE_DIRECTIONS) / _CIRCLE_DIRECTIONS
-        dirs = [np.cos(a) * vecs[0] + np.sin(a) * vecs[1] for a in angles]
-        return dirs if direction != -1 else [-d for d in dirs]
-    out = []
-    for v in vecs:
-        out += [v, -v]
-    return out
+    angles = 2 * np.pi * np.arange(_CIRCLE_DIRECTIONS) / _CIRCLE_DIRECTIONS
+    dirs = [np.cos(a) * vecs[0] + np.sin(a) * vecs[1] for a in angles]
+    return dirs if direction != -1 else [-d for d in dirs]
 
 
 def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
@@ -330,22 +398,19 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
     with the kernel amplitude pinned to `amplitude`, starting from
     u = 1 + amplitude * (kernel direction) at t = bp.t.  Tries each
     candidate kernel direction in turn; a converged solution that collapses
-    back to u = 1 counts as a failure for that direction."""
+    back to u = 1 counts as a failure for that direction.  Kernels other
+    than one mode or one circle cos/sin pair raise PreconditionError."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
+    gen = _rotation_generator(model, bp)
     amplitude = float(amplitude)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
 
     failures = []
     for n_hat in _candidate_directions(model, bp, direction):
-        rows = [(n_hat, 0.0)]
-        targets = [n_hat @ c_triv + amplitude]
-        for w in _phase_rows(model, bp, n_hat):
-            rows.append((w, 0.0))
-            targets.append(w @ c_triv)
         start = c_triv + amplitude * n_hat
         try:
-            state = _solve_pinned(model, start, bp.t, rows, targets)
+            state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start)
         except (NoConvergenceError, PositivityViolationError) as exc:
             failures.append(str(exc))
             continue
@@ -400,21 +465,19 @@ def _make_sample(model, state):
     )
 
 
-def _tangent(model, state, phase_rows, previous=None):
-    """Null direction of the extended Jacobian (with phase rows) at a
-    solution, via SVD; oriented along `previous` when given."""
-    n = model.n_modes
-    mat = np.zeros((n + len(phase_rows), n + 1))
-    mat[:n, :n] = galerkin.residual_jacobian(model, state)
-    mat[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
-    for k, w in enumerate(phase_rows):
-        mat[n + k, :n] = w
-    _, _, vt = np.linalg.svd(mat)
-    v = vt[-1]
-    v /= np.linalg.norm(v)
-    if previous is not None and v @ previous < 0:
-        v = -v
-    return v
+def _tangent(model, state, orbit, last_row):
+    """Unit tangent (dc, dt) of the branch at a solution: one solve of the
+    bordered matrix with `last_row` over (c, t) as its last row and right
+    side e_last, so the tangent has a positive component along `last_row`
+    (the previous tangent, or the unit offset from u = 1 at the start)."""
+    mat = _bordered_matrix(model, state, orbit, last_row)
+    rhs = np.zeros(len(mat))
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(mat, rhs)[:model.n_modes + 1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"singular tangent system at t = {state.t}") from exc
+    return v / np.linalg.norm(v)
 
 
 def continue_branch(model: GalerkinModel, start: State, direction: int,
@@ -425,6 +488,8 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     -1 with shrinking distance (toward the branch point).  Stops early on
     positivity loss, corrector failure, or when the distance turns around
     (the turning sample is discarded so the kept prefix stays monotone).
+    The rotation orbit of a cos/sin kernel pair of `origin` is fixed by the
+    phase of the start state; without `origin` no phase is fixed.
     """
     if not ds > 0:
         raise InvalidArgumentError(f"arclength step must be positive, got {ds}")
@@ -437,36 +502,32 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
 
     c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
     offset = start.coeffs.ravel() - c_triv
-    phase = _phase_rows(model, origin, offset) if np.linalg.norm(offset) > 0 else []
+    orbit = _orbit(model, origin, _rotation_generator(model, origin), offset)
 
+    # first tangent: positive along the offset from u = 1 (along t when the
+    # start is u = 1 itself), then flipped to the requested direction
+    offset_norm = np.linalg.norm(offset)
+    first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
+                 else np.append(offset, 1.0))
     x = np.concatenate([start.coeffs.ravel(), [float(start.t)]])
-    v = _tangent(model, start, phase)
-    growth = 2 * (offset @ v[:-1])
-    if abs(growth) > 1e-13 * (1 + np.linalg.norm(offset)):
-        if growth * direction < 0:
-            v = -v
-    elif v[-1] * direction < 0:
-        v = -v
+    v = direction * _tangent(model, start, orbit, first_row)
 
     samples = [_make_sample(model, start)]
     dist_prev = galerkin.u_distance(model, start)
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
-        rows = [(w, 0.0) for w in phase] + [(v[:-1], float(v[-1]))]
-        targets = [w @ c_triv for w in phase] + [float(v @ x_pred)]
         try:
-            state = _solve_pinned(
-                model, x_pred[:-1], x_pred[-1], rows, targets
+            state, _ = _solve_bordered(
+                model, x_pred[:-1], x_pred[-1], orbit, v, float(v @ x_pred)
             )
         except (NoConvergenceError, PositivityViolationError) as exc:
             if step_no == 0:
                 raise EmptyBranchError(
                     f"first continuation corrector failed: {exc}"
                 ) from exc
-            hit_boundary = isinstance(exc, PositivityViolationError) or getattr(
-                exc, "positivity", False
-            )
+            hit_boundary = (isinstance(exc, PositivityViolationError)
+                            or exc.positivity_boundary)
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
         dist = galerkin.u_distance(model, state)
@@ -474,7 +535,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
             reason = "turnaround"
             break
         x = np.concatenate([state.coeffs.ravel(), [float(state.t)]])
-        v = _tangent(model, state, phase, previous=v)
+        v = _tangent(model, state, orbit, v)
         samples.append(_make_sample(model, state))
         dist_prev = dist
     return Branch(tuple(samples), origin, reason)
@@ -641,6 +702,7 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         raise PreconditionError("branch point has no kernel modes")
     if trials < 1:
         raise InvalidArgumentError(f"need trials >= 1, got {trials}")
+    gen = _rotation_generator(model, bp)
 
     rng = np.random.default_rng(seed)
     vecs = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
@@ -658,14 +720,9 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         fiber_part = fiber_part.ravel()
         fiber_part /= np.linalg.norm(fiber_part)
 
-        rows = [(n_hat, 0.0)]
-        targets = [n_hat @ c_triv + amplitude]
-        for w in _phase_rows(model, bp, n_hat):
-            rows.append((w, 0.0))
-            targets.append(w @ c_triv)
         start = c_triv + amplitude * (n_hat + fiber_part)
         try:
-            state = _solve_pinned(model, start, bp.t, rows, targets)
+            state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start)
         except (NoConvergenceError, PositivityViolationError):
             rows_out.append(TrialRow(trial, False, False, None, None, None, False))
             continue

@@ -81,7 +81,13 @@ class PositivityViolationError(CscbifError):
 
 
 class NoConvergenceError(CscbifError):
-    """An iterative solve exhausted its iteration or damping budget."""
+    """An iterative solve exhausted its iteration or damping budget.
+    `positivity_boundary` tells whether its line search ever stepped onto a
+    state that is not positive on the grid."""
+
+    def __init__(self, message, positivity_boundary: bool = False):
+        self.positivity_boundary = positivity_boundary
+        super().__init__(message)
 
 
 class NoNontrivialSolutionError(CscbifError):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -149,7 +150,6 @@ class GalerkinModel:
     family: SubmersionFamily
     base: FactorBasis
     fiber: FactorBasis
-    basis_flat: np.ndarray   # [nb*nf, Mb*Mf] tensor basis on the grid
 
     @property
     def m(self) -> int:
@@ -174,6 +174,16 @@ class GalerkinModel:
     @property
     def volume_at_one(self) -> float:
         return self.base.volume * self.fiber.volume
+
+    @cached_property
+    def pair_products(self):
+        """Pairwise products of each factor's basis functions at its nodes,
+        ([nb^2, Mb], [nf^2, Mf]); computed on the first Jacobian, not at
+        build time."""
+        return tuple(
+            (f.values[:, None, :] * f.values[None, :, :]).reshape(f.count ** 2, -1)
+            for f in (self.base, self.fiber)
+        )
 
     @property
     def weights2(self) -> np.ndarray:
@@ -224,10 +234,7 @@ def build_model(family: SubmersionFamily, base_modes: int, fiber_modes: int) -> 
             raise ConfigurationError(
                 f"{factor.label} factor basis fails orthonormality by {defect:.3e}"
             )
-    basis_flat = np.einsum("im,jn->ijmn", base.values, fiber.values).reshape(
-        base.count * fiber.count, -1
-    )
-    return GalerkinModel(family, base, fiber, basis_flat)
+    return GalerkinModel(family, base, fiber)
 
 
 def constant_state(model: GalerkinModel, t, value: float = 1.0) -> State:
@@ -295,15 +302,25 @@ def linearization_at_one(model: GalerkinModel, t) -> np.ndarray:
 
 def residual_jacobian(model: GalerkinModel, state: State) -> np.ndarray:
     """Dense Jacobian of `residual` with respect to the coefficients,
-    [n_modes, n_modes] over row-major mode pairs."""
+    [n_modes, n_modes] over row-major mode pairs.
+
+    The weighted Gram matrix of the tensor basis factors: contract the
+    fiber products phi_j phi_l with the weight over the fiber nodes first,
+    [nf^2, Mb], then the base products psi_i psi_k over the base nodes,
+    [nb^2, nf^2], and reorder (i, k, j, l) to (i, j), (k, l)."""
     t = float(state.t)
     g = _positive_grid(model, state)
     p = float(model.p_m)
     lam = model.mode_eigenvalues(t).ravel()
     s_t = variation.scalar_curvature(model.family, t)
-    wpow = (model.weights2 * g ** (p - 2.0)).ravel()
-    gram = (model.basis_flat * wpow) @ model.basis_flat.T
-    return np.diag(float(model.a_m) * lam + s_t) - s_t * (p - 1.0) * gram
+    (nb, nf), n = model.shape, model.n_modes
+    base_pairs, fiber_pairs = model.pair_products
+    wpow = -s_t * (p - 1.0) * model.weights2 * g ** (p - 2.0)   # [Mb, Mf]
+    partial = fiber_pairs @ wpow.T                              # [nf^2, Mb]
+    jac = (base_pairs @ partial.T).reshape(nb, nb, nf, nf)
+    jac = jac.transpose(0, 2, 1, 3).reshape(n, n)
+    jac[np.diag_indices(n)] += float(model.a_m) * lam + s_t
+    return jac
 
 
 def residual_t_derivative(model: GalerkinModel, state: State) -> np.ndarray:

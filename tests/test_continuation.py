@@ -154,6 +154,92 @@ def test_switch_needs_kernel_modes(cs_model):
 
 
 # ---------------------------------------------------------------------------
+# the bordered corrector
+
+
+def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
+    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
+    gen = continuation._rotation_generator(cs_model, cs_branch_point)
+    orbit = continuation._orbit(cs_model, cs_branch_point, gen, offset)
+    unit = offset / np.linalg.norm(offset)
+    v = continuation._tangent(cs_model, state, orbit, np.append(unit, 0.0))
+
+    # oracle: the null vector of the extended Jacobian whose extra row fixes
+    # the phase, the kernel-span direction orthogonal to the offset's kernel part
+    vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
+    a, b = vecs @ offset
+    phase = (-b * vecs[0] + a * vecs[1]) / np.hypot(a, b)
+    n = cs_model.n_modes
+    ext = np.zeros((n + 1, n + 1))
+    ext[:n, :n] = galerkin.residual_jacobian(cs_model, state)
+    ext[:n, n] = galerkin.residual_t_derivative(cs_model, state).ravel()
+    ext[n, :n] = phase
+    null = np.linalg.svd(ext)[2][-1]
+
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert abs(1 - abs(v @ null)) <= 1e-10
+    assert v[:n] @ unit > 0
+
+
+def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
+    c_triv = galerkin.constant_state(cs_model, cs_branch_point.t).coeffs.ravel()
+    vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
+    n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
+    gen = continuation._rotation_generator(cs_model, cs_branch_point)
+    orbit = continuation._orbit(cs_model, cs_branch_point, gen, n_hat)
+    state, mu = continuation._solve_bordered(
+        cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
+        np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
+    )
+    assert abs(mu) <= 1e-10
+    assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
+    assert galerkin.u_distance(cs_model, state) > 1e-3
+
+
+@pytest.mark.parametrize("which", ["base", "fiber"])
+def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_point,
+                                                    mixed_model):
+    # the circle is the base of cs_model and the fiber of mixed_model; on a
+    # solution, the rotated direction gen c is a null vector of the Jacobian
+    if which == "base":
+        model, bp = cs_model, cs_branch_point
+    else:
+        model = mixed_model
+        (bp,) = continuation.detect_branch_points(model, 0.5, 1.5, 100)
+    state = continuation.switch_branch(model, bp, 1e-2)
+    gen = continuation._rotation_generator(model, bp)
+    assert np.array_equal(gen, -gen.T)
+    orbit_dir = gen @ state.coeffs.ravel()
+    jac = galerkin.residual_jacobian(model, state)
+    assert np.linalg.norm(orbit_dir) > 1e-3
+    assert np.linalg.norm(jac @ orbit_dir) <= 1e-9 * np.linalg.norm(orbit_dir)
+
+
+def test_unsupported_kernel_is_a_precondition_error(cs_model):
+    three = continuation.BranchPoint(t=1.0, kernel_modes=((1, 0), (2, 0), (3, 0)))
+    with pytest.raises(PreconditionError):
+        continuation.switch_branch(cs_model, three, 1e-2)
+
+
+def test_branch_converges_under_base_refinement(circle_sphere):
+    # the t = 1 branch carries only low circle frequencies, so doubling N_b
+    # changes it at roundoff level; observed 2.2e-14 in t and 5.3e-17 in
+    # distance, bounded here 100 times above that
+    bp = continuation.BranchPoint(t=1.0, kernel_modes=((1, 0), (2, 0)))
+    last = []
+    for n_b in (16, 32):
+        model = galerkin.build_model(circle_sphere, n_b, 8)
+        start = continuation.switch_branch(model, bp, 1e-2)
+        branch = continuation.continue_branch(model, start, -1, 10, 4e-4, origin=bp)
+        assert len(branch) == 11
+        last.append(branch.samples[-1])
+    coarse, fine = last
+    assert abs(coarse.t - fine.t) <= 2.2e-12
+    assert abs(coarse.u_distance - fine.u_distance) <= 5.3e-15
+
+
+# ---------------------------------------------------------------------------
 # continuation
 
 

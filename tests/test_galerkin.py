@@ -248,6 +248,37 @@ def test_jacobian_matches_finite_differences(small_model):
     assert np.abs(fd - jac).max() < 1e-8
 
 
+@pytest.mark.parametrize("base_dim, fiber_dim", [(1, 2), (2, 1)])
+def test_factored_jacobian_matches_dense_assembly(base_dim, fiber_dim):
+    # oracle: the full tensor basis on the grid and its weighted Gram matrix
+    # in one dense product, the assembly the factored contraction replaces
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.sphere_manifold(fiber_dim, Fraction(1)),
+        base=cscbif.sphere_manifold(base_dim, Fraction(1)),
+    )
+    model = galerkin.build_model(fam, 8, 6)
+    labels = (model.base.label, model.fiber.label)
+    assert labels == (("fourier", "legendre") if base_dim == 1 else ("legendre", "fourier"))
+    state = _random_positive_state(model, np.random.default_rng(41), 0.8)
+
+    tensor = np.einsum(
+        "im,jn->ijmn", model.base.values, model.fiber.values
+    ).reshape(model.n_modes, -1)
+    grid = (model.base.values.T @ state.coeffs @ model.fiber.values).ravel()
+    assert grid.min() > 0
+    weights = np.outer(model.base.weights, model.fiber.weights).ravel()
+    p = 2 * fam.m / (fam.m - 2)
+    a_m = 4 * (fam.m - 1) / (fam.m - 2)
+    s_t = variation.scalar_curvature(fam, 0.8)
+    eig = (model.base.eigenvalues[:, None] + model.fiber.eigenvalues[None, :] / 0.8).ravel()
+    dense = np.diag(a_m * eig + s_t) - s_t * (p - 1) * (
+        (tensor * weights * grid ** (p - 2)) @ tensor.T
+    )
+
+    jac = galerkin.residual_jacobian(model, state)
+    assert np.abs(jac - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_t_derivative_matches_finite_differences(small_model):
     rng = np.random.default_rng(17)
     state = _random_positive_state(small_model, rng, 0.8)
