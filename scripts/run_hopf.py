@@ -1,35 +1,22 @@
-"""Classification of the quaternionic Hopf fibration S^3 -> S^7 -> S^4(1/2).
+"""Classification of the quaternionic Hopf fibration S^3 -> S^7 -> S^4(1/2),
+read from configs/hopf.yaml.
 
 The fibers are totally geodesic with |A|^2 = 12 and the scalar curvatures
-are s_h = 48, s_ghat = 6.  The joint pairs below are the splittings of the
-low spherical harmonics of S^7 into horizontal and vertical eigenvalues:
-pullbacks from the base carry vertical eigenvalue 0, and the degree-one
-harmonics split as 4 + 3.  Everything here is spectral; no discretization
-applies to a 4-dimensional base factor.
+are s_h = 48, s_ghat = 6.  The config's joint pairs are the splittings of
+the low spherical harmonics of S^7 into horizontal and vertical
+eigenvalues: pullbacks from the base carry vertical eigenvalue 0, and the
+degree-one harmonics split as 4 + 3.  Everything here is spectral; no
+discretization applies to a 4-dimensional base factor.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
-import cscbif
-from cscbif import variation
+from cscbif import cli, variation
 
-pairs = [
-    (0, 0, 1),
-    (4, 3, 8),
-    (16, 0, 5),
-    (40, 0, 14),
-    (72, 0, 30),
-    (112, 0, 55),
-    (160, 0, 91),
-    (216, 0, 140),
-    (280, 0, 204),
-]
-family = variation.SubmersionFamily(
-    fiber=cscbif.sphere_manifold(3, Fraction(1)),
-    base=cscbif.sphere_manifold(4, Fraction(1, 2)),
-    a_norm_sq=Fraction(12),
-    joint_mode=variation.ExplicitJoint(pairs),
-)
+CONFIG = Path(__file__).resolve().parent / "configs" / "hopf.yaml"
+cfg = cli.load_config(str(CONFIG))
+family = cfg.family
 
 print("== canonical variation of the quaternionic Hopf fibration ==")
 for t in (Fraction(1, 4), Fraction(1), Fraction(4)):
@@ -41,8 +28,8 @@ print("on (0, eps) every degeneracy instant is horizontal and the")
 print("bifurcating solutions are constant along the fibers")
 
 print()
-print("== classification on (1/100, 6/25] ==")
-report = variation.classify_window(family, Fraction(1, 100), Fraction(6, 25))
+print(f"== classification on ({cfg.t_min}, {cfg.t_max}] ==")
+report = variation.classify_window(family, cfg.t_min, cfg.t_max)
 print(f"nondiscrete: {report.nondiscrete}")
 print(f"degenerate set source: {report.d_source} (complete: {report.d_complete})")
 print(f"equality D = D_hor = B on the window: {report.stability_equality}")

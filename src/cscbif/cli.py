@@ -70,7 +70,6 @@ class ContinuationConfig:
     amplitude: float = 1e-2
     seed: int = 0
     direction: int = -1
-    detect_samples: int = 200
     trials: int = 20
     reduce_radius: float = 1e-2
     reduce_samples: int = 8
@@ -280,7 +279,7 @@ def parse_config(data, source: str | None = None) -> FamilyConfig:
     if has_continuation:
         c = _take(_mapping(got["continuation"], "continuation"), "continuation", {
             "ds": False, "steps": False, "amplitude": False, "seed": False,
-            "direction": False, "detect_samples": False, "trials": False,
+            "direction": False, "trials": False,
             "reduce_radius": False, "reduce_samples": False,
         })
         direction = _int(c.get("direction", cont.direction), "continuation.direction")
@@ -292,8 +291,6 @@ def parse_config(data, source: str | None = None) -> FamilyConfig:
             amplitude=_float(c.get("amplitude", cont.amplitude), "continuation.amplitude"),
             seed=_int(c.get("seed", cont.seed), "continuation.seed", minimum=0),
             direction=direction,
-            detect_samples=_int(c.get("detect_samples", cont.detect_samples),
-                                "continuation.detect_samples", minimum=2),
             trials=_int(c.get("trials", cont.trials), "continuation.trials", minimum=1),
             reduce_radius=_float(c.get("reduce_radius", cont.reduce_radius),
                                  "continuation.reduce_radius"),
@@ -400,8 +397,7 @@ def echo_config(cfg: FamilyConfig) -> dict:
         c = cfg.continuation
         out["continuation"] = {
             "ds": c.ds, "steps": c.steps, "amplitude": c.amplitude,
-            "seed": c.seed, "direction": c.direction,
-            "detect_samples": c.detect_samples, "trials": c.trials,
+            "seed": c.seed, "direction": c.direction, "trials": c.trials,
             "reduce_radius": c.reduce_radius, "reduce_samples": c.reduce_samples,
         }
     return out
@@ -517,13 +513,12 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
     model = galerkin.build_model(cfg.family, cfg.galerkin.n_b, cfg.galerkin.n_f)
     _require_numerics(cfg, "branch")
     cont = cfg.continuation
-    t_min, t_max = float(cfg.t_min), float(cfg.t_max)
-    points = continuation.detect_branch_points(model, t_min, t_max, cont.detect_samples)
+    points = continuation.detect_branch_points(model, cfg.t_min, cfg.t_max)
 
     provenance = [
         {"quantity": "branch_points", "operation": "continuation.detect_branch_points",
-         "inputs": {"t_min": fmt_number(t_min), "t_max": fmt_number(t_max),
-                    "n_samples": cont.detect_samples}},
+         "inputs": {"t_min": fmt_number(float(cfg.t_min)),
+                    "t_max": fmt_number(float(cfg.t_max))}},
         {"quantity": "branches",
          "operation": "continuation.switch_branch + continuation.continue_branch",
          "inputs": {"amplitude": fmt_number(cont.amplitude),
@@ -537,12 +532,11 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
     for k, bp in enumerate(points):
         entry = {
             "index": k,
-            "t": fmt_number(bp.t),
+            "t": fmt_number(float(bp.t)),
             "kernel_dim": bp.kernel_dim,
             "kernel_modes": [list(m) for m in bp.kernel_modes],
             "horizontal": bp.horizontal,
-            "predicted_instant": None if bp.predicted_instant is None
-            else fmt_number(bp.predicted_instant.t),
+            "predicted_instant": fmt_number(bp.t),
         }
         try:
             start = continuation.switch_branch(model, bp, cont.amplitude)
@@ -585,13 +579,12 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
     model = galerkin.build_model(cfg.family, cfg.galerkin.n_b, cfg.galerkin.n_f)
     _require_numerics(cfg, "verify")
     cont = cfg.continuation
-    t_min, t_max = float(cfg.t_min), float(cfg.t_max)
-    points = continuation.detect_branch_points(model, t_min, t_max, cont.detect_samples)
+    points = continuation.detect_branch_points(model, cfg.t_min, cfg.t_max)
 
     provenance = [
         {"quantity": "branch_points", "operation": "continuation.detect_branch_points",
-         "inputs": {"t_min": fmt_number(t_min), "t_max": fmt_number(t_max),
-                    "n_samples": cont.detect_samples}},
+         "inputs": {"t_min": fmt_number(float(cfg.t_min)),
+                    "t_max": fmt_number(float(cfg.t_max))}},
         {"quantity": "reduction", "operation": "continuation.lyapunov_schmidt_reduce",
          "inputs": {"sample_radius": fmt_number(cont.reduce_radius),
                     "n_samples": cont.reduce_samples}},
@@ -605,7 +598,7 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
     any_failed = False
     for bp in points:
         entry = {
-            "t": fmt_number(bp.t),
+            "t": fmt_number(float(bp.t)),
             "kernel_dim": bp.kernel_dim,
             "horizontal": bp.horizontal,
         }
@@ -650,7 +643,7 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
         any_failed = any_failed or not ok
         rows_json.append(entry)
         rows_csv.append((
-            fmt_number(bp.t),
+            fmt_number(float(bp.t)),
             str(bp.kernel_dim),
             str(bp.horizontal).lower(),
             "" if discrepancy is None else fmt_number(discrepancy),

@@ -1,8 +1,8 @@
 """Branch structure of the discretized constant-scalar-curvature equation.
 
-Given a Galerkin model, this module locates the parameters t at which the
-trivial solution u = 1 degenerates (the diagonal of the linearization
-crosses zero), switches onto the bifurcating branches, follows them by
+Given a Galerkin model, this module takes the branch points from the exact
+degeneracy roots of the resolved mode pairs (`variation.degeneracy_roots`;
+no float search), switches onto the bifurcating branches, follows them by
 pseudo-arclength continuation, and runs a finite-dimensional two-subspace
 Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
 solutions are constant along the fibers.
@@ -26,6 +26,7 @@ with the previous tangent as its last row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from . import galerkin, variation
 from .errors import (
     EmptyBranchError,
     HypothesisViolatedError,
-    IncompleteSpectrumError,
     InvalidArgumentError,
     NoConvergenceError,
     NondiscreteDegeneracyError,
@@ -43,15 +43,11 @@ from .errors import (
     PreconditionError,
     ReductionFailedError,
     UndefinedFractionError,
-    UnsupportedGeometryError,
 )
 from .galerkin import GalerkinModel, State
-from .variation import DegeneracyInstant
 
 TOL_NEWTON = 1e-10
 MAX_NEWTON_ITER = 50
-KERNEL_THRESHOLD = 1e-8      # relative to the largest diagonal entry
-BISECTION_TOL = 1e-10
 _MIN_DAMPING = 1e-9
 _NONTRIVIAL_NORM = 1e-8      # below this, a solution counts as the trivial one
 _CIRCLE_DIRECTIONS = 8
@@ -73,13 +69,12 @@ def _fraction_or_zero(state: State) -> float:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """A parameter where the linearization at u = 1 acquires kernel modes;
-    `predicted_instant` is the matching exact degeneracy instant when the
-    spectral enumeration finds one within 1e-9."""
+    """An exact degeneracy instant t of the discretized family with the
+    resolved modes (i, j) whose eigenvalue pair (b_i, lam_j) has t as a
+    root: the kernel of the linearization at u = 1."""
 
-    t: float
+    t: Fraction
     kernel_modes: tuple
-    predicted_instant: DegeneracyInstant | None = None
 
     @property
     def kernel_dim(self) -> int:
@@ -90,83 +85,23 @@ class BranchPoint:
         return all(j == 0 for _, j in self.kernel_modes)
 
 
-def _diagonal_entry(model, i, j, t):
-    lam = model.base.eigenvalues[i] + model.fiber.eigenvalues[j] / t
-    s_t = variation.scalar_curvature(model.family, t)
-    return float(model.a_m) * (lam - s_t / (model.m - 1))
-
-
-def detect_branch_points(model: GalerkinModel, t_min, t_max, n_samples: int) -> list:
-    """Scan the closed-form linearization diagonal over [t_min, t_max],
-    bisect every per-mode sign change to width < 1e-10, and merge
-    coincident roots into branch points."""
-    t_min, t_max = float(t_min), float(t_max)
-    if not 0 < t_min < t_max:
-        raise InvalidArgumentError(f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-    if n_samples < 2:
-        raise InvalidArgumentError(f"need n_samples >= 2, got {n_samples}")
-
-    ts = np.linspace(t_min, t_max, n_samples)
-    diags = np.stack([galerkin.linearization_at_one(model, t) for t in ts])
-
-    roots = []  # (t_root, (i, j))
-    nb, nf = model.shape
-    for i in range(nb):
-        for j in range(nf):
-            vals = diags[:, i, j]
-            for k in range(n_samples - 1):
-                a, b = vals[k], vals[k + 1]
-                if a == 0.0:
-                    roots.append((float(ts[k]), (i, j)))
-                    continue
-                if a * b < 0:
-                    lo, hi = float(ts[k]), float(ts[k + 1])
-                    flo = a
-                    while hi - lo > BISECTION_TOL:
-                        mid = 0.5 * (lo + hi)
-                        fm = _diagonal_entry(model, i, j, mid)
-                        if fm == 0.0:
-                            lo = hi = mid
-                            break
-                        if flo * fm < 0:
-                            hi = mid
-                        else:
-                            lo, flo = mid, fm
-                    roots.append((0.5 * (lo + hi), (i, j)))
-            if vals[-1] == 0.0:
-                roots.append((float(ts[-1]), (i, j)))
-
-    roots.sort(key=lambda r: r[0])
-    clusters = []  # [ [t values], {modes} ]
-    for t_root, mode in roots:
-        if clusters and abs(t_root - clusters[-1][0][-1]) <= 1e-9 * (1 + t_root):
-            clusters[-1][0].append(t_root)
-            clusters[-1][1].add(mode)
-        else:
-            clusters.append(([t_root], {mode}))
-
-    try:
-        lo = t_min - 1e-9 * (1 + t_min)
-        hi = t_max + 1e-9 * (1 + t_max)
-        predictions = variation.enumerate_degeneracy(model.family, lo, hi)
-    except (NondiscreteDegeneracyError, IncompleteSpectrumError,
-            UnsupportedGeometryError):
-        predictions = ()
-
-    points = []
-    for t_vals, modes in clusters:
-        t_bp = sum(t_vals) / len(t_vals)
-        diag = galerkin.linearization_at_one(model, t_bp)
-        cut = KERNEL_THRESHOLD * np.abs(diag).max()
-        for idx in zip(*np.nonzero(np.abs(diag) < cut)):
-            modes.add((int(idx[0]), int(idx[1])))
-        predicted = None
-        for inst in predictions:
-            if abs(float(inst.t) - t_bp) <= 1e-9 * (1 + t_bp):
-                predicted = inst
-                break
-        points.append(BranchPoint(t_bp, tuple(sorted(modes)), predicted))
-    return points
+def detect_branch_points(model: GalerkinModel, t_min, t_max) -> list:
+    """The branch points on (t_min, t_max], ascending: the exact roots of
+    the degeneracy polynomial of every resolved mode pair except the
+    constant one, grouped by exact equality.  Raises
+    NondiscreteDegeneracyError when some pair vanishes identically."""
+    t_min, t_max = variation._check_window(t_min, t_max)
+    modes_at = {}
+    for mode, (b, lam) in model.eigentable():
+        if b == 0 and lam == 0:
+            continue
+        rr = variation.degeneracy_roots(model.family, b, lam)
+        if rr.all_positive:
+            raise NondiscreteDegeneracyError((b, lam))
+        for t in rr.roots:
+            if t_min < t <= t_max:
+                modes_at.setdefault(t, []).append(mode)
+    return [BranchPoint(t, tuple(modes)) for t, modes in sorted(modes_at.items())]
 
 
 def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
@@ -693,7 +628,7 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
             "the family has no stability window; fiber-constancy of the "
             "branch is not guaranteed at any t"
         ) from exc
-    if not float(bp.t) < epsilon:
+    if not bp.t < epsilon:
         raise PreconditionError(
             f"branch point t = {bp.t} lies outside the stability window "
             f"(0, {epsilon}); fiber-constancy is only guaranteed inside it"

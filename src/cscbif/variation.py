@@ -33,6 +33,7 @@ from fractions import Fraction
 from .errors import (
     DegeneratePointError,
     InconclusiveError,
+    IncompleteSpectrumError,
     InvalidArgumentError,
     NondiscreteDegeneracyError,
     NotApplicableError,
@@ -606,7 +607,7 @@ def _regime_flags(fam):
     if fam.is_product and s_h > 0:
         try:
             interchanged = first_nonzero(fam.base.spectrum) > Fraction(s_h, fam.m - 1)
-        except Exception:
+        except IncompleteSpectrumError:
             interchanged = False
     return RegimeFlags(
         base_scalar_nonpositive=s_h <= 0,

@@ -308,6 +308,6 @@ def cs_model(circle_sphere):
 def cs_branch_point(cs_model):
     from cscbif import continuation
 
-    points = continuation.detect_branch_points(cs_model, 0.5, 1.5, 100)
+    points = continuation.detect_branch_points(cs_model, 0.5, 1.5)
     assert len(points) == 1
     return points[0]

@@ -208,7 +208,7 @@ def test_branch_point_location(circle_sphere):
     chk = _Check()
     t0 = time.perf_counter()
     model = galerkin.build_model(circle_sphere, 32, 8)
-    points = continuation.detect_branch_points(model, 0.2, 1.2, 200)
+    points = continuation.detect_branch_points(model, 0.2, 1.2)
     elapsed = time.perf_counter() - t0
     chk.expect(len(points) == 2, f"{len(points)} branch points")
     for bp, exact in zip(points, (0.25, 1.0)):
@@ -283,7 +283,7 @@ def test_csv_determinism(tmp_path):
     base["window"] = {"t_min": "1/2", "t_max": "3/2"}
     base["galerkin"] = {"N_b": 8, "N_f": 6}
     base["continuation"].update(
-        {"steps": 12, "detect_samples": 80, "trials": 6, "reduce_samples": 4}
+        {"steps": 12, "trials": 6, "reduce_samples": 4}
     )
     path = config_dir / "family.yaml"
     path.write_text(yaml.safe_dump(base))

@@ -29,7 +29,7 @@ def _small_circle_sphere(tmp_path, **overrides):
     data["window"] = {"t_min": "1/2", "t_max": "3/2"}
     data["galerkin"] = {"N_b": 8, "N_f": 6}
     data["continuation"].update(
-        {"steps": 12, "detect_samples": 80, "trials": 6, "reduce_samples": 4}
+        {"steps": 12, "trials": 6, "reduce_samples": 4}
     )
     data["continuation"].update(overrides)
     path = tmp_path / "family.yaml"
@@ -62,10 +62,14 @@ def test_float_literals_stay_floats():
     assert cfg.continuation.ds == 4.0e-4
 
 
-def test_unknown_keys_are_rejected(tmp_path):
+@pytest.mark.parametrize("section, key", [
+    (None, "galerkinn"),
+    ("continuation", "detect_samples"),   # removed; no longer a schema key
+], ids=["galerkinn", "continuation.detect_samples"])
+def test_unknown_keys_are_rejected(tmp_path, section, key):
     path = _small_circle_sphere(tmp_path)
     data = yaml.safe_load(path.read_text())
-    data["galerkinn"] = {"N_b": 4}
+    (data if section is None else data[section])[key] = 4
     path.write_text(yaml.safe_dump(data))
     code, _ = _run(tmp_path, "classify", "--config", str(path))
     assert code == 2
@@ -280,7 +284,6 @@ def test_verify_flags_fiber_kernels(tmp_path):
             "amplitude": 1.0e-2,
             "seed": 0,
             "direction": -1,
-            "detect_samples": 80,
             "trials": 4,
             "reduce_radius": 1.0e-2,
             "reduce_samples": 4,

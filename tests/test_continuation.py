@@ -1,9 +1,9 @@
 """Branch detection, switching, continuation, and the two-space reduction.
 
-Each located branch point is cross-checked against the exact spectral
-classification, which plays the oracle role here: the two routes share no
-arithmetic (bisection on the discretized diagonal versus cleared rational
-polynomials).
+Branch points come from the exact degeneracy roots of the resolved mode
+pairs; they are checked against the windowed exact enumeration of
+`variation` and against the sign change of the discretized diagonal at
+u = 1.
 """
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from cscbif.errors import (
     HypothesisViolatedError,
     InvalidArgumentError,
     NoConvergenceError,
+    NondiscreteDegeneracyError,
     PositivityViolationError,
     PreconditionError,
 )
@@ -38,33 +39,60 @@ def mixed_model():
 
 def test_single_branch_point_near_one(cs_branch_point):
     bp = cs_branch_point
-    assert abs(bp.t - 1.0) < 1e-9
+    assert bp.t == 1 and isinstance(bp.t, Fraction)
     assert sorted(bp.kernel_modes) == [(1, 0), (2, 0)]
     assert bp.kernel_dim == 2
     assert bp.horizontal
-    assert bp.predicted_instant is not None
-    assert bp.predicted_instant.t == 1
 
 
 def test_detection_matches_spectral_instants(cs_model):
-    points = continuation.detect_branch_points(cs_model, 0.05, 1.5, 200)
-    expected = [1 / 16, 1 / 9, 1 / 4, 1.0]
-    assert len(points) == len(expected)
-    for bp, ref in zip(points, expected):
-        assert abs(bp.t - ref) < 1e-9
-        assert bp.horizontal
-        assert bp.predicted_instant is not None
-        assert abs(float(bp.predicted_instant.t) - ref) < 1e-12
+    points = continuation.detect_branch_points(cs_model, 0.05, 1.5)
+    assert [bp.t for bp in points] == [
+        Fraction(1, 16), Fraction(1, 9), Fraction(1, 4), Fraction(1)
+    ]
+    assert all(bp.horizontal for bp in points)
 
 
 def test_detected_points_lie_on_exact_instants(cs_model, circle_sphere):
-    points = continuation.detect_branch_points(cs_model, 0.05, 1.5, 200)
-    exact = [
-        float(i.t)
-        for i in variation.enumerate_degeneracy(circle_sphere, Fraction(1, 20), 2)
-    ]
-    for bp in points:
-        assert min(abs(bp.t - e) for e in exact) < 1e-9
+    # the exact enumeration restricted to the pairs the basis resolves
+    window = (Fraction(1, 20), Fraction(3, 2))
+    points = continuation.detect_branch_points(cs_model, *window)
+    pair_of = dict(cs_model.eigentable())
+    resolved = set(pair_of.values())
+    expected = {}
+    for inst in variation.enumerate_degeneracy(circle_sphere, *window):
+        seen = set(inst.witnesses) & resolved
+        if seen:
+            expected[inst.t] = seen
+    assert {bp.t: {pair_of[m] for m in bp.kernel_modes} for bp in points} == expected
+
+
+def test_window_is_half_open(cs_model):
+    points = continuation.detect_branch_points(cs_model, Fraction(1, 4), 1)
+    assert [bp.t for bp in points] == [1]
+
+
+def test_sphere_sphere_instants_are_exact(sphere_sphere):
+    # the vertical instant t = 2 sits exactly on eps = 2, so verify refuses it
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    points = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    assert [bp.t for bp in points] == [Fraction(1, 2), Fraction(2)]
+    assert [bp.kernel_modes for bp in points] == [((1, 0),), ((0, 1),)]
+    assert variation.stability_epsilon(sphere_sphere) == 2
+    with pytest.raises(PreconditionError):
+        continuation.verify_fiber_constancy(model, points[1], 1)
+
+
+def test_identically_degenerate_pair_is_nondiscrete(cs_model):
+    # curvatures chosen so that 2 b = s_h and 2 lam = s_g for the resolved
+    # pair (1, 2): its degeneracy polynomial vanishes for every t
+    family = variation.SubmersionFamily(
+        fiber=cscbif.explicit_manifold("fiber", 2, 4, [(0, 1), (2, 3)], 3),
+        base=cscbif.explicit_manifold("base", 1, 2, [(0, 1), (1, 2)], 2),
+    )
+    model = galerkin.GalerkinModel(family, cs_model.base, cs_model.fiber)
+    with pytest.raises(NondiscreteDegeneracyError):
+        continuation.detect_branch_points(model, Fraction(1, 2), 2)
 
 
 def test_kernel_vectors_span_the_crossing_modes(cs_model, cs_branch_point):
@@ -140,8 +168,8 @@ def test_switch_respects_direction_sign(cs_model, cs_branch_point):
 
 
 def test_switch_works_at_the_second_instant(cs_model):
-    points = continuation.detect_branch_points(cs_model, 0.2, 0.3, 60)
-    assert len(points) == 1 and abs(points[0].t - 0.25) < 1e-9
+    points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
+    assert [bp.t for bp in points] == [Fraction(1, 4)]
     state = continuation.switch_branch(cs_model, points[0], 5e-3)
     assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state) > 1e-3
@@ -206,7 +234,7 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
         model, bp = cs_model, cs_branch_point
     else:
         model = mixed_model
-        (bp,) = continuation.detect_branch_points(model, 0.5, 1.5, 100)
+        (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
     state = continuation.switch_branch(model, bp, 1e-2)
     gen = continuation._rotation_generator(model, bp)
     assert np.array_equal(gen, -gen.T)
@@ -351,7 +379,7 @@ def test_reduction_discrepancy_is_tiny(cs_model, cs_branch_point):
 
 
 def test_reduction_needs_horizontal_kernel(mixed_model):
-    points = continuation.detect_branch_points(mixed_model, 0.5, 1.5, 100)
+    points = continuation.detect_branch_points(mixed_model, 0.5, 1.5)
     assert len(points) == 1
     bp = points[0]
     assert not bp.horizontal  # the t = 1 kernel here is pure fiber
@@ -385,6 +413,6 @@ def test_fiber_constancy_is_seed_deterministic(cs_model, cs_branch_point):
 def test_fiber_constancy_outside_the_window_is_a_precondition_error(mixed_model):
     # for the interchanged product the window is (0, 1) and the branch
     # point sits exactly at its edge
-    points = continuation.detect_branch_points(mixed_model, 0.5, 1.5, 100)
+    points = continuation.detect_branch_points(mixed_model, 0.5, 1.5)
     with pytest.raises(PreconditionError):
         continuation.verify_fiber_constancy(mixed_model, points[0], 5)

@@ -477,6 +477,17 @@ def test_classify_vertical_instant_left_uncertified(sphere_sphere):
             assert r.certificate is not None
 
 
+def test_regime_flags_without_a_tabulated_first_eigenvalue():
+    # s_h > 0 but the base table stops at 0, so lambda_1(base) is unknown
+    # and the interchanged case cannot be claimed
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.sphere_manifold(2, Fraction(1)),
+        base=cscbif.explicit_manifold("base", 2, 2, [(0, 1)], 1),
+    )
+    assert fam.is_product and fam.base.scalar_curvature > 0
+    assert not variation._regime_flags(fam).interchanged_product_case
+
+
 # ---------------------------------------------------------------------------
 # properties over random product families
 
