@@ -19,8 +19,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import yaml
 
@@ -36,13 +38,7 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .rationals import as_rational, fmt_number
-from .spectra import (
-    ManifoldDescriptor,
-    SphereSpectrum,
-    explicit_manifold,
-    explicit_spectrum,
-    sphere_manifold,
-)
+from .spectra import explicit_manifold, explicit_spectrum, sphere_manifold
 from .variation import ALL_PAIRS, ExplicitJoint, JointPair, SubmersionFamily
 
 _EXIT_FAILURE = 1
@@ -56,35 +52,17 @@ _DISCREPANCY_BOUND = 1e-8
 
 # ---------------------------------------------------------------------------
 # config schema
+#
+# Each mapping node of a config is one table of rows (key, reader, default).
+# A reader takes (value, path) and returns the validated value or raises a
+# ConfigurationError at `path`.  A default is REQUIRED, OPTIONAL (an absent
+# key stays absent), a value, or a function of the keys read before it and
+# the node's path; a default goes through the reader like a given value.
+# Reading a node yields its validated mapping in table order: the document
+# that report.json echoes and that the family is built from.
 
-@dataclass(frozen=True)
-class GalerkinConfig:
-    n_b: int = 16
-    n_f: int = 8
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    ds: float = 4e-4
-    steps: int = 40
-    amplitude: float = 1e-2
-    seed: int = 0
-    direction: int = -1
-    trials: int = 20
-    reduce_radius: float = 1e-2
-    reduce_samples: int = 8
-
-
-@dataclass(frozen=True)
-class FamilyConfig:
-    family: SubmersionFamily
-    t_min: object
-    t_max: object
-    galerkin: GalerkinConfig
-    continuation: ContinuationConfig
-    has_galerkin: bool
-    has_continuation: bool
-    raw: dict = field(compare=False, repr=False, default_factory=dict)
+REQUIRED = object()
+OPTIONAL = object()
 
 
 def _fail(path: str, message: str):
@@ -97,23 +75,32 @@ def _mapping(node, path):
     return node
 
 
-def _take(node: dict, path: str, known: dict):
-    """Pull known keys out of a mapping node, rejecting strays."""
-    extra = set(node) - set(known)
+def _read(rows, node, path, here=None):
+    """The validated mapping `node` of table `rows`.  Its keys are reported
+    at `path.key` (plain `key` when `path` is empty), errors of the node
+    itself at `here`, which defaults to `path`."""
+    here = here or path
+    keys = [key for key, _, _ in rows]
+    extra = set(_mapping(node, here)) - set(keys)
     if extra:
-        _fail(path, f"unknown key(s) {sorted(extra)}; expected {sorted(known)}")
-    out = {}
-    for key, required in known.items():
+        _fail(here, f"unknown key(s) {sorted(extra)}; expected {sorted(keys)}")
+    got = {}
+    for key, reader, default in rows:
         if key in node:
-            out[key] = node[key]
-        elif required:
-            _fail(path, f"missing required key {key!r}")
-    return out
+            value = node[key]
+        elif default is REQUIRED:
+            _fail(here, f"missing required key {key!r}")
+        elif default is OPTIONAL:
+            continue
+        else:
+            value = default(got, path) if callable(default) else default
+        got[key] = reader(value, f"{path}.{key}" if path else key)
+    return got
 
 
-def _exact(value, path):
-    """Exact rational when exactly representable (int, "p/q", decimal
-    string); YAML floats pass through as floats."""
+def _real(value, path):
+    """Exact rational from an int, "p/q" or decimal string; a YAML float
+    stays a float."""
     if isinstance(value, bool):
         _fail(path, "booleans are not numbers")
     if isinstance(value, float):
@@ -126,197 +113,216 @@ def _exact(value, path):
         _fail(path, str(exc))
 
 
-def _int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"expected >= {minimum}, got {value}")
-    return value
+def _exact(value, path):
+    """Like `_real`, but a YAML float is refused."""
+    number = _real(value, path)
+    if isinstance(number, float):
+        _fail(path, f'expected an exact number (int or "p/q"), got {value!r}')
+    return number
+
+
+def _decimal(value, path):
+    """Like `_real`, but a YAML float is read by its shortest decimal
+    literal (12.5 -> 25/2)."""
+    return as_rational(_real(value, path))
 
 
 def _float(value, path):
-    if isinstance(value, bool):
-        _fail(path, "booleans are not numbers")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"cannot read {value!r} as a real number")
-    _fail(path, f"expected a real number, got {value!r}")
+    return float(_real(value, path))
 
 
-def _entry_list(value, path):
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a nonempty list of [eigenvalue, multiplicity] pairs")
-    entries = []
-    for k, item in enumerate(value):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            _fail(f"{path}[{k}]", f"expected a [eigenvalue, multiplicity] pair, got {item!r}")
-        lam = _exact(item[0], f"{path}[{k}][0]")
-        if isinstance(lam, float):
-            _fail(f"{path}[{k}][0]", "spectrum eigenvalues must be exact (int or \"p/q\")")
-        mult = _int(item[1], f"{path}[{k}][1]", minimum=1)
-        entries.append((lam, mult))
-    return entries
+def _positive(reader):
+    def read(value, path):
+        number = reader(value, path)
+        if number <= 0:
+            _fail(path, f"must be positive, got {number}")
+        return number
+    return read
 
 
-def _manifold(node, path) -> ManifoldDescriptor:
-    node = _mapping(node, path)
-    kind = node.get("kind")
-    if kind == "sphere":
-        got = _take(node, path, {"kind": True, "dim": True, "radius": True, "name": False})
-        dim = _int(got["dim"], f"{path}.dim", minimum=1)
-        radius = _exact(got["radius"], f"{path}.radius")
-        if isinstance(radius, float):
-            _fail(f"{path}.radius", "sphere radii must be exact (int or \"p/q\")")
-        if radius <= 0:
-            _fail(f"{path}.radius", f"radius must be positive, got {radius}")
-        try:
-            return sphere_manifold(dim, radius, name=got.get("name"))
-        except CscbifError as exc:
-            _fail(path, str(exc))
-    if kind == "explicit":
-        got = _take(node, path, {
-            "kind": True, "name": False, "dim": True,
-            "scalar_curvature": True, "spectrum": True, "complete_below": True,
-        })
-        dim = _int(got["dim"], f"{path}.dim", minimum=1)
-        scal = _exact(got["scalar_curvature"], f"{path}.scalar_curvature")
-        if isinstance(scal, float):
-            _fail(f"{path}.scalar_curvature", "scalar curvature must be exact")
-        entries = _entry_list(got["spectrum"], f"{path}.spectrum")
-        bound = _exact(got["complete_below"], f"{path}.complete_below")
-        name = got.get("name", path.rsplit(".", 1)[-1])
-        try:
-            return explicit_manifold(name, dim, scal, entries, bound)
-        except CscbifError as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"expected \"sphere\" or \"explicit\", got {kind!r}")
+def _int(minimum):
+    def read(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, f"expected an integer, got {value!r}")
+        if value < minimum:
+            _fail(path, f"expected >= {minimum}, got {value}")
+        return value
+    return read
 
 
-def _explicit_spectrum_node(node, path):
-    got = _take(_mapping(node, path), path, {"spectrum": True, "complete_below": True})
-    entries = _entry_list(got["spectrum"], f"{path}.spectrum")
-    bound = _exact(got["complete_below"], f"{path}.complete_below")
+def _one_of(*options):
+    def read(value, path):
+        if not any(type(value) is type(o) and value == o for o in options):
+            _fail(path, f"expected {' or '.join(json.dumps(o) for o in options)}, "
+                        f"got {value!r}")
+        return value
+    return read
+
+
+def _text(value, path):
+    if not isinstance(value, str):
+        _fail(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _rows(what, *columns):
+    """Reader of a nonempty list of rows `what` ("[a, b]"), one reader per
+    column."""
+    def read(value, path):
+        if not isinstance(value, list) or not value:
+            _fail(path, f"expected a nonempty list of {what} rows")
+        out = []
+        for k, item in enumerate(value):
+            if not isinstance(item, (list, tuple)) or len(item) != len(columns):
+                _fail(f"{path}[{k}]", f"expected a {what} row, got {item!r}")
+            out.append([column(x, f"{path}[{k}][{i}]")
+                        for i, (column, x) in enumerate(zip(columns, item))])
+        return out
+    return read
+
+
+SPECTRUM = (
+    ("spectrum", _rows("[eigenvalue, multiplicity]", _exact, _int(1)), REQUIRED),
+    ("complete_below", _decimal, REQUIRED),
+)
+
+SPHERE = (
+    ("kind", _text, REQUIRED),
+    ("dim", _int(1), REQUIRED),
+    ("radius", _positive(_exact), REQUIRED),
+    ("name", _text, lambda got, path: sphere_manifold(got["dim"], got["radius"]).name),
+)
+
+EXPLICIT = (
+    ("kind", _text, REQUIRED),
+    ("name", _text, lambda got, path: path),
+    ("dim", _int(1), REQUIRED),
+    ("scalar_curvature", _exact, REQUIRED),
+    *SPECTRUM,
+)
+
+MANIFOLDS = {"sphere": SPHERE, "explicit": EXPLICIT}
+
+
+def _manifold(node, path):
+    kind = _one_of(*MANIFOLDS)(_mapping(node, path).get("kind"), f"{path}.kind")
+    return _read(MANIFOLDS[kind], node, path)
+
+
+WINDOW = (
+    ("t_min", _real, REQUIRED),
+    ("t_max", _real, REQUIRED),
+)
+
+
+def _window(node, path):
+    window = _read(WINDOW, node, path)
+    if not (window["t_min"] > 0 and window["t_min"] < window["t_max"]):
+        _fail(path, f"need 0 < t_min < t_max, got ({window['t_min']}, {window['t_max']})")
+    return window
+
+
+GALERKIN = (
+    ("N_b", _int(2), 16),
+    ("N_f", _int(2), 8),
+)
+
+CONTINUATION = (
+    ("ds", _positive(_float), 4e-4),
+    ("steps", _int(1), 40),
+    ("amplitude", _float, 1e-2),
+    ("seed", _int(0), 0),
+    ("direction", _one_of(1, -1), -1),
+    ("trials", _int(1), 20),
+    ("reduce_radius", _positive(_float), 1e-2),
+    ("reduce_samples", _int(1), 8),
+)
+
+CONFIG = (
+    ("base", _manifold, REQUIRED),
+    ("fiber", _manifold, REQUIRED),
+    ("a_norm_sq", _exact, 0),
+    ("joint_mode", _one_of("all_pairs", "explicit"), "all_pairs"),
+    ("joint_pairs", _rows("[b, lam, multiplicity]", _exact, _exact, _int(1)), OPTIONAL),
+    ("joint_total_at_one", partial(_read, SPECTRUM), OPTIONAL),
+    ("horizontal_spectrum", partial(_read, SPECTRUM), OPTIONAL),
+    ("window", _window, REQUIRED),
+    ("galerkin", partial(_read, GALERKIN), OPTIONAL),
+    ("continuation", partial(_read, CONTINUATION), OPTIONAL),
+)
+
+
+@dataclass(frozen=True)
+class FamilyConfig:
+    """A validated config document and the family it describes.  A section
+    is present when it is in `doc`; an absent one reads as its defaults."""
+
+    doc: dict
+    family: SubmersionFamily
+
+    @property
+    def t_min(self):
+        return self.doc["window"]["t_min"]
+
+    @property
+    def t_max(self):
+        return self.doc["window"]["t_max"]
+
+    @property
+    def galerkin(self) -> SimpleNamespace:
+        g = self._section("galerkin", GALERKIN)
+        return SimpleNamespace(n_b=g["N_b"], n_f=g["N_f"])
+
+    @property
+    def continuation(self) -> SimpleNamespace:
+        return SimpleNamespace(**self._section("continuation", CONTINUATION))
+
+    def _section(self, key, rows):
+        return self.doc[key] if key in self.doc else _read(rows, {}, key)
+
+
+def _built(path, make, *args):
+    """`make(*args)`, with an error of the package reported at `path`."""
     try:
-        return explicit_spectrum(entries, bound)
+        return make(*args)
     except CscbifError as exc:
         _fail(path, str(exc))
 
 
+def _spectrum(node, path):
+    if node is not None:
+        return _built(path, explicit_spectrum, node["spectrum"], node["complete_below"])
+
+
+def _descriptor(node, path):
+    if node["kind"] == "sphere":
+        return _built(path, sphere_manifold, node["dim"], node["radius"], node["name"])
+    return _built(path, explicit_manifold, node["name"], node["dim"],
+                  node["scalar_curvature"], node["spectrum"], node["complete_below"])
+
+
 def parse_config(data, source: str | None = None) -> FamilyConfig:
-    data = _mapping(data, source or "config")
-    got = _take(data, source or "config", {
-        "base": True, "fiber": True, "a_norm_sq": False,
-        "joint_mode": False, "joint_pairs": False, "joint_total_at_one": False,
-        "horizontal_spectrum": False,
-        "window": True, "galerkin": False, "continuation": False,
-    })
+    source = source or "config"
+    doc = _read(CONFIG, data, "", here=source)
+    explicit = doc["joint_mode"] == "explicit"
+    for key in ("joint_pairs", "joint_total_at_one"):
+        if key in doc and not explicit:
+            _fail(key, f"{key} requires joint_mode: explicit")
+    if explicit and "joint_pairs" not in doc:
+        _fail("joint_pairs", "joint_mode: explicit needs a joint_pairs list")
 
-    base = _manifold(got["base"], "base")
-    fiber = _manifold(got["fiber"], "fiber")
-    a_sq = _exact(got.get("a_norm_sq", 0), "a_norm_sq")
-    if isinstance(a_sq, float):
-        _fail("a_norm_sq", "|A|^2 must be exact (int or \"p/q\")")
-
-    mode_name = got.get("joint_mode", "all_pairs")
-    if mode_name == "all_pairs":
-        if "joint_pairs" in got:
-            _fail("joint_pairs", "joint_pairs requires joint_mode: explicit")
-        joint = ALL_PAIRS
-        total = None
-    elif mode_name == "explicit":
-        raw_pairs = got.get("joint_pairs")
-        if raw_pairs is None:
-            _fail("joint_pairs", "joint_mode: explicit needs a joint_pairs list")
-        if not isinstance(raw_pairs, list) or not raw_pairs:
-            _fail("joint_pairs", "expected a nonempty list of [b, lam, multiplicity]")
-        pairs = []
-        for k, item in enumerate(raw_pairs):
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                _fail(f"joint_pairs[{k}]", f"expected [b, lam, multiplicity], got {item!r}")
-            b = _exact(item[0], f"joint_pairs[{k}][0]")
-            lam = _exact(item[1], f"joint_pairs[{k}][1]")
-            if isinstance(b, float) or isinstance(lam, float):
-                _fail(f"joint_pairs[{k}]", "joint eigenvalues must be exact")
-            mult = _int(item[2], f"joint_pairs[{k}][2]", minimum=1)
-            try:
-                pairs.append(JointPair(b, lam, mult))
-            except CscbifError as exc:
-                _fail(f"joint_pairs[{k}]", str(exc))
-        total = None
-        if "joint_total_at_one" in got:
-            total = _explicit_spectrum_node(got["joint_total_at_one"], "joint_total_at_one")
+    base = _descriptor(doc["base"], "base")
+    fiber = _descriptor(doc["fiber"], "fiber")
+    joint = ALL_PAIRS
+    if explicit:
+        pairs = [_built(f"joint_pairs[{k}]", JointPair, *pair)
+                 for k, pair in enumerate(doc["joint_pairs"])]
+        total = _spectrum(doc.get("joint_total_at_one"), "joint_total_at_one")
         joint = ExplicitJoint(tuple(pairs), total_at_one=total)
-    else:
-        _fail("joint_mode", f"expected \"all_pairs\" or \"explicit\", got {mode_name!r}")
-
-    horizontal = None
-    if "horizontal_spectrum" in got:
-        horizontal = _explicit_spectrum_node(got["horizontal_spectrum"], "horizontal_spectrum")
-
-    window = _take(_mapping(got["window"], "window"), "window",
-                   {"t_min": True, "t_max": True})
-    t_min = _exact(window["t_min"], "window.t_min")
-    t_max = _exact(window["t_max"], "window.t_max")
-    if not (t_min > 0 and t_min < t_max):
-        _fail("window", f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-
-    has_galerkin = "galerkin" in got
-    gal = GalerkinConfig()
-    if has_galerkin:
-        g = _take(_mapping(got["galerkin"], "galerkin"), "galerkin",
-                  {"N_b": False, "N_f": False})
-        gal = GalerkinConfig(
-            n_b=_int(g.get("N_b", gal.n_b), "galerkin.N_b", minimum=2),
-            n_f=_int(g.get("N_f", gal.n_f), "galerkin.N_f", minimum=2),
-        )
-
-    has_continuation = "continuation" in got
-    cont = ContinuationConfig()
-    if has_continuation:
-        c = _take(_mapping(got["continuation"], "continuation"), "continuation", {
-            "ds": False, "steps": False, "amplitude": False, "seed": False,
-            "direction": False, "trials": False,
-            "reduce_radius": False, "reduce_samples": False,
-        })
-        direction = _int(c.get("direction", cont.direction), "continuation.direction")
-        if direction not in (1, -1):
-            _fail("continuation.direction", f"must be 1 or -1, got {direction}")
-        cont = ContinuationConfig(
-            ds=_float(c.get("ds", cont.ds), "continuation.ds"),
-            steps=_int(c.get("steps", cont.steps), "continuation.steps", minimum=1),
-            amplitude=_float(c.get("amplitude", cont.amplitude), "continuation.amplitude"),
-            seed=_int(c.get("seed", cont.seed), "continuation.seed", minimum=0),
-            direction=direction,
-            trials=_int(c.get("trials", cont.trials), "continuation.trials", minimum=1),
-            reduce_radius=_float(c.get("reduce_radius", cont.reduce_radius),
-                                 "continuation.reduce_radius"),
-            reduce_samples=_int(c.get("reduce_samples", cont.reduce_samples),
-                                "continuation.reduce_samples", minimum=1),
-        )
-        if cont.ds <= 0:
-            _fail("continuation.ds", f"must be positive, got {cont.ds}")
-        if cont.reduce_radius <= 0:
-            _fail("continuation.reduce_radius", f"must be positive, got {cont.reduce_radius}")
-
-    try:
-        family = SubmersionFamily(
-            fiber=fiber, base=base, a_norm_sq=a_sq,
-            joint_mode=joint, horizontal=horizontal,
-        )
-    except CscbifError as exc:
-        _fail(source or "config", str(exc))
-
-    cfg = FamilyConfig(
-        family=family, t_min=t_min, t_max=t_max,
-        galerkin=gal, continuation=cont,
-        has_galerkin=has_galerkin, has_continuation=has_continuation,
-        raw=data,
-    )
-    return cfg
+    horizontal = _spectrum(doc.get("horizontal_spectrum"), "horizontal_spectrum")
+    family = _built(source, SubmersionFamily, fiber, base, doc["a_norm_sq"],
+                    joint, horizontal)
+    return FamilyConfig(doc, family)
 
 
 def load_config(path: str) -> FamilyConfig:
@@ -330,77 +336,21 @@ def load_config(path: str) -> FamilyConfig:
     return parse_config(data, source=path)
 
 
-# ---------------------------------------------------------------------------
-# config echo (report side of the round trip)
-
-def _echo_number(value):
-    """JSON form preserving parse semantics: Fractions as "p/q" strings
-    (or bare ints), native ints and floats as JSON numbers."""
-    if isinstance(value, bool):
-        raise InvalidArgumentError("booleans are not numbers")
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    return value
-
-
-def _echo_entries(spectrum):
-    return [[_echo_number(e.value), e.multiplicity] for e in spectrum.entries]
-
-
-def _echo_manifold(desc: ManifoldDescriptor):
-    spec = desc.spectrum
-    if isinstance(spec, SphereSpectrum) and spec.dim == desc.dim:
-        return {
-            "kind": "sphere", "dim": desc.dim,
-            "radius": _echo_number(spec.radius), "name": desc.name,
-        }
-    return {
-        "kind": "explicit", "name": desc.name, "dim": desc.dim,
-        "scalar_curvature": _echo_number(desc.scalar_curvature),
-        "spectrum": _echo_entries(spec),
-        "complete_below": _echo_number(spec.completeness_bound()),
-    }
+def _plain(node):
+    """`node` with every Fraction written as an int or a "p/q" string."""
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(value) for value in node]
+    if isinstance(node, Fraction):
+        return int(node) if node.denominator == 1 else str(node)
+    return node
 
 
 def echo_config(cfg: FamilyConfig) -> dict:
-    fam = cfg.family
-    out = {
-        "base": _echo_manifold(fam.base),
-        "fiber": _echo_manifold(fam.fiber),
-        "a_norm_sq": _echo_number(fam.a_norm_sq),
-    }
-    if isinstance(fam.joint_mode, ExplicitJoint):
-        out["joint_mode"] = "explicit"
-        out["joint_pairs"] = [
-            [_echo_number(p.horizontal), _echo_number(p.fiber), p.multiplicity]
-            for p in fam.joint_mode.pairs
-        ]
-        if fam.joint_mode.total_at_one is not None:
-            tot = fam.joint_mode.total_at_one
-            out["joint_total_at_one"] = {
-                "spectrum": _echo_entries(tot),
-                "complete_below": _echo_number(tot.completeness_bound()),
-            }
-    else:
-        out["joint_mode"] = "all_pairs"
-    if cfg.family.horizontal is not None:
-        out["horizontal_spectrum"] = {
-            "spectrum": _echo_entries(fam.horizontal),
-            "complete_below": _echo_number(fam.horizontal.completeness_bound()),
-        }
-    out["window"] = {
-        "t_min": _echo_number(cfg.t_min), "t_max": _echo_number(cfg.t_max),
-    }
-    if cfg.has_galerkin:
-        out["galerkin"] = {"N_b": cfg.galerkin.n_b, "N_f": cfg.galerkin.n_f}
-    if cfg.has_continuation:
-        c = cfg.continuation
-        out["continuation"] = {
-            "ds": c.ds, "steps": c.steps, "amplitude": c.amplitude,
-            "seed": c.seed, "direction": c.direction, "trials": c.trials,
-            "reduce_radius": c.reduce_radius, "reduce_samples": c.reduce_samples,
-        }
-    return out
+    """The config as report.json echoes it; it parses back to an equal
+    config."""
+    return _plain(cfg.doc)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +363,14 @@ class CliReport:
     exit_code: int
 
 
-def _report_skeleton(command: str, cfg: FamilyConfig, provenance: list) -> dict:
+def _payload(command: str, cfg: FamilyConfig, provenance: list, results: dict) -> dict:
+    window = {"t_min": fmt_number(cfg.t_min), "t_max": fmt_number(cfg.t_max)}
     return {
         "tool": {"name": "cscbif", "version": __version__},
         "command": command,
         "config": echo_config(cfg),
         "provenance": provenance,
+        "results": {"window": window, **results},
     }
 
 
@@ -470,9 +422,7 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
             str(row.fiber_constancy_guaranteed).lower(),
         ))
 
-    payload = _report_skeleton("classify", cfg, provenance)
-    payload["results"] = {
-        "window": {"t_min": fmt_number(cfg.t_min), "t_max": fmt_number(cfg.t_max)},
+    payload = _payload("classify", cfg, provenance, {
         "nondiscrete": report.nondiscrete,
         "nondiscrete_witness": None if report.nondiscrete_witness is None else {
             "base_eigenvalue": fmt_number(report.nondiscrete_witness[0]),
@@ -489,7 +439,7 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
             "interchanged_product_case": report.regime.interchanged_product_case,
         },
         "instants": rows_json,
-    }
+    })
     tables = {"instants.csv": _csv(
         ("t", "witnesses", "horizontal", "certified", "fiber_constancy_guaranteed"),
         rows_csv,
@@ -497,28 +447,27 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
     return CliReport(payload, tables, 0)
 
 
-def _require_numerics(cfg: FamilyConfig, command: str):
-    missing = [name for name, ok in (
-        ("galerkin", cfg.has_galerkin), ("continuation", cfg.has_continuation),
-    ) if not ok]
-    if missing:
-        raise ConfigurationError(
-            f"{command} needs the {' and '.join(missing)} section(s)"
-        )
-
-
-def cmd_branch(cfg: FamilyConfig) -> CliReport:
+def _branch_points(cfg: FamilyConfig, command: str):
+    """What branch and verify share: the Galerkin model, the continuation
+    settings, the branch points in the window and their provenance row."""
     # geometry first: an undiscretizable family is exit 4 regardless of
     # which config sections are present
     model = galerkin.build_model(cfg.family, cfg.galerkin.n_b, cfg.galerkin.n_f)
-    _require_numerics(cfg, "branch")
-    cont = cfg.continuation
+    missing = [key for key in ("galerkin", "continuation") if key not in cfg.doc]
+    if missing:
+        raise ConfigurationError(f"{command} needs the {' and '.join(missing)} section(s)")
     points = continuation.detect_branch_points(model, cfg.t_min, cfg.t_max)
+    provenance = {
+        "quantity": "branch_points", "operation": "continuation.detect_branch_points",
+        "inputs": {"t_min": fmt_number(float(cfg.t_min)), "t_max": fmt_number(float(cfg.t_max))},
+    }
+    return model, cfg.continuation, points, provenance
 
+
+def cmd_branch(cfg: FamilyConfig) -> CliReport:
+    model, cont, points, detected = _branch_points(cfg, "branch")
     provenance = [
-        {"quantity": "branch_points", "operation": "continuation.detect_branch_points",
-         "inputs": {"t_min": fmt_number(float(cfg.t_min)),
-                    "t_max": fmt_number(float(cfg.t_max))}},
+        detected,
         {"quantity": "branches",
          "operation": "continuation.switch_branch + continuation.continue_branch",
          "inputs": {"amplitude": fmt_number(cont.amplitude),
@@ -565,26 +514,18 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
         )
         rows_json.append(entry)
 
-    payload = _report_skeleton("branch", cfg, provenance)
-    payload["results"] = {
-        "window": {"t_min": fmt_number(cfg.t_min), "t_max": fmt_number(cfg.t_max)},
+    payload = _payload("branch", cfg, provenance, {
         "n_branch_points": len(points),
         "branch_points": rows_json,
-    }
+    })
     code = 0 if (not points or successes) else _EXIT_FAILURE
     return CliReport(payload, tables, code)
 
 
 def cmd_verify(cfg: FamilyConfig) -> CliReport:
-    model = galerkin.build_model(cfg.family, cfg.galerkin.n_b, cfg.galerkin.n_f)
-    _require_numerics(cfg, "verify")
-    cont = cfg.continuation
-    points = continuation.detect_branch_points(model, cfg.t_min, cfg.t_max)
-
+    model, cont, points, detected = _branch_points(cfg, "verify")
     provenance = [
-        {"quantity": "branch_points", "operation": "continuation.detect_branch_points",
-         "inputs": {"t_min": fmt_number(float(cfg.t_min)),
-                    "t_max": fmt_number(float(cfg.t_max))}},
+        detected,
         {"quantity": "reduction", "operation": "continuation.lyapunov_schmidt_reduce",
          "inputs": {"sample_radius": fmt_number(cont.reduce_radius),
                     "n_samples": cont.reduce_samples}},
@@ -654,13 +595,11 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
             ),
         ))
 
-    payload = _report_skeleton("verify", cfg, provenance)
-    payload["results"] = {
-        "window": {"t_min": fmt_number(cfg.t_min), "t_max": fmt_number(cfg.t_max)},
+    payload = _payload("verify", cfg, provenance, {
         "n_branch_points": len(points),
         "rows": rows_json,
         "passed": not any_failed,
-    }
+    })
     tables = {"verify.csv": _csv(
         ("t", "kernel_dim", "horizontal", "reduction_discrepancy",
          "max_fiber_fraction", "status"),
@@ -705,19 +644,22 @@ def _write_report(report: CliReport, out_dir: str):
         _atomic_write(os.path.join(out_dir, name), content)
 
 
-def _parse_window_override(spec: str):
-    parts = spec.split("..")
-    if len(parts) != 2:
-        raise ConfigurationError(
-            f"--window expects the form a..b, got {spec!r}"
-        )
-    try:
-        lo, hi = as_rational(parts[0]), as_rational(parts[1])
-    except InvalidArgumentError as exc:
-        raise ConfigurationError(f"--window: {exc}")
-    if not (lo > 0 and lo < hi):
-        raise ConfigurationError(f"--window: need 0 < a < b, got {spec!r}")
-    return lo, hi
+def _override(cfg: FamilyConfig, window, seed, source: str) -> FamilyConfig:
+    """`cfg` with the --window and --seed options set in its echoed
+    document, read again with the same tables.  A config without a
+    continuation section has no seed to set."""
+    doc = echo_config(cfg)
+    if window is not None:
+        bounds = window.split("..")
+        if len(bounds) != 2:
+            raise ConfigurationError(f"--window expects the form a..b, got {window!r}")
+        doc["window"] = dict(zip(("t_min", "t_max"), bounds))
+    if seed is not None:
+        if seed < 0:
+            raise ConfigurationError("--seed must be nonnegative")
+        if "continuation" in doc:
+            doc["continuation"]["seed"] = seed
+    return parse_config(doc, source=source)
 
 
 def _build_parser():
@@ -751,13 +693,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.window is not None:
-            lo, hi = _parse_window_override(args.window)
-            cfg = replace(cfg, t_min=lo, t_max=hi)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigurationError("--seed must be nonnegative")
-            cfg = replace(cfg, continuation=replace(cfg.continuation, seed=args.seed))
+        if args.window is not None or args.seed is not None:
+            cfg = _override(cfg, args.window, args.seed, args.config)
         report = _COMMANDS[args.command](cfg)
     except ConfigurationError as exc:
         print(f"cscbif: configuration error: {exc}", file=sys.stderr)

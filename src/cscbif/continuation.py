@@ -115,47 +115,6 @@ def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Newton solvers
 
-def newton_solve(model: GalerkinModel, t, initial: State,
-                 tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON_ITER) -> State:
-    """Damped Newton at fixed t.  The initial state must be positive on the
-    grid; every iterate stays positive (the step is halved on violation or
-    on insufficient residual decrease)."""
-    t = float(t)
-    coeffs = np.array(initial.coeffs, dtype=float)
-    state = State(t, coeffs)
-    res = galerkin.residual(model, state)          # raises if not positive
-    for _ in range(max_iter):
-        norm = float(np.linalg.norm(res))
-        if norm < tol:
-            return state
-        jac = galerkin.residual_jacobian(model, state)
-        try:
-            step = np.linalg.solve(jac, -res.ravel()).reshape(model.shape)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular Jacobian at t = {t}") from exc
-        alpha = 1.0
-        while True:
-            candidate = State(t, state.coeffs + alpha * step)
-            try:
-                res_new = galerkin.residual(model, candidate)
-            except PositivityViolationError:
-                pass
-            else:
-                new_norm = float(np.linalg.norm(res_new))
-                if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < tol:
-                    state, res = candidate, res_new
-                    break
-            alpha *= 0.5
-            if alpha < _MIN_DAMPING:
-                raise NoConvergenceError(
-                    f"line search stalled at t = {t} (residual {norm:.3e})"
-                )
-    raise NoConvergenceError(
-        f"no convergence in {max_iter} iterations at t = {t} "
-        f"(residual {float(np.linalg.norm(res)):.3e})"
-    )
-
-
 @dataclass(frozen=True)
 class _Orbit:
     """The rotation orbit of a branch through a cos/sin kernel pair:
@@ -301,6 +260,17 @@ def _solve_bordered(model, coeffs, t, orbit, row, target,
         f"bordered solve: no convergence in {max_iter} iterations (residual {norm:.3e})",
         positivity_boundary=positivity_seen,
     )
+
+
+def newton_solve(model: GalerkinModel, t, initial: State,
+                 tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON_ITER) -> State:
+    """Damped Newton at fixed t: the bordered corrector with the pin row
+    t = t and no orbit.  The initial state must be positive on the grid;
+    every iterate stays positive."""
+    pin = np.append(np.zeros(model.n_modes), 1.0)
+    state, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t),
+                               tol=tol, max_iter=max_iter)
+    return state
 
 
 def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):

@@ -1,7 +1,9 @@
 """Command-line driver: config parsing, report shapes, exit codes, and
 byte-level reproducibility of the tabular outputs."""
 
+import datetime
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,12 +43,58 @@ def _small_circle_sphere(tmp_path, **overrides):
 # config parsing and echo
 
 
-def test_shipped_configs_round_trip():
-    for path in (CIRCLE_SPHERE, HOPF, NONDISCRETE):
+# every optional key at once: an explicit manifold without a name, a
+# horizontal spectrum, explicit joint pairs checked against a total
+# spectrum, a YAML float completeness bound and a YAML float window bound
+SYNTHETIC = {
+    "base": {
+        "kind": "explicit", "dim": 2, "scalar_curvature": 2,
+        "spectrum": [[0, 1], [2, 3], ["13/2", 5]], "complete_below": 12.5,
+    },
+    "fiber": {"kind": "sphere", "dim": 1, "radius": "1/2"},
+    "a_norm_sq": "1/2",
+    "joint_mode": "explicit",
+    "joint_pairs": [[0, 0, 1], [2, 0, 3], [0, 4, 2]],
+    "joint_total_at_one": {"spectrum": [[0, 1], [2, 3], [4, 2]], "complete_below": 4},
+    "horizontal_spectrum": {"spectrum": [[0, 1], [2, 3], [3, 1]], "complete_below": 3},
+    "window": {"t_min": 0.05, "t_max": "3/2"},
+}
+
+SYNTHETIC_ECHO = {
+    "base": {
+        "kind": "explicit", "name": "base", "dim": 2, "scalar_curvature": 2,
+        "spectrum": [[0, 1], [2, 3], ["13/2", 5]], "complete_below": "25/2",
+    },
+    "fiber": {"kind": "sphere", "dim": 1, "radius": "1/2", "name": "S1(r=1/2)"},
+    "a_norm_sq": "1/2",
+    "joint_mode": "explicit",
+    "joint_pairs": [[0, 0, 1], [2, 0, 3], [0, 4, 2]],
+    "joint_total_at_one": {"spectrum": [[0, 1], [2, 3], [4, 2]], "complete_below": 4},
+    "horizontal_spectrum": {"spectrum": [[0, 1], [2, 3], [3, 1]], "complete_below": 3},
+    "window": {"t_min": 0.05, "t_max": "3/2"},
+}
+
+
+def test_shipped_configs_round_trip(tmp_path):
+    synthetic = tmp_path / "synthetic.yaml"
+    synthetic.write_text(yaml.safe_dump(SYNTHETIC, sort_keys=False))
+    for path in (CIRCLE_SPHERE, HOPF, NONDISCRETE, synthetic):
         cfg = cli.load_config(str(path))
         echoed = cli.echo_config(cfg)
         again = cli.parse_config(echoed, source=f"echo of {path.name}")
         assert again == cfg
+        assert cli.echo_config(again) == echoed
+    # key order included: the echo is what report.json prints
+    assert json.dumps(echoed) == json.dumps(SYNTHETIC_ECHO)
+
+
+def test_readme_schema_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    tables = (cli.CONFIG, cli.SPHERE, cli.EXPLICIT, cli.SPECTRUM, cli.WINDOW,
+              cli.GALERKIN, cli.CONTINUATION)
+    keys = {key for rows in tables for key, _, _ in rows}
+    assert {key for key in keys if not re.search(rf"(?<!\w){key}:", block)} == set()
 
 
 def test_rational_literals_stay_exact():
@@ -89,11 +137,90 @@ def test_missing_config_file(tmp_path):
     assert code == 2
 
 
-def test_malformed_window_override(tmp_path):
-    code, _ = _run(
-        tmp_path, "classify", "--config", str(CIRCLE_SPHERE), "--window", "oops"
-    )
+def _with(source, edit):
+    """The shipped config at `source` after `edit(data)` (which may return a
+    replacement document)."""
+    data = yaml.safe_load(source.read_text())
+    return data if (replaced := edit(data)) is None else replaced
+
+
+def _put(node, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        node = node[key]
+    node[last] = value
+
+
+def _drop(node, key):
+    del node[key]
+
+
+# (shipped config, edit, error path; None = the config file itself)
+MALFORMED = {
+    "document-is-a-list": (CIRCLE_SPHERE, lambda d: [d], None),
+    "window-missing": (CIRCLE_SPHERE, lambda d: _drop(d, "window"), None),
+    "base-scalar": (CIRCLE_SPHERE, lambda d: _put(d, "base", "circle"), "base"),
+    "fiber-kind": (CIRCLE_SPHERE, lambda d: _put(d, "fiber.kind", "torus"), "fiber.kind"),
+    "radius-negative": (CIRCLE_SPHERE, lambda d: _put(d, "base.radius", -1), "base.radius"),
+    "radius-float": (CIRCLE_SPHERE, lambda d: _put(d, "base.radius", 0.5), "base.radius"),
+    "eigenvalue-float": (
+        NONDISCRETE, lambda d: _put(d, "base.spectrum", [[0, 1], [2.5, 3]]),
+        "base.spectrum[1][0]",
+    ),
+    "multiplicity-zero": (
+        NONDISCRETE, lambda d: _put(d, "base.spectrum", [[0, 1], [2, 0]]),
+        "base.spectrum[1][1]",
+    ),
+    "pairs-under-all-pairs": (
+        CIRCLE_SPHERE, lambda d: _put(d, "joint_pairs", [[0, 0, 1]]), "joint_pairs",
+    ),
+    "explicit-without-pairs": (
+        HOPF, lambda d: _drop(d, "joint_pairs"), "joint_pairs",
+    ),
+    "t_min-boolean": (CIRCLE_SPHERE, lambda d: _put(d, "window.t_min", True), "window.t_min"),
+    "N_b-too-small": (CIRCLE_SPHERE, lambda d: _put(d, "galerkin.N_b", 1), "galerkin.N_b"),
+    "direction-zero": (
+        CIRCLE_SPHERE, lambda d: _put(d, "continuation.direction", 0),
+        "continuation.direction",
+    ),
+    "ds-negative": (CIRCLE_SPHERE, lambda d: _put(d, "continuation.ds", -1), "continuation.ds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_config_errors_name_their_path(tmp_path, capsys, case):
+    source, edit, where = MALFORMED[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with(source, edit)))
+    code, out = _run(tmp_path, "classify", "--config", str(path))
     assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"cscbif: configuration error: {where or path}:"), err
+
+
+@pytest.mark.parametrize("edit, where", [
+    # a total spectrum without explicit pairs was ignored and left out of the echo
+    (lambda d: _put(d, "joint_total_at_one", {"spectrum": [[0, 1]], "complete_below": 1}),
+     "joint_total_at_one"),
+    # a YAML date as a name reached the report and broke its JSON encoding
+    (lambda d: _put(d, "base.name", datetime.date(2020, 1, 1)), "base.name"),
+], ids=["total-without-explicit-pairs", "name-not-a-string"])
+def test_keys_the_family_cannot_use_are_refused(tmp_path, capsys, edit, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_with(CIRCLE_SPHERE, edit)))
+    code, _ = _run(tmp_path, "classify", "--config", str(path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"cscbif: configuration error: {where}:")
+
+
+@pytest.mark.parametrize("override", [
+    ("--window", "oops"), ("--window", "2..1"), ("--seed", "-1"),
+], ids=["window-oops", "window-reversed", "seed-negative"])
+def test_malformed_window_override(tmp_path, override):
+    code, out = _run(tmp_path, "classify", "--config", str(CIRCLE_SPHERE), *override)
+    assert code == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -335,4 +462,14 @@ def test_window_override_matches_inline_window(tmp_path):
     path = tmp_path / "narrow.yaml"
     path.write_text(yaml.safe_dump(data))
     _, out_b = _run(tmp_path / "b", "classify", "--config", str(path))
-    assert (out_a / "instants.csv").read_bytes() == (out_b / "instants.csv").read_bytes()
+    for name in ("report.json", "instants.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_seed_override_without_a_continuation_section(tmp_path):
+    # classify on a config without `continuation`: the seed has nothing to
+    # land on, so the report is the same as without it
+    _, out_a = _run(tmp_path / "a", "classify", "--config", str(HOPF), "--seed", "3")
+    _, out_b = _run(tmp_path / "b", "classify", "--config", str(HOPF))
+    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+    assert "continuation" not in json.loads((out_a / "report.json").read_text())["config"]

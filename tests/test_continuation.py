@@ -120,6 +120,7 @@ def test_negative_mode_count_jumps_by_kernel_size(cs_model, cs_branch_point):
 def test_newton_basin_of_the_constant(cs_model):
     start = galerkin.constant_state(cs_model, 0.7, value=0.9)
     sol = continuation.newton_solve(cs_model, 0.7, start)
+    assert sol.t == 0.7
     assert continuation.residual_norm(cs_model, sol) < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, sol) < 1e-8
 
