@@ -1,7 +1,7 @@
 """Branch structure of the discretized constant-scalar-curvature equation.
 
 Given a Galerkin model, this module takes the branch points from the exact
-degeneracy roots of the resolved mode pairs (`variation.degeneracy_roots`;
+degeneracy roots of the resolved mode pairs (`variation.window_roots`;
 no float search), switches onto the bifurcating branches, follows them by
 pseudo-arclength continuation, and runs a finite-dimensional two-subspace
 Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
@@ -36,7 +36,6 @@ from .errors import (
     HypothesisViolatedError,
     InvalidArgumentError,
     NoConvergenceError,
-    NondiscreteDegeneracyError,
     NoNontrivialSolutionError,
     NotApplicableError,
     PositivityViolationError,
@@ -90,18 +89,11 @@ def detect_branch_points(model: GalerkinModel, t_min, t_max) -> list:
     the degeneracy polynomial of every resolved mode pair except the
     constant one, grouped by exact equality.  Raises
     NondiscreteDegeneracyError when some pair vanishes identically."""
-    t_min, t_max = variation._check_window(t_min, t_max)
-    modes_at = {}
-    for mode, (b, lam) in model.eigentable():
-        if b == 0 and lam == 0:
-            continue
-        rr = variation.degeneracy_roots(model.family, b, lam)
-        if rr.all_positive:
-            raise NondiscreteDegeneracyError((b, lam))
-        for t in rr.roots:
-            if t_min < t <= t_max:
-                modes_at.setdefault(t, []).append(mode)
-    return [BranchPoint(t, tuple(modes)) for t, modes in sorted(modes_at.items())]
+    pairs = ((mode, b, lam) for mode, (b, lam) in model.eigentable())
+    return [
+        BranchPoint(t, tuple(modes))
+        for t, modes in variation.window_roots(model.family, pairs, t_min, t_max)
+    ]
 
 
 def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
@@ -451,10 +443,8 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
 
 @dataclass(frozen=True)
 class ReductionSample:
-    kernel_coefficients: tuple     # coordinates of n in the kernel basis
     alpha_full: np.ndarray         # complement correction, full space
     alpha_restricted: np.ndarray   # complement correction, fiber-constant space
-    reduced: np.ndarray            # kernel projection of the residual at 1+n+alpha
     projected_residual_full: float
     projected_residual_restricted: float
 
@@ -542,13 +532,9 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         alpha_full[full_comp] = vf
         alpha_restricted = np.zeros(model.n_modes)
         alpha_restricted[fc_comp] = vr
-        corrected = State(float(bp.t), (base + alpha_full).reshape(model.shape))
-        reduced = galerkin.residual(model, corrected).ravel()[kernel_flat]
         sample = ReductionSample(
-            kernel_coefficients=tuple(float(c) for c in coeffs),
             alpha_full=alpha_full.reshape(model.shape),
             alpha_restricted=alpha_restricted.reshape(model.shape),
-            reduced=reduced,
             projected_residual_full=rf,
             projected_residual_restricted=rr,
         )

@@ -26,6 +26,7 @@ against exact data within a single global tolerance of 1e-12.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,39 +282,41 @@ def pair_truncation_bounds(fam: SubmersionFamily, t_min, t_max):
     return b_max, lam_max
 
 
-def _is_horizontal_witness(fam, b, lam):
-    return lam == 0 and b != 0 and contains(fam.base.spectrum, b)
-
-
-def _merge_instants(fam, hits):
-    """Group (t, pair) hits into instants.  Exact values merge only on exact
-    equality; a float merges with any value within the global tolerance."""
-    hits = sorted(hits, key=lambda h: (float(h[0]), 0 if isinstance(h[0], Fraction) else 1))
+def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
+    """The degeneracy instants on (t_min, t_max] of the eigenvalue pairs in
+    `keyed_pairs`, ascending: [(t, keys)] with the key of every
+    (key, b, lam) whose polynomial has t as a root.  The constant pair
+    (0, 0) is skipped.  Exact roots group on exact equality; a float root
+    groups with any value within the global tolerance.  Raises
+    `NondiscreteDegeneracyError` when some pair vanishes identically."""
+    t_min, t_max = _check_window(t_min, t_max)
+    hits = []
+    for key, b, lam in keyed_pairs:
+        if b == 0 and lam == 0:
+            continue
+        rr = degeneracy_roots(fam, b, lam)
+        if rr.all_positive:
+            raise NondiscreteDegeneracyError((b, lam))
+        hits.extend((t, key) for t in rr.roots if t_min < t <= t_max)
+    hits.sort(key=lambda h: (h[0], isinstance(h[0], float)))
     groups = []
-    for t, pair in hits:
+    for t, key in hits:
         if groups:
             t0 = groups[-1][0]
             both_exact = isinstance(t0, Fraction) and isinstance(t, Fraction)
             if (both_exact and t0 == t) or (
                 not both_exact and abs(float(t0) - float(t)) <= FLOAT_EQ_TOL
             ):
-                groups[-1][1].append(pair)
+                groups[-1][1].append(key)
                 continue
-        groups.append((t, [pair]))
-    out = []
-    for t, pairs in groups:
-        witnesses = tuple(sorted(set(pairs), key=lambda p: (p[0], p[1])))
-        horizontal = any(_is_horizontal_witness(fam, b, lam) for b, lam in witnesses)
-        out.append(DegeneracyInstant(t, witnesses, horizontal))
-    return out
+        groups.append((t, [key]))
+    return groups
 
 
 def _candidate_pairs(fam, t_min, t_max):
     b_max, lam_max = pair_truncation_bounds(fam, t_min, t_max)
     if isinstance(fam.joint_mode, ExplicitJoint):
         for p in fam.joint_mode.pairs:
-            if p.horizontal + p.fiber == 0:
-                continue
             if p.horizontal <= b_max and p.fiber <= lam_max:
                 yield p.horizontal, p.fiber
         return
@@ -326,8 +329,6 @@ def _candidate_pairs(fam, t_min, t_max):
     total = total_spectrum_at_one(fam) if extra_horizontal else None
     for be in fam.horizontal_spectrum.entries_below(b_max, include_equal=True):
         for fe in fam.fiber.spectrum.entries_below(lam_max, include_equal=True):
-            if be.value == 0 and fe.value == 0:
-                continue
             if total is not None and not contains(total, be.value + fe.value):
                 continue
             yield be.value, fe.value
@@ -341,15 +342,13 @@ def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
     whole half line), and `UnsupportedGeometryError` when the joint mode
     cannot produce the realized pairs."""
     t_min, t_max = _check_window(t_min, t_max)
-    hits = []
-    for b, lam in _candidate_pairs(fam, t_min, t_max):
-        rr = degeneracy_roots(fam, b, lam)
-        if rr.all_positive:
-            raise NondiscreteDegeneracyError((b, lam))
-        for t in rr.roots:
-            if t_min < t <= t_max:
-                hits.append((t, (b, lam)))
-    return _merge_instants(fam, hits)
+    pairs = ((p,) + p for p in _candidate_pairs(fam, t_min, t_max))
+    out = []
+    for t, keys in window_roots(fam, pairs, t_min, t_max):
+        witnesses = tuple(sorted(set(keys)))
+        horizontal = any(lam == 0 and contains(fam.base.spectrum, b) for b, lam in witnesses)
+        out.append(DegeneracyInstant(t, witnesses, horizontal))
+    return out
 
 
 def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
@@ -359,19 +358,15 @@ def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
     valid for arbitrary |A|^2."""
     t_min, t_max = _check_window(t_min, t_max)
     b_max, _ = pair_truncation_bounds(fam, t_min, t_max)
-    hits = []
-    for be in fam.base.spectrum.entries_below(b_max, include_equal=True):
-        if be.value == 0:
-            continue
-        rr = degeneracy_roots(fam, be.value, 0)
-        if rr.all_positive:
-            # Only possible when s_g = 0 and (m-1) b = s_h with |A| = 0;
-            # the degenerate set is then every t > 0.
-            raise NondiscreteDegeneracyError((be.value, Fraction(0)))
-        for t in rr.roots:
-            if t_min < t <= t_max:
-                hits.append((t, (be.value, Fraction(0))))
-    return _merge_instants(fam, hits)
+    zero = Fraction(0)
+    pairs = (
+        ((be.value, zero), be.value, zero)
+        for be in fam.base.spectrum.entries_below(b_max, include_equal=True)
+    )
+    return [
+        DegeneracyInstant(t, tuple(sorted(set(keys))), True)
+        for t, keys in window_roots(fam, pairs, t_min, t_max)
+    ]
 
 
 def b_sequence(fam: SubmersionFamily, count: int):
@@ -458,6 +453,19 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
         t_star = as_rational(t_star)
         if t_star <= 0:
             raise InvalidArgumentError("t_star must be positive")
+    return _certify(fam, t_star)
+
+
+def _same_instant(t, t_star):
+    return t == t_star or abs(float(t) - float(t_star)) <= FLOAT_EQ_TOL
+
+
+def _certify(fam, t_star, horizontal=None) -> BifurcationCertificate:
+    """The certificate at a checked `t_star`.  The Morse witnesses lie
+    halfway to the neighboring instants in `horizontal`, an ascending list of
+    horizontal instants covering (t_star/4, 4 t_star], or to that end of the
+    range where no instant lies between.  Without a list, the instants on
+    that range are enumerated once `t_star` is known to be an instant."""
     s_star = scalar_curvature(fam, t_star)
     if s_star == 0 or (isinstance(s_star, float) and abs(s_star) <= FLOAT_EQ_TOL):
         raise ZeroScalarCurvatureError(
@@ -471,16 +479,17 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
         )
 
     lo, hi = t_star / 4, 4 * t_star
-    neighbors = enumerate_horizontal_degeneracy(fam, lo, hi)
-    idx = None
-    for i, inst in enumerate(neighbors):
-        if inst.t == t_star or abs(float(inst.t) - float(t_star)) <= FLOAT_EQ_TOL:
-            idx = i
-            break
-    if idx is None:  # pragma: no cover - threshold match guarantees membership
+    if horizontal is None:
+        horizontal = [i.t for i in enumerate_horizontal_degeneracy(fam, lo, hi)]
+    idx = bisect.bisect_left(horizontal, t_star)
+    while idx > 0 and _same_instant(horizontal[idx - 1], t_star):
+        idx -= 1
+    if idx == len(horizontal) or not _same_instant(horizontal[idx], t_star):  # pragma: no cover
+        # the threshold match guarantees membership
         raise NotApplicableError(f"t = {t_star} not found among horizontal instants")
-    prev_t = neighbors[idx - 1].t if idx > 0 else lo
-    next_t = neighbors[idx + 1].t if idx + 1 < len(neighbors) else hi
+    # max/min return their first argument on a tie: lo is excluded, hi included
+    prev_t = max(lo, horizontal[idx - 1]) if idx > 0 else lo
+    next_t = min(horizontal[idx + 1], hi) if idx + 1 < len(horizontal) else hi
     r = (prev_t + t_star) / 2
     s = (t_star + next_t) / 2
 
@@ -655,12 +664,16 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
             d_source = "horizontal-only"
             d_complete = False
 
+    certified = [inst.t for inst in instants if inst.horizontal]
+    if certified:
+        neighbors = [i.t for i in enumerate_horizontal_degeneracy(
+            fam, certified[0] / 4, 4 * certified[-1])]
     rows = []
     for inst in instants:
         cert, err = None, None
         if inst.horizontal:
             try:
-                cert = certify_bifurcation(fam, inst.t)
+                cert = _certify(fam, inst.t, neighbors)
             except (InconclusiveError, ZeroScalarCurvatureError, NotApplicableError) as exc:
                 err = f"{type(exc).__name__}: {exc}"
         else:

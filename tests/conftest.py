@@ -177,6 +177,26 @@ def brute_force_instants(fam, pairs, t_min, t_max):
 
 
 # ---------------------------------------------------------------------------
+# oracle: certificate witnesses by a per-instant neighbour search
+
+
+def per_instant_witnesses(fam, t_star):
+    """Morse witnesses (r, s) at the horizontal instant `t_star`, found the
+    slow way: enumerate the horizontal instants on (t_star/4, 4 t_star]
+    afresh, locate t_star by a linear scan, and take the midpoints to its
+    neighbours in that list, or to the ends of the range."""
+    lo, hi = t_star / 4, 4 * t_star
+    ts = [i.t for i in variation.enumerate_horizontal_degeneracy(fam, lo, hi)]
+    idx = next(
+        k for k, t in enumerate(ts)
+        if t == t_star or abs(float(t) - float(t_star)) <= 1e-12
+    )
+    prev_t = ts[idx - 1] if idx > 0 else lo
+    next_t = ts[idx + 1] if idx + 1 < len(ts) else hi
+    return (prev_t + t_star) / 2, (t_star + next_t) / 2
+
+
+# ---------------------------------------------------------------------------
 # families
 
 

@@ -25,7 +25,11 @@ from cscbif.errors import (
     ZeroScalarCurvatureError,
 )
 
-from conftest import ablated_nondiscrete_families, brute_force_instants
+from conftest import (
+    ablated_nondiscrete_families,
+    brute_force_instants,
+    per_instant_witnesses,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,27 @@ def test_horizontal_enumeration_is_the_horizontal_subset(sphere_sphere):
     full = variation.enumerate_degeneracy(sphere_sphere, *SS_WINDOW)
     horizontal = variation.enumerate_horizontal_degeneracy(sphere_sphere, *SS_WINDOW)
     assert [i.t for i in horizontal] == [i.t for i in full if i.horizontal]
+
+
+def test_instants_closer_than_double_resolution_stay_ordered():
+    # 1/(10^20 + 1) and 1/10^20 round to the same double; the second is
+    # witnessed by a fiber pair and by a base pullback
+    big = 10**20
+    base = cscbif.explicit_manifold(
+        "b", 1, 0, [(0, 1), (big // 2, 1), (Fraction(big + 1, 2), 1), (big, 1)], 10**22
+    )
+    fiber = cscbif.explicit_manifold("f", 2, 2, [(0, 1), (Fraction(1, 2), 1)], 1)
+    fam = variation.SubmersionFamily(fiber=fiber, base=base)
+    instants = variation.enumerate_degeneracy(fam, Fraction(1, 10 * big), 1)
+    ts = [i.t for i in instants]
+    assert all(a < b for a, b in zip(ts, ts[1:])), ts
+    hits = [i for i in instants if i.t == Fraction(1, big)]
+    assert len(hits) == 1
+    assert hits[0].witnesses == (
+        (Fraction(big, 2), Fraction(1, 2)),
+        (Fraction(big), Fraction(0)),
+    )
+    assert hits[0].horizontal
 
 
 def test_window_validation(circle_sphere):
@@ -475,6 +500,46 @@ def test_classify_vertical_instant_left_uncertified(sphere_sphere):
     for r in rep.rows:
         if r.instant.horizontal:
             assert r.certificate is not None
+
+
+DEEP_CS_WINDOW = (Fraction(1, 10000), Fraction(2))
+
+
+def test_classify_enumerates_the_horizontal_instants_once(circle_sphere, monkeypatch):
+    calls = []
+    enumerate_horizontal = variation.enumerate_horizontal_degeneracy
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_horizontal(*args)
+
+    monkeypatch.setattr(variation, "enumerate_horizontal_degeneracy", counting)
+    rep = variation.classify_window(circle_sphere, *DEEP_CS_WINDOW)
+    assert len(rep.certified_instants) == 99
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
+    "family, window",
+    [
+        ("circle_sphere", DEEP_CS_WINDOW),
+        ("hopf_family", (Fraction(1, 1000), Fraction(3))),
+        ("sphere_sphere", SS_WINDOW),
+    ],
+)
+def test_classify_certificates_match_the_standalone_ones(family, window, request):
+    fam = request.getfixturevalue(family)
+    rows = [r for r in variation.classify_window(fam, *window).rows if r.instant.horizontal]
+    assert rows
+    for row in rows:
+        t = row.instant.t
+        try:
+            expected, error = variation.certify_bifurcation(fam, t), None
+        except (InconclusiveError, ZeroScalarCurvatureError, NotApplicableError) as exc:
+            expected, error = None, f"{type(exc).__name__}: {exc}"
+        assert (row.certificate, row.certify_error) == (expected, error)
+        if row.certificate is not None:
+            assert row.certificate.monotonicity_witness == per_instant_witnesses(fam, t)
 
 
 def test_regime_flags_without_a_tabulated_first_eigenvalue():
