@@ -2,7 +2,8 @@
 
 Classifies the degenerate set on the config window (1/1000, 2] in exact
 arithmetic, then discretizes the product at the config resolution, switches
-onto the nontrivial branch at t = 1, and continues it in both directions.
+onto the nontrivial branch at t = 1, and continues it in both directions
+on the fiber-constant subspace, the path `cscbif branch` takes.
 Prints a summary of every stage.
 """
 
@@ -48,24 +49,24 @@ bp = points[0]
 print(f"branch point at t = {bp.t}, kernel dim {bp.kernel_dim}, "
       f"horizontal: {bp.horizontal}")
 
-state = continuation.switch_branch(model, bp, amplitude=cont.amplitude)
-print(f"switched branch: t = {state.t:.12f}, "
+state, shrink = continuation.follow_branch(model, bp, cont.amplitude, -1, cont.steps, cont.ds)
+print(f"switched branch on the {bp.subspace} subspace: t = {state.t:.12f}, "
       f"|u - 1| = {galerkin.u_distance(model, state):.3e}, "
       f"fiber fraction = {galerkin.fiber_energy_fraction(state):.3e}")
 
 print()
 print("== continuation toward the branch point ==")
-shrink = continuation.continue_branch(model, state, -1, cont.steps, cont.ds, origin=bp)
 print(f"stop reason: {shrink.stop_reason}, samples: {len(shrink)}")
 for s in shrink.samples[:: max(1, len(shrink) // 5)]:
     print(f"  t = {s.t:.9f}  |u - 1| = {s.u_distance:.3e}  "
           f"residual = {s.residual_norm:.1e}")
 last = shrink.samples[-1]
-print(f"final: t = {last.t:.12f}, |u - 1| = {last.u_distance:.3e}")
+print(f"final: t = {last.t:.12f}, |u - 1| = {last.u_distance:.3e}, "
+      f"smallest fiber-block margin = {shrink.fiber_margin:.3f}")
 
 print()
 print("== continuation away from the branch point ==")
-grow = continuation.continue_branch(model, state, +1, 60, 2e-2, origin=bp)
+_, grow = continuation.follow_branch(model, bp, cont.amplitude, +1, 60, 2e-2)
 last = grow.samples[-1]
 grid_min = galerkin.grid_values(model, last.state).min()
 print(f"stop reason: {grow.stop_reason}, samples: {len(grow)}")

@@ -79,6 +79,7 @@ from .continuation import (
     ReductionResult,
     continue_branch,
     detect_branch_points,
+    follow_branch,
     lyapunov_schmidt_reduce,
     newton_solve,
     switch_branch,

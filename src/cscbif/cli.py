@@ -469,7 +469,7 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
     provenance = [
         detected,
         {"quantity": "branches",
-         "operation": "continuation.switch_branch + continuation.continue_branch",
+         "operation": "continuation.follow_branch",
          "inputs": {"amplitude": fmt_number(cont.amplitude),
                     "direction": cont.direction, "steps": cont.steps,
                     "ds": fmt_number(cont.ds)}},
@@ -485,12 +485,12 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             "kernel_dim": bp.kernel_dim,
             "kernel_modes": [list(m) for m in bp.kernel_modes],
             "horizontal": bp.horizontal,
+            "subspace": bp.subspace,
             "predicted_instant": fmt_number(bp.t),
         }
         try:
-            start = continuation.switch_branch(model, bp, cont.amplitude)
-            branch = continuation.continue_branch(
-                model, start, cont.direction, cont.steps, cont.ds, origin=bp,
+            start, branch = continuation.follow_branch(
+                model, bp, cont.amplitude, cont.direction, cont.steps, cont.ds,
             )
         except CscbifError as exc:
             entry["status"] = f"failed: {exc}"
@@ -504,6 +504,8 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
         )
         entry["samples"] = len(branch.samples)
         entry["stop_reason"] = branch.stop_reason
+        if branch.fiber_margin is not None:
+            entry["min_fiber_margin"] = fmt_number(branch.fiber_margin)
         name = f"branch_{k}.csv"
         entry["file"] = name
         tables[name] = _csv(
@@ -557,6 +559,7 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
             entry["reduction"] = {
                 "status": "ok" if ok else "discrepancy-exceeded",
                 "discrepancy": fmt_number(red.discrepancy),
+                "fiber_margin": fmt_number(red.fiber_margin),
             }
 
         fraction = None

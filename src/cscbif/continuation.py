@@ -21,6 +21,11 @@ factor, and a phase row <c - c_triv, w> = 0 with w the orbit direction
 inside the kernel span fixes the rotation.  By equivariance mu vanishes on
 solutions.  The branch tangent is the solution of the same bordered matrix
 with the previous tangent as its last row.
+
+A horizontal kernel consists of fiber-constant modes, which span the
+fixed-point subspace of the fiber isometries; the residual leaves it
+invariant, so `follow_branch` follows such a branch there, on nb modes
+instead of nb * nf.
 """
 
 from __future__ import annotations
@@ -82,6 +87,11 @@ class BranchPoint:
     @property
     def horizontal(self) -> bool:
         return all(j == 0 for _, j in self.kernel_modes)
+
+    @property
+    def subspace(self) -> str:
+        """Where `follow_branch` follows the branch through this point."""
+        return "fiber-constant" if self.horizontal else "full"
 
 
 def detect_branch_points(model: GalerkinModel, t_min, t_max) -> list:
@@ -338,6 +348,7 @@ class Branch:
     samples: tuple
     origin: BranchPoint | None
     stop_reason: str
+    fiber_margin: float | None = None   # smallest over the samples; fiber-constant branches
 
     def __len__(self):
         return len(self.samples)
@@ -439,6 +450,49 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
 
 
 # ---------------------------------------------------------------------------
+# horizontal branches on the fiber-constant subspace
+
+def _padded(model, state):
+    """A state of `model.fiber_constant` as a state of `model`: the [nb, 1]
+    coefficients zero-padded to [nb, nf]."""
+    coeffs = np.zeros(model.shape)
+    coeffs[:, :1] = state.coeffs
+    return State(state.t, coeffs)
+
+
+def fiber_margin(model: GalerkinModel, state: State) -> float:
+    """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
+    with J_0 the nb x nb Jacobian of `model.fiber_constant`, one `eigvalsh`.
+    Every fiber block J_jj = J_0 + (a_m lam_j / t) I with j >= 1 has its
+    smallest eigenvalue at or above it, so a positive margin makes them all
+    positive definite: no fiber-dependent mode is degenerate there."""
+    t = float(state.t)
+    jac0 = galerkin.residual_jacobian(model.fiber_constant, State(t, state.coeffs[:, :1]))
+    lam1 = model.fiber.eigenvalues[1]
+    return float(np.linalg.eigvalsh(jac0)[0] + float(model.a_m) * lam1 / t)
+
+
+def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
+                  direction: int, steps: int, ds: float) -> tuple[State, Branch]:
+    """`switch_branch` onto the branch through bp, then `continue_branch` in
+    `direction`; returns (start, branch).  A horizontal branch is followed on
+    `model.fiber_constant` and every sample zero-padded to [nb, nf], with its
+    energy, distance, fiber fraction (exactly 0) and residual evaluated in
+    `model`; the branch carries the smallest `fiber_margin` of its samples.
+    Any other kernel is followed in `model` itself."""
+    sub = model.fiber_constant if bp.horizontal else model
+    start = switch_branch(sub, bp, amplitude)
+    branch = continue_branch(sub, start, direction, steps, ds, origin=bp)
+    if not bp.horizontal:
+        return start, branch
+    states = [_padded(model, s.state) for s in branch.samples]
+    return _padded(model, start), Branch(
+        tuple(_make_sample(model, s) for s in states), bp, branch.stop_reason,
+        fiber_margin=min(fiber_margin(model, s) for s in states),
+    )
+
+
+# ---------------------------------------------------------------------------
 # double Lyapunov-Schmidt reduction
 
 @dataclass(frozen=True)
@@ -458,6 +512,7 @@ class ReductionResult:
     kernel_dim: int
     samples: tuple
     discrepancy: float             # max |alpha_full - alpha_restricted|
+    fiber_margin: float            # min `fiber_margin` at the restricted solutions
 
 
 def _complement_solve(model, t, base_coeffs, indices, tol=1e-11):
@@ -493,7 +548,9 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
     n twice, over the full complement and over the fiber-constant complement
     only, and report the largest disagreement.  Agreement is the discretized
     form of the statement that both reductions produce the same branch, which
-    forces the bifurcating solutions to be fiber-constant."""
+    forces the bifurcating solutions to be fiber-constant.  Both solves stay
+    dense; the smallest `fiber_margin` at the restricted solutions is the
+    premise of their agreement (every fiber block invertible)."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     if not bp.horizontal:
@@ -523,6 +580,7 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
 
     samples = []
     worst = 0.0
+    margin = np.inf
     for coeffs in coords:
         n_vec = sample_radius * sum(c * v for c, v in zip(coeffs, vecs))
         base = c_triv + n_vec
@@ -540,7 +598,9 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         )
         samples.append(sample)
         worst = max(worst, sample.difference)
-    return ReductionResult(bp.kernel_dim, tuple(samples), worst)
+        solution = State(bp.t, base.reshape(model.shape) + sample.alpha_restricted)
+        margin = min(margin, fiber_margin(model, solution))
+    return ReductionResult(bp.kernel_dim, tuple(samples), worst, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ class FactorBasis:
     weights: np.ndarray   # [nquad] quadrature weights for the factor measure
     volume: float
 
-    @property
+    @cached_property
     def eigenvalues(self):
         return np.array([float(v) for v in self.eigenvalues_exact])
 
@@ -184,6 +184,15 @@ class GalerkinModel:
             (f.values[:, None, :] * f.values[None, :, :]).reshape(f.count ** 2, -1)
             for f in (self.base, self.fiber)
         )
+
+    @cached_property
+    def fiber_constant(self) -> GalerkinModel:
+        """The same family with the fiber factor cut to its constant mode,
+        [nb, 1] coefficient arrays: the fiber-constant functions, the
+        fixed-point subspace of the fiber isometries, which `residual`
+        leaves invariant.  Built on first use, not at build time."""
+        factor = _fourier_basis if self.fiber.label == "fourier" else _legendre_basis
+        return GalerkinModel(self.family, self.base, factor(self.fiber.radius, 1))
 
     @property
     def weights2(self) -> np.ndarray:

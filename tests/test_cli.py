@@ -317,6 +317,8 @@ def test_branch_follows_the_window_bifurcation(tmp_path):
     assert results["n_branch_points"] == 1
     entry = results["branch_points"][0]
     assert entry["status"] == "ok"
+    assert entry["subspace"] == "fiber-constant"
+    assert float(entry["min_fiber_margin"]) > 0
     assert entry["observed_t_side"] in {"below", "above", "at"}
     assert entry["stop_reason"] in {
         "steps-exhausted",
@@ -330,6 +332,7 @@ def test_branch_follows_the_window_bifurcation(tmp_path):
     assert len(lines) >= 3
     for row in lines[1:]:
         assert float(row.split(",")[4]) < 1e-10
+        assert row.split(",")[3] == "0"
 
 
 def test_branch_empty_window_is_success(tmp_path):
@@ -375,6 +378,7 @@ def test_verify_circle_sphere(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["passed"] is True
+    assert float(report["results"]["rows"][0]["reduction"]["fiber_margin"]) > 0
     lines = (out / "verify.csv").read_text().splitlines()
     assert lines[0] == (
         "t,kernel_dim,horizontal,reduction_discrepancy,max_fiber_fraction,status"

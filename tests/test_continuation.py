@@ -365,6 +365,93 @@ def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
 
 
 # ---------------------------------------------------------------------------
+# horizontal branches on the fiber-constant subspace
+
+
+@pytest.fixture(scope="module")
+def small_cs_model(circle_sphere):
+    return galerkin.build_model(circle_sphere, 8, 4)
+
+
+def _only_point(model, t):
+    (bp,) = continuation.detect_branch_points(model, t / 2, t)
+    assert bp.t == t and bp.subspace == "fiber-constant"
+    return bp
+
+
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(1, 4)], ids=["t=1", "t=1/4"])
+def test_fiber_constant_branch_matches_the_dense_one(small_cs_model, t):
+    # bounds: 2e-9 in t, 1e-12 in distance and energy (observed at most
+    # 1.3e-12, 2.1e-13 and 1.4e-14 here).  The last sample sits 6e-8 from the
+    # branch point, where residual roundoff over a small dF/dt leaves t
+    # undetermined at the 1e-9 level on either path (8e-9 from bp.t on the
+    # dense one at t = 1); there the restricted t must be no further from
+    # bp.t than the dense t, give or take 2e-9
+    model = small_cs_model
+    bp = _only_point(model, t)
+    start, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    dense_start = continuation.switch_branch(model, bp, 1e-2)
+    dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origin=bp)
+
+    assert start.coeffs.shape == model.shape
+    assert not start.coeffs[:, 1:].any()
+    assert len(branch) == len(dense) > 10
+    assert branch.stop_reason == dense.stop_reason
+    assert dense.fiber_margin is None and branch.fiber_margin > 0
+    for a, b in zip(branch.samples[:-1], dense.samples):
+        assert abs(a.t - b.t) <= 2e-9
+    assert (abs(branch.samples[-1].t - float(t))
+            <= abs(dense.samples[-1].t - float(t)) + 2e-9)
+    for a, b in zip(branch.samples, dense.samples):
+        assert abs(a.u_distance - b.u_distance) <= 1e-12
+        assert abs(a.energy - b.energy) <= 1e-12
+        assert a.fiber_fraction == 0.0
+        assert a.residual_norm < continuation.TOL_NEWTON
+
+
+def test_fiber_blocks_of_the_dense_jacobian(small_cs_model):
+    # on a fiber-constant state the dense Jacobian is block-diagonal over the
+    # fiber degree j with J_jj = J_0 + (a_m lam_j / t) I; both defects are
+    # measured relative to max |J| (observed 7e-17 and 2e-16).  The margin is
+    # lambda_min(J_11) at the sample that attains it, so it is compared to
+    # the blocks' eigenvalues to the same relative 1e-12
+    model = small_cs_model
+    nb, nf = model.shape
+    _, branch = continuation.follow_branch(model, _only_point(model, Fraction(1)),
+                                           1e-2, -1, 40, 4e-4)
+    eye = np.eye(nb)
+    for sample in branch.samples:
+        jac = galerkin.residual_jacobian(model, sample.state).reshape(nb, nf, nb, nf)
+        jac0 = galerkin.residual_jacobian(
+            model.fiber_constant, galerkin.State(sample.t, sample.state.coeffs[:, :1]))
+        scale = np.abs(jac).max()
+        off = jac.copy()
+        for j in range(nf):
+            block = jac[:, j, :, j]
+            shift = float(model.a_m) * model.fiber.eigenvalues[j] / sample.t
+            assert np.abs(block - (jac0 + shift * eye)).max() <= 1e-12 * scale
+            if j >= 1:
+                assert branch.fiber_margin <= np.linalg.eigvalsh(block)[0] + 1e-12 * scale
+            off[:, j, :, j] = 0.0
+        assert np.abs(off).max() <= 1e-12 * scale
+
+
+def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    horizontal, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    assert vertical.kernel_modes == ((0, 1),) and vertical.subspace == "full"
+    assert horizontal.kernel_modes == ((1, 0),)
+
+    _, branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    assert branch.fiber_margin is None
+    assert all(s.fiber_fraction > 0.5 for s in branch.samples)
+
+    _, branch = continuation.follow_branch(model, horizontal, 1e-2, -1, 5, 4e-4)
+    assert branch.fiber_margin > 0
+    assert all(s.fiber_fraction == 0.0 for s in branch.samples)
+
+
+# ---------------------------------------------------------------------------
 # the two-space reduction
 
 
@@ -373,6 +460,7 @@ def test_reduction_discrepancy_is_tiny(cs_model, cs_branch_point):
     assert res.kernel_dim == 2
     assert len(res.samples) == 8
     assert res.discrepancy < 1e-8
+    assert res.fiber_margin > 0
     for sample in res.samples:
         assert sample.projected_residual_full < 1e-9
         assert sample.projected_residual_restricted < 1e-9
