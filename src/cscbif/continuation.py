@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -335,12 +336,31 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
 
 @dataclass(frozen=True)
 class BranchSample:
-    t: float
+    """A solution on a branch with its measurements in `model`, each
+    computed on first access."""
+
+    model: GalerkinModel
     state: State
-    energy: float
-    fiber_fraction: float
-    residual_norm: float
-    u_distance: float
+
+    @property
+    def t(self) -> float:
+        return float(self.state.t)
+
+    @cached_property
+    def energy(self) -> float:
+        return galerkin.energy(self.model, self.state)
+
+    @cached_property
+    def fiber_fraction(self) -> float:
+        return _fraction_or_zero(self.state)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return residual_norm(self.model, self.state)
+
+    @cached_property
+    def u_distance(self) -> float:
+        return galerkin.u_distance(self.model, self.state)
 
 
 @dataclass(frozen=True)
@@ -360,17 +380,6 @@ class Branch:
     @property
     def distances(self):
         return np.array([s.u_distance for s in self.samples])
-
-
-def _make_sample(model, state):
-    return BranchSample(
-        t=float(state.t),
-        state=state,
-        energy=galerkin.energy(model, state),
-        fiber_fraction=_fraction_or_zero(state),
-        residual_norm=residual_norm(model, state),
-        u_distance=galerkin.u_distance(model, state),
-    )
 
 
 def _tangent(model, state, orbit, last_row):
@@ -420,8 +429,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     x = np.concatenate([start.coeffs.ravel(), [float(start.t)]])
     v = direction * _tangent(model, start, orbit, first_row)
 
-    samples = [_make_sample(model, start)]
-    dist_prev = galerkin.u_distance(model, start)
+    samples = [BranchSample(model, start)]
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
@@ -438,14 +446,13 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
                             or exc.positivity_boundary)
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
-        dist = galerkin.u_distance(model, state)
-        if (dist - dist_prev) * direction < 0:
+        sample = BranchSample(model, state)
+        if (sample.u_distance - samples[-1].u_distance) * direction < 0:
             reason = "turnaround"
             break
         x = np.concatenate([state.coeffs.ravel(), [float(state.t)]])
         v = _tangent(model, state, orbit, v)
-        samples.append(_make_sample(model, state))
-        dist_prev = dist
+        samples.append(sample)
     return Branch(tuple(samples), origin, reason)
 
 
@@ -487,7 +494,7 @@ def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
         return start, branch
     states = [_padded(model, s.state) for s in branch.samples]
     return _padded(model, start), Branch(
-        tuple(_make_sample(model, s) for s in states), bp, branch.stop_reason,
+        tuple(BranchSample(model, s) for s in states), bp, branch.stop_reason,
         fiber_margin=min(fiber_margin(model, s) for s in states),
     )
 

@@ -155,11 +155,11 @@ class GalerkinModel:
     def m(self) -> int:
         return self.family.m
 
-    @property
+    @cached_property
     def a_m(self) -> Fraction:
         return Fraction(4 * (self.m - 1), self.m - 2)
 
-    @property
+    @cached_property
     def p_m(self) -> Fraction:
         return Fraction(2 * self.m, self.m - 2)
 

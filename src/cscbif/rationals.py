@@ -14,11 +14,6 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError
 
-#: single global absolute tolerance used for equality against spectra when a
-#: quantity is only available in floating point
-FLOAT_EQ_TOL = 1e-12
-
-
 def as_rational(value) -> Fraction:
     """Coerce `value` to an exact Fraction.
 

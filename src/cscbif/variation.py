@@ -19,9 +19,12 @@ Clearing denominators turns this into the polynomial
     |A|^2 t^2 + ((m-1) b - s_h) t + ((m-1) lam - s_g) = 0,
 
 whose positive roots are the degeneracy instants contributed by the pair.
-Everything in this module is exact rational arithmetic whenever the inputs
-are rational; irrational quadratic roots fall back to floats, compared
-against exact data within a single global tolerance of 1e-12.
+Everything in this module is exact rational arithmetic and uses no float
+tolerance.  Irrational quadratic roots are floats.  All pair polynomials
+share the leading coefficient |A|^2, so two different pairs share a root
+only when it is rational, and a float root groups only with the bitwise
+identical roots of its own pair.  A float t enters the Morse index and the
+certificates by its exact binary value.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     UnsupportedGeometryError,
     ZeroScalarCurvatureError,
 )
-from .rationals import FLOAT_EQ_TOL, as_rational, exact_sqrt
+from .rationals import as_rational, exact_sqrt
 from .spectra import (
     ManifoldDescriptor,
     SpectrumModel,
@@ -286,31 +289,24 @@ def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
     """The degeneracy instants on (t_min, t_max] of the eigenvalue pairs in
     `keyed_pairs`, ascending: [(t, keys)] with the key of every
     (key, b, lam) whose polynomial has t as a root.  The constant pair
-    (0, 0) is skipped.  Exact roots group on exact equality; a float root
-    groups with any value within the global tolerance.  Raises
+    (0, 0) is skipped.  Exact roots group on exact equality.  A float root
+    is irrational, and every pair polynomial has the leading coefficient
+    |A|^2, so no other pair shares it: it groups only with the bitwise
+    identical roots of the same (b, lam).  Raises
     `NondiscreteDegeneracyError` when some pair vanishes identically."""
     t_min, t_max = _check_window(t_min, t_max)
-    hits = []
+    groups = {}
     for key, b, lam in keyed_pairs:
         if b == 0 and lam == 0:
             continue
         rr = degeneracy_roots(fam, b, lam)
         if rr.all_positive:
             raise NondiscreteDegeneracyError((b, lam))
-        hits.extend((t, key) for t in rr.roots if t_min < t <= t_max)
-    hits.sort(key=lambda h: (h[0], isinstance(h[0], float)))
-    groups = []
-    for t, key in hits:
-        if groups:
-            t0 = groups[-1][0]
-            both_exact = isinstance(t0, Fraction) and isinstance(t, Fraction)
-            if (both_exact and t0 == t) or (
-                not both_exact and abs(float(t0) - float(t)) <= FLOAT_EQ_TOL
-            ):
-                groups[-1][1].append(key)
-                continue
-        groups.append((t, [key]))
-    return groups
+        for t in rr.roots:
+            if t_min < t <= t_max:
+                group = t if isinstance(t, Fraction) else (t, b, lam)
+                groups.setdefault(group, (t, []))[1].append(key)
+    return sorted(groups.values(), key=lambda g: (g[0], isinstance(g[0], float)))
 
 
 def _candidate_pairs(fam, t_min, t_max):
@@ -397,27 +393,14 @@ def b_sequence(fam: SubmersionFamily, count: int):
 
 # --- Morse index and bifurcation certificates -------------------------------
 
-def _matching_nonzero_base_eigenvalue(fam, threshold):
-    """Nonzero base eigenvalue equal to `threshold` (exactly for rational
-    thresholds, within the global tolerance for floats), else None."""
-    if isinstance(threshold, Fraction):
-        if threshold != 0 and contains(fam.base.spectrum, threshold):
-            return threshold
-        return None
-    probe = threshold + 10 * FLOAT_EQ_TOL
-    for e in fam.base.spectrum.entries_below(probe, include_equal=True):
-        if e.value != 0 and abs(float(e.value) - threshold) <= FLOAT_EQ_TOL:
-            return e.value
-    return None
-
-
 def morse_index(fam: SubmersionFamily, t) -> int:
     """Number of base Laplacian eigenvalues (with multiplicity) strictly
-    below s(t) / (m - 1).  The zero eigenvalue counts whenever s(t) > 0.
-    Raises `DegeneratePointError` when the threshold hits a nonzero base
-    eigenvalue, i.e. when t is a horizontal degeneracy instant."""
-    threshold = scalar_curvature(fam, t) / (fam.m - 1)
-    if _matching_nonzero_base_eigenvalue(fam, threshold) is not None:
+    below s(t) / (m - 1), for t a rational or a float read as its exact
+    binary value.  The zero eigenvalue counts whenever s(t) > 0.  Raises
+    `DegeneratePointError` when the threshold is a nonzero base eigenvalue,
+    i.e. when t is a horizontal degeneracy instant."""
+    threshold = scalar_curvature(fam, Fraction(t)) / (fam.m - 1)
+    if threshold != 0 and contains(fam.base.spectrum, threshold):
         raise DegeneratePointError(
             f"t = {t} is a horizontal degeneracy instant; the index jumps there"
         )
@@ -445,7 +428,14 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
     """Certify symmetry-breaking bifurcation at the horizontal degeneracy
     instant `t_star` through a Morse index jump between nondegenerate
     parameters on either side, plus the scalar-curvature sign change that
-    pins the crossing to t_star."""
+    pins the crossing to t_star.
+
+    A rational t_star is checked in this order: zero scalar curvature, then
+    exact membership of s(t_star)/(m-1) in the base spectrum, then the
+    enumeration of the horizontal instants on (t_star/4, 4 t_star].  A float
+    t_star is an instant only if it equals, as its exact binary value, an
+    instant of that enumeration: a rational one or the very float the
+    enumeration produced.  The crossing comes from that instant's witness."""
     if isinstance(t_star, float):
         if not t_star > 0:
             raise InvalidArgumentError("t_star must be positive")
@@ -453,47 +443,44 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
         t_star = as_rational(t_star)
         if t_star <= 0:
             raise InvalidArgumentError("t_star must be positive")
-    return _certify(fam, t_star)
-
-
-def _same_instant(t, t_star):
-    return t == t_star or abs(float(t) - float(t_star)) <= FLOAT_EQ_TOL
-
-
-def _certify(fam, t_star, horizontal=None) -> BifurcationCertificate:
-    """The certificate at a checked `t_star`.  The Morse witnesses lie
-    halfway to the neighboring instants in `horizontal`, an ascending list of
-    horizontal instants covering (t_star/4, 4 t_star], or to that end of the
-    range where no instant lies between.  Without a list, the instants on
-    that range are enumerated once `t_star` is known to be an instant."""
-    s_star = scalar_curvature(fam, t_star)
-    if s_star == 0 or (isinstance(s_star, float) and abs(s_star) <= FLOAT_EQ_TOL):
+    s_star = scalar_curvature(fam, Fraction(t_star))
+    if s_star == 0:
         raise ZeroScalarCurvatureError(
             f"scalar curvature vanishes at t = {t_star}; the criterion needs a sign"
         )
-    threshold = s_star / (fam.m - 1)
-    crossing = _matching_nonzero_base_eigenvalue(fam, threshold)
-    if crossing is None:
-        raise NotApplicableError(
-            f"t = {t_star} is not a horizontal degeneracy instant of this family"
-        )
+    not_an_instant = NotApplicableError(
+        f"t = {t_star} is not a horizontal degeneracy instant of this family"
+    )
+    if isinstance(t_star, Fraction) and not contains(fam.base.spectrum, s_star / (fam.m - 1)):
+        raise not_an_instant
+    instants = enumerate_horizontal_degeneracy(fam, t_star / 4, 4 * t_star)
+    match = next((i for i in instants if i.t == t_star), None)
+    if match is None:
+        raise not_an_instant
+    (crossing, _), = match.witnesses
+    return _certify(fam, t_star, crossing, [i.t for i in instants])
 
+
+def _certify(fam, t_star, crossing, horizontal) -> BifurcationCertificate:
+    """The certificate at the horizontal instant `t_star` whose witness is
+    (crossing, 0), so that s(t_star) = (m-1) crossing exactly.  `horizontal`
+    is an ascending list of horizontal instants covering
+    (t_star/4, 4 t_star] and holding t_star itself; the Morse witnesses lie
+    halfway to its neighbours there, or to that end of the range where no
+    instant lies between.  A witness next to a float instant is a float;
+    the sign change and the indices are decided at its exact value."""
+    s_star = (fam.m - 1) * crossing
     lo, hi = t_star / 4, 4 * t_star
-    if horizontal is None:
-        horizontal = [i.t for i in enumerate_horizontal_degeneracy(fam, lo, hi)]
     idx = bisect.bisect_left(horizontal, t_star)
-    while idx > 0 and _same_instant(horizontal[idx - 1], t_star):
-        idx -= 1
-    if idx == len(horizontal) or not _same_instant(horizontal[idx], t_star):  # pragma: no cover
-        # the threshold match guarantees membership
-        raise NotApplicableError(f"t = {t_star} not found among horizontal instants")
+    assert horizontal[idx] == t_star, "t_star is one of the horizontal instants"
     # max/min return their first argument on a tie: lo is excluded, hi included
     prev_t = max(lo, horizontal[idx - 1]) if idx > 0 else lo
     next_t = min(horizontal[idx + 1], hi) if idx + 1 < len(horizontal) else hi
     r = (prev_t + t_star) / 2
     s = (t_star + next_t) / 2
 
-    key = (scalar_curvature(fam, r) - s_star) * (scalar_curvature(fam, s) - s_star)
+    key = (scalar_curvature(fam, Fraction(r)) - s_star) * (
+        scalar_curvature(fam, Fraction(s)) - s_star)
     if not key < 0:
         raise InconclusiveError(
             "scalar curvature does not change sign around t_star relative to "
@@ -672,9 +659,10 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
     for inst in instants:
         cert, err = None, None
         if inst.horizontal:
+            crossing = next(b for b, lam in inst.witnesses if lam == 0)
             try:
-                cert = _certify(fam, inst.t, neighbors)
-            except (InconclusiveError, ZeroScalarCurvatureError, NotApplicableError) as exc:
+                cert = _certify(fam, inst.t, crossing, neighbors)
+            except InconclusiveError as exc:
                 err = f"{type(exc).__name__}: {exc}"
         else:
             err = "unclassified: no horizontal witness"

@@ -294,6 +294,11 @@ def test_morse_index_at_instant_raises(circle_sphere):
         variation.morse_index(circle_sphere, Fraction(1, 4))
 
 
+def test_morse_index_reads_a_float_as_its_exact_value(circle_sphere):
+    # s/(m-1) = 1/t is within 1e-12 of the eigenvalue 4 but not equal to it
+    assert variation.morse_index(circle_sphere, 0.25 + 5e-14) == 3
+
+
 def test_morse_index_zero_for_nonpositive_curvature():
     base = cscbif.explicit_manifold("b", 2, 1, [(0, 1), (1, 2)], 10)
     fiber = cscbif.explicit_manifold("f", 2, 2, [(0, 1), (3, 1)], 10)
@@ -350,6 +355,13 @@ def test_certificates_along_the_sequence(circle_sphere):
 def test_certify_off_instant_raises(circle_sphere):
     with pytest.raises(NotApplicableError):
         variation.certify_bifurcation(circle_sphere, Fraction(7, 10))
+
+
+def test_certify_reads_a_float_as_its_exact_value(circle_sphere):
+    # the double nearest 1/9 is not the instant 1/9; 0.25 is exactly 1/4
+    with pytest.raises(NotApplicableError):
+        variation.certify_bifurcation(circle_sphere, 1 / 9)
+    assert variation.certify_bifurcation(circle_sphere, 1 / 4).base_eigenvalue == 4
 
 
 def test_certify_rejects_nonpositive(circle_sphere):
@@ -540,6 +552,26 @@ def test_classify_certificates_match_the_standalone_ones(family, window, request
         assert (row.certificate, row.certify_error) == (expected, error)
         if row.certificate is not None:
             assert row.certificate.monotonicity_witness == per_instant_witnesses(fam, t)
+
+
+def test_a_near_pair_keeps_its_irrational_roots_apart_from_an_exact_instant(hopf_family):
+    # (4, 3) gives 12 (t - 1)^2, an exact double root at t = 1; the pair
+    # (5, 2 + 10^-13) gives 12 t^2 - 18 t + 6 + 6 10^-13, whose irrational
+    # roots lie about 10^-13 inside 1/2 and 1
+    lam = 2 + Fraction(1, 10**13)
+    fam = variation.SubmersionFamily(
+        fiber=hopf_family.fiber,
+        base=hopf_family.base,
+        a_norm_sq=hopf_family.a_norm_sq,
+        joint_mode=variation.ExplicitJoint(hopf_family.joint_mode.pairs + ((5, lam, 1),)),
+    )
+    rows = variation.classify_window(fam, Fraction(1, 2), Fraction(3, 2)).rows
+    assert [(r.instant.t, r.instant.witnesses) for r in rows] == [
+        (pytest.approx(0.5 + 1e-13, abs=1e-15), ((5, lam),)),
+        (pytest.approx(1 - 1e-13, abs=1e-15), ((5, lam),)),
+        (1, ((4, 3),)),
+    ]
+    assert [type(r.instant.t) for r in rows] == [float, float, Fraction]
 
 
 def test_regime_flags_without_a_tabulated_first_eigenvalue():
