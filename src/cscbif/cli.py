@@ -47,8 +47,6 @@ _EXIT_SPECTRUM = 3
 _EXIT_GEOMETRY = 4
 _EXIT_VERIFY = 5
 
-_DISCREPANCY_BOUND = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -374,15 +372,20 @@ def _payload(command: str, cfg: FamilyConfig, provenance: list, results: dict) -
     }
 
 
+INSTANTS_CSV = ("t", "witnesses", "horizontal", "certified", "fiber_constancy_guaranteed")
+BRANCH_CSV = ("t", "u_minus_one_norm", "energy", "fiber_fraction", "residual_norm")
+VERIFY_CSV = ("t", "kernel_dim", "horizontal", "reduction_discrepancy",
+              "max_fiber_fraction", "status")
+
+
 def _csv(header, rows) -> str:
+    """One line per row: the row's value under each column of `header`, a
+    string as it is and any other value as its JSON literal."""
+    def cell(value):
+        return value if isinstance(value, str) else json.dumps(value)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+    lines += [",".join(cell(row[column]) for column in header) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _witness_cell(witnesses) -> str:
-    return ";".join(f"{fmt_number(b)}:{fmt_number(lam)}" for b, lam in witnesses)
 
 
 def cmd_classify(cfg: FamilyConfig) -> CliReport:
@@ -396,12 +399,11 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
         {"quantity": "certificates", "operation": "variation.certify_bifurcation",
          "inputs": {"t_star": "each horizontal instant"}},
     ]
-    rows_json = []
-    rows_csv = []
+    rows = []
     for row in report.rows:
         inst = row.instant
         cert = row.certificate
-        rows_json.append({
+        rows.append({
             "t": fmt_number(inst.t),
             "witnesses": [[fmt_number(b), fmt_number(lam)] for b, lam in inst.witnesses],
             "horizontal": inst.horizontal,
@@ -414,13 +416,6 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
             "certify_error": row.certify_error,
             "fiber_constancy_guaranteed": row.fiber_constancy_guaranteed,
         })
-        rows_csv.append((
-            fmt_number(inst.t),
-            _witness_cell(inst.witnesses),
-            str(inst.horizontal).lower(),
-            str(cert is not None).lower(),
-            str(row.fiber_constancy_guaranteed).lower(),
-        ))
 
     payload = _payload("classify", cfg, provenance, {
         "nondiscrete": report.nondiscrete,
@@ -438,12 +433,12 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
             "oneill_positive": report.regime.oneill_positive,
             "interchanged_product_case": report.regime.interchanged_product_case,
         },
-        "instants": rows_json,
+        "instants": rows,
     })
-    tables = {"instants.csv": _csv(
-        ("t", "witnesses", "horizontal", "certified", "fiber_constancy_guaranteed"),
-        rows_csv,
-    )}
+    tables = {"instants.csv": _csv(INSTANTS_CSV, [
+        {**row, "witnesses": ";".join(":".join(pair) for pair in row["witnesses"])}
+        for row in rows
+    ])}
     return CliReport(payload, tables, 0)
 
 
@@ -508,12 +503,12 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             entry["min_fiber_margin"] = fmt_number(branch.fiber_margin)
         name = f"branch_{k}.csv"
         entry["file"] = name
-        tables[name] = _csv(
-            ("t", "u_minus_one_norm", "energy", "fiber_fraction", "residual_norm"),
-            [(fmt_number(s.t), fmt_number(s.u_distance), fmt_number(s.energy),
-              fmt_number(s.fiber_fraction), fmt_number(s.residual_norm))
-             for s in branch.samples],
-        )
+        tables[name] = _csv(BRANCH_CSV, [
+            {"t": fmt_number(s.t), "u_minus_one_norm": fmt_number(s.u_distance),
+             "energy": fmt_number(s.energy), "fiber_fraction": fmt_number(s.fiber_fraction),
+             "residual_norm": fmt_number(s.residual_norm)}
+            for s in branch.samples
+        ])
         rows_json.append(entry)
 
     payload = _payload("branch", cfg, provenance, {
@@ -536,89 +531,66 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
                     "amplitude": fmt_number(cont.amplitude)}},
     ]
 
-    rows_json = []
-    rows_csv = []
-    any_failed = False
+    rows = []
+    csv_rows = []
     for bp in points:
-        entry = {
-            "t": fmt_number(float(bp.t)),
-            "kernel_dim": bp.kernel_dim,
-            "horizontal": bp.horizontal,
-        }
-        discrepancy = None
         try:
             red = continuation.lyapunov_schmidt_reduce(
                 model, bp, cont.reduce_radius, cont.reduce_samples,
             )
         except (HypothesisViolatedError, ReductionFailedError, PreconditionError) as exc:
-            entry["reduction"] = {"status": _status_of(exc), "detail": str(exc)}
-            red = None
+            reduction = _failure(exc)
         else:
-            ok = red.discrepancy < _DISCREPANCY_BOUND
-            discrepancy = red.discrepancy
-            entry["reduction"] = {
-                "status": "ok" if ok else "discrepancy-exceeded",
+            reduction = {
+                "status": "ok" if red.passed else "discrepancy-exceeded",
                 "discrepancy": fmt_number(red.discrepancy),
                 "fiber_margin": fmt_number(red.fiber_margin),
             }
-
-        fraction = None
         try:
             fc = continuation.verify_fiber_constancy(
                 model, bp, cont.trials, seed=cont.seed, amplitude=cont.amplitude,
             )
         except PreconditionError as exc:
-            entry["fiber_constancy"] = {"status": _status_of(exc), "detail": str(exc)}
-            fc = None
+            constancy = _failure(exc)
         else:
-            fraction = fc.max_fraction
-            entry["fiber_constancy"] = {
+            constancy = {
                 "status": "ok" if fc.passed else "fraction-exceeded",
                 "max_fraction": fmt_number(fc.max_fraction),
                 "trials": len(fc.trials),
                 "seed": fc.seed,
             }
+        failing = [block["status"] for block in (reduction, constancy)
+                   if block["status"] != "ok"]
+        row = {
+            "t": fmt_number(float(bp.t)),
+            "kernel_dim": bp.kernel_dim,
+            "horizontal": bp.horizontal,
+            "reduction": reduction,
+            "fiber_constancy": constancy,
+            "status": "failed" if failing else "ok",
+        }
+        rows.append(row)
+        csv_rows.append({
+            **row,
+            "reduction_discrepancy": reduction.get("discrepancy", ""),
+            "max_fiber_fraction": constancy.get("max_fraction", ""),
+            "status": failing[0] if failing else "ok",
+        })
 
-        ok = (
-            red is not None and red.discrepancy < _DISCREPANCY_BOUND
-            and fc is not None and fc.passed
-        )
-        entry["status"] = "ok" if ok else "failed"
-        any_failed = any_failed or not ok
-        rows_json.append(entry)
-        rows_csv.append((
-            fmt_number(float(bp.t)),
-            str(bp.kernel_dim),
-            str(bp.horizontal).lower(),
-            "" if discrepancy is None else fmt_number(discrepancy),
-            "" if fraction is None else fmt_number(fraction),
-            entry["status"] if ok else (
-                entry["reduction"]["status"] if entry["reduction"]["status"] != "ok"
-                else entry["fiber_constancy"]["status"]
-            ),
-        ))
-
+    passed = all(row["status"] == "ok" for row in rows)
     payload = _payload("verify", cfg, provenance, {
-        "n_branch_points": len(points),
-        "rows": rows_json,
-        "passed": not any_failed,
+        "n_branch_points": len(points), "rows": rows, "passed": passed,
     })
-    tables = {"verify.csv": _csv(
-        ("t", "kernel_dim", "horizontal", "reduction_discrepancy",
-         "max_fiber_fraction", "status"),
-        rows_csv,
-    )}
-    return CliReport(payload, tables, _EXIT_VERIFY if any_failed else 0)
+    return CliReport(payload, {"verify.csv": _csv(VERIFY_CSV, csv_rows)},
+                     0 if passed else _EXIT_VERIFY)
 
 
-def _status_of(exc) -> str:
-    if isinstance(exc, HypothesisViolatedError):
-        return "hypothesis-violated"
-    if isinstance(exc, ReductionFailedError):
-        return "reduction-failed"
-    if isinstance(exc, PreconditionError):
-        return "precondition-violated"
-    return "failed"
+def _failure(exc) -> dict:
+    """The report block of a check that raised `exc`."""
+    status = ("hypothesis-violated" if isinstance(exc, HypothesisViolatedError)
+              else "reduction-failed" if isinstance(exc, ReductionFailedError)
+              else "precondition-violated")
+    return {"status": status, "detail": str(exc)}
 
 
 # ---------------------------------------------------------------------------

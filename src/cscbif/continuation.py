@@ -55,7 +55,8 @@ TOL_NEWTON = 1e-10
 MAX_NEWTON_ITER = 50
 _MIN_DAMPING = 1e-9
 _NONTRIVIAL_NORM = 1e-8      # below this, a solution counts as the trivial one
-_CIRCLE_DIRECTIONS = 8
+DISCREPANCY_BOUND = 1e-8     # largest reduction discrepancy that counts as agreement
+FIBER_FRACTION_BOUND = 1e-8  # a trial solution at or above this fiber fraction violates
 
 
 def residual_norm(model: GalerkinModel, state: State) -> float:
@@ -289,45 +290,30 @@ def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
 # ---------------------------------------------------------------------------
 # branch switching
 
-def _candidate_directions(model, bp, direction):
-    vecs = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
-    if bp.kernel_dim == 1:
-        if direction in (1, -1):
-            return [direction * vecs[0]]
-        return [vecs[0], -vecs[0]]
-    angles = 2 * np.pi * np.arange(_CIRCLE_DIRECTIONS) / _CIRCLE_DIRECTIONS
-    dirs = [np.cos(a) * vecs[0] + np.sin(a) * vecs[1] for a in angles]
-    return dirs if direction != -1 else [-d for d in dirs]
-
-
-def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
-                  direction=None) -> State:
+def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> State:
     """Land on a nontrivial branch through bp: solve the equation in (c, t)
-    with the kernel amplitude pinned to `amplitude`, starting from
-    u = 1 + amplitude * (kernel direction) at t = bp.t.  Tries each
-    candidate kernel direction in turn; a converged solution that collapses
-    back to u = 1 counts as a failure for that direction.  Kernels other
-    than one mode or one circle cos/sin pair raise PreconditionError."""
+    with the amplitude along the first kernel mode n pinned to `amplitude`,
+    from the one start u = 1 + amplitude * n at t = bp.t.  A corrector
+    failure, or a solution that collapses back to u = 1, raises
+    NoNontrivialSolutionError naming the cause.  Kernels other than one mode
+    or one circle cos/sin pair raise PreconditionError."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     gen = _rotation_generator(model, bp)
     amplitude = float(amplitude)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
-
-    failures = []
-    for n_hat in _candidate_directions(model, bp, direction):
-        start = c_triv + amplitude * n_hat
-        try:
-            state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start)
-        except (NoConvergenceError, PositivityViolationError) as exc:
-            failures.append(str(exc))
-            continue
+    n_hat = kernel_vectors(model, bp)[0].ravel()
+    try:
+        state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude,
+                              c_triv + amplitude * n_hat)
+    except (NoConvergenceError, PositivityViolationError) as exc:
+        cause = str(exc)
+    else:
         if galerkin.u_distance(model, state) > _NONTRIVIAL_NORM:
             return state
-        failures.append("collapsed to the trivial solution")
+        cause = "the solution collapsed to u = 1"
     raise NoNontrivialSolutionError(
-        f"no nontrivial branch found at t = {bp.t} "
-        f"(amplitude {amplitude}, {len(failures)} attempts)"
+        f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
     )
 
 
@@ -344,7 +330,7 @@ class BranchSample:
 
     @property
     def t(self) -> float:
-        return float(self.state.t)
+        return self.state.t
 
     @cached_property
     def energy(self) -> float:
@@ -426,7 +412,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     offset_norm = np.linalg.norm(offset)
     first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
                  else np.append(offset, 1.0))
-    x = np.concatenate([start.coeffs.ravel(), [float(start.t)]])
+    x = np.concatenate([start.coeffs.ravel(), [start.t]])
     v = direction * _tangent(model, start, orbit, first_row)
 
     samples = [BranchSample(model, start)]
@@ -450,7 +436,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
         if (sample.u_distance - samples[-1].u_distance) * direction < 0:
             reason = "turnaround"
             break
-        x = np.concatenate([state.coeffs.ravel(), [float(state.t)]])
+        x = np.concatenate([state.coeffs.ravel(), [state.t]])
         v = _tangent(model, state, orbit, v)
         samples.append(sample)
     return Branch(tuple(samples), origin, reason)
@@ -473,10 +459,10 @@ def fiber_margin(model: GalerkinModel, state: State) -> float:
     Every fiber block J_jj = J_0 + (a_m lam_j / t) I with j >= 1 has its
     smallest eigenvalue at or above it, so a positive margin makes them all
     positive definite: no fiber-dependent mode is degenerate there."""
-    t = float(state.t)
-    jac0 = galerkin.residual_jacobian(model.fiber_constant, State(t, state.coeffs[:, :1]))
+    jac0 = galerkin.residual_jacobian(model.fiber_constant,
+                                      State(state.t, state.coeffs[:, :1]))
     lam1 = model.fiber.eigenvalues[1]
-    return float(np.linalg.eigvalsh(jac0)[0] + float(model.a_m) * lam1 / t)
+    return float(np.linalg.eigvalsh(jac0)[0] + model.a_m * lam1 / state.t)
 
 
 def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
@@ -516,10 +502,17 @@ class ReductionSample:
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """The double reduction at one branch point.  It passes when the two
+    complement solves agree below DISCREPANCY_BOUND at every sample."""
+
     kernel_dim: int
     samples: tuple
     discrepancy: float             # max |alpha_full - alpha_restricted|
     fiber_margin: float            # min `fiber_margin` at the restricted solutions
+
+    @property
+    def passed(self) -> bool:
+        return self.discrepancy < DISCREPANCY_BOUND
 
 
 def _complement_solve(model, t, base_coeffs, indices, tol=1e-11):
@@ -629,7 +622,6 @@ class FiberConstancyReport:
     branch_point: BranchPoint
     trials: tuple
     seed: int
-    threshold: float
     max_fraction: float
 
     @property
@@ -638,12 +630,12 @@ class FiberConstancyReport:
 
 
 def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
-                           seed: int = 0, amplitude: float = 1e-2,
-                           threshold: float = 1e-8) -> FiberConstancyReport:
+                           seed: int = 0, amplitude: float = 1e-2) -> FiberConstancyReport:
     """Falsification channel for fiber-constancy of the bifurcating branch:
     branch-switch from seeded random perturbations that mix kernel and
     fiber-mode components; every converged nontrivial solution must shed its
-    fiber content below `threshold`.  Violations are reported, not raised."""
+    fiber content below FIBER_FRACTION_BOUND.  Violations are reported, not
+    raised; the report passes when there are none."""
     try:
         epsilon = variation.stability_epsilon(model.family)
     except NotApplicableError as exc:
@@ -686,12 +678,12 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
             continue
         dist = galerkin.u_distance(model, state)
         if dist <= _NONTRIVIAL_NORM:
-            rows_out.append(TrialRow(trial, True, False, float(state.t), dist, None, False))
+            rows_out.append(TrialRow(trial, True, False, state.t, dist, None, False))
             continue
         fraction = _fraction_or_zero(state)
         max_fraction = max(max_fraction, fraction)
         rows_out.append(TrialRow(
-            trial, True, True, float(state.t), dist, fraction,
-            fraction >= threshold,
+            trial, True, True, state.t, dist, fraction,
+            fraction >= FIBER_FRACTION_BOUND,
         ))
-    return FiberConstancyReport(bp, tuple(rows_out), seed, threshold, max_fraction)
+    return FiberConstancyReport(bp, tuple(rows_out), seed, max_fraction)

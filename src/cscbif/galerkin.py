@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import variation
 from .errors import (
     ConfigurationError,
     InvalidArgumentError,
@@ -145,7 +144,10 @@ def _factor_basis(descriptor: ManifoldDescriptor, n_modes: int) -> FactorBasis:
 @dataclass(frozen=True)
 class GalerkinModel:
     """Discretized product family.  Coefficient arrays are indexed
-    [base function, fiber function]."""
+    [base function, fiber function].  The numerical layer reads the family
+    through the model's float view: a_m, p_m and the curvature data
+    (s_h, s_g, |A|^2) are converted once, and s(t), ds/dt are evaluated
+    from them."""
 
     family: SubmersionFamily
     base: FactorBasis
@@ -156,12 +158,29 @@ class GalerkinModel:
         return self.family.m
 
     @cached_property
-    def a_m(self) -> Fraction:
-        return Fraction(4 * (self.m - 1), self.m - 2)
+    def a_m(self) -> float:
+        return 4 * (self.m - 1) / (self.m - 2)
 
     @cached_property
-    def p_m(self) -> Fraction:
-        return Fraction(2 * self.m, self.m - 2)
+    def p_m(self) -> float:
+        return 2 * self.m / (self.m - 2)
+
+    @cached_property
+    def _curvature(self):
+        """(s_h, s_g, |A|^2) as floats."""
+        fam = self.family
+        return (float(fam.base.scalar_curvature), float(fam.fiber.scalar_curvature),
+                float(fam.a_norm_sq))
+
+    def scalar_curvature(self, t: float) -> float:
+        """s(t) = s_h + s_g / t - t |A|^2 in floats."""
+        s_h, s_g, a_sq = self._curvature
+        return s_h + s_g / t - t * a_sq
+
+    def scalar_curvature_dt(self, t: float) -> float:
+        """ds/dt = -s_g / t^2 - |A|^2 in floats."""
+        _, s_g, a_sq = self._curvature
+        return -s_g / t**2 - a_sq
 
     @property
     def shape(self):
@@ -215,14 +234,15 @@ class GalerkinModel:
 
 @dataclass(frozen=True)
 class State:
-    """A candidate conformal factor: the fiber scale t and the coefficient
-    array of u in the tensor basis."""
+    """A candidate conformal factor: the fiber scale t, stored as a float,
+    and the coefficient array of u in the tensor basis."""
 
     t: float
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not float(self.t) > 0:
+        object.__setattr__(self, "t", float(self.t))
+        if not self.t > 0:
             raise InvalidArgumentError(f"state needs t > 0, got {self.t!r}")
 
 
@@ -250,7 +270,7 @@ def constant_state(model: GalerkinModel, t, value: float = 1.0) -> State:
     """The constant function `value` as a coefficient array."""
     coeffs = np.zeros(model.shape)
     coeffs[0, 0] = value * np.sqrt(model.volume_at_one)
-    return State(float(t), coeffs)
+    return State(t, coeffs)
 
 
 def grid_values(model: GalerkinModel, state: State) -> np.ndarray:
@@ -280,33 +300,31 @@ def residual(model: GalerkinModel, state: State) -> np.ndarray:
 
     This is the gradient of `energy` divided by the measure factor t^{k/2};
     at t = 1 it is the gradient exactly."""
-    t = float(state.t)
     g = _positive_grid(model, state)
-    power = g ** (float(model.p_m) - 1.0)
-    lam = model.mode_eigenvalues(t)
-    s_t = variation.scalar_curvature(model.family, t)
-    return float(model.a_m) * lam * state.coeffs + s_t * (state.coeffs - project(model, power))
+    power = g ** (model.p_m - 1.0)
+    lam = model.mode_eigenvalues(state.t)
+    s_t = model.scalar_curvature(state.t)
+    return model.a_m * lam * state.coeffs + s_t * (state.coeffs - project(model, power))
 
 
 def energy(model: GalerkinModel, state: State) -> float:
     """Total energy of the state under g(t), measure factor included."""
-    t = float(state.t)
+    t = state.t
     g = _positive_grid(model, state)
-    p = float(model.p_m)
     lam = model.mode_eigenvalues(t)
-    s_t = variation.scalar_curvature(model.family, t)
-    grad_term = 0.5 * float(model.a_m) * np.sum(lam * state.coeffs**2)
-    potential = s_t * np.sum(model.weights2 * (g**2 / 2 - g**p / p))
+    s_t = model.scalar_curvature(t)
+    grad_term = 0.5 * model.a_m * np.sum(lam * state.coeffs**2)
+    potential = s_t * np.sum(model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m))
     return t ** (model.family.fiber.dim / 2) * (grad_term + potential)
 
 
 def linearization_at_one(model: GalerkinModel, t) -> np.ndarray:
     """Diagonal of the linearized operator at u = 1:
-    a_m (b_i + lam_j / t - s(t) / (m - 1)) per mode pair, [nb, nf]."""
+    a_m (b_i + lam_j / t - s(t) / (m - 1)) per mode pair, [nb, nf], for t
+    a float or an exact number read as its float."""
     t = float(t)
     lam = model.mode_eigenvalues(t)
-    s_t = variation.scalar_curvature(model.family, t)
-    return float(model.a_m) * (lam - s_t / (model.m - 1))
+    return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
 
 
 def residual_jacobian(model: GalerkinModel, state: State) -> np.ndarray:
@@ -317,32 +335,28 @@ def residual_jacobian(model: GalerkinModel, state: State) -> np.ndarray:
     fiber products phi_j phi_l with the weight over the fiber nodes first,
     [nf^2, Mb], then the base products psi_i psi_k over the base nodes,
     [nb^2, nf^2], and reorder (i, k, j, l) to (i, j), (k, l)."""
-    t = float(state.t)
     g = _positive_grid(model, state)
-    p = float(model.p_m)
-    lam = model.mode_eigenvalues(t).ravel()
-    s_t = variation.scalar_curvature(model.family, t)
+    p = model.p_m
+    lam = model.mode_eigenvalues(state.t).ravel()
+    s_t = model.scalar_curvature(state.t)
     (nb, nf), n = model.shape, model.n_modes
     base_pairs, fiber_pairs = model.pair_products
     wpow = -s_t * (p - 1.0) * model.weights2 * g ** (p - 2.0)   # [Mb, Mf]
     partial = fiber_pairs @ wpow.T                              # [nf^2, Mb]
     jac = (base_pairs @ partial.T).reshape(nb, nb, nf, nf)
     jac = jac.transpose(0, 2, 1, 3).reshape(n, n)
-    jac[np.diag_indices(n)] += float(model.a_m) * lam + s_t
+    jac[np.diag_indices(n)] += model.a_m * lam + s_t
     return jac
 
 
 def residual_t_derivative(model: GalerkinModel, state: State) -> np.ndarray:
     """Partial derivative of `residual` with respect to t at fixed
     coefficients, [nb, nf]."""
-    t = float(state.t)
     g = _positive_grid(model, state)
-    power = g ** (float(model.p_m) - 1.0)
-    dlam = -model.fiber.eigenvalues[None, :] / t**2
-    ds = -float(model.family.fiber.scalar_curvature) / t**2 - float(model.family.a_norm_sq)
-    return float(model.a_m) * dlam * state.coeffs + ds * (
-        state.coeffs - project(model, power)
-    )
+    power = g ** (model.p_m - 1.0)
+    dlam = -model.fiber.eigenvalues[None, :] / state.t**2
+    ds = model.scalar_curvature_dt(state.t)
+    return model.a_m * dlam * state.coeffs + ds * (state.coeffs - project(model, power))
 
 
 def u_distance(model: GalerkinModel, state: State) -> float:

@@ -166,16 +166,10 @@ def total_spectrum_at_one(fam: SubmersionFamily) -> SpectrumModel:
 
 def scalar_curvature(fam: SubmersionFamily, t):
     """Scalar curvature s(t) = s_h + s_g / t - t |A|^2 of the total metric
-    with fiber scaled by t.  Exact for rational t, float for float t."""
-    if isinstance(t, float):
-        if not t > 0:
-            raise InvalidArgumentError(f"scale parameter must be positive, got {t}")
-        return (
-            float(fam.base.scalar_curvature)
-            + float(fam.fiber.scalar_curvature) / t
-            - t * float(fam.a_norm_sq)
-        )
-    t = as_rational(t)
+    with fiber scaled by t, exactly: a Fraction for t a rational or a float,
+    which is read as its exact binary value.  The numerical layer has its
+    own float view, `GalerkinModel.scalar_curvature`."""
+    t = Fraction(t) if isinstance(t, float) and math.isfinite(t) else as_rational(t)
     if t <= 0:
         raise InvalidArgumentError(f"scale parameter must be positive, got {t}")
     return fam.base.scalar_curvature + fam.fiber.scalar_curvature / t - t * fam.a_norm_sq
@@ -399,7 +393,7 @@ def morse_index(fam: SubmersionFamily, t) -> int:
     binary value.  The zero eigenvalue counts whenever s(t) > 0.  Raises
     `DegeneratePointError` when the threshold is a nonzero base eigenvalue,
     i.e. when t is a horizontal degeneracy instant."""
-    threshold = scalar_curvature(fam, Fraction(t)) / (fam.m - 1)
+    threshold = scalar_curvature(fam, t) / (fam.m - 1)
     if threshold != 0 and contains(fam.base.spectrum, threshold):
         raise DegeneratePointError(
             f"t = {t} is a horizontal degeneracy instant; the index jumps there"
@@ -436,14 +430,11 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
     t_star is an instant only if it equals, as its exact binary value, an
     instant of that enumeration: a rational one or the very float the
     enumeration produced.  The crossing comes from that instant's witness."""
-    if isinstance(t_star, float):
-        if not t_star > 0:
-            raise InvalidArgumentError("t_star must be positive")
-    else:
+    if not isinstance(t_star, float):
         t_star = as_rational(t_star)
-        if t_star <= 0:
-            raise InvalidArgumentError("t_star must be positive")
-    s_star = scalar_curvature(fam, Fraction(t_star))
+    if not t_star > 0:
+        raise InvalidArgumentError("t_star must be positive")
+    s_star = scalar_curvature(fam, t_star)
     if s_star == 0:
         raise ZeroScalarCurvatureError(
             f"scalar curvature vanishes at t = {t_star}; the criterion needs a sign"
@@ -479,8 +470,7 @@ def _certify(fam, t_star, crossing, horizontal) -> BifurcationCertificate:
     r = (prev_t + t_star) / 2
     s = (t_star + next_t) / 2
 
-    key = (scalar_curvature(fam, Fraction(r)) - s_star) * (
-        scalar_curvature(fam, Fraction(s)) - s_star)
+    key = (scalar_curvature(fam, r) - s_star) * (scalar_curvature(fam, s) - s_star)
     if not key < 0:
         raise InconclusiveError(
             "scalar curvature does not change sign around t_star relative to "

@@ -97,6 +97,13 @@ def test_readme_schema_lists_every_key():
     assert {key for key in keys if not re.search(rf"(?<!\w){key}:", block)} == set()
 
 
+def test_readme_lists_every_csv_header():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.findall(r"`(\w+(?:,\w+)+)`", readme)
+    headers = (cli.INSTANTS_CSV, cli.BRANCH_CSV, cli.VERIFY_CSV)
+    assert listed == [",".join(header) for header in headers]
+
+
 def test_rational_literals_stay_exact():
     cfg = cli.load_config(str(CIRCLE_SPHERE))
     assert cfg.t_min == Fraction(1, 1000)

@@ -155,19 +155,6 @@ def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
     assert galerkin.fiber_energy_fraction(state) < 1e-15
 
 
-def test_switch_respects_direction_sign(cs_model, cs_branch_point):
-    plus = continuation.switch_branch(cs_model, cs_branch_point, 1e-2, direction=+1)
-    minus = continuation.switch_branch(cs_model, cs_branch_point, 1e-2, direction=-1)
-    vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
-    triv = galerkin.constant_state(cs_model, cs_branch_point.t).coeffs.ravel()
-    cp = vecs @ (plus.coeffs.ravel() - triv)
-    cm = vecs @ (minus.coeffs.ravel() - triv)
-    # both pinned at the same amplitude, on opposite sides of the kernel
-    assert np.linalg.norm(cp) == pytest.approx(1e-2, rel=1e-6)
-    assert np.linalg.norm(cm) == pytest.approx(1e-2, rel=1e-6)
-    assert np.dot(cp, cm) < 0
-
-
 def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]

@@ -269,7 +269,7 @@ def test_factored_jacobian_matches_dense_assembly(base_dim, fiber_dim):
     weights = np.outer(model.base.weights, model.fiber.weights).ravel()
     p = 2 * fam.m / (fam.m - 2)
     a_m = 4 * (fam.m - 1) / (fam.m - 2)
-    s_t = variation.scalar_curvature(fam, 0.8)
+    s_t = float(variation.scalar_curvature(fam, 0.8))
     eig = (model.base.eigenvalues[:, None] + model.fiber.eigenvalues[None, :] / 0.8).ravel()
     dense = np.diag(a_m * eig + s_t) - s_t * (p - 1) * (
         (tensor * weights * grid ** (p - 2)) @ tensor.T
