@@ -60,7 +60,6 @@ from .variation import (
     morse_index,
     scalar_curvature,
     stability_epsilon,
-    total_spectrum_at_one,
 )
 from .galerkin import (
     GalerkinModel,

@@ -679,9 +679,8 @@ def main(argv=None) -> int:
         return _EXIT_SPECTRUM
     except UnsupportedGeometryError as exc:
         print(f"cscbif: unsupported geometry: {exc}", file=sys.stderr)
-        if args.command in ("branch", "verify"):
-            print("cscbif: hint: `classify` covers families the Galerkin basis "
-                  "cannot discretize", file=sys.stderr)
+        print("cscbif: hint: `classify` covers families the Galerkin basis "
+              "cannot discretize", file=sys.stderr)
         return _EXIT_GEOMETRY
     except CscbifError as exc:
         print(f"cscbif: error: {exc}", file=sys.stderr)

@@ -52,6 +52,7 @@ from .errors import (
 from .galerkin import GalerkinModel, State
 
 TOL_NEWTON = 1e-10
+TOL_COMPLEMENT = 1e-11
 MAX_NEWTON_ITER = 50
 _MIN_DAMPING = 1e-9
 _NONTRIVIAL_NORM = 1e-8      # below this, a solution counts as the trivial one
@@ -195,8 +196,7 @@ def _bordered_matrix(model, state, orbit, row, mu=0.0):
     return mat
 
 
-def _solve_bordered(model, coeffs, t, orbit, row, target,
-                    tol=TOL_NEWTON, max_iter=MAX_NEWTON_ITER):
+def _solve_bordered(model, coeffs, t, orbit, row, target):
     """Damped Newton on the square bordered system
 
         residual(c, t) + mu gen c = 0,  <phase, c> = 0,  row . (c, t) = target
@@ -204,8 +204,8 @@ def _solve_bordered(model, coeffs, t, orbit, row, target,
     (the mu term and the phase row only with an orbit; the phase row lies in
     the kernel span, orthogonal to the constant, so it reads
     <phase, c - c_triv> = 0).  Each step is one dense solve.  Stops when the
-    bordered residual and residual(c, t) alone are both below `tol`, and
-    returns the state and mu.  Raises NoConvergenceError, whose
+    bordered residual and residual(c, t) alone are both below TOL_NEWTON,
+    and returns the state and mu.  Raises NoConvergenceError, whose
     `positivity_boundary` tells whether the line search ever hit the
     positivity boundary."""
     n = model.n_modes
@@ -231,8 +231,8 @@ def _solve_bordered(model, coeffs, t, orbit, row, target,
                   [float(t)] if orbit is None else [float(t), 0.0])
     F, state, plain = evaluate(x)
     norm = float(np.linalg.norm(F))
-    for _ in range(max_iter):
-        if norm < tol and plain < tol:
+    for _ in range(MAX_NEWTON_ITER):
+        if norm < TOL_NEWTON and plain < TOL_NEWTON:
             return state, mu_of(x)
         mat = _bordered_matrix(model, state, orbit, row, mu_of(x))
         try:
@@ -251,7 +251,7 @@ def _solve_bordered(model, coeffs, t, orbit, row, target,
                     positivity_seen = True
                 else:
                     new_norm = float(np.linalg.norm(F_new))
-                    if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < tol:
+                    if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < TOL_NEWTON:
                         x, F, state, plain, norm = cand, F_new, state_new, plain_new, new_norm
                         break
             alpha *= 0.5
@@ -261,19 +261,17 @@ def _solve_bordered(model, coeffs, t, orbit, row, target,
                     positivity_boundary=positivity_seen,
                 )
     raise NoConvergenceError(
-        f"bordered solve: no convergence in {max_iter} iterations (residual {norm:.3e})",
+        f"bordered solve: no convergence in {MAX_NEWTON_ITER} iterations (residual {norm:.3e})",
         positivity_boundary=positivity_seen,
     )
 
 
-def newton_solve(model: GalerkinModel, t, initial: State,
-                 tol: float = TOL_NEWTON, max_iter: int = MAX_NEWTON_ITER) -> State:
+def newton_solve(model: GalerkinModel, t, initial: State) -> State:
     """Damped Newton at fixed t: the bordered corrector with the pin row
     t = t and no orbit.  The initial state must be positive on the grid;
     every iterate stays positive."""
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    state, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t),
-                               tol=tol, max_iter=max_iter)
+    state, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
     return state
 
 
@@ -515,7 +513,7 @@ class ReductionResult:
         return self.discrepancy < DISCREPANCY_BOUND
 
 
-def _complement_solve(model, t, base_coeffs, indices, tol=1e-11):
+def _complement_solve(model, t, base_coeffs, indices):
     """Newton for the complement-projected equation: find v supported on
     `indices` (flat) with P residual(base + v) = 0."""
     n = model.n_modes
@@ -527,7 +525,7 @@ def _complement_solve(model, t, base_coeffs, indices, tol=1e-11):
         state = State(t, c.reshape(model.shape))
         res = galerkin.residual(model, state).ravel()[idx]
         norm = float(np.linalg.norm(res))
-        if norm < tol:
+        if norm < TOL_COMPLEMENT:
             return v, norm
         jac = galerkin.residual_jacobian(model, state)[np.ix_(idx, idx)]
         try:

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .spectra import ManifoldDescriptor, SphereSpectrum
-from .variation import AllPairs, SubmersionFamily
+from .variation import SubmersionFamily
 
 _GRAM_TOL = 1e-12
 
@@ -213,9 +213,14 @@ class GalerkinModel:
         factor = _fourier_basis if self.fiber.label == "fourier" else _legendre_basis
         return GalerkinModel(self.family, self.base, factor(self.fiber.radius, 1))
 
-    @property
+    @cached_property
     def weights2(self) -> np.ndarray:
         return np.outer(self.base.weights, self.fiber.weights)
+
+    @cached_property
+    def projectors(self):
+        """The factors' weighted values ([nb, Mb], [nf, Mf]) for `project`."""
+        return tuple(f.values * f.weights for f in (self.base, self.fiber))
 
     def eigentable(self):
         """Exact (b_i, lam_j) per mode pair, row-major over (i, j)."""
@@ -249,7 +254,7 @@ class State:
 def build_model(family: SubmersionFamily, base_modes: int, fiber_modes: int) -> GalerkinModel:
     """Assemble the tensor basis for a product family and verify its
     orthonormality on the quadrature grid to 1e-12."""
-    if family.a_norm_sq != 0 or not isinstance(family.joint_mode, AllPairs):
+    if not family.is_product:
         raise UnsupportedGeometryError(
             "only product families (|A|^2 = 0, all-pairs joint spectrum) are "
             "discretized"
@@ -280,8 +285,7 @@ def grid_values(model: GalerkinModel, state: State) -> np.ndarray:
 
 def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
     """L^2(g(1)) projection of a grid function onto the basis, [nb, nf]."""
-    pb = model.base.values * model.base.weights
-    pf = model.fiber.values * model.fiber.weights
+    pb, pf = model.projectors
     return pb @ grid @ pf.T
 
 

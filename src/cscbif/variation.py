@@ -42,7 +42,6 @@ from .errors import (
     NondiscreteDegeneracyError,
     NotApplicableError,
     PreconditionError,
-    UnsupportedGeometryError,
     ZeroScalarCurvatureError,
 )
 from .rationals import as_rational, exact_sqrt
@@ -53,7 +52,6 @@ from .spectra import (
     count_strictly_below,
     explicit_spectrum,
     first_nonzero,
-    product_spectrum,
 )
 
 
@@ -62,9 +60,8 @@ from .spectra import (
 @dataclass(frozen=True)
 class AllPairs:
     """Every (base eigenvalue, fiber eigenvalue) pair is realized on the
-    total space.  This is product semantics and is only honest when the
-    integrability tensor vanishes; the constructor records rather than
-    enforces that."""
+    total space: product semantics.  `SubmersionFamily` accepts it only
+    with |A|^2 = 0 and no separate horizontal spectrum."""
 
 
 ALL_PAIRS = AllPairs()
@@ -89,7 +86,9 @@ class JointPair:
 class ExplicitJoint:
     """Explicit list of realized (horizontal, fiber) eigenvalue pairs of the
     unscaled total space, optionally cross-checked against a total-space
-    spectrum at t = 1."""
+    spectrum at t = 1.  Its rows with lam > 0 are the only source of
+    vertical pairs.  A row (b, 0) is a pullback, checked against the base
+    spectrum and otherwise unused: pullbacks come from the base spectrum."""
 
     pairs: tuple
     total_at_one: SpectrumModel | None = None
@@ -110,7 +109,10 @@ class SubmersionFamily:
     norm of the integrability (O'Neill) tensor, how realized eigenvalue
     pairs are to be produced, and optionally a horizontal spectrum that
     extends the base spectrum (pullbacks realize every base eigenvalue, but
-    a submersion may have further horizontal Laplacian eigenvalues)."""
+    a submersion may have further horizontal Laplacian eigenvalues).
+    Rejected: `AllPairs` with |A|^2 != 0 or with a horizontal spectrum (in a
+    product it is the base spectrum), and a table row (b, 0) whose b is not
+    a base eigenvalue."""
 
     fiber: ManifoldDescriptor
     base: ManifoldDescriptor
@@ -126,14 +128,24 @@ class SubmersionFamily:
             raise InvalidArgumentError(
                 f"total dimension must be at least 3, got {self.m}"
             )
-        if isinstance(self.joint_mode, ExplicitJoint) and self.joint_mode.total_at_one is not None:
-            total = self.joint_mode.total_at_one
-            for p in self.joint_mode.pairs:
-                if not contains(total, p.horizontal + p.fiber):
-                    raise InvalidArgumentError(
-                        f"joint pair ({p.horizontal}, {p.fiber}) sums to "
-                        f"{p.horizontal + p.fiber}, absent from the declared total spectrum"
-                    )
+        if self.is_product:
+            if self.a_norm_sq != 0 or self.horizontal is not None:
+                raise InvalidArgumentError(
+                    "all-pairs joint semantics is product semantics: it needs "
+                    "a_norm_sq = 0 and takes no horizontal spectrum (the base's)")
+            return
+        total = self.joint_mode.total_at_one
+        for p in self.joint_mode.pairs:
+            if p.fiber == 0 and not contains(self.base.spectrum, p.horizontal):
+                raise InvalidArgumentError(
+                    f"joint pair ({p.horizontal}, 0) is a pullback, but "
+                    f"{p.horizontal} is not a base eigenvalue"
+                )
+            if total is not None and not contains(total, p.horizontal + p.fiber):
+                raise InvalidArgumentError(
+                    f"joint pair ({p.horizontal}, {p.fiber}) sums to "
+                    f"{p.horizontal + p.fiber}, absent from the declared total spectrum"
+                )
 
     @property
     def m(self) -> int:
@@ -145,19 +157,17 @@ class SubmersionFamily:
 
     @property
     def is_product(self) -> bool:
-        return self.a_norm_sq == 0 and isinstance(self.joint_mode, AllPairs)
+        return isinstance(self.joint_mode, AllPairs)
 
 
-def total_spectrum_at_one(fam: SubmersionFamily) -> SpectrumModel:
-    """Spectrum of the unscaled total space: the exact product sum-set under
-    AllPairs, the declared total under ExplicitJoint, or failing that the
-    sum-set of the declared pairs (complete only as far as they reach)."""
-    if isinstance(fam.joint_mode, AllPairs):
-        return product_spectrum(fam.base.spectrum, fam.fiber.spectrum)
-    if fam.joint_mode.total_at_one is not None:
-        return fam.joint_mode.total_at_one
+def _declared_total(joint: ExplicitJoint) -> SpectrumModel:
+    """Spectrum of the unscaled total space as a joint table declares it:
+    its total at t = 1, or failing that the sum-set of its pairs (complete
+    only as far as they reach)."""
+    if joint.total_at_one is not None:
+        return joint.total_at_one
     sums = {}
-    for p in fam.joint_mode.pairs:
+    for p in joint.pairs:
         v = p.horizontal + p.fiber
         sums[v] = sums.get(v, 0) + p.multiplicity
     entries = sorted(sums.items())
@@ -303,41 +313,36 @@ def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
     return sorted(groups.values(), key=lambda g: (g[0], isinstance(g[0], float)))
 
 
-def _candidate_pairs(fam, t_min, t_max):
-    b_max, lam_max = pair_truncation_bounds(fam, t_min, t_max)
-    if isinstance(fam.joint_mode, ExplicitJoint):
-        for p in fam.joint_mode.pairs:
-            if p.horizontal <= b_max and p.fiber <= lam_max:
-                yield p.horizontal, p.fiber
-        return
-    if fam.a_norm_sq != 0:
-        raise UnsupportedGeometryError(
-            "all-pairs joint semantics needs a product (|A|^2 = 0); supply the "
-            "realized pairs explicitly for a genuinely curved submersion"
-        )
-    extra_horizontal = fam.horizontal is not None and fam.horizontal is not fam.base.spectrum
-    total = total_spectrum_at_one(fam) if extra_horizontal else None
-    for be in fam.horizontal_spectrum.entries_below(b_max, include_equal=True):
-        for fe in fam.fiber.spectrum.entries_below(lam_max, include_equal=True):
-            if total is not None and not contains(total, be.value + fe.value):
-                continue
-            yield be.value, fe.value
+def _pullbacks(fam, b_max):
+    """The keyed pairs (b, 0) for the base eigenvalues b <= b_max."""
+    zero = Fraction(0)
+    return [((be.value, zero), be.value, zero)
+            for be in fam.base.spectrum.entries_below(b_max, include_equal=True)]
 
 
 def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
     """All degeneracy instants in the window (t_min, t_max], ascending.
 
+    The pullbacks (b, 0) come from the base spectrum, the pairs with
+    lam > 0 from the joint mode: base x fiber for a product, the table rows
+    otherwise.  An instant is horizontal when some witness has lam = 0.
     Raises `NondiscreteDegeneracyError` when some realized pair makes the
-    degeneracy polynomial vanish identically (the degenerate set is then the
-    whole half line), and `UnsupportedGeometryError` when the joint mode
-    cannot produce the realized pairs."""
+    degeneracy polynomial vanish identically (the degenerate set is then
+    the whole half line)."""
     t_min, t_max = _check_window(t_min, t_max)
-    pairs = ((p,) + p for p in _candidate_pairs(fam, t_min, t_max))
+    b_max, lam_max = pair_truncation_bounds(fam, t_min, t_max)
+    pairs = _pullbacks(fam, b_max)
+    if fam.is_product:
+        fiber = fam.fiber.spectrum.entries_below(lam_max, include_equal=True)
+        vertical = [(b, fe.value) for _, b, _ in pairs for fe in fiber if fe.value > 0]
+    else:
+        vertical = [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
+                    if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
+    pairs += [((b, lam), b, lam) for b, lam in vertical]
     out = []
     for t, keys in window_roots(fam, pairs, t_min, t_max):
         witnesses = tuple(sorted(set(keys)))
-        horizontal = any(lam == 0 and contains(fam.base.spectrum, b) for b, lam in witnesses)
-        out.append(DegeneracyInstant(t, witnesses, horizontal))
+        out.append(DegeneracyInstant(t, witnesses, any(lam == 0 for _, lam in witnesses)))
     return out
 
 
@@ -348,14 +353,9 @@ def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
     valid for arbitrary |A|^2."""
     t_min, t_max = _check_window(t_min, t_max)
     b_max, _ = pair_truncation_bounds(fam, t_min, t_max)
-    zero = Fraction(0)
-    pairs = (
-        ((be.value, zero), be.value, zero)
-        for be in fam.base.spectrum.entries_below(b_max, include_equal=True)
-    )
     return [
         DegeneracyInstant(t, tuple(sorted(set(keys))), True)
-        for t, keys in window_roots(fam, pairs, t_min, t_max)
+        for t, keys in window_roots(fam, _pullbacks(fam, b_max), t_min, t_max)
     ]
 
 
@@ -497,7 +497,7 @@ def check_nondiscreteness(fam: SubmersionFamily) -> NondiscretenessResult:
     """The degenerate set is the whole half line exactly when all four of
     these hold: |A| = 0; s_h/(m-1) is a horizontal Laplacian eigenvalue;
     s_g/(m-1) is a fiber eigenvalue; and their (then nonzero) sum is an
-    eigenvalue of the unscaled total space."""
+    eigenvalue of the unscaled total space (in a product, by definition)."""
     if fam.a_norm_sq != 0:
         return NondiscretenessResult(False, None)
     m1 = fam.m - 1
@@ -508,7 +508,7 @@ def check_nondiscreteness(fam: SubmersionFamily) -> NondiscretenessResult:
     if lam < 0 or not contains(fam.fiber.spectrum, lam):
         return NondiscretenessResult(False, None)
     total = b + lam
-    if total == 0 or not contains(total_spectrum_at_one(fam), total):
+    if total == 0 or not (fam.is_product or contains(_declared_total(fam.joint_mode), total)):
         return NondiscretenessResult(False, None)
     return NondiscretenessResult(True, (b, lam))
 
@@ -557,22 +557,28 @@ class InstantRow:
 class ClassificationReport:
     """Everything `classify_window` decides about a family on (t_min, t_max]:
     nondiscreteness, the located instants with certification outcomes,
-    where the instant list for the full degenerate set came from
-    ('enumerated', 'stability-window', 'horizontal-only'), whether it is
-    exhaustive on the window, the stability threshold, and the regime
-    flags.  `stability_equality` records that on (0, eps) the degenerate
-    set, its horizontal part, and the certified bifurcation set coincide."""
+    whether the list is exhaustive on the window, the stability threshold,
+    and the regime flags.  The list is exhaustive for a product, and
+    otherwise when no positive fiber eigenvalue reaches the truncation
+    height `lam_max` (for totally geodesic fibers, t_max < eps): the
+    pullbacks are then every pair with a root in the window.
+    `stability_equality` records that on (0, eps) the degenerate set, its
+    horizontal part, and the certified bifurcation set coincide."""
 
     t_min: object
     t_max: object
     nondiscrete: bool
     nondiscrete_witness: tuple | None
     rows: tuple
-    d_source: str
     d_complete: bool
     epsilon: object
     stability_equality: bool
     regime: RegimeFlags
+
+    @property
+    def d_source(self) -> str:
+        """'all-positive' for a nondiscrete family, which has no list."""
+        return "all-positive" if self.nondiscrete else "enumerated"
 
     @property
     def instants(self):
@@ -605,41 +611,30 @@ def _regime_flags(fam):
 def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport:
     """Classify the family on the window (t_min, t_max].
 
-    Enumerates the degenerate set (falling back to its horizontal part on
-    (0, eps), where the two provably coincide, when the joint spectrum is
-    not resolvable), attempts a bifurcation certificate at every horizontal
-    instant, and reports nondiscreteness as a verdict instead of raising."""
+    Enumerates the degenerate set, attempts a bifurcation certificate at
+    every horizontal instant, and reports nondiscreteness as a verdict
+    instead of raising.  Only a joint table's rows with lam > 0 can be
+    missing, so the list is complete for a product or when the first
+    positive fiber eigenvalue exceeds the truncation height `lam_max`."""
     t_min, t_max = _check_window(t_min, t_max)
     try:
         eps = stability_epsilon(fam)
     except NotApplicableError:
         eps = None
 
-    nd = check_nondiscreteness(fam)
-    if nd.nondiscrete:
+    witness = check_nondiscreteness(fam).witness
+    if witness is None:
+        try:
+            instants = enumerate_degeneracy(fam, t_min, t_max)
+        except NondiscreteDegeneracyError as exc:
+            witness = exc.witness
+    if witness is not None:
         return ClassificationReport(
-            t_min, t_max, True, nd.witness, (), "all-positive", True, eps,
+            t_min, t_max, True, witness, (), True, eps,
             stability_equality=False, regime=_regime_flags(fam),
         )
-
-    try:
-        instants = enumerate_degeneracy(fam, t_min, t_max)
-        d_source, d_complete = "enumerated", True
-    except NondiscreteDegeneracyError as exc:
-        return ClassificationReport(
-            t_min, t_max, True, exc.witness, (), "all-positive", True, eps,
-            stability_equality=False, regime=_regime_flags(fam),
-        )
-    except UnsupportedGeometryError:
-        horizontal = enumerate_horizontal_degeneracy(fam, t_min, t_max)
-        if eps is not None:
-            instants = [i for i in horizontal if i.t < eps]
-            d_source = "stability-window"
-            d_complete = t_max < eps
-        else:
-            instants = horizontal
-            d_source = "horizontal-only"
-            d_complete = False
+    _, lam_max = pair_truncation_bounds(fam, t_min, t_max)
+    complete = fam.is_product or first_nonzero(fam.fiber.spectrum) > lam_max
 
     certified = [inst.t for inst in instants if inst.horizontal]
     if certified:
@@ -660,6 +655,6 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
         rows.append(InstantRow(inst, cert, err, guaranteed))
 
     return ClassificationReport(
-        t_min, t_max, False, None, tuple(rows), d_source, d_complete, eps,
+        t_min, t_max, False, None, tuple(rows), complete, eps,
         stability_equality=eps is not None, regime=_regime_flags(fam),
     )

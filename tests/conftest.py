@@ -177,6 +177,30 @@ def brute_force_instants(fam, pairs, t_min, t_max):
 
 
 # ---------------------------------------------------------------------------
+# oracle: realized eigenvalue pairs of the quaternionic Hopf fibration
+
+
+def hopf_realized_pairs(b_max, lam_max):
+    """Realized (b, lam, multiplicity) of S^3 -> S^7 -> S^4(1/2) with
+    b <= b_max and lam <= lam_max, from the Sp(2) x Sp(1) splitting of the
+    degree-k harmonics of S^7 (Berard-Bergery & Bourguignon 1982): one
+    piece V(a, c) x S^q(C^2) for each 0 <= q <= k with q = k mod 2, where
+    a = (k+q)/2, c = (k-q)/2, on which the total eigenvalue k(k+6) splits
+    as a vertical q(q+2) plus a horizontal rest.  dim V(a, c) is Weyl's
+    formula for Sp(2).  Since b >= k(k+6) - k(k+2) = 4k, every k <= b_max/4
+    is scanned and no pair is missed."""
+    out = []
+    for k in range(int(b_max) // 4 + 1):
+        for q in range(k % 2, k + 1, 2):
+            b, lam = k * (k + 6) - q * (q + 2), q * (q + 2)
+            if b <= b_max and lam <= lam_max:
+                a, c = (k + q) // 2, (k - q) // 2
+                dim_sp2 = (a - c + 1) * (c + 1) * (a + 2) * (a + c + 3) // 6
+                out.append((Fraction(b), Fraction(lam), dim_sp2 * (q + 1)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # oracle: certificate witnesses by a per-instant neighbour search
 
 

@@ -282,6 +282,37 @@ def test_classify_hopf(tmp_path):
     assert all(r["fiber_constancy_guaranteed"] for r in rows)
 
 
+def test_classify_hopf_wide_window_lists_every_pullback(tmp_path):
+    # the shipped table stops at b = 280, but the pullbacks come from the
+    # base spectrum up to b_max = 1008; past eps = 1/4 the table's vertical
+    # pairs may be incomplete, and the report says so
+    code, out = _run(tmp_path, "classify", "--config", str(HOPF), "--window", "1/1000..3")
+    assert code == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["degeneracy_source"] == "enumerated"
+    assert results["degeneracy_complete"] is False
+    rows = results["instants"]
+    assert len(rows) == 15
+    assert all(r["horizontal"] and r["certified"] for r in rows[:14])
+    assert [w[0] for r in rows[:14] for w in r["witnesses"]] == [
+        str(4 * l * (l + 3)) for l in range(14, 0, -1)
+    ]
+    assert rows[14]["t"] == "1"
+    assert rows[14]["witnesses"] == [["4", "3"]]
+    assert not rows[14]["horizontal"]
+
+
+def test_all_pairs_with_an_integrability_tensor_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "curved.yaml"
+    path.write_text(yaml.safe_dump(_with(CIRCLE_SPHERE, lambda d: _put(d, "a_norm_sq", 1))))
+    code, out = _run(tmp_path, "classify", "--config", str(path))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"cscbif: configuration error: {path}:"), err
+    assert "a_norm_sq = 0" in err
+
+
 def test_classify_nondiscrete_verdict(tmp_path):
     code, out = _run(tmp_path, "classify", "--config", str(NONDISCRETE))
     assert code == 0

@@ -111,6 +111,16 @@ def test_projection_inverts_evaluation(small_model):
     assert np.abs(back - coeffs).max() < 1e-12
 
 
+def test_fixed_weight_arrays_are_built_once(small_model):
+    base, fiber = small_model.base, small_model.fiber
+    assert small_model.weights2 is small_model.weights2
+    assert np.array_equal(small_model.weights2, np.outer(base.weights, fiber.weights))
+    assert small_model.projectors is small_model.projectors
+    grid = np.random.default_rng(5).standard_normal((base.weights.size, fiber.weights.size))
+    direct = (base.values * base.weights) @ grid @ (fiber.values * fiber.weights).T
+    assert np.array_equal(galerkin.project(small_model, grid), direct)
+
+
 def test_parseval_on_the_grid(small_model):
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(small_model.shape)

@@ -17,6 +17,7 @@ import cscbif
 from cscbif import variation
 from cscbif.errors import (
     DegeneratePointError,
+    IncompleteSpectrumError,
     InconclusiveError,
     InvalidArgumentError,
     NondiscreteDegeneracyError,
@@ -28,6 +29,8 @@ from cscbif.errors import (
 from conftest import (
     ablated_nondiscrete_families,
     brute_force_instants,
+    harmonic_dimension,
+    hopf_realized_pairs,
     per_instant_witnesses,
 )
 
@@ -254,6 +257,100 @@ def test_nondiscrete_enumeration_raises(nondiscrete_family):
     with pytest.raises(NondiscreteDegeneracyError) as info:
         variation.enumerate_degeneracy(nondiscrete_family, Fraction(1, 10), 3)
     assert info.value.witness == (Fraction(2), Fraction(2))
+
+
+# ---------------------------------------------------------------------------
+# where the realized pairs come from: pullbacks from the base spectrum,
+# vertical pairs from the joint mode
+
+HOPF_WIDE_WINDOW = (Fraction(1, 1000), Fraction(3))
+
+
+def test_hopf_oracle_splits_every_harmonic_of_s7():
+    pairs = hopf_realized_pairs(1000, 1000)
+    for k in range(5):
+        level = [m for b, lam, m in pairs if b + lam == k * (k + 6)]
+        assert sum(level) == harmonic_dimension(8, k)
+
+
+def test_hopf_symmetry_breaking_only_at_the_round_metric(hopf_family):
+    # every realized pair with lam > 0 other than (4, 3) gives a cleared
+    # polynomial with nonnegative coefficients, so t = 1 is the only
+    # instant that is not horizontal
+    bounds = variation.pair_truncation_bounds(hopf_family, *HOPF_WIDE_WINDOW)
+    table = hopf_realized_pairs(*bounds)
+    fam = variation.SubmersionFamily(
+        fiber=hopf_family.fiber,
+        base=hopf_family.base,
+        a_norm_sq=hopf_family.a_norm_sq,
+        joint_mode=variation.ExplicitJoint(table),
+    )
+    instants = variation.enumerate_degeneracy(fam, *HOPF_WIDE_WINDOW)
+    assert [(i.t, i.witnesses) for i in instants if not i.horizontal] == [
+        (1, ((4, 3),))
+    ]
+    horizontal = variation.enumerate_horizontal_degeneracy(fam, *HOPF_WIDE_WINDOW)
+    assert len(horizontal) == 14
+    assert [i for i in instants if i.horizontal] == horizontal
+    # the sign scan cannot see the double root 12 (t - 1)^2 of (4, 3); over
+    # every other realized pair it finds the horizontal instants only
+    others = [(b, lam) for b, lam, _ in table if (b, lam) != (4, 3)]
+    reference = brute_force_instants(fam, others, *HOPF_WIDE_WINDOW)
+    assert [float(i.t) for i in horizontal] == pytest.approx(reference, abs=1e-9)
+    # the shipped table stops at b = 280, but the pullbacks do not need it
+    assert variation.enumerate_degeneracy(hopf_family, *HOPF_WIDE_WINDOW) == instants
+
+
+def test_explicit_family_is_complete_only_inside_the_reach(hopf_family):
+    # lam_max = 1 + 8 t_max stays below the first fiber eigenvalue 3 exactly
+    # for t_max < 1/4
+    inside = variation.classify_window(hopf_family, Fraction(1, 100), Fraction(6, 25))
+    assert inside.d_complete
+    for t_max in (Fraction(1, 4), Fraction(3)):
+        past = variation.classify_window(hopf_family, Fraction(1, 100), t_max)
+        assert past.d_source == "enumerated"
+        assert not past.d_complete
+
+
+def test_explicit_pullbacks_need_the_base_spectrum_to_reach_b_max():
+    # the table lists (1, 0), but b_max = 1/3 + 200/3 lies past the base
+    # table's completeness bound 10
+    base = cscbif.explicit_manifold("b", 2, 1, [(0, 1), (1, 2)], 10)
+    fiber = cscbif.explicit_manifold("f", 2, 2, [(0, 1), (3, 1)], 10)
+    fam = variation.SubmersionFamily(
+        fiber=fiber,
+        base=base,
+        a_norm_sq=1,
+        joint_mode=variation.ExplicitJoint([(0, 0, 1), (1, 0, 2), (0, 3, 1)]),
+    )
+    with pytest.raises(IncompleteSpectrumError):
+        variation.enumerate_degeneracy(fam, Fraction(1, 100), 1)
+
+
+def test_all_pairs_needs_a_flat_integrability_tensor(hopf_family):
+    with pytest.raises(InvalidArgumentError):
+        variation.SubmersionFamily(
+            fiber=hopf_family.fiber, base=hopf_family.base, a_norm_sq=12
+        )
+
+
+def test_all_pairs_takes_no_horizontal_spectrum(circle_sphere):
+    extra = cscbif.explicit_spectrum([(0, 1), (1, 2), (2, 1)], 2)
+    with pytest.raises(InvalidArgumentError):
+        variation.SubmersionFamily(
+            fiber=circle_sphere.fiber, base=circle_sphere.base, horizontal=extra
+        )
+
+
+def test_a_pullback_row_must_be_a_base_eigenvalue(hopf_family):
+    pairs = hopf_family.joint_mode.pairs + ((20, 0, 1),)
+    with pytest.raises(InvalidArgumentError):
+        variation.SubmersionFamily(
+            fiber=hopf_family.fiber,
+            base=hopf_family.base,
+            a_norm_sq=hopf_family.a_norm_sq,
+            joint_mode=variation.ExplicitJoint(pairs),
+        )
 
 
 # ---------------------------------------------------------------------------
