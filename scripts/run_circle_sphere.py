@@ -35,8 +35,8 @@ for row in report.rows[::-1][:6]:
 if len(report.rows) > 6:
     print(f"  ... {len(report.rows) - 6} more, down to t = {report.rows[0].instant.t}")
 
-seq = variation.b_sequence(family, 8)
-print(f"first bifurcation instants 1/j^2: {[str(t) for t in seq[:5]]}")
+first = report.certified_instants[::-1][:5]
+print(f"first bifurcation instants 1/j^2: {[str(t) for t in first]}")
 
 print()
 n_b, n_f = cfg.galerkin.n_b, cfg.galerkin.n_f

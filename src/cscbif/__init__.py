@@ -50,7 +50,6 @@ from .variation import (
     ExplicitJoint,
     JointPair,
     SubmersionFamily,
-    b_sequence,
     certify_bifurcation,
     check_nondiscreteness,
     classify_window,

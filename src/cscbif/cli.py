@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .rationals import as_rational, fmt_number
-from .spectra import explicit_manifold, explicit_spectrum, sphere_manifold
+from .spectra import explicit_manifold, sphere_manifold
 from .variation import ALL_PAIRS, ExplicitJoint, JointPair, SubmersionFamily
 
 _EXIT_FAILURE = 1
@@ -242,8 +242,6 @@ CONFIG = (
     ("a_norm_sq", _exact, 0),
     ("joint_mode", _one_of("all_pairs", "explicit"), "all_pairs"),
     ("joint_pairs", _rows("[b, lam, multiplicity]", _exact, _exact, _int(1)), OPTIONAL),
-    ("joint_total_at_one", partial(_read, SPECTRUM), OPTIONAL),
-    ("horizontal_spectrum", partial(_read, SPECTRUM), OPTIONAL),
     ("window", _window, REQUIRED),
     ("galerkin", partial(_read, GALERKIN), OPTIONAL),
     ("continuation", partial(_read, CONTINUATION), OPTIONAL),
@@ -287,11 +285,6 @@ def _built(path, make, *args):
         _fail(path, str(exc))
 
 
-def _spectrum(node, path):
-    if node is not None:
-        return _built(path, explicit_spectrum, node["spectrum"], node["complete_below"])
-
-
 def _descriptor(node, path):
     if node["kind"] == "sphere":
         return _built(path, sphere_manifold, node["dim"], node["radius"], node["name"])
@@ -303,9 +296,8 @@ def parse_config(data, source: str | None = None) -> FamilyConfig:
     source = source or "config"
     doc = _read(CONFIG, data, "", here=source)
     explicit = doc["joint_mode"] == "explicit"
-    for key in ("joint_pairs", "joint_total_at_one"):
-        if key in doc and not explicit:
-            _fail(key, f"{key} requires joint_mode: explicit")
+    if "joint_pairs" in doc and not explicit:
+        _fail("joint_pairs", "joint_pairs requires joint_mode: explicit")
     if explicit and "joint_pairs" not in doc:
         _fail("joint_pairs", "joint_mode: explicit needs a joint_pairs list")
 
@@ -313,13 +305,9 @@ def parse_config(data, source: str | None = None) -> FamilyConfig:
     fiber = _descriptor(doc["fiber"], "fiber")
     joint = ALL_PAIRS
     if explicit:
-        pairs = [_built(f"joint_pairs[{k}]", JointPair, *pair)
-                 for k, pair in enumerate(doc["joint_pairs"])]
-        total = _spectrum(doc.get("joint_total_at_one"), "joint_total_at_one")
-        joint = ExplicitJoint(tuple(pairs), total_at_one=total)
-    horizontal = _spectrum(doc.get("horizontal_spectrum"), "horizontal_spectrum")
-    family = _built(source, SubmersionFamily, fiber, base, doc["a_norm_sq"],
-                    joint, horizontal)
+        joint = ExplicitJoint(tuple(_built(f"joint_pairs[{k}]", JointPair, *pair)
+                                    for k, pair in enumerate(doc["joint_pairs"])))
+    family = _built(source, SubmersionFamily, fiber, base, doc["a_norm_sq"], joint)
     return FamilyConfig(doc, family)
 
 

@@ -37,22 +37,13 @@ from fractions import Fraction
 from .errors import (
     DegeneratePointError,
     InconclusiveError,
-    IncompleteSpectrumError,
     InvalidArgumentError,
     NondiscreteDegeneracyError,
     NotApplicableError,
-    PreconditionError,
     ZeroScalarCurvatureError,
 )
 from .rationals import as_rational, exact_sqrt
-from .spectra import (
-    ManifoldDescriptor,
-    SpectrumModel,
-    contains,
-    count_strictly_below,
-    explicit_spectrum,
-    first_nonzero,
-)
+from .spectra import ManifoldDescriptor, contains, count_strictly_below, first_nonzero
 
 
 # --- joint spectrum modes ---------------------------------------------------
@@ -61,7 +52,7 @@ from .spectra import (
 class AllPairs:
     """Every (base eigenvalue, fiber eigenvalue) pair is realized on the
     total space: product semantics.  `SubmersionFamily` accepts it only
-    with |A|^2 = 0 and no separate horizontal spectrum."""
+    with |A|^2 = 0."""
 
 
 ALL_PAIRS = AllPairs()
@@ -85,13 +76,11 @@ class JointPair:
 @dataclass(frozen=True)
 class ExplicitJoint:
     """Explicit list of realized (horizontal, fiber) eigenvalue pairs of the
-    unscaled total space, optionally cross-checked against a total-space
-    spectrum at t = 1.  Its rows with lam > 0 are the only source of
+    unscaled total space.  Its rows with lam > 0 are the only source of
     vertical pairs.  A row (b, 0) is a pullback, checked against the base
     spectrum and otherwise unused: pullbacks come from the base spectrum."""
 
     pairs: tuple
-    total_at_one: SpectrumModel | None = None
 
     def __post_init__(self):
         pairs = tuple(
@@ -106,19 +95,17 @@ class ExplicitJoint:
 @dataclass(frozen=True)
 class SubmersionFamily:
     """Canonical variation data: fiber and base descriptors, the squared
-    norm of the integrability (O'Neill) tensor, how realized eigenvalue
-    pairs are to be produced, and optionally a horizontal spectrum that
-    extends the base spectrum (pullbacks realize every base eigenvalue, but
-    a submersion may have further horizontal Laplacian eigenvalues).
-    Rejected: `AllPairs` with |A|^2 != 0 or with a horizontal spectrum (in a
-    product it is the base spectrum), and a table row (b, 0) whose b is not
-    a base eigenvalue."""
+    norm of the integrability (O'Neill) tensor, and the joint mode that
+    gives the realized eigenvalue pairs with lam > 0.  The pairs (b, 0)
+    are the base eigenvalues: a horizontal eigenfunction with lam = 0 is
+    constant along the fibers, hence a pullback.  Rejected: `AllPairs`
+    with |A|^2 != 0, and a table row (b, 0) whose b is not a base
+    eigenvalue."""
 
     fiber: ManifoldDescriptor
     base: ManifoldDescriptor
     a_norm_sq: Fraction = Fraction(0)
     joint_mode: AllPairs | ExplicitJoint = ALL_PAIRS
-    horizontal: SpectrumModel | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_norm_sq", as_rational(self.a_norm_sq))
@@ -129,22 +116,16 @@ class SubmersionFamily:
                 f"total dimension must be at least 3, got {self.m}"
             )
         if self.is_product:
-            if self.a_norm_sq != 0 or self.horizontal is not None:
+            if self.a_norm_sq != 0:
                 raise InvalidArgumentError(
                     "all-pairs joint semantics is product semantics: it needs "
-                    "a_norm_sq = 0 and takes no horizontal spectrum (the base's)")
+                    "a_norm_sq = 0")
             return
-        total = self.joint_mode.total_at_one
         for p in self.joint_mode.pairs:
             if p.fiber == 0 and not contains(self.base.spectrum, p.horizontal):
                 raise InvalidArgumentError(
                     f"joint pair ({p.horizontal}, 0) is a pullback, but "
                     f"{p.horizontal} is not a base eigenvalue"
-                )
-            if total is not None and not contains(total, p.horizontal + p.fiber):
-                raise InvalidArgumentError(
-                    f"joint pair ({p.horizontal}, {p.fiber}) sums to "
-                    f"{p.horizontal + p.fiber}, absent from the declared total spectrum"
                 )
 
     @property
@@ -152,26 +133,8 @@ class SubmersionFamily:
         return self.fiber.dim + self.base.dim
 
     @property
-    def horizontal_spectrum(self) -> SpectrumModel:
-        return self.horizontal if self.horizontal is not None else self.base.spectrum
-
-    @property
     def is_product(self) -> bool:
         return isinstance(self.joint_mode, AllPairs)
-
-
-def _declared_total(joint: ExplicitJoint) -> SpectrumModel:
-    """Spectrum of the unscaled total space as a joint table declares it:
-    its total at t = 1, or failing that the sum-set of its pairs (complete
-    only as far as they reach)."""
-    if joint.total_at_one is not None:
-        return joint.total_at_one
-    sums = {}
-    for p in joint.pairs:
-        v = p.horizontal + p.fiber
-        sums[v] = sums.get(v, 0) + p.multiplicity
-    entries = sorted(sums.items())
-    return explicit_spectrum(entries, entries[-1][0])
 
 
 def scalar_curvature(fam: SubmersionFamily, t):
@@ -313,76 +276,52 @@ def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
     return sorted(groups.values(), key=lambda g: (g[0], isinstance(g[0], float)))
 
 
-def _pullbacks(fam, b_max):
-    """The keyed pairs (b, 0) for the base eigenvalues b <= b_max."""
+def _realized_pairs(fam, b_max, lam_max):
+    """The realized eigenvalue pairs (b, lam) with b <= b_max and
+    lam <= lam_max: the pullbacks (b, 0) from the base spectrum, the pairs
+    with lam > 0 from the joint mode, base x fiber for a product and the
+    table rows otherwise."""
     zero = Fraction(0)
-    return [((be.value, zero), be.value, zero)
-            for be in fam.base.spectrum.entries_below(b_max, include_equal=True)]
-
-
-def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
-    """All degeneracy instants in the window (t_min, t_max], ascending.
-
-    The pullbacks (b, 0) come from the base spectrum, the pairs with
-    lam > 0 from the joint mode: base x fiber for a product, the table rows
-    otherwise.  An instant is horizontal when some witness has lam = 0.
-    Raises `NondiscreteDegeneracyError` when some realized pair makes the
-    degeneracy polynomial vanish identically (the degenerate set is then
-    the whole half line)."""
-    t_min, t_max = _check_window(t_min, t_max)
-    b_max, lam_max = pair_truncation_bounds(fam, t_min, t_max)
-    pairs = _pullbacks(fam, b_max)
+    base = [be.value for be in fam.base.spectrum.entries_below(b_max, include_equal=True)]
+    pairs = [(b, zero) for b in base]
     if fam.is_product:
         fiber = fam.fiber.spectrum.entries_below(lam_max, include_equal=True)
-        vertical = [(b, fe.value) for _, b, _ in pairs for fe in fiber if fe.value > 0]
+        pairs += [(b, fe.value) for b in base for fe in fiber if fe.value > 0]
     else:
-        vertical = [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
-                    if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
-    pairs += [((b, lam), b, lam) for b, lam in vertical]
+        pairs += [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
+                  if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
+    return pairs
+
+
+def _instants(fam, pairs, t_min, t_max):
+    """The degeneracy instants of `pairs` on (t_min, t_max], each witnessed
+    by its pairs; horizontal when some witness has lam = 0."""
     out = []
-    for t, keys in window_roots(fam, pairs, t_min, t_max):
+    for t, keys in window_roots(fam, [(p, *p) for p in pairs], t_min, t_max):
         witnesses = tuple(sorted(set(keys)))
         out.append(DegeneracyInstant(t, witnesses, any(lam == 0 for _, lam in witnesses)))
     return out
 
 
+def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
+    """All degeneracy instants in the window (t_min, t_max], ascending,
+    from the realized pairs up to `pair_truncation_bounds`.  Raises
+    `NondiscreteDegeneracyError` when some realized pair makes the
+    degeneracy polynomial vanish identically (the degenerate set is then
+    the whole half line)."""
+    t_min, t_max = _check_window(t_min, t_max)
+    pairs = _realized_pairs(fam, *pair_truncation_bounds(fam, t_min, t_max))
+    return _instants(fam, pairs, t_min, t_max)
+
+
 def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
     """Degeneracy instants witnessed by pairs (b, 0) with b a nonzero base
-    eigenvalue.  These pairs are realized for every submersion (base
-    eigenfunctions pull back), so no joint mode is needed and the result is
-    valid for arbitrary |A|^2."""
+    eigenvalue, the realized pairs with lam <= 0.  These pairs are realized
+    for every submersion (base eigenfunctions pull back), so no joint mode
+    is needed and the result is valid for arbitrary |A|^2."""
     t_min, t_max = _check_window(t_min, t_max)
     b_max, _ = pair_truncation_bounds(fam, t_min, t_max)
-    return [
-        DegeneracyInstant(t, tuple(sorted(set(keys))), True)
-        for t, keys in window_roots(fam, _pullbacks(fam, b_max), t_min, t_max)
-    ]
-
-
-def b_sequence(fam: SubmersionFamily, count: int):
-    """The `count` largest horizontal degeneracy instants, descending.
-
-    Requires s_g > 0, which makes s(t) strictly decreasing and unbounded
-    near t = 0, so each nonzero base eigenvalue contributes exactly one
-    instant (none in the product case while (m-1) b <= s_h) and larger
-    eigenvalues give smaller instants."""
-    if fam.fiber.scalar_curvature <= 0:
-        raise PreconditionError(
-            "the horizontal instant sequence needs positive fiber scalar curvature"
-        )
-    if not isinstance(count, int) or count < 0:
-        raise InvalidArgumentError("count must be a nonnegative integer")
-    out = []
-    k = 1
-    while len(out) < count:
-        e = fam.base.spectrum.entry(k)
-        k += 1
-        rr = degeneracy_roots(fam, e.value, 0)
-        if not rr.roots:
-            continue
-        assert len(rr.roots) == 1, "s_g > 0 forces a unique positive root per eigenvalue"
-        out.append(rr.roots[0])
-    return out
+    return _instants(fam, _realized_pairs(fam, b_max, 0), t_min, t_max)
 
 
 # --- Morse index and bifurcation certificates -------------------------------
@@ -494,23 +433,19 @@ class NondiscretenessResult:
 
 
 def check_nondiscreteness(fam: SubmersionFamily) -> NondiscretenessResult:
-    """The degenerate set is the whole half line exactly when all four of
-    these hold: |A| = 0; s_h/(m-1) is a horizontal Laplacian eigenvalue;
-    s_g/(m-1) is a fiber eigenvalue; and their (then nonzero) sum is an
-    eigenvalue of the unscaled total space (in a product, by definition)."""
-    if fam.a_norm_sq != 0:
-        return NondiscretenessResult(False, None)
+    """The degenerate set is the whole half line exactly when some realized
+    pair other than the constants (0, 0) makes the degeneracy polynomial
+    vanish identically.  That needs |A| = 0 and the pair
+    (s_h/(m-1), s_g/(m-1)), so the family is nondiscrete exactly when this
+    pair is nonnegative, nonzero and among the realized pairs that the
+    enumeration reads."""
     m1 = fam.m - 1
     b = Fraction(fam.base.scalar_curvature, m1)
     lam = Fraction(fam.fiber.scalar_curvature, m1)
-    if b < 0 or not contains(fam.horizontal_spectrum, b):
-        return NondiscretenessResult(False, None)
-    if lam < 0 or not contains(fam.fiber.spectrum, lam):
-        return NondiscretenessResult(False, None)
-    total = b + lam
-    if total == 0 or not (fam.is_product or contains(_declared_total(fam.joint_mode), total)):
-        return NondiscretenessResult(False, None)
-    return NondiscretenessResult(True, (b, lam))
+    if (fam.a_norm_sq == 0 and b >= 0 and lam >= 0 and b + lam != 0
+            and (b, lam) in _realized_pairs(fam, b, lam)):
+        return NondiscretenessResult(True, (b, lam))
+    return NondiscretenessResult(False, None)
 
 
 def stability_epsilon(fam: SubmersionFamily):
@@ -538,7 +473,8 @@ class RegimeFlags:
     """Which of the known global regimes the family falls into: nonpositive
     base scalar curvature, a genuinely curved submersion (|A| > 0), or the
     product case with the roles of the factors interchanged
-    (lambda_1(base) > s_h/(m-1) > 0)."""
+    (lambda_1(base) > s_h/(m-1) > 0, i.e. no nonzero base eigenvalue up to
+    s_h/(m-1))."""
 
     base_scalar_nonpositive: bool
     oneill_positive: bool
@@ -594,13 +530,12 @@ class ClassificationReport:
 
 
 def _regime_flags(fam):
+    """The regime flags; they read the base spectrum only up to s_h/(m-1),
+    which the nondiscreteness verdict or the enumeration has read."""
     s_h = fam.base.scalar_curvature
-    interchanged = False
-    if fam.is_product and s_h > 0:
-        try:
-            interchanged = first_nonzero(fam.base.spectrum) > Fraction(s_h, fam.m - 1)
-        except IncompleteSpectrumError:
-            interchanged = False
+    interchanged = fam.is_product and s_h > 0 and all(
+        be.value == 0
+        for be in fam.base.spectrum.entries_below(Fraction(s_h, fam.m - 1), include_equal=True))
     return RegimeFlags(
         base_scalar_nonpositive=s_h <= 0,
         oneill_positive=fam.a_norm_sq > 0,
@@ -611,11 +546,12 @@ def _regime_flags(fam):
 def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport:
     """Classify the family on the window (t_min, t_max].
 
-    Enumerates the degenerate set, attempts a bifurcation certificate at
-    every horizontal instant, and reports nondiscreteness as a verdict
-    instead of raising.  Only a joint table's rows with lam > 0 can be
-    missing, so the list is complete for a product or when the first
-    positive fiber eigenvalue exceeds the truncation height `lam_max`."""
+    Reports nondiscreteness as a verdict; otherwise enumerates the
+    degenerate set, which then has no identically vanishing pair, and
+    attempts a bifurcation certificate at every horizontal instant.  Only
+    a joint table's rows with lam > 0 can be missing, so the list is
+    complete for a product or when the first positive fiber eigenvalue
+    exceeds the truncation height `lam_max`."""
     t_min, t_max = _check_window(t_min, t_max)
     try:
         eps = stability_epsilon(fam)
@@ -623,16 +559,12 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
         eps = None
 
     witness = check_nondiscreteness(fam).witness
-    if witness is None:
-        try:
-            instants = enumerate_degeneracy(fam, t_min, t_max)
-        except NondiscreteDegeneracyError as exc:
-            witness = exc.witness
     if witness is not None:
         return ClassificationReport(
             t_min, t_max, True, witness, (), True, eps,
             stability_equality=False, regime=_regime_flags(fam),
         )
+    instants = enumerate_degeneracy(fam, t_min, t_max)
     _, lam_max = pair_truncation_bounds(fam, t_min, t_max)
     complete = fam.is_product or first_nonzero(fam.fiber.spectrum) > lam_max
 

@@ -176,6 +176,23 @@ def brute_force_instants(fam, pairs, t_min, t_max):
     return merged
 
 
+def b_sequence(fam, count):
+    """The `count` largest horizontal degeneracy instants of a flat family
+    with s_g > 0, descending, in closed form: the pair (b, 0) crosses at
+    t = s_g / ((m-1) b - s_h), once for each base eigenvalue b with
+    (m-1) b > s_h, and a larger b gives a smaller t."""
+    assert fam.a_norm_sq == 0 and fam.fiber.scalar_curvature > 0
+    s_h, s_g, m1 = fam.base.scalar_curvature, fam.fiber.scalar_curvature, fam.m - 1
+    out = []
+    k = 1
+    while len(out) < count:
+        b = fam.base.spectrum.entry(k).value
+        k += 1
+        if m1 * b > s_h:
+            out.append(s_g / (m1 * b - s_h))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # oracle: realized eigenvalue pairs of the quaternionic Hopf fibration
 
@@ -335,6 +352,25 @@ def ablated_nondiscrete_families():
             ),
         ),
     }
+
+
+PULLBACK_BASE = {"dim": 2, "scalar_curvature": 4, "spectrum": [[0, 1], [2, 3]],
+                 "complete_below": 10}
+PULLBACK_ROWS = [[0, 0, 1], [0, 1, 2]]
+
+
+def pullback_nondiscrete_family(extra_rows=()):
+    """A flat family with a joint table whose identically vanishing pair is
+    a pullback: base of dim 2 with s_h = 4 and 2 an eigenvalue, fiber
+    S^1(1) with s_g = 0, so (s_h/(m-1), s_g/(m-1)) = (2, 0) is realized
+    although no table row lists it."""
+    base = _explicit("base", PULLBACK_BASE["dim"], PULLBACK_BASE["scalar_curvature"],
+                     PULLBACK_BASE["spectrum"], PULLBACK_BASE["complete_below"])
+    return variation.SubmersionFamily(
+        fiber=cscbif.sphere_manifold(1, Fraction(1)),
+        base=base,
+        joint_mode=variation.ExplicitJoint(PULLBACK_ROWS + list(extra_rows)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cscbif import cli, continuation, galerkin, variation
 from conftest import (
     ACCEPTANCE_LINES,
     ablated_nondiscrete_families,
+    b_sequence,
     brute_force_instants,
 )
 
@@ -62,7 +63,7 @@ def test_product_classification(circle_sphere):
     chk.expect(rep.instants == expected, f"instants {rep.instants[:3]}...")
     chk.expect(rep.horizontal_instants == expected, "horizontal part differs")
     chk.expect(rep.certified_instants == expected, "certified part differs")
-    seq = variation.b_sequence(circle_sphere, 31)
+    seq = b_sequence(circle_sphere, 31)
     chk.expect(
         all(a > b for a, b in zip(seq, seq[1:])), "sequence not strictly decreasing"
     )
@@ -154,7 +155,7 @@ def test_morse_index_jump(circle_sphere):
         variation.morse_index(circle_sphere, 1.1) == 1,
         f"index(1.1) = {variation.morse_index(circle_sphere, 1.1)}",
     )
-    for t_l in variation.b_sequence(circle_sphere, 5):
+    for t_l in b_sequence(circle_sphere, 5):
         cert = variation.certify_bifurcation(circle_sphere, t_l)
         chk.expect(
             cert.index_below != cert.index_above,

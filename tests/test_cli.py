@@ -12,6 +12,8 @@ import yaml
 
 from cscbif import cli
 
+from conftest import PULLBACK_BASE, PULLBACK_ROWS
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 CIRCLE_SPHERE = CONFIG_DIR / "circle_sphere.yaml"
 HOPF = CONFIG_DIR / "hopf.yaml"
@@ -43,9 +45,9 @@ def _small_circle_sphere(tmp_path, **overrides):
 # config parsing and echo
 
 
-# every optional key at once: an explicit manifold without a name, a
-# horizontal spectrum, explicit joint pairs checked against a total
-# spectrum, a YAML float completeness bound and a YAML float window bound
+# every optional key at once: an explicit manifold without a name,
+# explicit joint pairs, a YAML float completeness bound and a YAML float
+# window bound
 SYNTHETIC = {
     "base": {
         "kind": "explicit", "dim": 2, "scalar_curvature": 2,
@@ -55,8 +57,6 @@ SYNTHETIC = {
     "a_norm_sq": "1/2",
     "joint_mode": "explicit",
     "joint_pairs": [[0, 0, 1], [2, 0, 3], [0, 4, 2]],
-    "joint_total_at_one": {"spectrum": [[0, 1], [2, 3], [4, 2]], "complete_below": 4},
-    "horizontal_spectrum": {"spectrum": [[0, 1], [2, 3], [3, 1]], "complete_below": 3},
     "window": {"t_min": 0.05, "t_max": "3/2"},
 }
 
@@ -69,8 +69,6 @@ SYNTHETIC_ECHO = {
     "a_norm_sq": "1/2",
     "joint_mode": "explicit",
     "joint_pairs": [[0, 0, 1], [2, 0, 3], [0, 4, 2]],
-    "joint_total_at_one": {"spectrum": [[0, 1], [2, 3], [4, 2]], "complete_below": 4},
-    "horizontal_spectrum": {"spectrum": [[0, 1], [2, 3], [3, 1]], "complete_below": 3},
     "window": {"t_min": 0.05, "t_max": "3/2"},
 }
 
@@ -191,6 +189,17 @@ MALFORMED = {
         "continuation.direction",
     ),
     "ds-negative": (CIRCLE_SPHERE, lambda d: _put(d, "continuation.ds", -1), "continuation.ds"),
+    # keys the schema no longer has, each in a config it used to accept
+    "removed-joint_total_at_one": (
+        HOPF, lambda d: d.update(joint_pairs=[[0, 0, 1]], joint_total_at_one={
+            "spectrum": [[0, 1]], "complete_below": 1}),
+        None,
+    ),
+    "removed-horizontal_spectrum": (
+        HOPF, lambda d: d.update(horizontal_spectrum={
+            "spectrum": [[0, 1], [16, 5]], "complete_below": 16}),
+        None,
+    ),
 }
 
 
@@ -207,12 +216,9 @@ def test_config_errors_name_their_path(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("edit, where", [
-    # a total spectrum without explicit pairs was ignored and left out of the echo
-    (lambda d: _put(d, "joint_total_at_one", {"spectrum": [[0, 1]], "complete_below": 1}),
-     "joint_total_at_one"),
     # a YAML date as a name reached the report and broke its JSON encoding
     (lambda d: _put(d, "base.name", datetime.date(2020, 1, 1)), "base.name"),
-], ids=["total-without-explicit-pairs", "name-not-a-string"])
+], ids=["name-not-a-string"])
 def test_keys_the_family_cannot_use_are_refused(tmp_path, capsys, edit, where):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(_with(CIRCLE_SPHERE, edit)))
@@ -325,6 +331,26 @@ def test_classify_nondiscrete_verdict(tmp_path):
         "fiber_eigenvalue": "2",
     }
     assert (out / "instants.csv").read_text().splitlines()[1:] == []
+
+
+def test_classify_finds_a_vanishing_pullback_the_table_omits(tmp_path):
+    data = {
+        "base": {"kind": "explicit", **PULLBACK_BASE},
+        "fiber": {"kind": "sphere", "dim": 1, "radius": 1},
+        "joint_mode": "explicit",
+        "joint_pairs": PULLBACK_ROWS,
+        "window": {"t_min": "1/2", "t_max": 2},
+    }
+    path = tmp_path / "pullback.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out = _run(tmp_path, "classify", "--config", str(path))
+    assert code == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["degeneracy_set"] == "(0, inf)"
+    assert results["nondiscrete_witness"] == {
+        "base_eigenvalue": "2",
+        "fiber_eigenvalue": "0",
+    }
 
 
 def test_report_carries_no_environment_traces(tmp_path):

@@ -22,16 +22,17 @@ from cscbif.errors import (
     InvalidArgumentError,
     NondiscreteDegeneracyError,
     NotApplicableError,
-    PreconditionError,
     ZeroScalarCurvatureError,
 )
 
 from conftest import (
     ablated_nondiscrete_families,
+    b_sequence,
     brute_force_instants,
     harmonic_dimension,
     hopf_realized_pairs,
     per_instant_witnesses,
+    pullback_nondiscrete_family,
 )
 
 
@@ -334,14 +335,6 @@ def test_all_pairs_needs_a_flat_integrability_tensor(hopf_family):
         )
 
 
-def test_all_pairs_takes_no_horizontal_spectrum(circle_sphere):
-    extra = cscbif.explicit_spectrum([(0, 1), (1, 2), (2, 1)], 2)
-    with pytest.raises(InvalidArgumentError):
-        variation.SubmersionFamily(
-            fiber=circle_sphere.fiber, base=circle_sphere.base, horizontal=extra
-        )
-
-
 def test_a_pullback_row_must_be_a_base_eigenvalue(hopf_family):
     pairs = hopf_family.joint_mode.pairs + ((20, 0, 1),)
     with pytest.raises(InvalidArgumentError):
@@ -354,27 +347,7 @@ def test_a_pullback_row_must_be_a_base_eigenvalue(hopf_family):
 
 
 # ---------------------------------------------------------------------------
-# the decreasing horizontal sequence and Morse indices
-
-
-def test_b_sequence_circle_sphere(circle_sphere):
-    seq = variation.b_sequence(circle_sphere, 6)
-    assert seq == [Fraction(1, j * j) for j in range(1, 7)]
-    assert all(a > b for a, b in zip(seq, seq[1:]))
-
-
-def test_b_sequence_limit_zero(circle_sphere):
-    seq = variation.b_sequence(circle_sphere, 40)
-    assert seq[-1] < Fraction(1, 1500)
-
-
-def test_b_sequence_needs_positive_fiber_curvature():
-    fam = variation.SubmersionFamily(
-        fiber=cscbif.sphere_manifold(1, Fraction(1)),
-        base=cscbif.sphere_manifold(2, Fraction(1)),
-    )
-    with pytest.raises(PreconditionError):
-        variation.b_sequence(fam, 3)
+# Morse indices
 
 
 def test_morse_index_values(circle_sphere):
@@ -410,7 +383,7 @@ def test_morse_index_zero_for_nonpositive_curvature():
 
 
 def test_morse_index_drops_across_each_instant(circle_sphere):
-    for t_l in variation.b_sequence(circle_sphere, 5):
+    for t_l in b_sequence(circle_sphere, 5):
         below = variation.morse_index(circle_sphere, t_l * Fraction(999, 1000))
         above = variation.morse_index(circle_sphere, t_l * Fraction(1001, 1000))
         assert below > above
@@ -442,7 +415,7 @@ def test_certificate_float_entry_point(circle_sphere):
 
 
 def test_certificates_along_the_sequence(circle_sphere):
-    for t_l in variation.b_sequence(circle_sphere, 5):
+    for t_l in b_sequence(circle_sphere, 5):
         cert = variation.certify_bifurcation(circle_sphere, t_l)
         assert cert.index_below != cert.index_above
         r, s = cert.monotonicity_witness
@@ -520,17 +493,42 @@ def test_single_ablation_restores_discreteness(which):
     assert len(instants) < 40  # finite windowed answer, not a verdict
 
 
-def test_nondiscreteness_equivalent_to_all_positive_pair(nondiscrete_family):
-    fam = nondiscrete_family
-    found = []
-    for be in fam.base.spectrum.entries_below(25):
-        for fe in fam.fiber.spectrum.entries_below(25):
-            if be.value + fe.value == 0:
-                continue
-            if variation.degeneracy_roots(fam, be.value, fe.value).all_positive:
-                found.append((be.value, fe.value))
-    assert found == [(Fraction(2), Fraction(2))]
-    assert variation.check_nondiscreteness(fam).nondiscrete == bool(found)
+@pytest.mark.parametrize("which", [
+    "nondiscrete", "oneill", "base-scalar", "fiber-scalar", "missing-sum", "pullback",
+])
+def test_nondiscreteness_equivalent_to_all_positive_pair(which, nondiscrete_family):
+    expected = {"nondiscrete": [(2, 2)], "pullback": [(2, 0)]}.get(which, [])
+    fam = {
+        "nondiscrete": nondiscrete_family,
+        "pullback": pullback_nondiscrete_family(),
+        **ablated_nondiscrete_families(),
+    }[which]
+    # every pair up to the base table's bound, scanned one by one: base x
+    # fiber for a product, the pullbacks and the table rows otherwise
+    bound = fam.base.spectrum.completeness_bound()
+    base = [be.value for be in fam.base.spectrum.entries_below(bound)]
+    if fam.is_product:
+        pairs = [(b, fe.value) for b in base for fe in fam.fiber.spectrum.entries_below(bound)]
+    else:
+        pairs = [(b, 0) for b in base] + [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs]
+    found = sorted({
+        (b, lam) for b, lam in pairs
+        if b + lam != 0 and variation.degeneracy_roots(fam, b, lam).all_positive
+    })
+    assert found == expected
+    res = variation.check_nondiscreteness(fam)
+    assert res.nondiscrete == bool(found)
+    assert res.witness == (found[0] if found else None)
+
+
+@pytest.mark.parametrize("extra_rows", [(), ([2, 0, 3],)], ids=["table", "redundant-row"])
+def test_classify_finds_a_vanishing_pullback_the_table_omits(extra_rows):
+    rep = variation.classify_window(
+        pullback_nondiscrete_family(extra_rows), Fraction(1, 2), 2)
+    assert rep.nondiscrete
+    assert rep.nondiscrete_witness == (Fraction(2), Fraction(0))
+    assert rep.d_source == "all-positive"
+    assert rep.rows == ()
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +670,30 @@ def test_a_near_pair_keeps_its_irrational_roots_apart_from_an_exact_instant(hopf
 
 
 def test_regime_flags_without_a_tabulated_first_eigenvalue():
-    # s_h > 0 but the base table stops at 0, so lambda_1(base) is unknown
-    # and the interchanged case cannot be claimed
+    # s_h > 0 and the base table stops at 0, but it is complete below
+    # 1 > s_h/(m-1) = 2/3, so lambda_1(base) > 2/3: the interchanged case
     fam = variation.SubmersionFamily(
         fiber=cscbif.sphere_manifold(2, Fraction(1)),
         base=cscbif.explicit_manifold("base", 2, 2, [(0, 1)], 1),
     )
     assert fam.is_product and fam.base.scalar_curvature > 0
-    assert not variation._regime_flags(fam).interchanged_product_case
+    assert variation._regime_flags(fam).interchanged_product_case
+
+
+@pytest.mark.parametrize("entries, interchanged", [
+    ([(0, 1)], True),
+    ([(0, 1), (9, 2)], True),
+    ([(0, 1), (Fraction(4, 3), 2)], False),
+], ids=["constants-only", "far-eigenvalue", "eigenvalue-at-threshold"])
+def test_interchanged_flag_reads_the_base_up_to_the_threshold(entries, interchanged):
+    # s_h = 4, m = 4: the threshold s_h/(m-1) is 4/3, and the table is
+    # complete below 10
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.sphere_manifold(2, Fraction(1)),
+        base=cscbif.explicit_manifold("base", 2, 4, entries, 10),
+    )
+    rep = variation.classify_window(fam, Fraction(1, 2), 2)
+    assert rep.regime.interchanged_product_case is interchanged
 
 
 # ---------------------------------------------------------------------------
