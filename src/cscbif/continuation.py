@@ -25,7 +25,7 @@ with the previous tangent as its last row.
 A horizontal kernel consists of fiber-constant modes, which span the
 fixed-point subspace of the fiber isometries; the residual leaves it
 invariant, so `follow_branch` follows such a branch there, on nb modes
-instead of nb * nf.
+instead of nb * nf, and the restricted reduction solves there too.
 """
 
 from __future__ import annotations
@@ -121,12 +121,32 @@ def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
 # Newton solvers
 
 @dataclass(frozen=True)
+class _Rotation:
+    """The rotation generator R = d/dphi of one circle factor on flat
+    coefficients, an n x n matrix kept as its support: R[rows, cols] = vals."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> _Rotation:
+        rows, cols = np.nonzero(dense)
+        return cls(len(dense), rows, cols, dense[rows, cols])
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """R c, [n]."""
+        return np.bincount(self.rows, self.vals * c[self.cols], minlength=self.n)
+
+
+@dataclass(frozen=True)
 class _Orbit:
     """The rotation orbit of a branch through a cos/sin kernel pair:
-    `gen` is d/dphi of the circle factor on flat coefficients, [n, n], and
-    `phase` the unit orbit direction of the kernel part of the branch, [n]."""
+    `gen` is the rotation generator of the circle factor and `phase` the
+    unit orbit direction of the kernel part of the branch, [n]."""
 
-    gen: np.ndarray
+    gen: _Rotation
     phase: np.ndarray
 
 
@@ -143,8 +163,8 @@ def _circle_generator(factor) -> np.ndarray:
 
 def _rotation_generator(model, bp):
     """Rotation generator of the circle factor whose cos/sin pair spans the
-    kernel of `bp`, [n, n]; None when there is no rotation orbit to fix
-    (no branch point, or a one-mode kernel)."""
+    kernel of `bp`, as its support; None when there is no rotation orbit to
+    fix (no branch point, or a one-mode kernel)."""
     if bp is None or bp.kernel_dim == 1:
         return None
 
@@ -155,9 +175,9 @@ def _rotation_generator(model, bp):
     if bp.kernel_dim == 2:
         (i1, j1), (i2, j2) = sorted(bp.kernel_modes)
         if j1 == j2 and is_pair(model.base, i1, i2):
-            return np.kron(_circle_generator(model.base), np.eye(nf))
+            return _Rotation.from_dense(np.kron(_circle_generator(model.base), np.eye(nf)))
         if i1 == i2 and is_pair(model.fiber, j1, j2):
-            return np.kron(np.eye(nb), _circle_generator(model.fiber))
+            return _Rotation.from_dense(np.kron(np.eye(nb), _circle_generator(model.fiber)))
     raise PreconditionError(
         f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
         "circle-factor frequency; the bordered corrector supports one-mode "
@@ -175,24 +195,31 @@ def _orbit(model, bp, gen, align):
     coords = span @ align
     if np.linalg.norm(coords) <= 1e-12:
         return None
-    phase = gen @ (coords @ span)
+    phase = gen.apply(coords @ span)
     return _Orbit(gen, phase / np.linalg.norm(phase))
 
 
-def _bordered_matrix(model, state, orbit, row, mu=0.0):
-    """The square Jacobian of the bordered system at `state`: unknowns
-    (c, t) and, with an orbit, mu; rows residual + mu gen c, then with an
-    orbit the phase row, then `row` over (c, t)."""
+def _bordered_matrix(model, ev, orbit, row, mu=0.0, out=None):
+    """The square Jacobian of the bordered system at the evaluated state
+    `ev` (a `galerkin.Evaluation`): unknowns (c, t) and, with an orbit, mu;
+    rows residual + mu gen c, then with an orbit the phase row, then `row`
+    over (c, t).  Written into `out` when given and returned; every entry
+    is written, so a buffer reused across Newton steps keeps nothing of an
+    earlier state."""
     n = model.n_modes
     k = 0 if orbit is None else 1
-    mat = np.zeros((n + 1 + k, n + 1 + k))
-    mat[:n, :n] = galerkin.residual_jacobian(model, state)
-    mat[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
+    mat = np.empty((n + 1 + k, n + 1 + k)) if out is None else out
+    state = ev.state
+    galerkin.residual_jacobian(model, state, ev, out=mat[:n, :n])
+    mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
     if orbit is not None:
-        mat[:n, :n] += mu * orbit.gen
-        mat[:n, n + 1] = orbit.gen @ state.coeffs.ravel()
+        gen = orbit.gen
+        mat[gen.rows, gen.cols] += mu * gen.vals
+        mat[:n, n + 1] = gen.apply(state.coeffs.ravel())
         mat[n, :n] = orbit.phase
+        mat[n, n:] = 0.0
     mat[n + k, :n + 1] = row
+    mat[n + k, n + 1:] = 0.0
     return mat
 
 
@@ -207,34 +234,37 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     bordered residual and residual(c, t) alone are both below TOL_NEWTON,
     and returns the state and mu.  Raises NoConvergenceError, whose
     `positivity_boundary` tells whether the line search ever hit the
-    positivity boundary."""
+    positivity boundary.  Each state is evaluated once (`galerkin.Evaluation`)
+    for its residual and the bordered matrix, and one matrix buffer serves
+    every step."""
     n = model.n_modes
     row = np.asarray(row, dtype=float)
     positivity_seen = False
+    mat = np.empty((n + 1, n + 1) if orbit is None else (n + 2, n + 2))
 
     def mu_of(x):
         return 0.0 if orbit is None else float(x[n + 1])
 
     def evaluate(x):
         c = x[:n]
-        st = State(x[n], c.reshape(model.shape))
-        res = galerkin.residual(model, st).ravel()
+        ev = galerkin.Evaluation(model, State(x[n], c.reshape(model.shape)))
+        res = galerkin.residual(model, ev.state, ev).ravel()
         last = row @ x[:n + 1] - target
         if orbit is None:
             full = np.append(res, last)
         else:
-            full = np.concatenate([res + x[n + 1] * (orbit.gen @ c),
+            full = np.concatenate([res + x[n + 1] * orbit.gen.apply(c),
                                    [orbit.phase @ c, last]])
-        return full, st, float(np.linalg.norm(res))
+        return full, ev, float(np.linalg.norm(res))
 
     x = np.append(np.asarray(coeffs, dtype=float).ravel(),
                   [float(t)] if orbit is None else [float(t), 0.0])
-    F, state, plain = evaluate(x)
+    F, ev, plain = evaluate(x)
     norm = float(np.linalg.norm(F))
     for _ in range(MAX_NEWTON_ITER):
         if norm < TOL_NEWTON and plain < TOL_NEWTON:
-            return state, mu_of(x)
-        mat = _bordered_matrix(model, state, orbit, row, mu_of(x))
+            return ev.state, mu_of(x)
+        _bordered_matrix(model, ev, orbit, row, mu_of(x), out=mat)
         try:
             step = np.linalg.solve(mat, -F)
         except np.linalg.LinAlgError as exc:
@@ -246,13 +276,13 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
             cand = x + alpha * step
             if cand[n] > 0:
                 try:
-                    F_new, state_new, plain_new = evaluate(cand)
+                    F_new, ev_new, plain_new = evaluate(cand)
                 except PositivityViolationError:
                     positivity_seen = True
                 else:
                     new_norm = float(np.linalg.norm(F_new))
                     if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < TOL_NEWTON:
-                        x, F, state, plain, norm = cand, F_new, state_new, plain_new, new_norm
+                        x, F, ev, plain, norm = cand, F_new, ev_new, plain_new, new_norm
                         break
             alpha *= 0.5
             if alpha < _MIN_DAMPING:
@@ -371,7 +401,7 @@ def _tangent(model, state, orbit, last_row):
     bordered matrix with `last_row` over (c, t) as its last row and right
     side e_last, so the tangent has a positive component along `last_row`
     (the previous tangent, or the unit offset from u = 1 at the start)."""
-    mat = _bordered_matrix(model, state, orbit, last_row)
+    mat = _bordered_matrix(model, galerkin.Evaluation(model, state), orbit, last_row)
     rhs = np.zeros(len(mat))
     rhs[-1] = 1.0
     try:
@@ -515,21 +545,26 @@ class ReductionResult:
 
 def _complement_solve(model, t, base_coeffs, indices):
     """Newton for the complement-projected equation: find v supported on
-    `indices` (flat) with P residual(base + v) = 0."""
+    `indices` (flat) with P residual(base + v) = 0.  The Jacobian and its
+    complement block are written into two buffers that serve every step."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
+    block = idx[:, None] * n + idx                # flat positions of the block
+    jac, jac_block = np.empty((n, n)), np.empty((len(idx), len(idx)))
     v = np.zeros(len(idx))
     for _ in range(MAX_NEWTON_ITER):
         c = base_coeffs.copy().ravel()
         c[idx] += v
         state = State(t, c.reshape(model.shape))
-        res = galerkin.residual(model, state).ravel()[idx]
+        ev = galerkin.Evaluation(model, state)
+        res = galerkin.residual(model, state, ev).ravel()[idx]
         norm = float(np.linalg.norm(res))
         if norm < TOL_COMPLEMENT:
             return v, norm
-        jac = galerkin.residual_jacobian(model, state)[np.ix_(idx, idx)]
+        galerkin.residual_jacobian(model, state, ev, out=jac)
+        np.take(jac, block, out=jac_block)
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac_block, -res)
         except np.linalg.LinAlgError as exc:
             raise ReductionFailedError(
                 "complement Jacobian is singular; the kernel split is invalid"
@@ -546,9 +581,11 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
     n twice, over the full complement and over the fiber-constant complement
     only, and report the largest disagreement.  Agreement is the discretized
     form of the statement that both reductions produce the same branch, which
-    forces the bifurcating solutions to be fiber-constant.  Both solves stay
-    dense; the smallest `fiber_margin` at the restricted solutions is the
-    premise of their agreement (every fiber block invertible)."""
+    forces the bifurcating solutions to be fiber-constant.  The full solve is
+    dense in `model`; the restricted one runs on `model.fiber_constant`, which
+    the residual leaves invariant, so it is the same equation on nb modes.
+    The smallest `fiber_margin` at the restricted solutions is the premise
+    of their agreement (every fiber block invertible)."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     if not bp.horizontal:
@@ -561,7 +598,7 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
     nb, nf = model.shape
     kernel_flat = [i * nf + j for i, j in bp.kernel_modes]
     full_comp = [k for k in range(model.n_modes) if k not in set(kernel_flat)]
-    fc_comp = [i * nf for i in range(nb) if (i, 0) not in set(bp.kernel_modes)]
+    fc_comp = [i for i in range(nb) if (i, 0) not in set(bp.kernel_modes)]
 
     vecs = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
@@ -583,14 +620,15 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         n_vec = sample_radius * sum(c * v for c, v in zip(coeffs, vecs))
         base = c_triv + n_vec
         vf, rf = _complement_solve(model, bp.t, base, full_comp)
-        vr, rr = _complement_solve(model, bp.t, base, fc_comp)
+        vr, rr = _complement_solve(model.fiber_constant, bp.t,
+                                   base.reshape(model.shape)[:, :1], fc_comp)
         alpha_full = np.zeros(model.n_modes)
         alpha_full[full_comp] = vf
-        alpha_restricted = np.zeros(model.n_modes)
-        alpha_restricted[fc_comp] = vr
+        alpha_restricted = np.zeros(model.shape)
+        alpha_restricted[fc_comp, 0] = vr
         sample = ReductionSample(
             alpha_full=alpha_full.reshape(model.shape),
-            alpha_restricted=alpha_restricted.reshape(model.shape),
+            alpha_restricted=alpha_restricted,
             projected_residual_full=rf,
             projected_residual_restricted=rr,
         )

@@ -299,16 +299,35 @@ def _positive_grid(model, state):
     return g
 
 
-def residual(model: GalerkinModel, state: State) -> np.ndarray:
+class Evaluation:
+    """What `residual`, `residual_jacobian` and `residual_t_derivative`
+    share at one state: its values on the quadrature grid, checked
+    positive, and the projected power u^(p-1), computed on first use.
+    Pass it as `ev` to evaluate the state once for all three."""
+
+    def __init__(self, model: GalerkinModel, state: State):
+        self.model = model
+        self.state = state
+        self.grid = _positive_grid(model, state)
+
+    @cached_property
+    def projected_power(self) -> np.ndarray:
+        return project(self.model, self.grid ** (self.model.p_m - 1.0))
+
+
+def _evaluation(model, state, ev):
+    return Evaluation(model, state) if ev is None else ev
+
+
+def residual(model: GalerkinModel, state: State, ev: Evaluation | None = None) -> np.ndarray:
     """Coefficients of -a_m Lap_{g(t)} u + s(t) (u - u^{p-1}) in the basis.
 
     This is the gradient of `energy` divided by the measure factor t^{k/2};
     at t = 1 it is the gradient exactly."""
-    g = _positive_grid(model, state)
-    power = g ** (model.p_m - 1.0)
+    ev = _evaluation(model, state, ev)
     lam = model.mode_eigenvalues(state.t)
     s_t = model.scalar_curvature(state.t)
-    return model.a_m * lam * state.coeffs + s_t * (state.coeffs - project(model, power))
+    return model.a_m * lam * state.coeffs + s_t * (state.coeffs - ev.projected_power)
 
 
 def energy(model: GalerkinModel, state: State) -> float:
@@ -331,36 +350,41 @@ def linearization_at_one(model: GalerkinModel, t) -> np.ndarray:
     return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
 
 
-def residual_jacobian(model: GalerkinModel, state: State) -> np.ndarray:
+def residual_jacobian(model: GalerkinModel, state: State, ev: Evaluation | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Dense Jacobian of `residual` with respect to the coefficients,
-    [n_modes, n_modes] over row-major mode pairs.
+    [n_modes, n_modes] over row-major mode pairs, written into `out` when
+    given (any [n_modes, n_modes] view, such as a block of a larger matrix)
+    and returned.
 
-    The weighted Gram matrix of the tensor basis factors: contract the
-    fiber products phi_j phi_l with the weight over the fiber nodes first,
-    [nf^2, Mb], then the base products psi_i psi_k over the base nodes,
-    [nb^2, nf^2], and reorder (i, k, j, l) to (i, j), (k, l)."""
-    g = _positive_grid(model, state)
+    The weighted Gram matrix of the tensor basis factors: contract the base
+    products psi_i psi_k with the weight over the base nodes first,
+    [nb^2, Mf], then, one (i, j) row block at a time, with the fiber
+    products phi_j phi_l over the fiber nodes.  The batched product writes
+    the (i, j), (k, l) order straight into `out`, with no reordered copy."""
+    g = _evaluation(model, state, ev).grid
     p = model.p_m
     lam = model.mode_eigenvalues(state.t).ravel()
     s_t = model.scalar_curvature(state.t)
     (nb, nf), n = model.shape, model.n_modes
     base_pairs, fiber_pairs = model.pair_products
-    wpow = -s_t * (p - 1.0) * model.weights2 * g ** (p - 2.0)   # [Mb, Mf]
-    partial = fiber_pairs @ wpow.T                              # [nf^2, Mb]
-    jac = (base_pairs @ partial.T).reshape(nb, nb, nf, nf)
-    jac = jac.transpose(0, 2, 1, 3).reshape(n, n)
+    wpow = -s_t * (p - 1.0) * model.weights2 * g ** (p - 2.0)     # [Mb, Mf]
+    partial = (base_pairs @ wpow).reshape(nb, 1, nb, -1)           # (i, -, k, node)
+    fiber = fiber_pairs.reshape(nf, nf, -1).transpose(0, 2, 1)     # (j, node, l)
+    jac = np.empty((n, n)) if out is None else out
+    np.matmul(partial, fiber, out=jac.reshape(nb, nf, nb, nf, copy=False))
     jac[np.diag_indices(n)] += model.a_m * lam + s_t
     return jac
 
 
-def residual_t_derivative(model: GalerkinModel, state: State) -> np.ndarray:
+def residual_t_derivative(model: GalerkinModel, state: State,
+                          ev: Evaluation | None = None) -> np.ndarray:
     """Partial derivative of `residual` with respect to t at fixed
     coefficients, [nb, nf]."""
-    g = _positive_grid(model, state)
-    power = g ** (model.p_m - 1.0)
+    ev = _evaluation(model, state, ev)
     dlam = -model.fiber.eigenvalues[None, :] / state.t**2
     ds = model.scalar_curvature_dt(state.t)
-    return model.a_m * dlam * state.coeffs + ds * (state.coeffs - project(model, power))
+    return model.a_m * dlam * state.coeffs + ds * (state.coeffs - ev.projected_power)
 
 
 def u_distance(model: GalerkinModel, state: State) -> float:

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from .errors import (
     DegeneratePointError,
+    IncompleteSpectrumError,
     InconclusiveError,
     InvalidArgumentError,
     NondiscreteDegeneracyError,
@@ -448,14 +449,31 @@ def check_nondiscreteness(fam: SubmersionFamily) -> NondiscretenessResult:
     return NondiscretenessResult(False, None)
 
 
+def _first_nonzero_exceeds(spectrum, bound) -> bool:
+    """Whether lambda_1 > bound is proven: by the first positive eigenvalue,
+    or, for a table that lists none, by a completeness bound at or above
+    `bound` (every positive eigenvalue lies beyond it)."""
+    try:
+        return first_nonzero(spectrum) > bound
+    except IncompleteSpectrumError:
+        return spectrum.completeness_bound() >= bound
+
+
 def stability_epsilon(fam: SubmersionFamily):
     """Right endpoint of the window (0, eps) on which every degeneracy is
     horizontal and bifurcating solutions are constant along fibers:
     eps = ((m-1) lam_1 - s_g) / s_h for s_h > 0 and +inf otherwise, where
     lam_1 is the first positive fiber eigenvalue.  Needs the strict gap
-    lam_1 > s_g / (m-1)."""
+    lam_1 > s_g / (m-1), and lam_1 itself: a fiber table with no positive
+    row gives no window."""
     m1 = fam.m - 1
-    lam1 = first_nonzero(fam.fiber.spectrum)
+    try:
+        lam1 = first_nonzero(fam.fiber.spectrum)
+    except IncompleteSpectrumError as exc:
+        raise NotApplicableError(
+            "no positive fiber eigenvalue is tabulated; the stability window "
+            "needs the first one"
+        ) from exc
     if not lam1 > Fraction(fam.fiber.scalar_curvature, m1):
         raise NotApplicableError(
             "first positive fiber eigenvalue does not clear s_g/(m-1); no "
@@ -551,7 +569,7 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
     attempts a bifurcation certificate at every horizontal instant.  Only
     a joint table's rows with lam > 0 can be missing, so the list is
     complete for a product or when the first positive fiber eigenvalue
-    exceeds the truncation height `lam_max`."""
+    provably exceeds the truncation height `lam_max`."""
     t_min, t_max = _check_window(t_min, t_max)
     try:
         eps = stability_epsilon(fam)
@@ -566,7 +584,7 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
         )
     instants = enumerate_degeneracy(fam, t_min, t_max)
     _, lam_max = pair_truncation_bounds(fam, t_min, t_max)
-    complete = fam.is_product or first_nonzero(fam.fiber.spectrum) > lam_max
+    complete = fam.is_product or _first_nonzero_exceeds(fam.fiber.spectrum, lam_max)
 
     certified = [inst.t for inst in instants if inst.horizontal]
     if certified:

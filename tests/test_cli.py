@@ -288,6 +288,30 @@ def test_classify_hopf(tmp_path):
     assert all(r["fiber_constancy_guaranteed"] for r in rows)
 
 
+def test_classify_fiber_table_without_a_positive_row(tmp_path):
+    # the table lists only the constants but is complete below 100, so
+    # lambda_1 > 100: the list is complete, and eps (which needs the value
+    # of lambda_1) is null
+    path = tmp_path / "family.yaml"
+    path.write_text(yaml.safe_dump({
+        "base": {"kind": "sphere", "dim": 2, "radius": 1},
+        "fiber": {"kind": "explicit", "dim": 2, "scalar_curvature": 2,
+                  "spectrum": [[0, 1]], "complete_below": 100},
+        "a_norm_sq": 0,
+        "joint_mode": "explicit",
+        "joint_pairs": [[0, 0, 1]],
+        "window": {"t_min": "1/4", "t_max": 2},
+    }))
+    code, out = _run(tmp_path, "classify", "--config", str(path))
+    assert code == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["degeneracy_complete"] is True
+    assert results["epsilon"] is None
+    assert (out / "instants.csv").read_text().splitlines()[1:] == [
+        "1/2,2:0,true,true,false"
+    ]
+
+
 def test_classify_hopf_wide_window_lists_every_pullback(tmp_path):
     # the shipped table stops at b = 280, but the pullbacks come from the
     # base spectrum up to b_max = 1008; past eps = 1/4 the table's vertical

@@ -213,6 +213,43 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     assert galerkin.u_distance(cs_model, state) > 1e-3
 
 
+def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
+    # oracle: a fresh zero matrix with the dense generator, filled block by
+    # block; a NaN-filled buffer shows any entry the assembly leaves out,
+    # and reusing it at a second state shows any entry kept from the first
+    model, bp = cs_model, cs_branch_point
+    n, nf = model.n_modes, model.shape[1]
+    gen = np.kron(continuation._circle_generator(model.base), np.eye(nf))
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    vecs = continuation.kernel_vectors(model, bp).reshape(2, -1)
+    n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
+    orbit = continuation._orbit(model, bp, continuation._rotation_generator(model, bp), n_hat)
+    rng = np.random.default_rng(5)
+    row = rng.standard_normal(n + 1)
+
+    def dense(state, mu):
+        mat = np.zeros((n + 2, n + 2))
+        mat[:n, :n] = galerkin.residual_jacobian(model, state) + mu * gen
+        mat[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
+        mat[:n, n + 1] = gen @ state.coeffs.ravel()
+        mat[n, :n] = orbit.phase
+        mat[n + 1, :n + 1] = row
+        return mat
+
+    a = galerkin.State(bp.t, (c_triv + 1e-2 * n_hat).reshape(model.shape))
+    b = galerkin.State(0.9, (c_triv + 1e-2 * rng.standard_normal(n)).reshape(model.shape))
+    buf = np.full((n + 2, n + 2), np.nan)
+    continuation._bordered_matrix(model, galerkin.Evaluation(model, a), orbit, row, 0.3,
+                                  out=buf)
+    assert np.array_equal(buf, dense(a, 0.3))
+    got = continuation._bordered_matrix(model, galerkin.Evaluation(model, b), orbit, row,
+                                        -0.7, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, dense(b, -0.7))
+    fresh = continuation._bordered_matrix(model, galerkin.Evaluation(model, b), orbit, row, -0.7)
+    assert np.array_equal(buf, fresh)
+
+
 @pytest.mark.parametrize("which", ["base", "fiber"])
 def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_point,
                                                     mixed_model):
@@ -224,9 +261,12 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
     state = continuation.switch_branch(model, bp, 1e-2)
-    gen = continuation._rotation_generator(model, bp)
+    rot = continuation._rotation_generator(model, bp)
+    gen = np.zeros((model.n_modes, model.n_modes))
+    gen[rot.rows, rot.cols] = rot.vals
     assert np.array_equal(gen, -gen.T)
     orbit_dir = gen @ state.coeffs.ravel()
+    assert np.array_equal(rot.apply(state.coeffs.ravel()), orbit_dir)
     jac = galerkin.residual_jacobian(model, state)
     assert np.linalg.norm(orbit_dir) > 1e-3
     assert np.linalg.norm(jac @ orbit_dir) <= 1e-9 * np.linalg.norm(orbit_dir)
@@ -452,6 +492,75 @@ def test_reduction_discrepancy_is_tiny(cs_model, cs_branch_point):
         assert sample.projected_residual_full < 1e-9
         assert sample.projected_residual_restricted < 1e-9
         assert sample.difference <= res.discrepancy + 1e-18
+
+
+def _oracle_complement_solve(model, t, base, idx):
+    """The complement Newton on the full model's Jacobian sliced to `idx`."""
+    v = np.zeros(len(idx))
+    for _ in range(continuation.MAX_NEWTON_ITER):
+        c = base.copy()
+        c[idx] += v
+        state = galerkin.State(t, c.reshape(model.shape))
+        res = galerkin.residual(model, state).ravel()[idx]
+        if np.linalg.norm(res) < continuation.TOL_COMPLEMENT:
+            return v
+        v = v - np.linalg.solve(galerkin.residual_jacobian(model, state)[np.ix_(idx, idx)], res)
+    raise AssertionError("oracle complement solve did not converge")
+
+
+@pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
+    # the restricted solve runs on model.fiber_constant; the residual leaves
+    # the fiber-constant subspace invariant, so it is the equation the full
+    # model's sliced Jacobian solves (observed: Jacobians 3e-16 relative,
+    # solutions 3e-15 at t = 1/225 and 9e-16 at t = 1)
+    model = cs_model
+    bp = continuation.detect_branch_points(model, Fraction(1, 1000), 2)[which]
+    nb, nf = model.shape
+    fc = [i for i in range(nb) if (i, 0) not in set(bp.kernel_modes)]
+    fc_flat = [i * nf for i in fc]
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    base = galerkin.constant_state(model, bp.t).coeffs.ravel() + 1e-2 * vecs[0]
+
+    state = galerkin.State(bp.t, base.reshape(model.shape))
+    jac = galerkin.residual_jacobian(model, state)[np.ix_(fc_flat, fc_flat)]
+    sub = galerkin.residual_jacobian(
+        model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1]))[np.ix_(fc, fc)]
+    assert np.abs(sub - jac).max() <= 1e-12 * np.abs(jac).max()
+
+    v, res = continuation._complement_solve(model.fiber_constant, bp.t,
+                                            state.coeffs[:, :1], fc)
+    assert res < continuation.TOL_COMPLEMENT
+    assert np.abs(v - _oracle_complement_solve(model, bp.t, base, fc_flat)).max() <= 1e-12
+
+
+def test_trials_and_the_full_complement_take_dense_jacobians(cs_model, cs_branch_point,
+                                                             monkeypatch):
+    # the falsification channel stays dense: every Jacobian of the trials,
+    # and of the full-complement solve, is [n_modes, n_modes] of the model
+    # itself; only the restricted solve and the margin use the subspace
+    model = cs_model
+    n, nb = model.n_modes, model.shape[0]
+    seen = []
+    original = galerkin.residual_jacobian
+
+    def counting(m, state, *args, **kwargs):
+        jac = original(m, state, *args, **kwargs)
+        seen.append((m, jac.shape))
+        return jac
+
+    monkeypatch.setattr(galerkin, "residual_jacobian", counting)
+    continuation.verify_fiber_constancy(model, cs_branch_point, trials=3, seed=0)
+    assert len(seen) >= 3
+    assert all(m is model and shape == (n, n) for m, shape in seen)
+
+    seen.clear()
+    continuation.lyapunov_schmidt_reduce(model, cs_branch_point, 1e-2, 2)
+    full = [shape for m, shape in seen if m is model]
+    restricted = [(m, shape) for m, shape in seen if m is not model]
+    assert len(full) >= 2 and all(shape == (n, n) for shape in full)
+    assert len(restricted) >= 4     # a restricted solve and a margin per sample
+    assert all(m is model.fiber_constant and shape == (nb, nb) for m, shape in restricted)
 
 
 def test_reduction_needs_horizontal_kernel(mixed_model):

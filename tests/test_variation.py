@@ -696,6 +696,25 @@ def test_interchanged_flag_reads_the_base_up_to_the_threshold(entries, interchan
     assert rep.regime.interchanged_product_case is interchanged
 
 
+def test_fiber_table_without_a_positive_row_is_classified():
+    # the fiber table lists only the constants but is complete below 100:
+    # lambda_1 > 100 > lam_max makes the list complete; eps needs the value
+    # of lambda_1, so there is no stability window
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.explicit_manifold("f", 2, 2, [(0, 1)], 100),
+        base=cscbif.sphere_manifold(2, Fraction(1)),
+        joint_mode=variation.ExplicitJoint([(0, 0, 1)]),
+    )
+    _, lam_max = variation.pair_truncation_bounds(fam, Fraction(1, 4), 2)
+    assert lam_max <= 100
+    rep = variation.classify_window(fam, Fraction(1, 4), 2)
+    assert rep.d_complete is True
+    assert rep.epsilon is None and not rep.stability_equality
+    assert rep.instants == (Fraction(1, 2),)      # the pullback b = 2: (3b - 2) t = 2
+    with pytest.raises(NotApplicableError):
+        variation.stability_epsilon(fam)
+
+
 # ---------------------------------------------------------------------------
 # properties over random product families
 
