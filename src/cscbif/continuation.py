@@ -60,8 +60,9 @@ DISCREPANCY_BOUND = 1e-8     # largest reduction discrepancy that counts as agre
 FIBER_FRACTION_BOUND = 1e-8  # a trial solution at or above this fiber fraction violates
 
 
-def residual_norm(model: GalerkinModel, state: State) -> float:
-    return float(np.linalg.norm(galerkin.residual(model, state)))
+def residual_norm(model: GalerkinModel, state: State,
+                  ev: galerkin.Evaluation | None = None) -> float:
+    return float(np.linalg.norm(galerkin.residual(model, state, ev)))
 
 
 def _fraction_or_zero(state: State) -> float:
@@ -232,11 +233,11 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     the kernel span, orthogonal to the constant, so it reads
     <phase, c - c_triv> = 0).  Each step is one dense solve.  Stops when the
     bordered residual and residual(c, t) alone are both below TOL_NEWTON,
-    and returns the state and mu.  Raises NoConvergenceError, whose
-    `positivity_boundary` tells whether the line search ever hit the
-    positivity boundary.  Each state is evaluated once (`galerkin.Evaluation`)
-    for its residual and the bordered matrix, and one matrix buffer serves
-    every step."""
+    and returns the converged evaluation (its `.state` is the solution) and
+    mu.  Raises NoConvergenceError, whose `positivity_boundary` tells whether
+    the line search ever hit the positivity boundary.  Each state is
+    evaluated once (`galerkin.Evaluation`) for its residual and the bordered
+    matrix, and one matrix buffer serves every step."""
     n = model.n_modes
     row = np.asarray(row, dtype=float)
     positivity_seen = False
@@ -263,7 +264,7 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     norm = float(np.linalg.norm(F))
     for _ in range(MAX_NEWTON_ITER):
         if norm < TOL_NEWTON and plain < TOL_NEWTON:
-            return ev.state, mu_of(x)
+            return ev, mu_of(x)
         _bordered_matrix(model, ev, orbit, row, mu_of(x), out=mat)
         try:
             step = np.linalg.solve(mat, -F)
@@ -301,8 +302,8 @@ def newton_solve(model: GalerkinModel, t, initial: State) -> State:
     t = t and no orbit.  The initial state must be positive on the grid;
     every iterate stays positive."""
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    state, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
-    return state
+    ev, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
+    return ev.state
 
 
 def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
@@ -310,9 +311,9 @@ def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
     `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
     phase along n_hat, and solve from `start` at t = bp.t."""
     orbit = _orbit(model, bp, gen, n_hat)
-    state, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
-                               n_hat @ c_triv + amplitude)
-    return state
+    ev, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
+                            n_hat @ c_triv + amplitude)
+    return ev.state
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +397,19 @@ class Branch:
         return np.array([s.u_distance for s in self.samples])
 
 
-def _tangent(model, state, orbit, last_row):
-    """Unit tangent (dc, dt) of the branch at a solution: one solve of the
+def _tangent(model, ev, orbit, last_row):
+    """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
+    (a `galerkin.Evaluation`, as the corrector returns it): one solve of the
     bordered matrix with `last_row` over (c, t) as its last row and right
     side e_last, so the tangent has a positive component along `last_row`
     (the previous tangent, or the unit offset from u = 1 at the start)."""
-    mat = _bordered_matrix(model, galerkin.Evaluation(model, state), orbit, last_row)
+    mat = _bordered_matrix(model, ev, orbit, last_row)
     rhs = np.zeros(len(mat))
     rhs[-1] = 1.0
     try:
         v = np.linalg.solve(mat, rhs)[:model.n_modes + 1]
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"singular tangent system at t = {state.t}") from exc
+        raise NoConvergenceError(f"singular tangent system at t = {ev.state.t}") from exc
     return v / np.linalg.norm(v)
 
 
@@ -428,7 +430,8 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
         raise InvalidArgumentError(f"need steps >= 1, got {steps}")
     if direction not in (1, -1):
         raise InvalidArgumentError(f"direction must be +1 or -1, got {direction!r}")
-    if residual_norm(model, start) > 10 * TOL_NEWTON:
+    start_ev = galerkin.Evaluation(model, start)
+    if residual_norm(model, start, start_ev) > 10 * TOL_NEWTON:
         raise PreconditionError("start state does not satisfy the residual tolerance")
 
     c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
@@ -441,14 +444,14 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
                  else np.append(offset, 1.0))
     x = np.concatenate([start.coeffs.ravel(), [start.t]])
-    v = direction * _tangent(model, start, orbit, first_row)
+    v = direction * _tangent(model, start_ev, orbit, first_row)
 
     samples = [BranchSample(model, start)]
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
         try:
-            state, _ = _solve_bordered(
+            ev, _ = _solve_bordered(
                 model, x_pred[:-1], x_pred[-1], orbit, v, float(v @ x_pred)
             )
         except (NoConvergenceError, PositivityViolationError) as exc:
@@ -460,12 +463,13 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
                             or exc.positivity_boundary)
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
+        state = ev.state
         sample = BranchSample(model, state)
         if (sample.u_distance - samples[-1].u_distance) * direction < 0:
             reason = "turnaround"
             break
         x = np.concatenate([state.coeffs.ravel(), [state.t]])
-        v = _tangent(model, state, orbit, v)
+        v = _tangent(model, ev, orbit, v)
         samples.append(sample)
     return Branch(tuple(samples), origin, reason)
 

@@ -11,8 +11,10 @@ bound below which its table is exhaustive and refuses enumeration past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import IncompleteSpectrumError, InvalidArgumentError
 from .rationals import as_rational
@@ -64,6 +66,13 @@ class SpectrumModel:
             )
 
 
+def _cut(entries, bound, include_equal):
+    """The prefix of the strictly ascending `entries` with value < bound
+    (<= bound with `include_equal`), found by bisection on the exact values."""
+    cut = bisect_right if include_equal else bisect_left
+    return entries[:cut(entries, bound, key=attrgetter("value"))]
+
+
 @dataclass(frozen=True)
 class SphereSpectrum(SpectrumModel):
     """Spectrum of the round sphere of dimension `dim` and radius `radius`.
@@ -72,10 +81,14 @@ class SphereSpectrum(SpectrumModel):
     dim >= 2 the multiplicity is the dimension of the degree-k spherical
     harmonics, C(dim + k, k) - C(dim + k - 2, k - 2); the circle is
     special-cased with multiplicity 2 for every k >= 1.
+
+    Each instance enumerates its entries once: `entries_below` extends the
+    prefix built so far only when asked past its end, then cuts it.
     """
 
     dim: int
     radius: Fraction
+    _built: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -99,14 +112,10 @@ class SphereSpectrum(SpectrumModel):
         return math.comb(self.dim + k, k) - lower
 
     def entries_below(self, bound, include_equal=False):
-        out = []
-        k = 0
-        while True:
-            e = self.entry(k)
-            if e.value > bound or (e.value == bound and not include_equal):
-                return out
-            out.append(e)
-            k += 1
+        built = self._built
+        while not built or built[-1].value < bound:
+            built.append(self.entry(len(built)))
+        return _cut(built, bound, include_equal)
 
 
 @dataclass(frozen=True)
@@ -151,9 +160,7 @@ class ExplicitSpectrum(SpectrumModel):
 
     def entries_below(self, bound, include_equal=False):
         self._check_enumerable(bound)
-        if include_equal:
-            return [e for e in self.entries if e.value <= bound]
-        return [e for e in self.entries if e.value < bound]
+        return list(_cut(self.entries, bound, include_equal))
 
 
 @dataclass(frozen=True)
@@ -238,10 +245,11 @@ def count_strictly_below(spectrum: SpectrumModel, x) -> int:
 
 
 def contains(spectrum: SpectrumModel, x) -> bool:
-    """Exact membership of x in the spectrum."""
+    """Exact membership of x in the spectrum: the last entry up to x is x."""
     if x < 0:
         return False
-    return any(e.value == x for e in spectrum.entries_below(x, include_equal=True))
+    below = spectrum.entries_below(x, include_equal=True)
+    return bool(below) and below[-1].value == x
 
 
 def first_nonzero(spectrum: SpectrumModel) -> Fraction:

@@ -179,7 +179,8 @@ def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point)
     gen = continuation._rotation_generator(cs_model, cs_branch_point)
     orbit = continuation._orbit(cs_model, cs_branch_point, gen, offset)
     unit = offset / np.linalg.norm(offset)
-    v = continuation._tangent(cs_model, state, orbit, np.append(unit, 0.0))
+    v = continuation._tangent(cs_model, galerkin.Evaluation(cs_model, state), orbit,
+                              np.append(unit, 0.0))
 
     # oracle: the null vector of the extended Jacobian whose extra row fixes
     # the phase, the kernel-span direction orthogonal to the offset's kernel part
@@ -204,10 +205,11 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
     gen = continuation._rotation_generator(cs_model, cs_branch_point)
     orbit = continuation._orbit(cs_model, cs_branch_point, gen, n_hat)
-    state, mu = continuation._solve_bordered(
+    ev, mu = continuation._solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
     )
+    state = ev.state
     assert abs(mu) <= 1e-10
     assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state) > 1e-3
@@ -389,6 +391,25 @@ def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
     for sa, sb in zip(a.samples, b.samples):
         assert np.array_equal(sa.state.coeffs, sb.state.coeffs)
         assert sa.energy == sb.energy
+
+
+def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monkeypatch):
+    # the corrector hands its converged evaluation to the tangent, and the
+    # start's residual check and first tangent share one, so no state of a
+    # run is put on the quadrature grid twice
+    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    evaluated = []     # the states themselves, so no id is reused in the run
+
+    class Counting(galerkin.Evaluation):
+        def __init__(self, model, state):
+            evaluated.append(state)
+            super().__init__(model, state)
+
+    monkeypatch.setattr(galerkin, "Evaluation", Counting)
+    br = continuation.continue_branch(cs_model, start, -1, 5, 4e-4, origin=cs_branch_point)
+    assert len(br) == 6
+    assert any(s is start for s in evaluated)
+    assert len({id(s) for s in evaluated}) == len(evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Exact spectrum enumeration against independent counting oracles."""
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from cscbif import (
     sphere_manifold,
     sphere_spectrum,
 )
+from cscbif import cli
+from cscbif.spectra import SphereSpectrum
 
 from conftest import brute_force_product, harmonic_dimension
 
@@ -95,8 +99,15 @@ def test_explicit_entry_and_bound():
 
 def test_explicit_enumeration_past_bound_raises():
     spec = explicit_spectrum([(0, 1), (2, 2)], 5)
+    assert [e.value for e in spec.entries_below(5, include_equal=True)] == [0, 2]
+    assert not contains(spec, 5)
+    assert count_strictly_below(spec, 5) == 3
     with pytest.raises(IncompleteSpectrumError):
         spec.entries_below(6)
+    with pytest.raises(IncompleteSpectrumError):
+        contains(spec, Fraction(11, 2))
+    with pytest.raises(IncompleteSpectrumError):
+        count_strictly_below(spec, Fraction(11, 2))
     with pytest.raises(IncompleteSpectrumError):
         spec.entry(2)
 
@@ -260,3 +271,86 @@ def test_product_count_matches_double_sum(na, nb, x):
             if ea.value + eb.value < x:
                 total += ea.multiplicity * eb.multiplicity
     assert direct == total
+
+
+# ---------------------------------------------------------------------------
+# the memoized sphere enumeration
+
+
+def _walk(spec, bound, include_equal):
+    """Brute force: entry(k) for k = 0, 1, ... up to the bound."""
+    out, k = [], 0
+    while True:
+        e = spec.entry(k)
+        if e.value > bound or (e.value == bound and not include_equal):
+            return out
+        out.append(e)
+        k += 1
+
+
+@st.composite
+def shuffled_scans(draw):
+    """A sphere and a shuffled sequence of (bound, include_equal): its exact
+    eigenvalues, the midpoints between them, 0 and two negative values."""
+    n = draw(st.integers(1, 5))
+    radius = draw(small_fraction)
+    values = [Fraction(k * (k + n - 1)) / radius**2 for k in range(7)]
+    bounds = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
+    bounds += [Fraction(-1), Fraction(-1, 7)]
+    bounds = draw(st.permutations(bounds))
+    flags = draw(st.lists(st.booleans(), min_size=len(bounds), max_size=len(bounds)))
+    return n, radius, list(zip(bounds, flags))
+
+
+@given(scan=shuffled_scans())
+@settings(max_examples=60, deadline=None)
+def test_memoized_scans_match_fresh_ones_and_the_entry_walk(scan):
+    n, radius, requests = scan
+    spec = sphere_spectrum(n, radius)
+    for bound, include_equal in requests:
+        got = spec.entries_below(bound, include_equal=include_equal)
+        assert got == sphere_spectrum(n, radius).entries_below(bound, include_equal)
+        assert got == _walk(sphere_spectrum(n, radius), bound, include_equal)
+    # the memo is invisible to equality, hashing and repr
+    twin = SphereSpectrum(n, radius)
+    assert spec == twin
+    assert hash(spec) == hash(twin)
+    assert repr(spec) == repr(twin)
+
+
+def test_deep_classify_enumerates_the_sphere_once(tmp_path, monkeypatch):
+    # 99 instants, each certified with two Morse indices: the base S1(1/2)
+    # spectrum is walked once per run instead of once per scan
+    calls = []
+    original = SphereSpectrum.entry
+
+    def counting(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(SphereSpectrum, "entry", counting)
+    config = Path(__file__).resolve().parent.parent / "scripts/configs/circle_sphere.yaml"
+    code = cli.main(["classify", "--config", str(config), "--window", "1/10000..2",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) <= 250
+
+
+@pytest.mark.parametrize("x,member,below", [
+    (Fraction(6), True, 4),                      # exact eigenvalue
+    (Fraction(6) - Fraction(1, 10**9), False, 4),
+    (Fraction(6) + Fraction(1, 10**9), False, 9),
+    (math.nextafter(6.0, 0.0), False, 4),          # a float, at its exact value
+    (math.nextafter(6.0, 7.0), False, 9),
+    (Fraction(0), True, 0),
+    (Fraction(-1, 3), False, 0),
+])
+def test_contains_and_count_at_the_edges(x, member, below):
+    # S2(1): 0, 2, 6, 12 with multiplicities 1, 3, 5, 7; a scanned memo and
+    # a fresh spectrum answer alike
+    scanned = sphere_spectrum(2, Fraction(1))
+    scanned.entries_below(100)
+    for spec in (scanned, sphere_spectrum(2, Fraction(1))):
+        assert contains(spec, x) is member
+        assert count_strictly_below(spec, x) == below
+
