@@ -399,7 +399,6 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
             "certificate": None if cert is None else {
                 "index_below": cert.index_below,
                 "index_above": cert.index_above,
-                "monotonicity_witness": [fmt_number(v) for v in cert.monotonicity_witness],
             },
             "certify_error": row.certify_error,
             "fiber_constancy_guaranteed": row.fiber_constancy_guaranteed,

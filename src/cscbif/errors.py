@@ -55,8 +55,10 @@ class ZeroScalarCurvatureError(CscbifError):
 
 
 class InconclusiveError(CscbifError):
-    """The bifurcation test ran but could not decide (index unchanged or
-    the scalar-curvature sign change fails across the candidate point)."""
+    """The bifurcation test ran but could not decide: the candidate point
+    is a double root of its crossing polynomial, or the two roots of an
+    irrational pair round to one double, so the Morse index jump cannot be
+    placed."""
 
 
 class UnsupportedGeometryError(CscbifError):

@@ -23,13 +23,12 @@ Everything in this module is exact rational arithmetic and uses no float
 tolerance.  Irrational quadratic roots are floats.  All pair polynomials
 share the leading coefficient |A|^2, so two different pairs share a root
 only when it is rational, and a float root groups only with the bitwise
-identical roots of its own pair.  A float t enters the Morse index and the
-certificates by its exact binary value.
+identical roots of its own pair.  A float t enters the Morse index by its
+exact binary value, and a certificate at a float instant by its root's branch.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -346,30 +345,26 @@ def morse_index(fam: SubmersionFamily, t) -> int:
 @dataclass(frozen=True)
 class BifurcationCertificate:
     """Evidence that nonconstant solutions branch off the constant one at
-    `t_star`: the crossing base eigenvalue, the Morse indices at the two
-    witness parameters r < t_star < s (taken inside the gaps to the
-    neighboring horizontal instants), and the witnesses themselves.  The
-    indices differ and s(t) - s(t_star) changes sign between them."""
+    the horizontal instant `t_star`: the crossing base eigenvalue b and the
+    Morse indices just below and just above t_star, which are
+    #{base eigenvalues < b} and #{<= b} in some order."""
 
     t_star: object
     base_eigenvalue: Fraction
     index_below: int
     index_above: int
-    monotonicity_witness: tuple
 
 
 def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate:
     """Certify symmetry-breaking bifurcation at the horizontal degeneracy
-    instant `t_star` through a Morse index jump between nondegenerate
-    parameters on either side, plus the scalar-curvature sign change that
-    pins the crossing to t_star.
+    instant `t_star` through the jump of the Morse index across it.
 
-    A rational t_star is checked in this order: zero scalar curvature, then
-    exact membership of s(t_star)/(m-1) in the base spectrum, then the
-    enumeration of the horizontal instants on (t_star/4, 4 t_star].  A float
-    t_star is an instant only if it equals, as its exact binary value, an
-    instant of that enumeration: a rational one or the very float the
-    enumeration produced.  The crossing comes from that instant's witness."""
+    Zero scalar curvature is refused first.  A rational t_star crosses at
+    b = s(t_star)/(m-1), which must be a base eigenvalue.  A float t_star
+    is an instant only if it equals, as its exact binary value, an instant
+    of the horizontal enumeration on (t_star/4, 4 t_star]: a rational one
+    or the very float the enumeration produced.  Its b comes from that
+    instant's witness."""
     if not isinstance(t_star, float):
         t_star = as_rational(t_star)
     if not t_star > 0:
@@ -379,50 +374,56 @@ def certify_bifurcation(fam: SubmersionFamily, t_star) -> BifurcationCertificate
         raise ZeroScalarCurvatureError(
             f"scalar curvature vanishes at t = {t_star}; the criterion needs a sign"
         )
-    not_an_instant = NotApplicableError(
-        f"t = {t_star} is not a horizontal degeneracy instant of this family"
-    )
-    if isinstance(t_star, Fraction) and not contains(fam.base.spectrum, s_star / (fam.m - 1)):
-        raise not_an_instant
-    instants = enumerate_horizontal_degeneracy(fam, t_star / 4, 4 * t_star)
-    match = next((i for i in instants if i.t == t_star), None)
-    if match is None:
-        raise not_an_instant
-    (crossing, _), = match.witnesses
-    return _certify(fam, t_star, crossing, [i.t for i in instants])
+    crossing = s_star / (fam.m - 1)
+    if isinstance(t_star, float):
+        instants = enumerate_horizontal_degeneracy(fam, t_star / 4, 4 * t_star)
+        match = next((i for i in instants if i.t == t_star), None)
+        # with no match s(t_star)/(m-1) is no base eigenvalue: `_certify` refuses it
+        if match is not None:
+            (crossing, _), = match.witnesses
+    return _certify(fam, t_star, crossing)
 
 
-def _certify(fam, t_star, crossing, horizontal) -> BifurcationCertificate:
-    """The certificate at the horizontal instant `t_star` whose witness is
-    (crossing, 0), so that s(t_star) = (m-1) crossing exactly.  `horizontal`
-    is an ascending list of horizontal instants covering
-    (t_star/4, 4 t_star] and holding t_star itself; the Morse witnesses lie
-    halfway to its neighbours there, or to that end of the range where no
-    instant lies between.  A witness next to a float instant is a float;
-    the sign change and the indices are decided at its exact value."""
-    s_star = (fam.m - 1) * crossing
-    lo, hi = t_star / 4, 4 * t_star
-    idx = bisect.bisect_left(horizontal, t_star)
-    assert horizontal[idx] == t_star, "t_star is one of the horizontal instants"
-    # max/min return their first argument on a tie: lo is excluded, hi included
-    prev_t = max(lo, horizontal[idx - 1]) if idx > 0 else lo
-    next_t = min(horizontal[idx + 1], hi) if idx + 1 < len(horizontal) else hi
-    r = (prev_t + t_star) / 2
-    s = (t_star + next_t) / 2
-
-    key = (scalar_curvature(fam, r) - s_star) * (scalar_curvature(fam, s) - s_star)
-    if not key < 0:
-        raise InconclusiveError(
-            "scalar curvature does not change sign around t_star relative to "
-            f"s(t_star); witness product {key} >= 0"
+def _certify(fam, t_star, crossing) -> BifurcationCertificate:
+    """The certificate at `t_star`, a positive root of the crossing
+    polynomial q(t) = |A|^2 t^2 + ((m-1) b - s_h) t - s_g of the pullback
+    pair (b, 0), b = `crossing`.  Since s(t) - (m-1) b = -q(t)/t, the Morse
+    index is #{base eigenvalues < b} where q > 0 and #{<= b} where q < 0,
+    so the sign of q'(t_star) orders the two counts.  Raises
+    `NotApplicableError` when b is no base eigenvalue, `InconclusiveError`
+    at a multiple root and `NondiscreteDegeneracyError` when q vanishes."""
+    spectrum = fam.base.spectrum
+    if not contains(spectrum, crossing):
+        raise NotApplicableError(
+            f"t = {t_star} is not a horizontal degeneracy instant of this family"
         )
-    index_below = morse_index(fam, r)
-    index_above = morse_index(fam, s)
-    if index_below == index_above:
+    slope = (fam.m - 1) * crossing - fam.base.scalar_curvature
+    if scalar_curvature(fam, t_star) == (fam.m - 1) * crossing:
+        # t_star is exactly a root: the sign of q'(t_star) is exact
+        sign = 2 * fam.a_norm_sq * Fraction(t_star) + slope
+    else:
+        # t_star is the double nearest an irrational root, where q'(t_star) =
+        # +-sqrt(disc): + at the larger root and - at the smaller.  The roots'
+        # product is -s_g/|A|^2, so both are positive unless s_g > 0
+        roots = degeneracy_roots(fam, crossing, 0).roots
+        if len(roots) < 2 and fam.fiber.scalar_curvature < 0:
+            raise InconclusiveError(
+                f"the two roots of the crossing polynomial of ({crossing}, 0) "
+                f"round to one double t = {t_star}; the index jump cannot be placed"
+            )
+        sign = 1 if t_star == roots[-1] else -1
+    if sign == 0:
+        if degeneracy_roots(fam, crossing, 0).all_positive:
+            raise NondiscreteDegeneracyError((crossing, Fraction(0)))
         raise InconclusiveError(
-            f"Morse index {index_below} is unchanged across t = {t_star}"
+            f"t = {t_star} is no simple root of the crossing polynomial of "
+            f"({crossing}, 0); the Morse index does not change across it"
         )
-    return BifurcationCertificate(t_star, crossing, index_below, index_above, (r, s))
+    entries = spectrum.entries_below(crossing, include_equal=True)
+    at_most = sum(e.multiplicity for e in entries)
+    below = at_most - entries[-1].multiplicity
+    indices = (at_most, below) if sign > 0 else (below, at_most)
+    return BifurcationCertificate(t_star, crossing, *indices)
 
 
 # --- nondiscreteness and the stability window --------------------------------
@@ -586,17 +587,13 @@ def classify_window(fam: SubmersionFamily, t_min, t_max) -> ClassificationReport
     _, lam_max = pair_truncation_bounds(fam, t_min, t_max)
     complete = fam.is_product or _first_nonzero_exceeds(fam.fiber.spectrum, lam_max)
 
-    certified = [inst.t for inst in instants if inst.horizontal]
-    if certified:
-        neighbors = [i.t for i in enumerate_horizontal_degeneracy(
-            fam, certified[0] / 4, 4 * certified[-1])]
     rows = []
     for inst in instants:
         cert, err = None, None
         if inst.horizontal:
             crossing = next(b for b, lam in inst.witnesses if lam == 0)
             try:
-                cert = _certify(fam, inst.t, crossing, neighbors)
+                cert = _certify(fam, inst.t, crossing)
             except InconclusiveError as exc:
                 err = f"{type(exc).__name__}: {exc}"
         else:

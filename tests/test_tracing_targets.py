@@ -8,6 +8,7 @@ that every target still resolves.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from cscbif import spectra, variation
@@ -36,3 +37,17 @@ def test_every_traced_target_resolves(monkeypatch):
 def test_variation_binds_the_generic_contains():
     # the tracer patches `contains` in every module that binds it by name
     assert variation.contains is spectra.contains
+
+
+def test_classify_reaches_the_generic_contains(circle_sphere, monkeypatch):
+    # the perfbench span test times `spectra.contains` under `classify` on
+    # circle_sphere.yaml, whose window this is
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spectra.contains(*args)
+
+    monkeypatch.setattr(variation, "contains", counting)
+    rep = variation.classify_window(circle_sphere, Fraction(1, 1000), 2)
+    assert len(calls) >= len(rep.certified_instants) > 0

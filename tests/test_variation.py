@@ -393,19 +393,20 @@ def test_morse_index_drops_across_each_instant(circle_sphere):
 # bifurcation certificates
 
 
+def _indices_at_witnesses(fam, t_star):
+    """The Morse indices at the oracle's witnesses around `t_star`."""
+    r, s = per_instant_witnesses(fam, t_star)
+    assert r < t_star < s
+    return variation.morse_index(fam, r), variation.morse_index(fam, s)
+
+
 def test_certificate_at_one(circle_sphere):
     cert = variation.certify_bifurcation(circle_sphere, 1)
     assert cert.t_star == 1
     assert cert.base_eigenvalue == 1
     assert (cert.index_below, cert.index_above) == (3, 1)
-    r, s = cert.monotonicity_witness
-    assert r < 1 < s
-    assert (r, s) == (Fraction(5, 8), Fraction(5, 2))
-    s_star = variation.scalar_curvature(circle_sphere, cert.t_star)
-    key = (variation.scalar_curvature(circle_sphere, r) - s_star) * (
-        variation.scalar_curvature(circle_sphere, s) - s_star
-    )
-    assert key < 0
+    assert per_instant_witnesses(circle_sphere, 1) == (Fraction(5, 8), Fraction(5, 2))
+    assert _indices_at_witnesses(circle_sphere, 1) == (3, 1)
 
 
 def test_certificate_float_entry_point(circle_sphere):
@@ -418,8 +419,7 @@ def test_certificates_along_the_sequence(circle_sphere):
     for t_l in b_sequence(circle_sphere, 5):
         cert = variation.certify_bifurcation(circle_sphere, t_l)
         assert cert.index_below != cert.index_above
-        r, s = cert.monotonicity_witness
-        assert r < t_l < s
+        assert (cert.index_below, cert.index_above) == _indices_at_witnesses(circle_sphere, t_l)
 
 
 def test_certify_off_instant_raises(circle_sphere):
@@ -453,24 +453,69 @@ def test_certify_zero_scalar_curvature():
         variation.certify_bifurcation(fam, 2)
 
 
-def test_certify_tangential_crossing_inconclusive():
-    # s = 7 - 2/t - 2t peaks at t = 1 where s/(m-1) = 1 is a base
-    # eigenvalue; the crossing polynomial 2(t-1)^2 touches without sign
-    # change, so no certificate can be issued
-    base = cscbif.explicit_manifold("b", 2, 7, [(0, 1), (1, 2)], 20)
+def _tangential_family(eps=0):
+    # s = 7 - 2/t - 2t peaks at t = 1 where s/(m-1) = 1; the base
+    # eigenvalue 1 - eps crosses through 2 t^2 - (4 + 3 eps) t + 2, a double
+    # root at t = 1 for eps = 0 and an irrational pair 1 -+ sqrt(6 eps)/2 +
+    # O(eps) otherwise
+    b = 1 - eps
+    base = cscbif.explicit_manifold("b", 2, 7, [(0, 1), (b, 2)], 20)
     fiber = cscbif.explicit_manifold("f", 2, -2, [(0, 1), (4, 1)], 20)
-    fam = variation.SubmersionFamily(
+    return variation.SubmersionFamily(
         fiber=fiber,
         base=base,
         a_norm_sq=2,
         joint_mode=variation.ExplicitJoint(
-            [(0, 0, 1), (1, 0, 2), (0, 4, 1), (1, 4, 2)]
+            [(0, 0, 1), (b, 0, 2), (0, 4, 1), (b, 4, 2)]
         ),
     )
+
+
+def test_certify_tangential_crossing_inconclusive():
+    # the crossing polynomial 2(t-1)^2 touches without sign change, so no
+    # certificate can be issued
+    fam = _tangential_family()
     instants = variation.enumerate_degeneracy(fam, Fraction(1, 4), 4)
     assert [i.t for i in instants] == [Fraction(1)]
     with pytest.raises(InconclusiveError):
         variation.certify_bifurcation(fam, 1)
+
+
+def test_certify_where_the_crossing_polynomial_vanishes():
+    # (2, 0) vanishes identically: every t is degenerate, none a jump
+    fam = pullback_nondiscrete_family()
+    for t in (1, 0.5):
+        with pytest.raises(NondiscreteDegeneracyError):
+            variation.certify_bifurcation(fam, t)
+
+
+@pytest.mark.parametrize("eps, kind", [(0, Fraction), (Fraction(1, 10**40), float)])
+def test_a_root_pair_at_one_double_is_inconclusive(eps, kind):
+    # at eps = 10^-40 the two irrational roots round to the one double 1.0:
+    # the index jumps up and back down within it, so neither side's count
+    # belongs to that float
+    fam = _tangential_family(eps)
+    rows = variation.classify_window(fam, Fraction(1, 4), 4).rows
+    assert [r.instant.t for r in rows] == [1]
+    assert type(rows[0].instant.t) is kind
+    assert rows[0].certificate is None
+    assert rows[0].certify_error.startswith("InconclusiveError: ")
+    with pytest.raises(InconclusiveError):
+        variation.certify_bifurcation(fam, rows[0].instant.t)
+
+
+def test_the_branch_of_an_irrational_root_orders_its_indices():
+    # at eps = 10^-20 the roots are two floats about 1.2e-10 either side of
+    # 1; the index is 1 outside them and 3 between them
+    fam = _tangential_family(Fraction(1, 10**20))
+    assert [variation.morse_index(fam, t) for t in (Fraction(1, 2), 1, 2)] == [1, 3, 1]
+    rows = variation.classify_window(fam, Fraction(1, 4), 4).rows
+    assert [type(r.instant.t) for r in rows] == [float, float]
+    assert rows[0].instant.t < 1 < rows[1].instant.t
+    for row, indices in zip(rows, [(1, 3), (3, 1)]):
+        cert = variation.certify_bifurcation(fam, row.instant.t)
+        assert row.certificate == cert
+        assert (cert.index_below, cert.index_above) == indices
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +657,9 @@ def test_classify_vertical_instant_left_uncertified(sphere_sphere):
 DEEP_CS_WINDOW = (Fraction(1, 10000), Fraction(2))
 
 
-def test_classify_enumerates_the_horizontal_instants_once(circle_sphere, monkeypatch):
+@pytest.fixture
+def horizontal_enumerations(monkeypatch):
+    """The argument tuples of every `enumerate_horizontal_degeneracy` call."""
     calls = []
     enumerate_horizontal = variation.enumerate_horizontal_degeneracy
 
@@ -621,9 +668,19 @@ def test_classify_enumerates_the_horizontal_instants_once(circle_sphere, monkeyp
         return enumerate_horizontal(*args)
 
     monkeypatch.setattr(variation, "enumerate_horizontal_degeneracy", counting)
+    return calls
+
+
+def test_classify_enumerates_the_horizontal_instants_once(circle_sphere, horizontal_enumerations):
+    # the full enumeration finds them; the certificates enumerate nothing
     rep = variation.classify_window(circle_sphere, *DEEP_CS_WINDOW)
     assert len(rep.certified_instants) == 99
-    assert len(calls) <= 1
+    assert horizontal_enumerations == []
+
+
+def test_a_rational_certificate_enumerates_nothing(circle_sphere, horizontal_enumerations):
+    assert variation.certify_bifurcation(circle_sphere, 1).index_below == 3
+    assert horizontal_enumerations == []
 
 
 @pytest.mark.parametrize(
@@ -646,7 +703,8 @@ def test_classify_certificates_match_the_standalone_ones(family, window, request
             expected, error = None, f"{type(exc).__name__}: {exc}"
         assert (row.certificate, row.certify_error) == (expected, error)
         if row.certificate is not None:
-            assert row.certificate.monotonicity_witness == per_instant_witnesses(fam, t)
+            indices = (row.certificate.index_below, row.certificate.index_above)
+            assert indices == _indices_at_witnesses(fam, t)
 
 
 def test_a_near_pair_keeps_its_irrational_roots_apart_from_an_exact_instant(hopf_family):
