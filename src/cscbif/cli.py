@@ -311,10 +311,15 @@ def parse_config(data, source: str | None = None) -> FamilyConfig:
     return FamilyConfig(doc, family)
 
 
+# libyaml's scanner with the SafeConstructor and resolver of yaml.safe_load,
+# so it builds the same documents; pure Python only where PyYAML lacks libyaml
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str) -> FamilyConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}")
     except yaml.YAMLError as exc:

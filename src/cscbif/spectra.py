@@ -58,6 +58,8 @@ class SpectrumModel:
         return None
 
     def _check_enumerable(self, bound):
+        if isinstance(bound, float) and not math.isfinite(bound):
+            raise InvalidArgumentError(f"cannot enumerate a spectrum up to {bound!r}")
         cb = self.completeness_bound()
         if cb is not None and bound > cb:
             raise IncompleteSpectrumError(
@@ -83,12 +85,14 @@ class SphereSpectrum(SpectrumModel):
     special-cased with multiplicity 2 for every k >= 1.
 
     Each instance enumerates its entries once: `entries_below` extends the
-    prefix built so far only when asked past its end, then cuts it.
+    prefix built so far only when asked past its end, then cuts it on the
+    integer keys k (k + dim - 1) = radius^2 * value.
     """
 
     dim: int
     radius: Fraction
     _built: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _keys: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -112,10 +116,20 @@ class SphereSpectrum(SpectrumModel):
         return math.comb(self.dim + k, k) - lower
 
     def entries_below(self, bound, include_equal=False):
-        built = self._built
-        while not built or built[-1].value < bound:
-            built.append(self.entry(len(built)))
-        return _cut(built, bound, include_equal)
+        self._check_enumerable(bound)
+        # key <= radius^2 bound = n / d iff key <= n // d, and key < n / d
+        # iff key < ceil(n / d) = -(-n // d)
+        bound = bound if isinstance(bound, Fraction) else Fraction(bound)
+        n = bound.numerator * self.radius.numerator**2
+        d = bound.denominator * self.radius.denominator**2
+        below = -(-n // d)
+        top = n // d if include_equal else below - 1
+        keys = self._keys
+        while not keys or keys[-1] < below:
+            k = len(keys)
+            keys.append(k * (k + self.dim - 1))
+            self._built.append(self.entry(k))
+        return self._built[:bisect_right(keys, top)]
 
 
 @dataclass(frozen=True)

@@ -225,13 +225,12 @@ def per_instant_witnesses(fam, t_star):
     """Morse witnesses (r, s) at the horizontal instant `t_star`, found the
     slow way: enumerate the horizontal instants on (t_star/4, 4 t_star]
     afresh, locate t_star by a linear scan, and take the midpoints to its
-    neighbours in that list, or to the ends of the range."""
+    neighbours in that list, or to the ends of the range.  The scan matches
+    t_star itself, so of two float roots closer than any tolerance each
+    gets its own neighbours."""
     lo, hi = t_star / 4, 4 * t_star
     ts = [i.t for i in variation.enumerate_horizontal_degeneracy(fam, lo, hi)]
-    idx = next(
-        k for k, t in enumerate(ts)
-        if t == t_star or abs(float(t) - float(t_star)) <= 1e-12
-    )
+    idx = ts.index(t_star)
     prev_t = ts[idx - 1] if idx > 0 else lo
     next_t = ts[idx + 1] if idx + 1 < len(ts) else hi
     return (prev_t + t_star) / 2, (t_star + next_t) / 2

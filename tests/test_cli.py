@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cscbif import cli
+from cscbif import CscbifError, cli
 
 from conftest import PULLBACK_BASE, PULLBACK_ROWS
 
@@ -18,6 +18,35 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 CIRCLE_SPHERE = CONFIG_DIR / "circle_sphere.yaml"
 HOPF = CONFIG_DIR / "hopf.yaml"
 NONDISCRETE = CONFIG_DIR / "nondiscrete.yaml"
+
+LOAD_CONFIG = cli.load_config
+MODULE_LOADER = cli._YAML_LOADER
+
+
+def _load_with(loader, path):
+    """`cli.load_config(path)` read through the YAML `loader`: the parsed
+    document, or the type of the package error it raises (libyaml and
+    PyYAML word their syntax errors differently)."""
+    saved = cli._YAML_LOADER
+    cli._YAML_LOADER = loader
+    try:
+        return LOAD_CONFIG(path).doc
+    except CscbifError as exc:
+        return type(exc)
+    finally:
+        cli._YAML_LOADER = saved
+
+
+@pytest.fixture(autouse=True)
+def configs_parse_alike_under_both_loaders(monkeypatch):
+    """Every config a test here loads, shipped or written by the test,
+    parses to an equal document under the module's loader and under the
+    pure-Python yaml.SafeLoader."""
+    def checked(path):
+        assert _load_with(MODULE_LOADER, path) == _load_with(yaml.SafeLoader, path)
+        return LOAD_CONFIG(path)
+
+    monkeypatch.setattr(cli, "load_config", checked)
 
 
 def _run(tmp_path, *argv):
@@ -84,6 +113,33 @@ def test_shipped_configs_round_trip(tmp_path):
         assert cli.echo_config(again) == echoed
     # key order included: the echo is what report.json prints
     assert json.dumps(echoed) == json.dumps(SYNTHETIC_ECHO)
+
+
+@pytest.mark.parametrize("loader", [MODULE_LOADER, yaml.SafeLoader])
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+    path = tmp_path / "broken.yaml"
+    path.write_text("base: {kind: sphere, dim: [1\n")
+    code, _ = _run(tmp_path, "classify", "--config", str(path))
+    assert code == 2
+    assert f"configuration error: malformed YAML in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_configs_load_without_the_pure_python_reader(monkeypatch):
+    readers = []
+    init = yaml.reader.Reader.__init__
+
+    def counting(self, stream):
+        readers.append(stream)
+        init(self, stream)
+
+    monkeypatch.setattr(yaml.reader.Reader, "__init__", counting)
+    for path in (CIRCLE_SPHERE, HOPF, NONDISCRETE):
+        LOAD_CONFIG(str(path))
+    assert readers == []
+    yaml.safe_load("a: 1")  # the counter does see the pure-Python path
+    assert len(readers) == 1
 
 
 def test_readme_schema_lists_every_key():

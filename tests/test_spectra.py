@@ -1,6 +1,8 @@
 """Exact spectrum enumeration against independent counting oracles."""
 
+import contextlib
 import math
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,16 +292,23 @@ def _walk(spec, bound, include_equal):
 
 @st.composite
 def shuffled_scans(draw):
-    """A sphere and a shuffled sequence of (bound, include_equal): its exact
-    eigenvalues, the midpoints between them, 0 and two negative values."""
+    """A sphere and a shuffled sequence of (bound, include_equal), each bound
+    under both flags: its exact eigenvalues, the midpoints between them, the
+    double nearest each eigenvalue and the doubles one ulp either side of
+    it, 0, negative values, and Fractions with 40-digit terms: 10^-40 either
+    side of an eigenvalue, and one just above 1000."""
     n = draw(st.integers(1, 5))
     radius = draw(small_fraction)
     values = [Fraction(k * (k + n - 1)) / radius**2 for k in range(7)]
     bounds = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
-    bounds += [Fraction(-1), Fraction(-1, 7)]
-    bounds = draw(st.permutations(bounds))
-    flags = draw(st.lists(st.booleans(), min_size=len(bounds), max_size=len(bounds)))
-    return n, radius, list(zip(bounds, flags))
+    for v in values:
+        x = float(v)
+        bounds += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    tiny = Fraction(1, 10**40)
+    bounds += [Fraction(0), 0.0, Fraction(-1), Fraction(-1, 7), -1e-300]
+    bounds += [values[3] - tiny, values[3] + tiny, Fraction(10**45 + 1, 10**42)]
+    requests = draw(st.permutations([(b, f) for b in bounds for f in (False, True)]))
+    return n, radius, requests
 
 
 @given(scan=shuffled_scans())
@@ -316,6 +325,42 @@ def test_memoized_scans_match_fresh_ones_and_the_entry_walk(scan):
     assert spec == twin
     assert hash(spec) == hash(twin)
     assert repr(spec) == repr(twin)
+
+
+@contextlib.contextmanager
+def _time_guard(seconds):
+    """Raise TimeoutError in the body once it has run `seconds`, so a call
+    that never returns fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="the time guard needs SIGALRM")
+@pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+def test_a_non_finite_bound_is_refused(x):
+    # an unbounded sphere scan would grow its memo forever
+    with _time_guard(1):
+        for spec in (sphere_spectrum(2, Fraction(1)), explicit_spectrum([(0, 1), (2, 3)], 9)):
+            for include_equal in (False, True):
+                with pytest.raises(InvalidArgumentError):
+                    spec.entries_below(x, include_equal=include_equal)
+            if x == -math.inf:
+                # below every eigenvalue, answered without a scan
+                assert not contains(spec, x)
+                assert count_strictly_below(spec, x) == 0
+                continue
+            with pytest.raises(InvalidArgumentError):
+                contains(spec, x)
+            with pytest.raises(InvalidArgumentError):
+                count_strictly_below(spec, x)
 
 
 def test_deep_classify_enumerates_the_sphere_once(tmp_path, monkeypatch):

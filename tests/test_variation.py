@@ -505,17 +505,20 @@ def test_a_root_pair_at_one_double_is_inconclusive(eps, kind):
 
 
 def test_the_branch_of_an_irrational_root_orders_its_indices():
-    # at eps = 10^-20 the roots are two floats about 1.2e-10 either side of
-    # 1; the index is 1 outside them and 3 between them
-    fam = _tangential_family(Fraction(1, 10**20))
-    assert [variation.morse_index(fam, t) for t in (Fraction(1, 2), 1, 2)] == [1, 3, 1]
-    rows = variation.classify_window(fam, Fraction(1, 4), 4).rows
-    assert [type(r.instant.t) for r in rows] == [float, float]
-    assert rows[0].instant.t < 1 < rows[1].instant.t
-    for row, indices in zip(rows, [(1, 3), (3, 1)]):
-        cert = variation.certify_bifurcation(fam, row.instant.t)
-        assert row.certificate == cert
-        assert (cert.index_below, cert.index_above) == indices
+    # the roots are two floats about sqrt(6 eps)/2 either side of 1: 1.2e-10
+    # at eps = 10^-20, 1.2e-13 at eps = 10^-26, closer together than 1e-12;
+    # the index is 1 outside them and 3 between them
+    for eps in (Fraction(1, 10**20), Fraction(1, 10**26)):
+        fam = _tangential_family(eps)
+        assert [variation.morse_index(fam, t) for t in (Fraction(1, 2), 1, 2)] == [1, 3, 1]
+        rows = variation.classify_window(fam, Fraction(1, 4), 4).rows
+        assert [type(r.instant.t) for r in rows] == [float, float]
+        assert rows[0].instant.t < 1 < rows[1].instant.t
+        for row, indices in zip(rows, [(1, 3), (3, 1)]):
+            cert = variation.certify_bifurcation(fam, row.instant.t)
+            assert row.certificate == cert
+            assert (cert.index_below, cert.index_above) == indices
+            assert _indices_at_witnesses(fam, row.instant.t) == indices
 
 
 # ---------------------------------------------------------------------------
