@@ -21,7 +21,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import yaml
@@ -517,7 +517,7 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
         detected,
         {"quantity": "reduction", "operation": "continuation.lyapunov_schmidt_reduce",
          "inputs": {"sample_radius": fmt_number(cont.reduce_radius),
-                    "n_samples": cont.reduce_samples}},
+                    "n_samples": cont.reduce_samples, "seed": cont.seed}},
         {"quantity": "fiber_constancy", "operation": "continuation.verify_fiber_constancy",
          "inputs": {"trials": cont.trials, "seed": cont.seed,
                     "amplitude": fmt_number(cont.amplitude)}},
@@ -528,7 +528,7 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
     for bp in points:
         try:
             red = continuation.lyapunov_schmidt_reduce(
-                model, bp, cont.reduce_radius, cont.reduce_samples,
+                model, bp, cont.reduce_radius, cont.reduce_samples, seed=cont.seed,
             )
         except (HypothesisViolatedError, ReductionFailedError, PreconditionError) as exc:
             reduction = _failure(exc)
@@ -629,7 +629,10 @@ def _override(cfg: FamilyConfig, window, seed, source: str) -> FamilyConfig:
     return parse_config(doc, source=source)
 
 
+@cache
 def _build_parser():
+    """The command-line parser, built once per process: `parse_args`
+    leaves it unchanged, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="cscbif",
         description="Degeneracy classification and numerical bifurcation "

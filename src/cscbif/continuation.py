@@ -9,8 +9,10 @@ solutions are constant along the fibers.
 
 Branch switching, continuation and the fiber-constancy trials share one
 corrector: damped Newton on a square bordered system (Keller's
-pseudo-arclength corrector in the bordered form of Govaerts), one dense
-solve per step.  The unknowns are (c, t) and the equations are
+pseudo-arclength corrector in the bordered form of Govaerts).  Its linear
+solves, and those of the reduction, go by fiber degree (`_solve_linear`):
+block elimination over the fiber blocks of the Jacobian, refined by GMRES
+on the true operator.  The unknowns are (c, t) and the equations are
 residual(c, t) = 0 plus one affine row: the amplitude pin
 <c - c_triv, n> = amplitude when switching, with n a unit kernel direction,
 or the arclength row when continuing.  When the kernel is the cos/sin pair
@@ -30,6 +32,7 @@ instead of nb * nf, and the restricted reduction solves there too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -124,17 +127,21 @@ def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
 @dataclass(frozen=True)
 class _Rotation:
     """The rotation generator R = d/dphi of one circle factor on flat
-    coefficients, an n x n matrix kept as its support: R[rows, cols] = vals."""
+    coefficients, an n x n matrix kept as its support: R[rows, cols] = vals.
+    `block` is the nb x nb generator R repeats within every fiber degree
+    (the base circle's), or None when R maps between degrees (the fiber
+    circle's)."""
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    block: np.ndarray | None = None
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> _Rotation:
+    def from_dense(cls, dense: np.ndarray, block: np.ndarray | None = None) -> _Rotation:
         rows, cols = np.nonzero(dense)
-        return cls(len(dense), rows, cols, dense[rows, cols])
+        return cls(len(dense), rows, cols, dense[rows, cols], block)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """R c, [n]."""
@@ -176,7 +183,8 @@ def _rotation_generator(model, bp):
     if bp.kernel_dim == 2:
         (i1, j1), (i2, j2) = sorted(bp.kernel_modes)
         if j1 == j2 and is_pair(model.base, i1, i2):
-            return _Rotation.from_dense(np.kron(_circle_generator(model.base), np.eye(nf)))
+            block = _circle_generator(model.base)
+            return _Rotation.from_dense(np.kron(block, np.eye(nf)), block)
         if i1 == i2 and is_pair(model.fiber, j1, j2):
             return _Rotation.from_dense(np.kron(np.eye(nb), _circle_generator(model.fiber)))
     raise PreconditionError(
@@ -200,28 +208,204 @@ def _orbit(model, bp, gen, align):
     return _Orbit(gen, phase / np.linalg.norm(phase))
 
 
-def _bordered_matrix(model, ev, orbit, row, mu=0.0, out=None):
-    """The square Jacobian of the bordered system at the evaluated state
-    `ev` (a `galerkin.Evaluation`): unknowns (c, t) and, with an orbit, mu;
-    rows residual + mu gen c, then with an orbit the phase row, then `row`
-    over (c, t).  Written into `out` when given and returned; every entry
-    is written, so a buffer reused across Newton steps keeps nothing of an
-    earlier state."""
+# A linear solve stops at a normwise backward error |r - M x| / (|M| |x| + |r|)
+# of _BACKWARD_ULPS ulps, with |P|_F for |M|.  |P|_F overstates |M| several
+# times over on these systems, where LU with partial pivoting reaches about
+# 0.01 ulps of it; a quarter ulp keeps a step near a branch point (condition
+# about 2e5) within 1e-11 of the LU step.  A cycle that does not halve the
+# residual has met the rounding of the matrix-free product, and is accepted
+# within _FLOOR_ULPS, the textbook bound of LU.
+_BACKWARD_ULPS = 0.25
+_FLOOR_ULPS = 16
+_EPS = float(np.finfo(float).eps)
+
+
+class _Linear:
+    """The linearized system at one evaluated state,
+
+        M = [[J + mu R   cols  ],
+             [rows       corner]],
+
+    J the Jacobian of `residual`, R the rotation generator `gen` (if any)
+    and q = len(corner) border rows and columns, applied without an
+    n_modes x n_modes matrix.  Vectors are the flat coefficients followed
+    by the q border unknowns."""
+
+    def __init__(self, model, ev, cols, rows, corner, gen=None, mu=0.0):
+        self.model, self.ev, self.gen, self.mu = model, ev, gen, mu
+        self.cols, self.rows, self.corner = cols, rows, corner
+        self.size = model.n_modes + len(corner)     # the order of M
+
+    def apply(self, x):
+        """M x."""
+        model = self.model
+        n = model.n_modes
+        c, z = x[:n], x[n:]
+        y = np.empty_like(x)
+        y[:n] = galerkin.jacobian_apply(model, self.ev, c.reshape(model.shape)).ravel()
+        y[:n] += self.cols @ z
+        if self.gen is not None:
+            y[:n] += self.mu * self.gen.apply(c)
+        y[n:] = self.rows @ c + self.corner @ z
+        return y
+
+
+class _Preconditioner:
+    """P^-1 for a `_Linear` M, with P the matrix M with the entries of
+    J + mu R between different fiber degrees zeroed.
+
+    A fiber-constant state is invariant under the fiber isometries, so
+    there J has one nb x nb block per fiber degree j and P = M
+    (`galerkin.fiber_blocks`).  P is solved exactly: the blocks j >= 1 are
+    inverted in one batch and eliminated, which leaves degree 0 with the
+    border as one dense Schur system of order nb + q.  When nf = 1 that
+    system is M itself and is solved as it stands; otherwise it is
+    inverted once, as P^-1 is applied at every GMRES step.  A singular
+    block or Schur system raises numpy.linalg.LinAlgError."""
+
+    def __init__(self, lin):
+        model, gen = lin.model, lin.gen
+        nb, nf = model.shape
+        q = len(lin.corner)
+        self.ev, self.shape = lin.ev, (nb, nf)
+        blocks = galerkin.fiber_blocks(model, lin.ev)
+        if gen is not None and gen.block is not None and lin.mu != 0.0:
+            blocks += lin.mu * gen.block
+        cols3, rows3 = lin.cols.reshape(nb, nf, q), lin.rows.reshape(q, nb, nf)
+        schur = np.empty((nb + q, nb + q))
+        schur[:nb, :nb] = blocks[0]
+        schur[:nb, nb:] = cols3[:, 0]
+        schur[nb:, :nb] = rows3[:, :, 0]
+        schur[nb:, nb:] = lin.corner
+        if nf == 1:
+            self.schur = schur
+            return
+        self.rows_up = rows3[:, :, 1:].transpose(0, 2, 1).reshape(q, (nf - 1) * nb)  # (j, i)
+        self.norm = float(np.sqrt(sum(np.vdot(a, a) for a in (
+            schur, blocks[1:], cols3[:, 1:], self.rows_up))))
+        self.inv = np.linalg.inv(blocks[1:])                              # [nf-1, nb, nb]
+        self.w = self.inv @ cols3[:, 1:].transpose(1, 0, 2)               # [nf-1, nb, q]
+        schur[nb:, nb:] -= self.rows_up @ self.w.reshape((nf - 1) * nb, q)
+        self.schur_inv = np.linalg.inv(schur)
+
+    def __call__(self, r):
+        """P^-1 r."""
+        nb, nf = self.shape
+        if nf == 1:
+            return np.linalg.solve(self.schur, r)
+        n = nb * nf
+        rc = r[:n].reshape(nb, nf)
+        y = (self.inv @ rc[:, 1:].T[:, :, None])[:, :, 0]         # [nf-1, nb]
+        s = self.schur_inv @ np.concatenate([rc[:, 0], r[n:] - self.rows_up @ y.ravel()])
+        x = np.empty_like(r)
+        xc = x[:n].reshape(nb, nf)
+        xc[:, 0] = s[:nb]
+        xc[:, 1:] = (y - self.w @ s[nb:]).T
+        x[n:] = s[nb:]
+        return x
+
+
+def _solve_linear(lin, r, pre=None):
+    """Solve M x = r for the `_Linear` M; returns x and the preconditioner
+    it used, to be passed back for the next step of the same Newton solve.
+
+    The first sweep is x = P^-1 r.  When nf = 1, P = M and that is the
+    answer.  Otherwise GMRES on M P^-1 (Saad & Schultz 1986) refines it
+    until the normwise backward error is at most _BACKWARD_ULPS ulps.
+    `pre`, a preconditioner built at an earlier state, is kept unless its
+    first sweep fails to contract the residual, and then refactored at
+    this state: refining costs less than factoring.  A singular P, or a
+    Krylov space exhausted (the order of M steps) short of the bound,
+    raises numpy.linalg.LinAlgError."""
+    nf = lin.model.shape[1]
+    if pre is None or nf == 1:
+        pre = _Preconditioner(lin)
+    x = pre(r)
+    if nf == 1:
+        return x, pre
+    r_norm = float(np.linalg.norm(r))
+    res = r - lin.apply(x)
+    beta = float(np.linalg.norm(res))
+    if beta >= r_norm and pre.ev is not lin.ev:
+        pre = _Preconditioner(lin)
+        x = pre(r)
+        res = r - lin.apply(x)
+        beta = float(np.linalg.norm(res))
+    used, previous = 0, math.inf
+    while True:
+        ulp = _EPS * (pre.norm * float(np.linalg.norm(x)) + r_norm)
+        bound = _BACKWARD_ULPS * ulp
+        if beta <= bound or (beta > 0.5 * previous and beta <= _FLOOR_ULPS * ulp):
+            return x, pre
+        if used >= lin.size:
+            raise np.linalg.LinAlgError(
+                f"Krylov space exhausted at a backward error of "
+                f"{beta / ulp:.3g} ulps"
+            )
+        step, taken = _gmres(lin, pre, res, beta, bound, lin.size - used)
+        x = x + step
+        used += taken
+        res = r - lin.apply(x)
+        previous, beta = beta, float(np.linalg.norm(res))
+
+
+def _gmres(lin, pre, res, beta, bound, limit):
+    """One GMRES cycle from the residual `res` = r - M x: the correction
+    P^-1 V y that minimizes |res - M P^-1 V y| over the Arnoldi basis V,
+    built (classical Gram-Schmidt, twice) until the least-squares residual,
+    tracked by Givens rotations, is at most `bound` or `limit` steps are
+    taken.  Returns (correction, steps)."""
+    basis = np.empty((limit + 1, len(res)))
+    zs = np.empty((limit, len(res)))
+    basis[0] = res / beta
+    tri, g, rot = [], [beta], []
+    for k in range(limit):
+        zs[k] = pre(basis[k])
+        w = lin.apply(zs[k])
+        v = basis[:k + 1]
+        h = v @ w
+        w -= h @ v
+        h2 = v @ w
+        w -= h2 @ v
+        h_next = math.sqrt(w @ w)
+        col = (h + h2).tolist()
+        for i, (c, s) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        d = math.hypot(col[k], h_next)
+        if d == 0.0:
+            raise np.linalg.LinAlgError("singular system: the Arnoldi process broke down")
+        c, s = col[k] / d, h_next / d
+        rot.append((c, s))
+        col[k] = d
+        tri.append(col)
+        g.append(-s * g[k])
+        g[k] *= c
+        if abs(g[k + 1]) <= bound:
+            break
+        basis[k + 1] = w / h_next
+    m = len(tri)
+    y = [0.0] * m
+    for i in reversed(range(m)):
+        y[i] = (g[i] - sum(tri[j][i] * y[j] for j in range(i + 1, m))) / tri[i][i]
+    return np.array(y) @ zs[:m], m
+
+
+def _bordered_linear(model, ev, orbit, row, mu=0.0):
+    """The `_Linear` for the square Jacobian of the bordered system at
+    the evaluated state `ev` (a `galerkin.Evaluation`): unknowns (c, t)
+    and, with an orbit, mu; rows residual + mu gen c, then with an orbit
+    the phase row, then `row` over (c, t)."""
     n = model.n_modes
-    k = 0 if orbit is None else 1
-    mat = np.empty((n + 1 + k, n + 1 + k)) if out is None else out
-    state = ev.state
-    galerkin.residual_jacobian(model, state, ev, out=mat[:n, :n])
-    mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
-    if orbit is not None:
-        gen = orbit.gen
-        mat[gen.rows, gen.cols] += mu * gen.vals
-        mat[:n, n + 1] = gen.apply(state.coeffs.ravel())
-        mat[n, :n] = orbit.phase
-        mat[n, n:] = 0.0
-    mat[n + k, :n + 1] = row
-    mat[n + k, n + 1:] = 0.0
-    return mat
+    q = 1 if orbit is None else 2
+    cols, rows, corner = np.empty((n, q)), np.empty((q, n)), np.zeros((q, q))
+    cols[:, 0] = galerkin.residual_t_derivative(model, ev.state, ev).ravel()
+    rows[-1] = row[:n]
+    corner[-1, 0] = row[n]
+    if orbit is None:
+        return _Linear(model, ev, cols, rows, corner)
+    cols[:, 1] = orbit.gen.apply(ev.state.coeffs.ravel())
+    rows[0] = orbit.phase
+    return _Linear(model, ev, cols, rows, corner, orbit.gen, mu)
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
@@ -231,17 +415,17 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 
     (the mu term and the phase row only with an orbit; the phase row lies in
     the kernel span, orthogonal to the constant, so it reads
-    <phase, c - c_triv> = 0).  Each step is one dense solve.  Stops when the
-    bordered residual and residual(c, t) alone are both below TOL_NEWTON,
-    and returns the converged evaluation (its `.state` is the solution) and
-    mu.  Raises NoConvergenceError, whose `positivity_boundary` tells whether
-    the line search ever hit the positivity boundary.  Each state is
-    evaluated once (`galerkin.Evaluation`) for its residual and the bordered
-    matrix, and one matrix buffer serves every step."""
+    <phase, c - c_triv> = 0).  Each step is one `_solve_linear`; the
+    preconditioner factored at the first step serves the later ones while
+    it contracts.  Stops when the bordered residual and residual(c, t)
+    alone are both below TOL_NEWTON, and returns the converged evaluation
+    (its `.state` is the solution) and mu.  Raises NoConvergenceError,
+    whose `positivity_boundary` tells whether the line search ever hit the
+    positivity boundary.  Each state is evaluated once
+    (`galerkin.Evaluation`) for its residual and its linearization."""
     n = model.n_modes
     row = np.asarray(row, dtype=float)
     positivity_seen = False
-    mat = np.empty((n + 1, n + 1) if orbit is None else (n + 2, n + 2))
 
     def mu_of(x):
         return 0.0 if orbit is None else float(x[n + 1])
@@ -260,17 +444,18 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 
     x = np.append(np.asarray(coeffs, dtype=float).ravel(),
                   [float(t)] if orbit is None else [float(t), 0.0])
+    pre = None
     F, ev, plain = evaluate(x)
     norm = float(np.linalg.norm(F))
     for _ in range(MAX_NEWTON_ITER):
         if norm < TOL_NEWTON and plain < TOL_NEWTON:
             return ev, mu_of(x)
-        _bordered_matrix(model, ev, orbit, row, mu_of(x), out=mat)
+        lin = _bordered_linear(model, ev, orbit, row, mu_of(x))
         try:
-            step = np.linalg.solve(mat, -F)
+            step, pre = _solve_linear(lin, -F, pre)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
-                f"singular bordered matrix near t = {x[n]}"
+                f"singular bordered matrix near t = {x[n]}: {exc}"
             ) from exc
         alpha = 1.0
         while True:
@@ -403,13 +588,15 @@ def _tangent(model, ev, orbit, last_row):
     bordered matrix with `last_row` over (c, t) as its last row and right
     side e_last, so the tangent has a positive component along `last_row`
     (the previous tangent, or the unit offset from u = 1 at the start)."""
-    mat = _bordered_matrix(model, ev, orbit, last_row)
-    rhs = np.zeros(len(mat))
+    lin = _bordered_linear(model, ev, orbit, np.asarray(last_row, dtype=float))
+    rhs = np.zeros(lin.size)
     rhs[-1] = 1.0
     try:
-        v = np.linalg.solve(mat, rhs)[:model.n_modes + 1]
+        v = _solve_linear(lin, rhs)[0][:model.n_modes + 1]
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"singular tangent system at t = {ev.state.t}") from exc
+        raise NoConvergenceError(
+            f"singular tangent system at t = {ev.state.t}: {exc}"
+        ) from exc
     return v / np.linalg.norm(v)
 
 
@@ -547,49 +734,59 @@ class ReductionResult:
         return self.discrepancy < DISCREPANCY_BOUND
 
 
-def _complement_solve(model, t, base_coeffs, indices):
+def _complement_solve(model, t, base_coeffs, indices, start=None):
     """Newton for the complement-projected equation: find v supported on
-    `indices` (flat) with P residual(base + v) = 0.  The Jacobian and its
-    complement block are written into two buffers that serve every step."""
+    `indices` (flat) with P residual(base + v) = 0, from v = `start` (0 by
+    default).  Each step solves the Jacobian bordered by the unit vectors
+    E of the other modes, [[J, E], [E^T, 0]]: its multipliers take up the
+    kernel rows, and E^T dv = 0 keeps v on `indices`.  Returns v and the
+    final projected residual."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
-    block = idx[:, None] * n + idx                # flat positions of the block
-    jac, jac_block = np.empty((n, n)), np.empty((len(idx), len(idx)))
-    v = np.zeros(len(idx))
+    pinned = np.delete(np.arange(n), idx)
+    unit = np.zeros((n, len(pinned)))
+    unit[pinned, np.arange(len(pinned))] = 1.0
+    corner = np.zeros((len(pinned), len(pinned)))
+    v = np.zeros(len(idx)) if start is None else np.asarray(start, dtype=float)
+    pre = None
     for _ in range(MAX_NEWTON_ITER):
         c = base_coeffs.copy().ravel()
         c[idx] += v
         state = State(t, c.reshape(model.shape))
         ev = galerkin.Evaluation(model, state)
-        res = galerkin.residual(model, state, ev).ravel()[idx]
-        norm = float(np.linalg.norm(res))
+        res = galerkin.residual(model, state, ev).ravel()
+        norm = float(np.linalg.norm(res[idx]))
         if norm < TOL_COMPLEMENT:
             return v, norm
-        galerkin.residual_jacobian(model, state, ev, out=jac)
-        np.take(jac, block, out=jac_block)
+        lin = _Linear(model, ev, unit, unit.T, corner)
         try:
-            step = np.linalg.solve(jac_block, -res)
+            step, pre = _solve_linear(lin, np.append(-res, np.zeros(len(pinned))), pre)
         except np.linalg.LinAlgError as exc:
             raise ReductionFailedError(
-                "complement Jacobian is singular; the kernel split is invalid"
+                f"complement Jacobian is singular ({exc}); the kernel split is invalid"
             ) from exc
-        v = v + step
+        v = v + step[idx]
     raise ReductionFailedError(
         f"complement solve did not converge (residual {norm:.3e})"
     )
 
 
 def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
-                            sample_radius: float, n_samples: int) -> ReductionResult:
+                            sample_radius: float, n_samples: int,
+                            seed: int = 0) -> ReductionResult:
     """Solve the complement equation v = alpha(n) for sampled kernel vectors
     n twice, over the full complement and over the fiber-constant complement
     only, and report the largest disagreement.  Agreement is the discretized
     form of the statement that both reductions produce the same branch, which
-    forces the bifurcating solutions to be fiber-constant.  The full solve is
-    dense in `model`; the restricted one runs on `model.fiber_constant`, which
-    the residual leaves invariant, so it is the same equation on nb modes.
-    The smallest `fiber_margin` at the restricted solutions is the premise
-    of their agreement (every fiber block invertible)."""
+    forces the bifurcating solutions to be fiber-constant.  The restricted
+    solve runs on `model.fiber_constant`, which the residual leaves
+    invariant, so it is the same equation on nb modes, from v = 0.  The full
+    solve in `model` starts from a fiber-mixed v of norm `sample_radius`,
+    seeded by `seed`: from v = 0 it would stay in the invariant subspace and
+    agree by construction, while from off it agreement shows that its
+    solution near the kernel is the fiber-constant one.  The smallest
+    `fiber_margin` at the restricted solutions is the premise of their
+    agreement (every fiber block invertible)."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     if not bp.horizontal:
@@ -617,13 +814,16 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
             for a in angles
         ]
 
+    rng = np.random.default_rng(seed)
     samples = []
     worst = 0.0
     margin = np.inf
     for coeffs in coords:
         n_vec = sample_radius * sum(c * v for c, v in zip(coeffs, vecs))
         base = c_triv + n_vec
-        vf, rf = _complement_solve(model, bp.t, base, full_comp)
+        mixed = rng.standard_normal(len(full_comp))
+        vf, rf = _complement_solve(model, bp.t, base, full_comp,
+                                   sample_radius * mixed / np.linalg.norm(mixed))
         vr, rr = _complement_solve(model.fiber_constant, bp.t,
                                    base.reshape(model.shape)[:, :1], fc_comp)
         alpha_full = np.zeros(model.n_modes)

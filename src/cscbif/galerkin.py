@@ -300,10 +300,11 @@ def _positive_grid(model, state):
 
 
 class Evaluation:
-    """What `residual`, `residual_jacobian` and `residual_t_derivative`
-    share at one state: its values on the quadrature grid, checked
-    positive, and the projected power u^(p-1), computed on first use.
-    Pass it as `ev` to evaluate the state once for all three."""
+    """What `residual`, its derivatives (`residual_jacobian`,
+    `fiber_blocks`, `jacobian_apply`, `residual_t_derivative`) share at one
+    state: its values on the quadrature grid, checked positive, and, each
+    computed on first use, the projected power u^(p-1) and the two parts of
+    the Jacobian.  Pass it as `ev` to evaluate the state once for all."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model = model
@@ -313,6 +314,17 @@ class Evaluation:
     @cached_property
     def projected_power(self) -> np.ndarray:
         return project(self.model, self.grid ** (self.model.p_m - 1.0))
+
+    @cached_property
+    def jacobian_parts(self) -> tuple:
+        """The two parts of the Jacobian of `residual`: the weight
+        -s(t) (p - 1) w u^(p-2) of its projected power term on the grid,
+        quadrature weight included, [Mb, Mf], and its diagonal linear part
+        a_m (b_i + lam_j / t) + s(t), [nb, nf]."""
+        model, t = self.model, self.state.t
+        p, s_t = model.p_m, model.scalar_curvature(t)
+        weight = -s_t * (p - 1.0) * model.weights2 * self.grid ** (p - 2.0)
+        return weight, model.a_m * model.mode_eigenvalues(t) + s_t
 
 
 def _evaluation(model, state, ev):
@@ -362,19 +374,42 @@ def residual_jacobian(model: GalerkinModel, state: State, ev: Evaluation | None 
     [nb^2, Mf], then, one (i, j) row block at a time, with the fiber
     products phi_j phi_l over the fiber nodes.  The batched product writes
     the (i, j), (k, l) order straight into `out`, with no reordered copy."""
-    g = _evaluation(model, state, ev).grid
-    p = model.p_m
-    lam = model.mode_eigenvalues(state.t).ravel()
-    s_t = model.scalar_curvature(state.t)
+    wpow, diagonal = _evaluation(model, state, ev).jacobian_parts
     (nb, nf), n = model.shape, model.n_modes
     base_pairs, fiber_pairs = model.pair_products
-    wpow = -s_t * (p - 1.0) * model.weights2 * g ** (p - 2.0)     # [Mb, Mf]
     partial = (base_pairs @ wpow).reshape(nb, 1, nb, -1)           # (i, -, k, node)
     fiber = fiber_pairs.reshape(nf, nf, -1).transpose(0, 2, 1)     # (j, node, l)
     jac = np.empty((n, n)) if out is None else out
     np.matmul(partial, fiber, out=jac.reshape(nb, nf, nb, nf, copy=False))
-    jac[np.diag_indices(n)] += model.a_m * lam + s_t
+    jac[np.diag_indices(n)] += diagonal.ravel()
     return jac
+
+
+def fiber_blocks(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
+    """The diagonal blocks J[(i, j), (k, j)] of `residual_jacobian` at the
+    evaluated state, one nb x nb block per fiber degree j, [nf, nb, nb].
+
+    The fiber products of one degree are the squares phi_j^2, so the blocks
+    cost one product of the weighted base pairs with them, contracted in
+    the order of `residual_jacobian` (base nodes first); for nf = 1 the one
+    block is the dense Jacobian bit for bit.  At a fiber-constant state
+    these blocks are the whole Jacobian."""
+    nb, nf = model.shape
+    base_pairs, _ = model.pair_products
+    weight, diagonal = ev.jacobian_parts
+    fiber_sq = model.fiber.values ** 2                              # (j, node)
+    flat = ((base_pairs @ weight) @ fiber_sq.T).T                  # (j, (i, k)), a view
+    flat[:, ::nb + 1] += diagonal.T
+    return flat.reshape(nf, nb, nb)
+
+
+def jacobian_apply(model: GalerkinModel, ev: Evaluation, v: np.ndarray) -> np.ndarray:
+    """J v for `residual_jacobian` J at the evaluated state and a
+    coefficient array v, [nb, nf], computed through the quadrature grid as
+    `residual` is, with no n_modes x n_modes matrix."""
+    base, fiber = model.base.values, model.fiber.values
+    weight, diagonal = ev.jacobian_parts
+    return diagonal * v + base @ (weight * (base.T @ v @ fiber)) @ fiber.T
 
 
 def residual_t_derivative(model: GalerkinModel, state: State,

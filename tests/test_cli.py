@@ -3,7 +3,10 @@ byte-level reproducibility of the tabular outputs."""
 
 import datetime
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -543,6 +546,8 @@ def test_verify_seed_override_lands_in_the_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["continuation"]["seed"] == 31
     assert report["results"]["rows"][0]["fiber_constancy"]["seed"] == 31
+    seeds = {step["quantity"]: step["inputs"].get("seed") for step in report["provenance"]}
+    assert seeds["reduction"] == seeds["fiber_constancy"] == 31
 
 
 def test_verify_flags_fiber_kernels(tmp_path):
@@ -581,6 +586,26 @@ def test_verify_is_byte_deterministic(tmp_path):
     _, out_b = _run(tmp_path / "b", "verify", "--config", str(path))
     for name in ("report.json", "verify.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_successive_calls_write_what_fresh_runs_write(tmp_path):
+    # main builds its parser once per process; a call after one with other
+    # options writes the bytes a fresh interpreter writes for the same argv
+    path = _small_circle_sphere(tmp_path)
+    runs = [("verify", "--config", str(path), "--seed", "3", "--window", "1/2..3/2"),
+            ("verify", "--config", str(path)),
+            ("classify", "--config", str(HOPF))]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for k, argv in enumerate(runs):
+        shared, fresh = tmp_path / "shared" / str(k), tmp_path / "fresh" / str(k)
+        code = cli.main([*argv, "--out", str(shared)])
+        done = subprocess.run([sys.executable, "-m", "cscbif.cli", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True)
+        assert done.returncode == code == 0
+        assert sorted(os.listdir(shared)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert cli._build_parser() is cli._build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -215,10 +215,32 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     assert galerkin.u_distance(cs_model, state) > 1e-3
 
 
+def bordered_matrix(model, ev, orbit, row, mu=0.0):
+    """The dense square Jacobian of the bordered system at the evaluated
+    state `ev`, as the corrector assembled it before it solved by fiber
+    degree: unknowns (c, t) and, with an orbit, mu; rows residual + mu gen c,
+    then with an orbit the phase row, then `row` over (c, t)."""
+    n = model.n_modes
+    k = 0 if orbit is None else 1
+    mat = np.empty((n + 1 + k, n + 1 + k))
+    state = ev.state
+    galerkin.residual_jacobian(model, state, ev, out=mat[:n, :n])
+    mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
+    if orbit is not None:
+        gen = orbit.gen
+        mat[gen.rows, gen.cols] += mu * gen.vals
+        mat[:n, n + 1] = gen.apply(state.coeffs.ravel())
+        mat[n, :n] = orbit.phase
+        mat[n, n:] = 0.0
+    mat[n + k, :n + 1] = row
+    mat[n + k, n + 1:] = 0.0
+    return mat
+
+
 def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
     # oracle: a fresh zero matrix with the dense generator, filled block by
-    # block; a NaN-filled buffer shows any entry the assembly leaves out,
-    # and reusing it at a second state shows any entry kept from the first
+    # block; the matrix-free linearization applied to the unit vectors must
+    # give its columns, and so must the assembly the dense steps below use
     model, bp = cs_model, cs_branch_point
     n, nf = model.n_modes, model.shape[1]
     gen = np.kron(continuation._circle_generator(model.base), np.eye(nf))
@@ -240,16 +262,160 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
 
     a = galerkin.State(bp.t, (c_triv + 1e-2 * n_hat).reshape(model.shape))
     b = galerkin.State(0.9, (c_triv + 1e-2 * rng.standard_normal(n)).reshape(model.shape))
-    buf = np.full((n + 2, n + 2), np.nan)
-    continuation._bordered_matrix(model, galerkin.Evaluation(model, a), orbit, row, 0.3,
-                                  out=buf)
-    assert np.array_equal(buf, dense(a, 0.3))
-    got = continuation._bordered_matrix(model, galerkin.Evaluation(model, b), orbit, row,
-                                        -0.7, out=buf)
-    assert got is buf
-    assert np.array_equal(buf, dense(b, -0.7))
-    fresh = continuation._bordered_matrix(model, galerkin.Evaluation(model, b), orbit, row, -0.7)
-    assert np.array_equal(buf, fresh)
+    for state, mu in ((a, 0.3), (b, -0.7)):
+        ev = galerkin.Evaluation(model, state)
+        want = dense(state, mu)
+        assert np.array_equal(bordered_matrix(model, ev, orbit, row, mu), want)
+        lin = continuation._bordered_linear(model, ev, orbit, row, mu)
+        got = np.stack([lin.apply(e) for e in np.eye(n + 2)], axis=1)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _trial_system(model, bp, seed):
+    """The corrector's system at a fiber-constancy trial start: the state
+    (kernel and fiber parts of norm 1e-2), the orbit and the pin row."""
+    rng = np.random.default_rng(seed)
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    n_hat = rng.standard_normal(bp.kernel_dim) @ vecs
+    n_hat /= np.linalg.norm(n_hat)
+    coeffs = c_triv + 1e-2 * n_hat
+    if model.shape[1] > 1:
+        fiber = rng.standard_normal(model.shape)
+        fiber[:, 0] = 0.0
+        coeffs += 1e-2 * fiber.ravel() / np.linalg.norm(fiber)
+    gen = continuation._rotation_generator(model, bp)
+    orbit = continuation._orbit(model, bp, gen, n_hat)
+    return coeffs, orbit, np.append(n_hat, 0.0)
+
+
+def _dense_and_degree_steps(model, coeffs, t, orbit, row, mu, pre=None, rhs=None):
+    """The solution of the bordered system at (coeffs, t, mu) for `rhs`
+    (random by default), by the dense LU oracle and by `_solve_linear`, and
+    the preconditioner the latter used."""
+    ev = galerkin.Evaluation(model, galerkin.State(t, coeffs.reshape(model.shape)))
+    if rhs is None:
+        rhs = np.random.default_rng(3).standard_normal(model.n_modes + 1 + (orbit is not None))
+    dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row, mu), rhs)
+    lin = continuation._bordered_linear(model, ev, orbit, row, mu)
+    step, pre = continuation._solve_linear(lin, rhs, pre)
+    return dense, step, pre
+
+
+def test_degree_solver_matches_the_dense_step_near_the_fiber_constant_states(
+        cs_model, cs_branch_point):
+    # a trial start (fiber content 1e-2), then an iterate one dense Newton
+    # step on with mu != 0, solved both with a fresh preconditioner and with
+    # the one factored at the start, as the corrector reuses it; the start's
+    # preconditioner serves the start state at t 1 % off, but for a right
+    # side along the kernel at t 10 % off it does not contract and is
+    # refactored
+    model, bp = cs_model, cs_branch_point
+    coeffs, orbit, row = _trial_system(model, bp, seed=2)
+    t = float(bp.t)
+    dense, step, pre = _dense_and_degree_steps(model, coeffs, t, orbit, row, 0.0)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    n = model.n_modes
+    moved = coeffs + 0.5 * dense[:n]
+    t_mid, mu_mid = t + 1e-3, 1e-3
+    for reused in (None, pre):
+        dense, step, _ = _dense_and_degree_steps(model, moved, t_mid, orbit, row, mu_mid,
+                                                 reused)
+        assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    dense, step, used = _dense_and_degree_steps(model, coeffs, 1.01 * t, orbit, row, 0.0, pre)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert used is pre
+    along = np.append(continuation.kernel_vectors(model, bp)[0].ravel(), [0.0, 0.0])
+    dense, step, used = _dense_and_degree_steps(model, coeffs, 1.1 * t, orbit, row, 0.0,
+                                                pre, along)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert used is not pre
+
+
+def test_degree_solver_matches_the_dense_step_on_a_fiber_dependent_branch(sphere_sphere):
+    # far from the fiber-constant subspace the preconditioner is a poor copy
+    # of M and GMRES does the work; the step must still be the dense one
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    _, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    _, branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    sample = branch.samples[-1]
+    assert sample.fiber_fraction >= 0.1
+    row = np.random.default_rng(9).standard_normal(model.n_modes + 1)
+    dense, step, _ = _dense_and_degree_steps(model, sample.state.coeffs.ravel(), sample.t,
+                                             None, row, 0.0)
+    assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_degree_solver_is_the_dense_solve_with_one_fiber_mode(cs_model, cs_branch_point):
+    # nf = 1, as on every fiber-constant branch: P = M, and the one Schur
+    # solve is the dense LU solve bit for bit, rotation term included
+    sub = cs_model.fiber_constant
+    coeffs, orbit, row = _trial_system(sub, cs_branch_point, seed=4)
+    dense, step, _ = _dense_and_degree_steps(sub, coeffs, float(cs_branch_point.t) + 1e-3,
+                                             orbit, row, 0.2)
+    assert np.array_equal(step, dense)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "fiber-constant"])
+def test_singular_bordered_systems_raise_typed_errors(cs_model, cs_branch_point, restricted):
+    # a zero pin row makes the bordered matrix singular: the corrector and
+    # the tangent raise NoConvergenceError, not numpy's LinAlgError
+    model = cs_model.fiber_constant if restricted else cs_model
+    coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=6)
+    zero = np.zeros_like(row)
+    with pytest.raises(NoConvergenceError, match="singular bordered matrix"):
+        continuation._solve_bordered(model, coeffs, cs_branch_point.t, orbit, zero, 0.0)
+    ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
+                                                   coeffs.reshape(model.shape)))
+    with pytest.raises(NoConvergenceError, match="singular tangent system"):
+        continuation._tangent(model, ev, orbit, zero)
+
+
+def test_a_solve_that_stalls_gives_up_when_the_krylov_space_is_spent(
+        cs_model, cs_branch_point, monkeypatch):
+    # GMRES cycles that make no progress: the solve raises after the order
+    # of M Arnoldi steps instead of looping, and the corrector types it
+    model = cs_model
+    coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
+    cycles = []
+
+    def stalled(lin, pre, res, beta, bound, limit):
+        cycles.append(limit)
+        return np.zeros_like(res), 7
+
+    monkeypatch.setattr(continuation, "_gmres", stalled)
+    with pytest.raises(NoConvergenceError, match="Krylov space exhausted"):
+        continuation._solve_bordered(model, coeffs, cs_branch_point.t, orbit, row,
+                                     row[:-1] @ coeffs)
+    size = model.n_modes + 2
+    assert cycles == list(range(size, 0, -7))
+
+
+def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_branch_point):
+    # a product whose rounding is 2 ulps of |P| |x|, above the quarter-ulp
+    # stop: once a cycle no longer halves the residual, the solve returns
+    # within the textbook bound instead of spending the Krylov space
+    model = cs_model
+    coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
+    ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
+                                                   coeffs.reshape(model.shape)))
+    lin = continuation._bordered_linear(model, ev, orbit, row)
+    pre = continuation._Preconditioner(lin)
+    rng = np.random.default_rng(0)
+
+    class Rounded(continuation._Linear):
+        def apply(self, x):
+            e = rng.standard_normal(len(x))
+            scale = 2 * continuation._EPS * pre.norm * np.linalg.norm(x)
+            return super().apply(x) + scale * e / np.linalg.norm(e)
+
+    rounded = Rounded(model, ev, lin.cols, lin.rows, lin.corner, lin.gen, lin.mu)
+    rhs = np.random.default_rng(3).standard_normal(lin.size)
+    x, _ = continuation._solve_linear(rounded, rhs, pre)
+    dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row), rhs)
+    assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("which", ["base", "fiber"])
@@ -555,33 +721,65 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
     assert np.abs(v - _oracle_complement_solve(model, bp.t, base, fc_flat)).max() <= 1e-12
 
 
-def test_trials_and_the_full_complement_take_dense_jacobians(cs_model, cs_branch_point,
-                                                             monkeypatch):
-    # the falsification channel stays dense: every Jacobian of the trials,
-    # and of the full-complement solve, is [n_modes, n_modes] of the model
-    # itself; only the restricted solve and the margin use the subspace
+def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, monkeypatch):
+    # the trials and both reductions solve by fiber degree: no numpy.linalg
+    # solve, inv, lstsq or svd call sees a matrix with a side of n_modes or
+    # more, and the only dense Jacobians are the margins' nb x nb ones
     model = cs_model
     n, nb = model.n_modes, model.shape[0]
-    seen = []
+    sides = []
+    for name in ("solve", "inv", "lstsq", "svd"):
+        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            sides.append((_name, max(np.shape(a)[-2:])))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    jacobians = []
     original = galerkin.residual_jacobian
 
     def counting(m, state, *args, **kwargs):
-        jac = original(m, state, *args, **kwargs)
-        seen.append((m, jac.shape))
-        return jac
+        jacobians.append(m)
+        return original(m, state, *args, **kwargs)
 
     monkeypatch.setattr(galerkin, "residual_jacobian", counting)
     continuation.verify_fiber_constancy(model, cs_branch_point, trials=3, seed=0)
-    assert len(seen) >= 3
-    assert all(m is model and shape == (n, n) for m, shape in seen)
-
-    seen.clear()
     continuation.lyapunov_schmidt_reduce(model, cs_branch_point, 1e-2, 2)
-    full = [shape for m, shape in seen if m is model]
-    restricted = [(m, shape) for m, shape in seen if m is not model]
-    assert len(full) >= 2 and all(shape == (n, n) for shape in full)
-    assert len(restricted) >= 4     # a restricted solve and a margin per sample
-    assert all(m is model.fiber_constant and shape == (nb, nb) for m, shape in restricted)
+    assert {name for name, _ in sides} == {"solve", "inv"}
+    assert max(side for _, side in sides) < n
+    assert len(jacobians) == 2 and all(m is model.fiber_constant for m in jacobians)
+    assert max(side for _, side in sides) >= nb
+
+
+def test_the_full_reduction_starts_off_the_fiber_constant_subspace(cs_model, cs_branch_point,
+                                                                   monkeypatch):
+    # from v = 0 the full complement solve would stay fiber-constant and
+    # agree with the restricted one by construction; it starts from a seeded
+    # fiber-mixed v of the sample radius and must come back to it
+    model, bp = cs_model, cs_branch_point
+    nf = model.shape[1]
+    starts = []
+    original = continuation._complement_solve
+
+    def recording(m, t, base, indices, start=None):
+        if m is model:
+            full = np.zeros(model.n_modes)
+            full[indices] = start
+            starts.append(full.reshape(model.shape))
+        return original(m, t, base, indices, start)
+
+    monkeypatch.setattr(continuation, "_complement_solve", recording)
+    results = [continuation.lyapunov_schmidt_reduce(model, bp, 1e-2, 2, seed=s)
+               for s in (0, 0, 1)]
+    assert len(starts) == 6
+    for start in starts:
+        assert np.linalg.norm(start) == pytest.approx(1e-2, rel=1e-12)
+        assert np.linalg.norm(start[:, 1:]) > 0.5 * np.linalg.norm(start)
+    assert np.array_equal(starts[0], starts[2]) and not np.allclose(starts[0], starts[4])
+    assert results[0].discrepancy == results[1].discrepancy
+    for res in results:
+        assert res.discrepancy < 1e-12
+        for sample in res.samples:
+            assert np.abs(sample.alpha_full[:, 1:]).max() <= 1e-12
+    assert nf > 1
 
 
 def test_reduction_needs_horizontal_kernel(mixed_model):

@@ -289,6 +289,50 @@ def test_factored_jacobian_matches_dense_assembly(base_dim, fiber_dim):
     assert np.abs(jac - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def _mixed_product(base_dim, fiber_dim):
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.sphere_manifold(fiber_dim, Fraction(1)),
+        base=cscbif.sphere_manifold(base_dim, Fraction(1)),
+    )
+    model = galerkin.build_model(fam, 8, 6)
+    return model, _random_positive_state(model, np.random.default_rng(43), 0.8)
+
+
+@pytest.mark.parametrize("base_dim, fiber_dim", [(1, 2), (2, 1)])
+def test_fiber_blocks_are_the_diagonal_blocks_of_the_jacobian(base_dim, fiber_dim):
+    # oracle: the dense Jacobian at a fiber-mixed state, where the entries
+    # between fiber degrees do not vanish; with one fiber mode the block is
+    # the dense Jacobian bit for bit (same contraction order)
+    model, state = _mixed_product(base_dim, fiber_dim)
+    nb, nf = model.shape
+    jac = galerkin.residual_jacobian(model, state).reshape(nb, nf, nb, nf)
+    blocks = galerkin.fiber_blocks(model, galerkin.Evaluation(model, state))
+    scale = np.abs(jac).max()
+    assert blocks.shape == (nf, nb, nb)
+    off = jac.copy()
+    for j in range(nf):
+        assert np.abs(blocks[j] - jac[:, j, :, j]).max() <= 1e-13 * scale
+        off[:, j, :, j] = 0.0
+    assert np.abs(off).max() > 1e-3 * scale
+
+    sub = model.fiber_constant
+    restricted = galerkin.State(state.t, state.coeffs[:, :1])
+    (block,) = galerkin.fiber_blocks(sub, galerkin.Evaluation(sub, restricted))
+    assert np.array_equal(block, galerkin.residual_jacobian(sub, restricted))
+
+
+@pytest.mark.parametrize("base_dim, fiber_dim", [(1, 2), (2, 1)])
+def test_jacobian_apply_is_the_dense_product(base_dim, fiber_dim):
+    model, state = _mixed_product(base_dim, fiber_dim)
+    ev = galerkin.Evaluation(model, state)
+    jac = galerkin.residual_jacobian(model, state)
+    for v in np.random.default_rng(47).standard_normal((3,) + model.shape):
+        got = galerkin.jacobian_apply(model, ev, v)
+        want = jac @ v.ravel()
+        assert got.shape == model.shape
+        assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(jac).max() * np.abs(v).max()
+
+
 def test_t_derivative_matches_finite_differences(small_model):
     rng = np.random.default_rng(17)
     state = _random_positive_state(small_model, rng, 0.8)
