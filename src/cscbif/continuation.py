@@ -33,7 +33,7 @@ instead of nb * nf, and the restricted reduction solves there too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -214,9 +214,13 @@ def _orbit(model, bp, gen, align):
 # 0.01 ulps of it; a quarter ulp keeps a step near a branch point (condition
 # about 2e5) within 1e-11 of the LU step.  A cycle that does not halve the
 # residual has met the rounding of the matrix-free product, and is accepted
-# within _FLOOR_ULPS, the textbook bound of LU.
+# within _FLOOR_ULPS, the textbook bound of LU.  A Newton step needs less:
+# with the forcing term eta_k = min(_FORCING, |F_k|), a step whose residual
+# is at most eta_k |F_k| keeps Newton's local quadratic convergence (Dembo,
+# Eisenstat & Steihaug 1982), so the Newton loops stop their solves there.
 _BACKWARD_ULPS = 0.25
 _FLOOR_ULPS = 16
+_FORCING = 1e-2
 _EPS = float(np.finfo(float).eps)
 
 
@@ -251,42 +255,62 @@ class _Linear:
 
 
 class _Preconditioner:
-    """P^-1 for a `_Linear` M, with P the matrix M with the entries of
-    J + mu R between different fiber degrees zeroed.
+    """P^-1 for a `_Linear` M, with P the matrix M whose J + mu R is
+    replaced by its fiber-constant model: the entries between different
+    fiber degrees zeroed, degree 0 kept (J_00 + mu R_00), and every degree
+    j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
 
-    A fiber-constant state is invariant under the fiber isometries, so
-    there J has one nb x nb block per fiber degree j and P = M
-    (`galerkin.fiber_blocks`).  P is solved exactly: the blocks j >= 1 are
-    inverted in one batch and eliminated, which leaves degree 0 with the
-    border as one dense Schur system of order nb + q.  When nf = 1 that
-    system is M itself and is solved as it stands; otherwise it is
-    inverted once, as P^-1 is applied at every GMRES step.  A singular
-    block or Schur system raises numpy.linalg.LinAlgError."""
+    At a fiber-constant state J has exactly these blocks
+    (`galerkin.fiber_blocks`), and mu vanishes on solutions, so there
+    P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree j >= 1 as
+    Q (Lambda + c_j)^-1 Q^T, two small products for all of them; their
+    elimination leaves degree 0 with the border as one dense Schur system
+    of order nb + q, inverted once, as P^-1 is applied at every GMRES step.
+    When nf = 1 that system is M itself and is solved as it stands.  A zero
+    or non-finite Lambda_i + c_j, or a singular Schur system, raises
+    numpy.linalg.LinAlgError."""
 
     def __init__(self, lin):
         model, gen = lin.model, lin.gen
         nb, nf = model.shape
         q = len(lin.corner)
         self.ev, self.shape = lin.ev, (nb, nf)
-        blocks = galerkin.fiber_blocks(model, lin.ev)
+        if nf == 1:
+            block = galerkin.fiber_blocks(model, lin.ev)[0]
+        else:
+            block = galerkin.degree_zero_block(model, lin.ev)
+            lam, self.basis = np.linalg.eigh(block)
+            shifts = model.a_m * model.fiber.eigenvalues[1:] / lin.ev.state.t
+            self.shifted = lam[:, None] + shifts                    # Lambda_i + c_j, [nb, nf-1]
+            with np.errstate(divide="ignore"):
+                self.scale = 1.0 / self.shifted
+            if not (np.isfinite(self.shifted).all() and np.isfinite(self.scale).all()):
+                raise np.linalg.LinAlgError("singular fiber block")
         if gen is not None and gen.block is not None and lin.mu != 0.0:
-            blocks += lin.mu * gen.block
+            block = block + lin.mu * gen.block
         cols3, rows3 = lin.cols.reshape(nb, nf, q), lin.rows.reshape(q, nb, nf)
         schur = np.empty((nb + q, nb + q))
-        schur[:nb, :nb] = blocks[0]
+        schur[:nb, :nb] = block
         schur[:nb, nb:] = cols3[:, 0]
         schur[nb:, :nb] = rows3[:, :, 0]
         schur[nb:, nb:] = lin.corner
         if nf == 1:
             self.schur = schur
             return
-        self.rows_up = rows3[:, :, 1:].transpose(0, 2, 1).reshape(q, (nf - 1) * nb)  # (j, i)
+        self.rows_up = rows3[:, :, 1:].reshape(q, nb * (nf - 1))          # (i, j)
+        cols_up = cols3[:, 1:]
         self.norm = float(np.sqrt(sum(np.vdot(a, a) for a in (
-            schur, blocks[1:], cols3[:, 1:], self.rows_up))))
-        self.inv = np.linalg.inv(blocks[1:])                              # [nf-1, nb, nb]
-        self.w = self.inv @ cols3[:, 1:].transpose(1, 0, 2)               # [nf-1, nb, q]
-        schur[nb:, nb:] -= self.rows_up @ self.w.reshape((nf - 1) * nb, q)
+            schur, self.shifted, cols_up, self.rows_up))))
+        self.w = self._invert_up(cols_up)                                 # [nb, nf-1, q]
+        schur[nb:, nb:] -= self.rows_up @ self.w.reshape(nb * (nf - 1), q)
         self.schur_inv = np.linalg.inv(schur)
+
+    def _invert_up(self, b):
+        """(J_00 + c_j I)^-1 b[:, j - 1] for every degree j >= 1, b [nb, nf-1, k]."""
+        basis = self.basis
+        nb = len(basis)
+        coef = (basis.T @ b.reshape(nb, -1)).reshape(b.shape) * self.scale[:, :, None]
+        return (basis @ coef.reshape(nb, -1)).reshape(b.shape)
 
     def __call__(self, r):
         """P^-1 r."""
@@ -295,28 +319,30 @@ class _Preconditioner:
             return np.linalg.solve(self.schur, r)
         n = nb * nf
         rc = r[:n].reshape(nb, nf)
-        y = (self.inv @ rc[:, 1:].T[:, :, None])[:, :, 0]         # [nf-1, nb]
+        y = self._invert_up(rc[:, 1:, None])[:, :, 0]                     # [nb, nf-1]
         s = self.schur_inv @ np.concatenate([rc[:, 0], r[n:] - self.rows_up @ y.ravel()])
         x = np.empty_like(r)
         xc = x[:n].reshape(nb, nf)
         xc[:, 0] = s[:nb]
-        xc[:, 1:] = (y - self.w @ s[nb:]).T
+        xc[:, 1:] = y - self.w @ s[nb:]
         x[n:] = s[nb:]
         return x
 
 
-def _solve_linear(lin, r, pre=None):
+def _solve_linear(lin, r, pre=None, rtol=0.0):
     """Solve M x = r for the `_Linear` M; returns x and the preconditioner
     it used, to be passed back for the next step of the same Newton solve.
 
     The first sweep is x = P^-1 r.  When nf = 1, P = M and that is the
     answer.  Otherwise GMRES on M P^-1 (Saad & Schultz 1986) refines it
-    until the normwise backward error is at most _BACKWARD_ULPS ulps.
-    `pre`, a preconditioner built at an earlier state, is kept unless its
-    first sweep fails to contract the residual, and then refactored at
-    this state: refining costs less than factoring.  A singular P, or a
-    Krylov space exhausted (the order of M steps) short of the bound,
-    raises numpy.linalg.LinAlgError."""
+    until |r - M x|, on the true M, is at most the larger of rtol |r| and
+    _BACKWARD_ULPS ulps of normwise backward error: rtol = 0 asks for the
+    full accuracy, a Newton step passes its forcing term.  `pre`, a
+    preconditioner built at an earlier state, is kept unless its first
+    sweep fails to contract the residual, and then refactored at this
+    state: refining costs less than factoring.  A singular P, or a Krylov
+    space exhausted (the order of M steps) short of the bound, raises
+    numpy.linalg.LinAlgError."""
     nf = lin.model.shape[1]
     if pre is None or nf == 1:
         pre = _Preconditioner(lin)
@@ -334,7 +360,7 @@ def _solve_linear(lin, r, pre=None):
     used, previous = 0, math.inf
     while True:
         ulp = _EPS * (pre.norm * float(np.linalg.norm(x)) + r_norm)
-        bound = _BACKWARD_ULPS * ulp
+        bound = max(_BACKWARD_ULPS * ulp, rtol * r_norm)
         if beta <= bound or (beta > 0.5 * previous and beta <= _FLOOR_ULPS * ulp):
             return x, pre
         if used >= lin.size:
@@ -415,11 +441,13 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 
     (the mu term and the phase row only with an orbit; the phase row lies in
     the kernel span, orthogonal to the constant, so it reads
-    <phase, c - c_triv> = 0).  Each step is one `_solve_linear`; the
-    preconditioner factored at the first step serves the later ones while
-    it contracts.  Stops when the bordered residual and residual(c, t)
-    alone are both below TOL_NEWTON, and returns the converged evaluation
-    (its `.state` is the solution) and mu.  Raises NoConvergenceError,
+    <phase, c - c_triv> = 0).  Each step is one `_solve_linear` to the
+    forcing term min(_FORCING, |F|); the preconditioner factored at the
+    first step serves the later ones while it contracts.  Stops when the
+    bordered residual and residual(c, t) alone are both below TOL_NEWTON,
+    and returns the converged evaluation (its `.state` is the solution),
+    mu and the last preconditioner (None when no step was taken), for a
+    tangent at the solution.  Raises NoConvergenceError,
     whose `positivity_boundary` tells whether the line search ever hit the
     positivity boundary.  Each state is evaluated once
     (`galerkin.Evaluation`) for its residual and its linearization."""
@@ -449,10 +477,10 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     norm = float(np.linalg.norm(F))
     for _ in range(MAX_NEWTON_ITER):
         if norm < TOL_NEWTON and plain < TOL_NEWTON:
-            return ev, mu_of(x)
+            return ev, mu_of(x), pre
         lin = _bordered_linear(model, ev, orbit, row, mu_of(x))
         try:
-            step, pre = _solve_linear(lin, -F, pre)
+            step, pre = _solve_linear(lin, -F, pre, min(_FORCING, norm))
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(
                 f"singular bordered matrix near t = {x[n]}: {exc}"
@@ -487,7 +515,7 @@ def newton_solve(model: GalerkinModel, t, initial: State) -> State:
     t = t and no orbit.  The initial state must be positive on the grid;
     every iterate stays positive."""
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    ev, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
+    ev, _, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
     return ev.state
 
 
@@ -496,8 +524,8 @@ def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
     `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
     phase along n_hat, and solve from `start` at t = bp.t."""
     orbit = _orbit(model, bp, gen, n_hat)
-    ev, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
-                            n_hat @ c_triv + amplitude)
+    ev, _, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
+                               n_hat @ c_triv + amplitude)
     return ev.state
 
 
@@ -537,10 +565,12 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
 @dataclass(frozen=True)
 class BranchSample:
     """A solution on a branch with its measurements in `model`, each
-    computed on first access."""
+    computed on first access, and the corrector's converged evaluation of
+    it when the branch was followed in `model` itself."""
 
     model: GalerkinModel
     state: State
+    evaluation: galerkin.Evaluation | None = field(default=None, repr=False, compare=False)
 
     @property
     def t(self) -> float:
@@ -582,17 +612,19 @@ class Branch:
         return np.array([s.u_distance for s in self.samples])
 
 
-def _tangent(model, ev, orbit, last_row):
+def _tangent(model, ev, orbit, last_row, pre=None):
     """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
-    (a `galerkin.Evaluation`, as the corrector returns it): one solve of the
-    bordered matrix with `last_row` over (c, t) as its last row and right
-    side e_last, so the tangent has a positive component along `last_row`
-    (the previous tangent, or the unit offset from u = 1 at the start)."""
+    (a `galerkin.Evaluation`, as the corrector returns it): one full-accuracy
+    solve of the bordered matrix with `last_row` over (c, t) as its last row
+    and right side e_last, so the tangent has a positive component along
+    `last_row` (the previous tangent, or the unit offset from u = 1 at the
+    start).  `pre` is the corrector's preconditioner, kept while it
+    contracts."""
     lin = _bordered_linear(model, ev, orbit, np.asarray(last_row, dtype=float))
     rhs = np.zeros(lin.size)
     rhs[-1] = 1.0
     try:
-        v = _solve_linear(lin, rhs)[0][:model.n_modes + 1]
+        v = _solve_linear(lin, rhs, pre)[0][:model.n_modes + 1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(
             f"singular tangent system at t = {ev.state.t}: {exc}"
@@ -608,6 +640,8 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     -1 with shrinking distance (toward the branch point).  Stops early on
     positivity loss, corrector failure, or when the distance turns around
     (the turning sample is discarded so the kept prefix stays monotone).
+    Two distances both below _NONTRIVIAL_NORM are the rounding of u = 1,
+    so their order is no turnaround.
     The rotation orbit of a cos/sin kernel pair of `origin` is fixed by the
     phase of the start state; without `origin` no phase is fixed.
     """
@@ -633,12 +667,12 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     x = np.concatenate([start.coeffs.ravel(), [start.t]])
     v = direction * _tangent(model, start_ev, orbit, first_row)
 
-    samples = [BranchSample(model, start)]
+    samples = [BranchSample(model, start, start_ev)]
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
         try:
-            ev, _ = _solve_bordered(
+            ev, _, pre = _solve_bordered(
                 model, x_pred[:-1], x_pred[-1], orbit, v, float(v @ x_pred)
             )
         except (NoConvergenceError, PositivityViolationError) as exc:
@@ -651,12 +685,13 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
         state = ev.state
-        sample = BranchSample(model, state)
-        if (sample.u_distance - samples[-1].u_distance) * direction < 0:
+        sample = BranchSample(model, state, ev)
+        dist, last = sample.u_distance, samples[-1].u_distance
+        if (dist - last) * direction < 0 and max(dist, last) >= _NONTRIVIAL_NORM:
             reason = "turnaround"
             break
         x = np.concatenate([state.coeffs.ravel(), [state.t]])
-        v = _tangent(model, ev, orbit, v)
+        v = _tangent(model, ev, orbit, v, pre)
         samples.append(sample)
     return Branch(tuple(samples), origin, reason)
 
@@ -672,16 +707,17 @@ def _padded(model, state):
     return State(state.t, coeffs)
 
 
-def fiber_margin(model: GalerkinModel, state: State) -> float:
+def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float:
     """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
-    with J_0 the nb x nb Jacobian of `model.fiber_constant`, one `eigvalsh`.
-    Every fiber block J_jj = J_0 + (a_m lam_j / t) I with j >= 1 has its
-    smallest eigenvalue at or above it, so a positive margin makes them all
-    positive definite: no fiber-dependent mode is degenerate there."""
-    jac0 = galerkin.residual_jacobian(model.fiber_constant,
-                                      State(state.t, state.coeffs[:, :1]))
+    given as `ev`, its evaluation in `model.fiber_constant`: J_0 is the
+    nb x nb Jacobian there, its one fiber block, and one `eigvalsh` gives
+    the margin.  Every fiber block J_jj = J_0 + (a_m lam_j / t) I of `model`
+    with j >= 1 has its smallest eigenvalue at or above it, so a positive
+    margin makes them all positive definite: no fiber-dependent mode is
+    degenerate there."""
+    jac0 = galerkin.fiber_blocks(model.fiber_constant, ev)[0]
     lam1 = model.fiber.eigenvalues[1]
-    return float(np.linalg.eigvalsh(jac0)[0] + model.a_m * lam1 / state.t)
+    return float(np.linalg.eigvalsh(jac0)[0] + model.a_m * lam1 / ev.state.t)
 
 
 def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
@@ -700,7 +736,7 @@ def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
     states = [_padded(model, s.state) for s in branch.samples]
     return _padded(model, start), Branch(
         tuple(BranchSample(model, s) for s in states), bp, branch.stop_reason,
-        fiber_margin=min(fiber_margin(model, s) for s in states),
+        fiber_margin=min(fiber_margin(model, s.evaluation) for s in branch.samples),
     )
 
 
@@ -739,8 +775,9 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
     `indices` (flat) with P residual(base + v) = 0, from v = `start` (0 by
     default).  Each step solves the Jacobian bordered by the unit vectors
     E of the other modes, [[J, E], [E^T, 0]]: its multipliers take up the
-    kernel rows, and E^T dv = 0 keeps v on `indices`.  Returns v and the
-    final projected residual."""
+    kernel rows, and E^T dv = 0 keeps v on `indices`; it is solved to the
+    forcing term min(_FORCING, |P residual|).  Returns v, the final
+    projected residual and the evaluation of base + v."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
     pinned = np.delete(np.arange(n), idx)
@@ -757,10 +794,11 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
         res = galerkin.residual(model, state, ev).ravel()
         norm = float(np.linalg.norm(res[idx]))
         if norm < TOL_COMPLEMENT:
-            return v, norm
+            return v, norm, ev
         lin = _Linear(model, ev, unit, unit.T, corner)
         try:
-            step, pre = _solve_linear(lin, np.append(-res, np.zeros(len(pinned))), pre)
+            step, pre = _solve_linear(lin, np.append(-res, np.zeros(len(pinned))), pre,
+                                      min(_FORCING, norm))
         except np.linalg.LinAlgError as exc:
             raise ReductionFailedError(
                 f"complement Jacobian is singular ({exc}); the kernel split is invalid"
@@ -822,10 +860,10 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         n_vec = sample_radius * sum(c * v for c, v in zip(coeffs, vecs))
         base = c_triv + n_vec
         mixed = rng.standard_normal(len(full_comp))
-        vf, rf = _complement_solve(model, bp.t, base, full_comp,
-                                   sample_radius * mixed / np.linalg.norm(mixed))
-        vr, rr = _complement_solve(model.fiber_constant, bp.t,
-                                   base.reshape(model.shape)[:, :1], fc_comp)
+        vf, rf, _ = _complement_solve(model, bp.t, base, full_comp,
+                                      sample_radius * mixed / np.linalg.norm(mixed))
+        vr, rr, restricted = _complement_solve(model.fiber_constant, bp.t,
+                                               base.reshape(model.shape)[:, :1], fc_comp)
         alpha_full = np.zeros(model.n_modes)
         alpha_full[full_comp] = vf
         alpha_restricted = np.zeros(model.shape)
@@ -838,8 +876,7 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         )
         samples.append(sample)
         worst = max(worst, sample.difference)
-        solution = State(bp.t, base.reshape(model.shape) + sample.alpha_restricted)
-        margin = min(margin, fiber_margin(model, solution))
+        margin = min(margin, fiber_margin(model, restricted))
     return ReductionResult(bp.kernel_dim, tuple(samples), worst, margin)
 
 

@@ -300,8 +300,8 @@ def _positive_grid(model, state):
 
 
 class Evaluation:
-    """What `residual`, its derivatives (`residual_jacobian`,
-    `fiber_blocks`, `jacobian_apply`, `residual_t_derivative`) share at one
+    """What `residual`, its derivatives (`residual_jacobian`, `fiber_blocks`,
+    `degree_zero_block`, `jacobian_apply`, `residual_t_derivative`) share at one
     state: its values on the quadrature grid, checked positive, and, each
     computed on first use, the projected power u^(p-1) and the two parts of
     the Jacobian.  Pass it as `ev` to evaluate the state once for all."""
@@ -401,6 +401,20 @@ def fiber_blocks(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
     flat = ((base_pairs @ weight) @ fiber_sq.T).T                  # (j, (i, k)), a view
     flat[:, ::nb + 1] += diagonal.T
     return flat.reshape(nf, nb, nb)
+
+
+def degree_zero_block(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
+    """The degree-0 block of `fiber_blocks`, B diag(w) B^T + diag, [nb, nb]:
+    B the base functions at their nodes and w the Jacobian's weight
+    averaged over the fiber nodes with the weight phi_0^2.  One nb x nb
+    product instead of `fiber_blocks`' nb^2 rows; equal to its first block
+    up to rounding."""
+    weight, diagonal = ev.jacobian_parts
+    base = model.base.values
+    mean = weight @ model.fiber.values[0] ** 2                      # (base node)
+    block = (base * mean) @ base.T
+    block[np.diag_indices(len(base))] += diagonal[:, 0]
+    return block
 
 
 def jacobian_apply(model: GalerkinModel, ev: Evaluation, v: np.ndarray) -> np.ndarray:

@@ -608,6 +608,28 @@ def test_successive_calls_write_what_fresh_runs_write(tmp_path):
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_bad_arguments_after_a_run_fail_as_in_a_fresh_interpreter(tmp_path, capsys):
+    # one process runs classify, then verify, on the one parser; bad
+    # arguments after that exit with the code and the message a fresh
+    # interpreter gives
+    path = _small_circle_sphere(tmp_path)
+    parser = cli._build_parser()
+    assert _run(tmp_path / "c", "classify", "--config", str(HOPF))[0] == 0
+    assert _run(tmp_path / "v", "verify", "--config", str(path))[0] == 0
+    assert cli._build_parser() is parser
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["verify"], ["reduce", "--config", str(path)],
+                 ["classify", "--config", str(path), "--seed", "three"], []):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        done = subprocess.run([sys.executable, "-m", "cscbif.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert exc.value.code == done.returncode == 2
+        assert err == done.stderr and err.startswith("usage: cscbif")
+
+
 # ---------------------------------------------------------------------------
 # remaining exit codes
 

@@ -205,7 +205,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
     gen = continuation._rotation_generator(cs_model, cs_branch_point)
     orbit = continuation._orbit(cs_model, cs_branch_point, gen, n_hat)
-    ev, mu = continuation._solve_bordered(
+    ev, mu, _ = continuation._solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
     )
@@ -416,6 +416,146 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
     x, _ = continuation._solve_linear(rounded, rhs, pre)
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row), rhs)
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def _counting_gmres(monkeypatch):
+    """Patch `_gmres` to record its Arnoldi steps; returns the record."""
+    steps, original = [], continuation._gmres
+
+    def counting(*args):
+        step, taken = original(*args)
+        steps.append(taken)
+        return step, taken
+
+    monkeypatch.setattr(continuation, "_gmres", counting)
+    return steps
+
+
+def test_an_inexact_solve_meets_its_forcing_term_on_the_true_operator(
+        cs_model, cs_branch_point, monkeypatch):
+    # at a fiber-mixed trial start: rtol = 1e-2 bounds |r - M x| by 1e-2 |r|
+    # on the dense M and takes fewer Arnoldi steps than the full solve;
+    # rtol = 0 is the dense solve to 1e-9 (observed 3e-12)
+    model, bp = cs_model, cs_branch_point
+    coeffs, orbit, row = _trial_system(model, bp, seed=2)
+    ev = galerkin.Evaluation(model, galerkin.State(bp.t, coeffs.reshape(model.shape)))
+    lin = continuation._bordered_linear(model, ev, orbit, row)
+    dense = bordered_matrix(model, ev, orbit, row)
+    rhs = np.random.default_rng(1).standard_normal(lin.size)
+    want = np.linalg.solve(dense, rhs)
+    steps = _counting_gmres(monkeypatch)
+    taken = []
+    for rtol in (1e-2, 0.0):
+        steps.clear()
+        x, _ = continuation._solve_linear(lin, rhs, None, rtol)
+        taken.append(sum(steps))
+        if rtol:
+            assert np.linalg.norm(rhs - dense @ x) <= rtol * np.linalg.norm(rhs)
+            assert np.linalg.norm(x - want) > 1e-9 * np.linalg.norm(want)
+        else:
+            assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    assert taken[0] < taken[1]
+
+
+def test_newton_steps_are_solved_to_the_forcing_term(cs_model, cs_branch_point, monkeypatch):
+    # the trials' corrector and the complement solves ask each step for
+    # min(1e-2, |F|) of |r| (|F| = |r| for the corrector, the projected part
+    # of it for the complement); a tangent asks for the full accuracy
+    model, bp = cs_model, cs_branch_point
+    calls, original = [], continuation._solve_linear
+
+    def recording(lin, r, pre=None, rtol=0.0):
+        calls.append((rtol, float(np.linalg.norm(r)), len(lin.corner)))
+        return original(lin, r, pre, rtol)
+
+    monkeypatch.setattr(continuation, "_solve_linear", recording)
+    continuation.verify_fiber_constancy(model, bp, trials=2, seed=0)
+    bordered = list(calls)
+    continuation.lyapunov_schmidt_reduce(model, bp, 1e-2, 1)
+    complement = calls[len(bordered):]
+    assert bordered and complement
+    for rtol, r_norm, q in bordered:
+        assert q == 2 and rtol == min(continuation._FORCING, r_norm)
+    for rtol, r_norm, _ in complement:
+        assert 0 < rtol <= min(continuation._FORCING, r_norm)
+    calls.clear()
+    start = continuation.switch_branch(model, bp, 1e-2)
+    continuation.continue_branch(model, start, -1, 2, 4e-4, origin=bp)
+    tangents = [rtol for rtol, r_norm, _ in calls if r_norm == 1.0]
+    assert len(tangents) >= 3 and set(tangents) == {0.0}
+
+
+@pytest.fixture(scope="module")
+def padded_solution(cs_model, cs_branch_point):
+    """A fiber-constant solution of cs_model (a sample of the horizontal
+    branch at t = 1, zero-padded) with its evaluation and orbit."""
+    model, bp = cs_model, cs_branch_point
+    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
+    state = branch.samples[-1].state
+    offset = state.coeffs.ravel() - galerkin.constant_state(model, state.t).coeffs.ravel()
+    orbit = continuation._orbit(model, bp, continuation._rotation_generator(model, bp), offset)
+    return galerkin.Evaluation(model, state), orbit
+
+
+def test_the_first_sweep_is_the_solve_at_a_fiber_constant_solution(
+        cs_model, padded_solution, monkeypatch):
+    # there every fiber block is J_00 + c_j I and no entry joins two
+    # degrees, so P = M up to rounding: P^-1 r meets the quarter-ulp stop
+    # (observed 0.002 ulps) and the solve takes no GMRES step
+    model = cs_model
+    ev, orbit = padded_solution
+    rng = np.random.default_rng(4)
+    row = rng.standard_normal(model.n_modes + 1)
+    lin = continuation._bordered_linear(model, ev, orbit, row)
+    pre = continuation._Preconditioner(lin)
+    dense = bordered_matrix(model, ev, orbit, row)
+    steps = _counting_gmres(monkeypatch)
+    for _ in range(3):
+        rhs = rng.standard_normal(lin.size)
+        x = pre(rhs)
+        ulp = continuation._EPS * (pre.norm * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert np.linalg.norm(rhs - dense @ x) <= continuation._BACKWARD_ULPS * ulp
+        assert np.array_equal(continuation._solve_linear(lin, rhs, pre)[0], x)
+    assert steps == []
+
+
+def test_the_preconditioner_margin_is_the_eigvalsh_one(cs_model, padded_solution):
+    # Lambda_0 + a_m lam_1 / t from the preconditioner's one eigh is the
+    # smallest eigenvalue of the dense Jacobian's degree-1 block, and
+    # `fiber_margin` at the same state
+    model = cs_model
+    ev, orbit = padded_solution
+    nb, nf = model.shape
+    lin = continuation._bordered_linear(model, ev, orbit, np.ones(model.n_modes + 1))
+    pre = continuation._Preconditioner(lin)
+    jac = galerkin.residual_jacobian(model, ev.state).reshape(nb, nf, nb, nf)
+    oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
+    sub = galerkin.Evaluation(model.fiber_constant,
+                              galerkin.State(ev.state.t, ev.state.coeffs[:, :1]))
+    margin = continuation.fiber_margin(model, sub)
+    scale = np.abs(jac).max()
+    assert pre.shifted[0, 0] == np.min(pre.shifted)
+    assert abs(pre.shifted[0, 0] - oracle) <= 1e-13 * scale
+    assert abs(margin - oracle) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("defect, match", [
+    (0.0, "singular fiber block"),
+    (np.nan, "singular fiber block|did not converge"),   # NaN eigenvalues, or eigh refuses
+], ids=["zero", "nan"])
+def test_a_singular_fiber_block_raises(cs_model, padded_solution, monkeypatch, defect, match):
+    # J_00 = -c_1 I makes the degree-1 block exactly singular, and a NaN
+    # block has no finite eigenvalues: numpy's LinAlgError, as for a
+    # singular Schur system
+    model = cs_model
+    ev, orbit = padded_solution
+    nb = model.shape[0]
+    c1 = model.a_m * model.fiber.eigenvalues[1] / ev.state.t
+    monkeypatch.setattr(galerkin, "degree_zero_block",
+                        lambda m, e: -c1 * np.eye(nb) + defect)
+    lin = continuation._bordered_linear(model, ev, orbit, np.ones(model.n_modes + 1))
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        continuation._Preconditioner(lin)
 
 
 @pytest.mark.parametrize("which", ["base", "fiber"])
@@ -665,6 +805,95 @@ def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
     assert all(s.fiber_fraction == 0.0 for s in branch.samples)
 
 
+def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
+    # follow_branch takes each sample's margin from the evaluation its
+    # corrector converged on, with no dense Jacobian; the branch margin is
+    # the smallest eigvalsh one over the samples, to 1e-12 relative
+    model = small_cs_model
+    bp = _only_point(model, Fraction(1))
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense Jacobian was built")
+
+    monkeypatch.setattr(galerkin, "residual_jacobian", no_dense)
+    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    monkeypatch.undo()
+    sub, shift = model.fiber_constant, model.a_m * model.fiber.eigenvalues[1]
+    want = min(
+        np.linalg.eigvalsh(galerkin.residual_jacobian(
+            sub, galerkin.State(s.t, s.state.coeffs[:, :1])))[0] + shift / s.t
+        for s in branch.samples)
+    assert abs(branch.fiber_margin - want) <= 1e-12 * abs(want)
+
+
+@pytest.fixture(scope="module")
+def ss16_vertical(sphere_sphere):
+    """S^2 x S^2 at 16x8 and its vertical branch point t = 2, followed in
+    the full space (nf = 8)."""
+    model = galerkin.build_model(sphere_sphere, 16, 8)
+    _, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    assert vertical.kernel_modes == ((0, 1),) and vertical.t == 2
+    return model, vertical
+
+
+def _follow_counting(model, bp, monkeypatch, rebuild=False):
+    """The vertical branch, 40 steps toward u = 1, and the number of
+    preconditioners built; with `rebuild` every tangent builds its own."""
+    builds = []
+    original = continuation._Preconditioner.__init__
+
+    def counting(self, lin):
+        builds.append(lin.ev)
+        original(self, lin)
+
+    monkeypatch.setattr(continuation._Preconditioner, "__init__", counting)
+    if rebuild:
+        tangent = continuation._tangent
+        monkeypatch.setattr(continuation, "_tangent",
+                            lambda m, ev, orbit, row, pre=None: tangent(m, ev, orbit, row))
+    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    monkeypatch.undo()
+    return branch, len(builds)
+
+
+def test_the_tangent_keeps_the_corrector_preconditioner(ss16_vertical, monkeypatch):
+    # one preconditioner per continuation step, the corrector's, which the
+    # tangent at its solution keeps; the switch and the first tangent build
+    # one each
+    branch, builds = _follow_counting(*ss16_vertical, monkeypatch)
+    _, rebuilt = _follow_counting(*ss16_vertical, monkeypatch, rebuild=True)
+    steps = len(branch) - 1
+    assert steps == 40
+    assert builds <= steps + 2 < rebuilt
+
+
+def test_rounding_at_u_equal_one_is_no_turnaround(ss16_vertical, monkeypatch):
+    # the branch reaches u = 1 after 25 steps and the continuation runs on
+    # along the trivial branch, where the distances are rounding (about
+    # 1e-14): their order is no turnaround, so the stop is the same whether
+    # the tangents keep the corrector's preconditioner or rebuild it, and
+    # the same when that rounding grows at every step
+    kept, _ = _follow_counting(*ss16_vertical, monkeypatch)
+    rebuilt, _ = _follow_counting(*ss16_vertical, monkeypatch, rebuild=True)
+    assert kept.stop_reason == rebuilt.stop_reason == "steps-exhausted"
+    assert len(kept) == len(rebuilt) == 41
+    assert kept.distances[-1] < continuation._NONTRIVIAL_NORM
+
+    seen, distance = [], galerkin.u_distance
+
+    def growing(model, state):
+        d = distance(model, state)
+        if d < continuation._NONTRIVIAL_NORM:
+            seen.append(d)
+            d += 1e-15 * len(seen)
+        return d
+
+    monkeypatch.setattr(galerkin, "u_distance", growing)
+    noisy, _ = _follow_counting(*ss16_vertical, monkeypatch)
+    assert len(seen) >= 10
+    assert (noisy.stop_reason, len(noisy)) == ("steps-exhausted", 41)
+
+
 # ---------------------------------------------------------------------------
 # the two-space reduction
 
@@ -715,20 +944,21 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
         model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1]))[np.ix_(fc, fc)]
     assert np.abs(sub - jac).max() <= 1e-12 * np.abs(jac).max()
 
-    v, res = continuation._complement_solve(model.fiber_constant, bp.t,
-                                            state.coeffs[:, :1], fc)
+    v, res, _ = continuation._complement_solve(model.fiber_constant, bp.t,
+                                               state.coeffs[:, :1], fc)
     assert res < continuation.TOL_COMPLEMENT
     assert np.abs(v - _oracle_complement_solve(model, bp.t, base, fc_flat)).max() <= 1e-12
 
 
 def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, monkeypatch):
     # the trials and both reductions solve by fiber degree: no numpy.linalg
-    # solve, inv, lstsq or svd call sees a matrix with a side of n_modes or
-    # more, and the only dense Jacobians are the margins' nb x nb ones
+    # solve, inv, eigh, lstsq or svd call sees a matrix with a side of
+    # n_modes or more, and no dense Jacobian is built (the margins read the
+    # restricted solve's evaluation)
     model = cs_model
     n, nb = model.n_modes, model.shape[0]
     sides = []
-    for name in ("solve", "inv", "lstsq", "svd"):
+    for name in ("solve", "inv", "eigh", "lstsq", "svd"):
         def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             sides.append((_name, max(np.shape(a)[-2:])))
             return _original(a, *args, **kwargs)
@@ -743,9 +973,9 @@ def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, mon
     monkeypatch.setattr(galerkin, "residual_jacobian", counting)
     continuation.verify_fiber_constancy(model, cs_branch_point, trials=3, seed=0)
     continuation.lyapunov_schmidt_reduce(model, cs_branch_point, 1e-2, 2)
-    assert {name for name, _ in sides} == {"solve", "inv"}
+    assert {name for name, _ in sides} == {"solve", "inv", "eigh"}
     assert max(side for _, side in sides) < n
-    assert len(jacobians) == 2 and all(m is model.fiber_constant for m in jacobians)
+    assert jacobians == []
     assert max(side for _, side in sides) >= nb
 
 
