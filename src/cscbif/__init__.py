@@ -67,7 +67,6 @@ from .galerkin import (
     constant_state,
     energy,
     fiber_energy_fraction,
-    linearization_at_one,
     residual,
 )
 from .continuation import (
@@ -79,7 +78,6 @@ from .continuation import (
     detect_branch_points,
     follow_branch,
     lyapunov_schmidt_reduce,
-    newton_solve,
     switch_branch,
     verify_fiber_constancy,
 )

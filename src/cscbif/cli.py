@@ -129,13 +129,21 @@ def _float(value, path):
     return float(_real(value, path))
 
 
-def _positive(reader):
-    def read(value, path):
-        number = reader(value, path)
-        if number <= 0:
-            _fail(path, f"must be positive, got {number}")
-        return number
-    return read
+def _checked(holds, need):
+    """Wraps a number reader: a value that fails `holds` is refused as
+    not `need` ("must be positive, got 0")."""
+    def wrap(reader):
+        def read(value, path):
+            number = reader(value, path)
+            if not holds(number):
+                _fail(path, f"must be {need}, got {number}")
+            return number
+        return read
+    return wrap
+
+
+_positive = _checked(lambda x: x > 0, "positive")
+_nonzero = _checked(lambda x: x != 0, "nonzero")
 
 
 def _int(minimum):
@@ -228,7 +236,7 @@ GALERKIN = (
 CONTINUATION = (
     ("ds", _positive(_float), 4e-4),
     ("steps", _int(1), 40),
-    ("amplitude", _float, 1e-2),
+    ("amplitude", _nonzero(_float), 1e-2),
     ("seed", _int(0), 0),
     ("direction", _one_of(1, -1), -1),
     ("trials", _int(1), 20),

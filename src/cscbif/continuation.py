@@ -260,25 +260,23 @@ class _Preconditioner:
     fiber degrees zeroed, degree 0 kept (J_00 + mu R_00), and every degree
     j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
 
-    At a fiber-constant state J has exactly these blocks
-    (`galerkin.fiber_blocks`), and mu vanishes on solutions, so there
-    P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree j >= 1 as
-    Q (Lambda + c_j)^-1 Q^T, two small products for all of them; their
-    elimination leaves degree 0 with the border as one dense Schur system
-    of order nb + q, inverted once, as P^-1 is applied at every GMRES step.
-    When nf = 1 that system is M itself and is solved as it stands.  A zero
-    or non-finite Lambda_i + c_j, or a singular Schur system, raises
-    numpy.linalg.LinAlgError."""
+    J_00 is `galerkin.degree_zero_block` for every nf.  At a fiber-constant
+    state J has exactly these blocks, and mu vanishes on solutions, so
+    there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree
+    j >= 1 as Q (Lambda + c_j)^-1 Q^T, two small products for all of them;
+    their elimination leaves degree 0 with the border as one dense Schur
+    system of order nb + q, inverted once, as P^-1 is applied at every
+    GMRES step.  When nf = 1 that system is M itself and is solved as it
+    stands.  A zero or non-finite Lambda_i + c_j, or a singular Schur
+    system, raises numpy.linalg.LinAlgError."""
 
     def __init__(self, lin):
         model, gen = lin.model, lin.gen
         nb, nf = model.shape
         q = len(lin.corner)
         self.ev, self.shape = lin.ev, (nb, nf)
-        if nf == 1:
-            block = galerkin.fiber_blocks(model, lin.ev)[0]
-        else:
-            block = galerkin.degree_zero_block(model, lin.ev)
+        block = galerkin.degree_zero_block(model, lin.ev)
+        if nf > 1:
             lam, self.basis = np.linalg.eigh(block)
             shifts = model.a_m * model.fiber.eigenvalues[1:] / lin.ev.state.t
             self.shifted = lam[:, None] + shifts                    # Lambda_i + c_j, [nb, nf-1]
@@ -510,15 +508,6 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     )
 
 
-def newton_solve(model: GalerkinModel, t, initial: State) -> State:
-    """Damped Newton at fixed t: the bordered corrector with the pin row
-    t = t and no orbit.  The initial state must be positive on the grid;
-    every iterate stays positive."""
-    pin = np.append(np.zeros(model.n_modes), 1.0)
-    ev, _, _ = _solve_bordered(model, initial.coeffs, t, None, pin, float(t))
-    return ev.state
-
-
 def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
     """The branch-switching corrector of `switch_branch` and
     `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
@@ -710,12 +699,12 @@ def _padded(model, state):
 def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float:
     """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
     given as `ev`, its evaluation in `model.fiber_constant`: J_0 is the
-    nb x nb Jacobian there, its one fiber block, and one `eigvalsh` gives
-    the margin.  Every fiber block J_jj = J_0 + (a_m lam_j / t) I of `model`
-    with j >= 1 has its smallest eigenvalue at or above it, so a positive
-    margin makes them all positive definite: no fiber-dependent mode is
-    degenerate there."""
-    jac0 = galerkin.fiber_blocks(model.fiber_constant, ev)[0]
+    nb x nb Jacobian there (`galerkin.degree_zero_block`), and one
+    `eigvalsh` gives the margin.  Every fiber block
+    J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1 has its smallest
+    eigenvalue at or above it, so a positive margin makes them all
+    positive definite: no fiber-dependent mode is degenerate there."""
+    jac0 = galerkin.degree_zero_block(model.fiber_constant, ev)
     lam1 = model.fiber.eigenvalues[1]
     return float(np.linalg.eigvalsh(jac0)[0] + model.a_m * lam1 / ev.state.t)
 
@@ -777,7 +766,9 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
     E of the other modes, [[J, E], [E^T, 0]]: its multipliers take up the
     kernel rows, and E^T dv = 0 keeps v on `indices`; it is solved to the
     forcing term min(_FORCING, |P residual|).  Returns v, the final
-    projected residual and the evaluation of base + v."""
+    projected residual and the evaluation of base + v.  An iterate that is
+    not positive on the grid raises ReductionFailedError naming the
+    positivity loss."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
     pinned = np.delete(np.arange(n), idx)
@@ -790,7 +781,12 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
         c = base_coeffs.copy().ravel()
         c[idx] += v
         state = State(t, c.reshape(model.shape))
-        ev = galerkin.Evaluation(model, state)
+        try:
+            ev = galerkin.Evaluation(model, state)
+        except PositivityViolationError as exc:
+            raise ReductionFailedError(
+                f"complement solve left the positive cone: {exc}"
+            ) from exc
         res = galerkin.residual(model, state, ev).ravel()
         norm = float(np.linalg.norm(res[idx]))
         if norm < TOL_COMPLEMENT:
@@ -912,7 +908,8 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
     branch-switch from seeded random perturbations that mix kernel and
     fiber-mode components; every converged nontrivial solution must shed its
     fiber content below FIBER_FRACTION_BOUND.  Violations are reported, not
-    raised; the report passes when there are none."""
+    raised; the report passes when there are none.  A zero amplitude pins
+    every trial to u = 1 and is refused with InvalidArgumentError."""
     try:
         epsilon = variation.stability_epsilon(model.family)
     except NotApplicableError as exc:
@@ -929,6 +926,8 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         raise PreconditionError("branch point has no kernel modes")
     if trials < 1:
         raise InvalidArgumentError(f"need trials >= 1, got {trials}")
+    if amplitude == 0:
+        raise InvalidArgumentError(f"need amplitude != 0, got {amplitude}")
     gen = _rotation_generator(model, bp)
 
     rng = np.random.default_rng(seed)

@@ -195,16 +195,6 @@ class GalerkinModel:
         return self.base.volume * self.fiber.volume
 
     @cached_property
-    def pair_products(self):
-        """Pairwise products of each factor's basis functions at its nodes,
-        ([nb^2, Mb], [nf^2, Mf]); computed on the first Jacobian, not at
-        build time."""
-        return tuple(
-            (f.values[:, None, :] * f.values[None, :, :]).reshape(f.count ** 2, -1)
-            for f in (self.base, self.fiber)
-        )
-
-    @cached_property
     def fiber_constant(self) -> GalerkinModel:
         """The same family with the fiber factor cut to its constant mode,
         [nb, 1] coefficient arrays: the fiber-constant functions, the
@@ -300,11 +290,12 @@ def _positive_grid(model, state):
 
 
 class Evaluation:
-    """What `residual`, its derivatives (`residual_jacobian`, `fiber_blocks`,
-    `degree_zero_block`, `jacobian_apply`, `residual_t_derivative`) share at one
-    state: its values on the quadrature grid, checked positive, and, each
-    computed on first use, the projected power u^(p-1) and the two parts of
-    the Jacobian.  Pass it as `ev` to evaluate the state once for all."""
+    """What `residual` and its derivatives (`jacobian_apply`,
+    `degree_zero_block`, `residual_t_derivative` and the dense oracle
+    `residual_jacobian`) share at one state: its values on the quadrature
+    grid, checked positive, and, each computed on first use, the projected
+    power u^(p-1) and the two parts of the Jacobian.  Pass it as `ev` to
+    evaluate the state once for all."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model = model
@@ -353,67 +344,43 @@ def energy(model: GalerkinModel, state: State) -> float:
     return t ** (model.family.fiber.dim / 2) * (grad_term + potential)
 
 
-def linearization_at_one(model: GalerkinModel, t) -> np.ndarray:
-    """Diagonal of the linearized operator at u = 1:
-    a_m (b_i + lam_j / t - s(t) / (m - 1)) per mode pair, [nb, nf], for t
-    a float or an exact number read as its float."""
-    t = float(t)
-    lam = model.mode_eigenvalues(t)
-    return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
+def _gram(model: GalerkinModel, weight: np.ndarray, fiber_product: np.ndarray) -> np.ndarray:
+    """B diag(weight @ fiber_product) B^T, [nb, nb], B the base functions at
+    their nodes: the power term of the Jacobian between two fiber modes
+    whose product at the fiber nodes is `fiber_product`."""
+    base = model.base.values
+    return (base * (weight @ fiber_product)) @ base.T
 
 
-def residual_jacobian(model: GalerkinModel, state: State, ev: Evaluation | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def residual_jacobian(model: GalerkinModel, state: State,
+                      ev: Evaluation | None = None) -> np.ndarray:
     """Dense Jacobian of `residual` with respect to the coefficients,
-    [n_modes, n_modes] over row-major mode pairs, written into `out` when
-    given (any [n_modes, n_modes] view, such as a block of a larger matrix)
-    and returned.
-
-    The weighted Gram matrix of the tensor basis factors: contract the base
-    products psi_i psi_k with the weight over the base nodes first,
-    [nb^2, Mf], then, one (i, j) row block at a time, with the fiber
-    products phi_j phi_l over the fiber nodes.  The batched product writes
-    the (i, j), (k, l) order straight into `out`, with no reordered copy."""
-    wpow, diagonal = _evaluation(model, state, ev).jacobian_parts
+    [n_modes, n_modes] over row-major mode pairs: one `_gram` block per pair
+    of fiber modes (j, l), fiber nodes contracted first, plus the diagonal
+    linear part.  A test oracle; with one fiber mode it is
+    `degree_zero_block` bit for bit."""
+    weight, diagonal = _evaluation(model, state, ev).jacobian_parts
     (nb, nf), n = model.shape, model.n_modes
-    base_pairs, fiber_pairs = model.pair_products
-    partial = (base_pairs @ wpow).reshape(nb, 1, nb, -1)           # (i, -, k, node)
-    fiber = fiber_pairs.reshape(nf, nf, -1).transpose(0, 2, 1)     # (j, node, l)
-    jac = np.empty((n, n)) if out is None else out
-    np.matmul(partial, fiber, out=jac.reshape(nb, nf, nb, nf, copy=False))
+    fiber = model.fiber.values
+    jac = np.empty((nb, nf, nb, nf))
+    for j, l in np.ndindex(nf, nf):
+        jac[:, j, :, l] = _gram(model, weight, fiber[j] * fiber[l])
+    jac = jac.reshape(n, n)
     jac[np.diag_indices(n)] += diagonal.ravel()
     return jac
 
 
-def fiber_blocks(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
-    """The diagonal blocks J[(i, j), (k, j)] of `residual_jacobian` at the
-    evaluated state, one nb x nb block per fiber degree j, [nf, nb, nb].
-
-    The fiber products of one degree are the squares phi_j^2, so the blocks
-    cost one product of the weighted base pairs with them, contracted in
-    the order of `residual_jacobian` (base nodes first); for nf = 1 the one
-    block is the dense Jacobian bit for bit.  At a fiber-constant state
-    these blocks are the whole Jacobian."""
-    nb, nf = model.shape
-    base_pairs, _ = model.pair_products
-    weight, diagonal = ev.jacobian_parts
-    fiber_sq = model.fiber.values ** 2                              # (j, node)
-    flat = ((base_pairs @ weight) @ fiber_sq.T).T                  # (j, (i, k)), a view
-    flat[:, ::nb + 1] += diagonal.T
-    return flat.reshape(nf, nb, nb)
-
-
 def degree_zero_block(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
-    """The degree-0 block of `fiber_blocks`, B diag(w) B^T + diag, [nb, nb]:
-    B the base functions at their nodes and w the Jacobian's weight
-    averaged over the fiber nodes with the weight phi_0^2.  One nb x nb
-    product instead of `fiber_blocks`' nb^2 rows; equal to its first block
-    up to rounding."""
+    """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian at the
+    evaluated state, [nb, nb]: B diag(w) B^T plus the diagonal linear part,
+    with w the Jacobian's weight contracted with phi_0^2 over the fiber
+    nodes.  The one kernel for this block: the preconditioner and
+    `continuation.fiber_margin` read it, and at a fiber-constant state
+    every degree-j block is it plus (a_m lam_j / t) I."""
     weight, diagonal = ev.jacobian_parts
-    base = model.base.values
-    mean = weight @ model.fiber.values[0] ** 2                      # (base node)
-    block = (base * mean) @ base.T
-    block[np.diag_indices(len(base))] += diagonal[:, 0]
+    phi0 = model.fiber.values[0]
+    block = _gram(model, weight, phi0 * phi0)
+    block[np.diag_indices(len(block))] += diagonal[:, 0]
     return block
 
 

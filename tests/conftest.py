@@ -194,6 +194,30 @@ def b_sequence(fam, count):
 
 
 # ---------------------------------------------------------------------------
+# oracles: the linearization at u = 1 and Newton at a fixed scale
+
+
+def linearization_at_one(model, t):
+    """Diagonal of the linearized operator at u = 1:
+    a_m (b_i + lam_j / t - s(t) / (m - 1)) per mode pair, [nb, nf], for t
+    a float or an exact number read as its float."""
+    t = float(t)
+    lam = model.mode_eigenvalues(t)
+    return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
+
+
+def newton_solve(model, t, initial):
+    """Damped Newton at fixed t: the package's bordered corrector with the
+    pin row t = t and no orbit.  The initial state must be positive on the
+    grid; every iterate stays positive."""
+    from cscbif import continuation
+
+    pin = np.append(np.zeros(model.n_modes), 1.0)
+    ev, _, _ = continuation._solve_bordered(model, initial.coeffs, t, None, pin, float(t))
+    return ev.state
+
+
+# ---------------------------------------------------------------------------
 # oracle: realized eigenvalue pairs of the quaternionic Hopf fibration
 
 

@@ -24,6 +24,7 @@ from conftest import (
     ablated_nondiscrete_families,
     b_sequence,
     brute_force_instants,
+    linearization_at_one,
 )
 
 
@@ -188,7 +189,7 @@ def test_gradient_consistency(circle_sphere):
     # at this residual scale, right at the tolerance
     t = 0.7
     hj = 1e-3
-    lin = np.diag(galerkin.linearization_at_one(model, t).ravel())
+    lin = np.diag(linearization_at_one(model, t).ravel())
     base = galerkin.constant_state(model, t)
     fd_jac = np.zeros((model.n_modes, model.n_modes))
     for col, idx in enumerate(np.ndindex(model.shape)):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cscbif import CscbifError, cli
+from cscbif import CscbifError, cli, galerkin
 
 from conftest import PULLBACK_BASE, PULLBACK_ROWS
 
@@ -174,6 +174,13 @@ def test_float_literals_stay_floats():
     assert cfg.continuation.ds == 4.0e-4
 
 
+def test_negative_amplitudes_stay_valid(tmp_path):
+    # only 0 is refused (MALFORMED["amplitude-zero"]): a negative amplitude
+    # switches onto the other side of the branch
+    cfg = cli.load_config(str(_small_circle_sphere(tmp_path, amplitude=-1.0e-2)))
+    assert cfg.continuation.amplitude == -1.0e-2
+
+
 @pytest.mark.parametrize("section, key", [
     (None, "galerkinn"),
     ("continuation", "detect_samples"),   # removed; no longer a schema key
@@ -248,6 +255,10 @@ MALFORMED = {
         "continuation.direction",
     ),
     "ds-negative": (CIRCLE_SPHERE, lambda d: _put(d, "continuation.ds", -1), "continuation.ds"),
+    "amplitude-zero": (
+        CIRCLE_SPHERE, lambda d: _put(d, "continuation.amplitude", 0),
+        "continuation.amplitude",
+    ),
     # keys the schema no longer has, each in a config it used to accept
     "removed-joint_total_at_one": (
         HOPF, lambda d: d.update(joint_pairs=[[0, 0, 1]], joint_total_at_one={
@@ -507,6 +518,19 @@ def test_branch_needs_numeric_sections(tmp_path):
     assert code == 2
 
 
+def test_branch_builds_no_dense_jacobian(tmp_path, monkeypatch):
+    # the corrector, the tangent and the margins read the Jacobian through
+    # the grid and its degree-0 block; the dense matrix is a test oracle
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense Jacobian was built")
+
+    monkeypatch.setattr(galerkin, "residual_jacobian", no_dense)
+    code, out = _run(tmp_path, "branch", "--config", str(_small_circle_sphere(tmp_path)))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [e["status"] for e in report["results"]["branch_points"]] == ["ok"]
+
+
 def test_branch_is_byte_deterministic(tmp_path):
     path = _small_circle_sphere(tmp_path)
     _, out_a = _run(tmp_path / "a", "branch", "--config", str(path))
@@ -578,6 +602,26 @@ def test_verify_flags_fiber_kernels(tmp_path):
     cells = lines[1].split(",")
     assert cells[2] == "false"
     assert cells[5] == "hypothesis-violated"
+
+
+def test_a_reduction_sample_off_the_positive_cone_fails_its_row_only(tmp_path):
+    # at reduce_radius 1.5 the complement solve leaves u > 0: the row's
+    # reduction reads reduction-failed and names the positivity loss, its
+    # trials still run, and the run writes both files and exits 5
+    path = _small_circle_sphere(tmp_path, reduce_radius=1.5)
+    data = yaml.safe_load(path.read_text())
+    data["galerkin"] = {"N_b": 6, "N_f": 3}
+    data["window"] = {"t_min": "1/5", "t_max": "1/3"}
+    path.write_text(yaml.safe_dump(data))
+    code, out = _run(tmp_path, "verify", "--config", str(path))
+    assert code == 5
+    (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
+    assert row["reduction"]["status"] == "reduction-failed"
+    assert "positive" in row["reduction"]["detail"]
+    assert row["fiber_constancy"]["status"] == "ok"
+    assert row["fiber_constancy"]["trials"] == 6
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",reduction-failed")
 
 
 def test_verify_is_byte_deterministic(tmp_path):

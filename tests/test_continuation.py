@@ -23,6 +23,8 @@ from cscbif.errors import (
     PreconditionError,
 )
 
+from conftest import linearization_at_one, newton_solve
+
 
 @pytest.fixture(scope="module")
 def mixed_model():
@@ -108,8 +110,8 @@ def test_kernel_vectors_span_the_crossing_modes(cs_model, cs_branch_point):
 
 
 def test_negative_mode_count_jumps_by_kernel_size(cs_model, cs_branch_point):
-    below = np.sum(galerkin.linearization_at_one(cs_model, 0.98) < 0)
-    above = np.sum(galerkin.linearization_at_one(cs_model, 1.02) < 0)
+    below = np.sum(linearization_at_one(cs_model, 0.98) < 0)
+    above = np.sum(linearization_at_one(cs_model, 1.02) < 0)
     assert below - above == cs_branch_point.kernel_dim
 
 
@@ -119,7 +121,7 @@ def test_negative_mode_count_jumps_by_kernel_size(cs_model, cs_branch_point):
 
 def test_newton_basin_of_the_constant(cs_model):
     start = galerkin.constant_state(cs_model, 0.7, value=0.9)
-    sol = continuation.newton_solve(cs_model, 0.7, start)
+    sol = newton_solve(cs_model, 0.7, start)
     assert sol.t == 0.7
     assert continuation.residual_norm(cs_model, sol) < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, sol) < 1e-8
@@ -129,7 +131,7 @@ def test_newton_rejects_sign_changing_initial(cs_model):
     bad = galerkin.constant_state(cs_model, 0.7)
     bad.coeffs[1, 0] = 15.0
     with pytest.raises(PositivityViolationError):
-        continuation.newton_solve(cs_model, 0.7, bad)
+        newton_solve(cs_model, 0.7, bad)
 
 
 def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
@@ -138,7 +140,7 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
     near = galerkin.constant_state(cs_model, 1.0)
     near.coeffs[1, 0] = 5.0
     with pytest.raises(NoConvergenceError):
-        continuation.newton_solve(cs_model, 1.0, near)
+        newton_solve(cs_model, 1.0, near)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def bordered_matrix(model, ev, orbit, row, mu=0.0):
     k = 0 if orbit is None else 1
     mat = np.empty((n + 1 + k, n + 1 + k))
     state = ev.state
-    galerkin.residual_jacobian(model, state, ev, out=mat[:n, :n])
+    mat[:n, :n] = galerkin.residual_jacobian(model, state, ev)
     mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
     if orbit is not None:
         gen = orbit.gen
@@ -1042,6 +1044,17 @@ def test_fiber_constancy_is_seed_deterministic(cs_model, cs_branch_point):
     assert a.max_fraction == b.max_fraction
     for ra, rb in zip(a.trials, b.trials):
         assert ra == rb
+
+
+def test_fiber_constancy_needs_a_nonzero_amplitude(cs_model, cs_branch_point):
+    # amplitude 0 pins every trial to u = 1, so nothing would be tested; a
+    # negative amplitude starts on the other side of the branch
+    with pytest.raises(InvalidArgumentError, match="amplitude"):
+        continuation.verify_fiber_constancy(cs_model, cs_branch_point, 2, amplitude=0.0)
+    report = continuation.verify_fiber_constancy(cs_model, cs_branch_point, 2,
+                                                 amplitude=-1e-2)
+    assert report.passed
+    assert all(row.converged and row.nontrivial for row in report.trials)
 
 
 def test_fiber_constancy_outside_the_window_is_a_precondition_error(mixed_model):

@@ -24,6 +24,8 @@ from cscbif.errors import (
     UnsupportedGeometryError,
 )
 
+from conftest import linearization_at_one
+
 
 @pytest.fixture(scope="module")
 def small_model(circle_sphere):
@@ -157,7 +159,7 @@ def test_linearization_zeroes_exactly_at_degeneracy_witnesses(
     small_model, circle_sphere
 ):
     for t in (Fraction(1), Fraction(1, 4), Fraction(7, 10)):
-        lin = galerkin.linearization_at_one(small_model, t)
+        lin = linearization_at_one(small_model, t)
         for (i, j), (b, lam) in small_model.eigentable():
             rr = variation.degeneracy_roots(circle_sphere, b, lam)
             vanishes = t in rr.roots
@@ -235,7 +237,7 @@ def test_linearization_matches_jacobian_at_the_constant(small_model):
     t = 0.7
     state = galerkin.constant_state(small_model, t)
     jac = galerkin.residual_jacobian(small_model, state)
-    lin = np.diag(galerkin.linearization_at_one(small_model, t).ravel())
+    lin = np.diag(linearization_at_one(small_model, t).ravel())
     assert np.abs(jac - lin).max() < 1e-10
 
 
@@ -299,25 +301,25 @@ def _mixed_product(base_dim, fiber_dim):
 
 
 @pytest.mark.parametrize("base_dim, fiber_dim", [(1, 2), (2, 1)])
-def test_fiber_blocks_are_the_diagonal_blocks_of_the_jacobian(base_dim, fiber_dim):
+def test_degree_zero_block_is_the_dense_degree_zero_block(base_dim, fiber_dim):
     # oracle: the dense Jacobian at a fiber-mixed state, where the entries
     # between fiber degrees do not vanish; with one fiber mode the block is
-    # the dense Jacobian bit for bit (same contraction order)
+    # the dense Jacobian bit for bit (the same Gram kernel)
     model, state = _mixed_product(base_dim, fiber_dim)
     nb, nf = model.shape
     jac = galerkin.residual_jacobian(model, state).reshape(nb, nf, nb, nf)
-    blocks = galerkin.fiber_blocks(model, galerkin.Evaluation(model, state))
+    block = galerkin.degree_zero_block(model, galerkin.Evaluation(model, state))
     scale = np.abs(jac).max()
-    assert blocks.shape == (nf, nb, nb)
+    assert block.shape == (nb, nb)
+    assert np.abs(block - jac[:, 0, :, 0]).max() <= 1e-13 * scale
     off = jac.copy()
     for j in range(nf):
-        assert np.abs(blocks[j] - jac[:, j, :, j]).max() <= 1e-13 * scale
         off[:, j, :, j] = 0.0
     assert np.abs(off).max() > 1e-3 * scale
 
     sub = model.fiber_constant
     restricted = galerkin.State(state.t, state.coeffs[:, :1])
-    (block,) = galerkin.fiber_blocks(sub, galerkin.Evaluation(sub, restricted))
+    block = galerkin.degree_zero_block(sub, galerkin.Evaluation(sub, restricted))
     assert np.array_equal(block, galerkin.residual_jacobian(sub, restricted))
 
 
