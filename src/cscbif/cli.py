@@ -7,8 +7,9 @@ report echoes the effective configuration in a form that parses back to an
 equivalent one, and all tabular output is byte-reproducible for a fixed
 config and seed: no timestamps, no absolute paths, deterministic solvers.
 
-Exit codes: 0 success, 1 run failure, 2 configuration, 3 incomplete
-spectrum, 4 unsupported geometry, 5 verification failure.
+Exit codes: 0 success, 1 run failure, 2 configuration or an unwritable
+--out, 3 incomplete spectrum, 4 unsupported geometry, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -126,7 +127,11 @@ def _decimal(value, path):
 
 
 def _float(value, path):
-    return float(_real(value, path))
+    number = _real(value, path)
+    try:
+        return float(number)
+    except OverflowError:
+        _fail(path, f"{value!r} is beyond the double range")
 
 
 def _checked(holds, need):
@@ -454,7 +459,7 @@ def _branch_points(cfg: FamilyConfig, command: str):
     points = continuation.detect_branch_points(model, cfg.t_min, cfg.t_max)
     provenance = {
         "quantity": "branch_points", "operation": "continuation.detect_branch_points",
-        "inputs": {"t_min": fmt_number(float(cfg.t_min)), "t_max": fmt_number(float(cfg.t_max))},
+        "inputs": {"t_min": fmt_number(cfg.t_min), "t_max": fmt_number(cfg.t_max)},
     }
     return model, cfg.continuation, points, provenance
 
@@ -689,7 +694,11 @@ def main(argv=None) -> int:
         print(f"cscbif: error: {exc}", file=sys.stderr)
         return _EXIT_FAILURE
 
-    _write_report(report, args.out)
+    try:
+        _write_report(report, args.out)
+    except OSError as exc:
+        print(f"cscbif: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return _EXIT_CONFIG
     wrote = ", ".join(["report.json"] + sorted(report.tables))
     print(f"{args.command}: wrote {wrote} to {args.out}")
     return report.exit_code

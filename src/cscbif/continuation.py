@@ -7,22 +7,24 @@ pseudo-arclength continuation, and runs a finite-dimensional two-subspace
 Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
 solutions are constant along the fibers.
 
-Branch switching, continuation and the fiber-constancy trials share one
-corrector: damped Newton on a square bordered system (Keller's
-pseudo-arclength corrector in the bordered form of Govaerts).  Its linear
-solves, and those of the reduction, go by fiber degree (`_solve_linear`):
-block elimination over the fiber blocks of the Jacobian, refined by GMRES
-on the true operator.  The unknowns are (c, t) and the equations are
-residual(c, t) = 0 plus one affine row: the amplitude pin
-<c - c_triv, n> = amplitude when switching, with n a unit kernel direction,
-or the arclength row when continuing.  When the kernel is the cos/sin pair
-of one circle-factor frequency, the rotation orbit of a solution is a null
-direction of that system.  An unfolding unknown mu then enters as
-residual(c, t) + mu R c = 0, with R the rotation generator of the circle
-factor, and a phase row <c - c_triv, w> = 0 with w the orbit direction
-inside the kernel span fixes the rotation.  By equivariance mu vanishes on
-solutions.  The branch tangent is the solution of the same bordered matrix
-with the previous tangent as its last row.
+One damped Newton loop (`_newton`) solves every nonlinear system here:
+the corrector that branch switching, continuation and the fiber-constancy
+trials share, a square bordered system (Keller's pseudo-arclength
+corrector in the bordered form of Govaerts), and the complement solves of
+the reduction, made square by their kernel pins.  Its linear solves go by
+fiber degree (`_solve_linear`): block elimination over the fiber blocks of
+the Jacobian, refined by GMRES on the true operator.  In the corrector
+the unknowns are (c, t) and the equations are residual(c, t) = 0 plus one
+affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
+with n a unit kernel direction, or the arclength row when continuing.
+When the kernel is the cos/sin pair of one circle-factor frequency, the
+rotation orbit of a solution is a null direction of that system.  An
+unfolding unknown mu then enters as residual(c, t) + mu R c = 0, with R
+the rotation generator of the circle factor (`_Orbit`), and a phase row
+<c - c_triv, w> = 0 with w the orbit direction inside the kernel span
+fixes the rotation.  By equivariance mu vanishes on solutions.  The
+branch tangent is the solution of the same bordered matrix with the
+previous tangent as its last row.
 
 A horizontal kernel consists of fiber-constant modes, which span the
 fixed-point subspace of the fiber isometries; the residual leaves it
@@ -124,40 +126,6 @@ def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Newton solvers
 
-@dataclass(frozen=True)
-class _Rotation:
-    """The rotation generator R = d/dphi of one circle factor on flat
-    coefficients, an n x n matrix kept as its support: R[rows, cols] = vals.
-    `block` is the nb x nb generator R repeats within every fiber degree
-    (the base circle's), or None when R maps between degrees (the fiber
-    circle's)."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    block: np.ndarray | None = None
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, block: np.ndarray | None = None) -> _Rotation:
-        rows, cols = np.nonzero(dense)
-        return cls(len(dense), rows, cols, dense[rows, cols], block)
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """R c, [n]."""
-        return np.bincount(self.rows, self.vals * c[self.cols], minlength=self.n)
-
-
-@dataclass(frozen=True)
-class _Orbit:
-    """The rotation orbit of a branch through a cos/sin kernel pair:
-    `gen` is the rotation generator of the circle factor and `phase` the
-    unit orbit direction of the kernel part of the branch, [n]."""
-
-    gen: _Rotation
-    phase: np.ndarray
-
-
 def _circle_generator(factor) -> np.ndarray:
     """d/dphi on one Fourier factor's coefficients: the frequency-k pair
     (cos, sin) maps to (k sin-coefficient, -k cos-coefficient)."""
@@ -169,43 +137,59 @@ def _circle_generator(factor) -> np.ndarray:
     return gen
 
 
-def _rotation_generator(model, bp):
-    """Rotation generator of the circle factor whose cos/sin pair spans the
-    kernel of `bp`, as its support; None when there is no rotation orbit to
-    fix (no branch point, or a one-mode kernel)."""
+class _Orbit:
+    """The rotation orbit of a branch through the cos/sin kernel pair of one
+    circle factor.  `generator` is d/dphi on that factor's coefficients: the
+    rotation generator R of the flat coefficients applies it to the rows of
+    the [nb, nf] coefficient array when the circle is the base (`on_base`;
+    R then repeats it within every fiber degree) and to the columns when it
+    is the fiber.  `phase` is the unit orbit direction R k / |R k| of the
+    branch's kernel part k, [n]."""
+
+    def __init__(self, generator, on_base, kernel_part):
+        self.generator, self.on_base = generator, on_base
+        phase = self.apply(kernel_part)
+        self.phase = phase / np.linalg.norm(phase)
+
+    def apply(self, c):
+        """R c for flat coefficients c, [n]: one small product."""
+        gen = self.generator
+        if self.on_base:
+            return (gen @ c.reshape(len(gen), -1)).ravel()
+        return (c.reshape(-1, len(gen)) @ gen.T).ravel()
+
+
+def _orbit(model, bp, align):
+    """The orbit of a branch through `bp` whose kernel part points along
+    `align` (flattened); None when there is no rotation orbit to fix (no
+    branch point, a one-mode kernel) or `align` has no kernel part.  A
+    kernel that is neither one mode nor the cos/sin pair of one
+    circle-factor frequency raises PreconditionError."""
     if bp is None or bp.kernel_dim == 1:
         return None
 
     def is_pair(factor, a, b):
         return factor.label == "fourier" and a % 2 == 1 and b == a + 1
 
-    nb, nf = model.shape
+    on_base = None
     if bp.kernel_dim == 2:
         (i1, j1), (i2, j2) = sorted(bp.kernel_modes)
         if j1 == j2 and is_pair(model.base, i1, i2):
-            block = _circle_generator(model.base)
-            return _Rotation.from_dense(np.kron(block, np.eye(nf)), block)
-        if i1 == i2 and is_pair(model.fiber, j1, j2):
-            return _Rotation.from_dense(np.kron(np.eye(nb), _circle_generator(model.fiber)))
-    raise PreconditionError(
-        f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
-        "circle-factor frequency; the bordered corrector supports one-mode "
-        "kernels and such pairs only"
-    )
-
-
-def _orbit(model, bp, gen, align):
-    """The orbit data for a branch whose kernel part points along `align`
-    (flattened); None without a generator or when `align` has no kernel
-    part, since then there is no orbit direction to fix."""
-    if gen is None:
-        return None
+            on_base = True
+        elif i1 == i2 and is_pair(model.fiber, j1, j2):
+            on_base = False
+    if on_base is None:
+        raise PreconditionError(
+            f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
+            "circle-factor frequency; the bordered corrector supports one-mode "
+            "kernels and such pairs only"
+        )
     span = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
     coords = span @ align
     if np.linalg.norm(coords) <= 1e-12:
         return None
-    phase = gen.apply(coords @ span)
-    return _Orbit(gen, phase / np.linalg.norm(phase))
+    circle = model.base if on_base else model.fiber
+    return _Orbit(_circle_generator(circle), on_base, coords @ span)
 
 
 # A linear solve stops at a normwise backward error |r - M x| / (|M| |x| + |r|)
@@ -230,13 +214,13 @@ class _Linear:
         M = [[J + mu R   cols  ],
              [rows       corner]],
 
-    J the Jacobian of `residual`, R the rotation generator `gen` (if any)
-    and q = len(corner) border rows and columns, applied without an
+    J the Jacobian of `residual`, R the rotation generator of `orbit` (if
+    any) and q = len(corner) border rows and columns, applied without an
     n_modes x n_modes matrix.  Vectors are the flat coefficients followed
     by the q border unknowns."""
 
-    def __init__(self, model, ev, cols, rows, corner, gen=None, mu=0.0):
-        self.model, self.ev, self.gen, self.mu = model, ev, gen, mu
+    def __init__(self, model, ev, cols, rows, corner, orbit=None, mu=0.0):
+        self.model, self.ev, self.orbit, self.mu = model, ev, orbit, mu
         self.cols, self.rows, self.corner = cols, rows, corner
         self.size = model.n_modes + len(corner)     # the order of M
 
@@ -248,8 +232,8 @@ class _Linear:
         y = np.empty_like(x)
         y[:n] = galerkin.jacobian_apply(model, self.ev, c.reshape(model.shape)).ravel()
         y[:n] += self.cols @ z
-        if self.gen is not None:
-            y[:n] += self.mu * self.gen.apply(c)
+        if self.orbit is not None:
+            y[:n] += self.mu * self.orbit.apply(c)
         y[n:] = self.rows @ c + self.corner @ z
         return y
 
@@ -257,7 +241,8 @@ class _Linear:
 class _Preconditioner:
     """P^-1 for a `_Linear` M, with P the matrix M whose J + mu R is
     replaced by its fiber-constant model: the entries between different
-    fiber degrees zeroed, degree 0 kept (J_00 + mu R_00), and every degree
+    fiber degrees zeroed, degree 0 kept (J_00 + mu R_00, R_00 the base
+    circle's generator, zero for the fiber circle's), and every degree
     j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
 
     J_00 is `galerkin.degree_zero_block` for every nf.  At a fiber-constant
@@ -271,7 +256,7 @@ class _Preconditioner:
     system, raises numpy.linalg.LinAlgError."""
 
     def __init__(self, lin):
-        model, gen = lin.model, lin.gen
+        model, orbit = lin.model, lin.orbit
         nb, nf = model.shape
         q = len(lin.corner)
         self.ev, self.shape = lin.ev, (nb, nf)
@@ -284,8 +269,8 @@ class _Preconditioner:
                 self.scale = 1.0 / self.shifted
             if not (np.isfinite(self.shifted).all() and np.isfinite(self.scale).all()):
                 raise np.linalg.LinAlgError("singular fiber block")
-        if gen is not None and gen.block is not None and lin.mu != 0.0:
-            block = block + lin.mu * gen.block
+        if orbit is not None and orbit.on_base and lin.mu != 0.0:
+            block = block + lin.mu * orbit.generator
         cols3, rows3 = lin.cols.reshape(nb, nf, q), lin.rows.reshape(q, nb, nf)
         schur = np.empty((nb + q, nb + q))
         schur[:nb, :nb] = block
@@ -417,7 +402,7 @@ def _gmres(lin, pre, res, beta, bound, limit):
 def _bordered_linear(model, ev, orbit, row, mu=0.0):
     """The `_Linear` for the square Jacobian of the bordered system at
     the evaluated state `ev` (a `galerkin.Evaluation`): unknowns (c, t)
-    and, with an orbit, mu; rows residual + mu gen c, then with an orbit
+    and, with an orbit, mu; rows residual + mu R c, then with an orbit
     the phase row, then `row` over (c, t)."""
     n = model.n_modes
     q = 1 if orbit is None else 2
@@ -427,31 +412,73 @@ def _bordered_linear(model, ev, orbit, row, mu=0.0):
     corner[-1, 0] = row[n]
     if orbit is None:
         return _Linear(model, ev, cols, rows, corner)
-    cols[:, 1] = orbit.gen.apply(ev.state.coeffs.ravel())
+    cols[:, 1] = orbit.apply(ev.state.coeffs.ravel())
     rows[0] = orbit.phase
-    return _Linear(model, ev, cols, rows, corner, orbit.gen, mu)
+    return _Linear(model, ev, cols, rows, corner, orbit, mu)
+
+
+def _newton(evaluate, linear, x, tol):
+    """Damped Newton on a square system F(x) = 0, the one Newton loop of the
+    corrector and the complement solves.  `evaluate(x)` returns (F, ev,
+    plain): ev the `galerkin.Evaluation` of x's state, plain the norm of its
+    residual alone; `linear(ev, x)` is the `_Linear` Jacobian of F there.
+
+    Each step is one `_solve_linear` to the forcing term min(_FORCING, |F|),
+    keeping the preconditioner while it contracts, and is halved until |F|
+    falls by a quarter of the fraction taken (or below `tol`); a candidate
+    with no state (t <= 0) or not positive on the grid is halved too.  Stops
+    when |F| and plain are below `tol` and returns (x, ev, plain, pre), pre
+    the last preconditioner (None when no step was taken).  A singular step
+    raises numpy.linalg.LinAlgError, a start off the positive cone
+    PositivityViolationError; halving below _MIN_DAMPING, or MAX_NEWTON_ITER
+    steps, raise NoConvergenceError, whose `positivity_boundary` tells
+    whether a candidate was not positive."""
+    pre, positivity_seen = None, False
+    F, ev, plain = evaluate(x)
+    norm = float(np.linalg.norm(F))
+    what = f"did not converge in {MAX_NEWTON_ITER} steps"
+    for _ in range(MAX_NEWTON_ITER):
+        if norm < tol and plain < tol:
+            return x, ev, plain, pre
+        step, pre = _solve_linear(linear(ev, x), -F, pre, min(_FORCING, norm))
+        alpha = 1.0
+        while alpha >= _MIN_DAMPING:
+            cand = x + alpha * step
+            try:
+                F_new, ev_new, plain_new = evaluate(cand)
+            except PositivityViolationError:
+                positivity_seen = True
+            except InvalidArgumentError:        # t <= 0: no state to evaluate
+                pass
+            else:
+                new_norm = float(np.linalg.norm(F_new))
+                if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < tol:
+                    x, F, ev, plain, norm = cand, F_new, ev_new, plain_new, new_norm
+                    break
+            alpha *= 0.5
+        else:
+            what = "stalled"
+            break
+    cone = "; damped steps left the positive cone" if positivity_seen else ""
+    raise NoConvergenceError(
+        f"Newton {what} near t = {ev.state.t} (residual {norm:.3e}){cone}",
+        positivity_boundary=positivity_seen,
+    )
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
-    """Damped Newton on the square bordered system
+    """`_newton` on the square bordered system
 
-        residual(c, t) + mu gen c = 0,  <phase, c> = 0,  row . (c, t) = target
+        residual(c, t) + mu R c = 0,  <phase, c> = 0,  row . (c, t) = target
 
-    (the mu term and the phase row only with an orbit; the phase row lies in
-    the kernel span, orthogonal to the constant, so it reads
-    <phase, c - c_triv> = 0).  Each step is one `_solve_linear` to the
-    forcing term min(_FORCING, |F|); the preconditioner factored at the
-    first step serves the later ones while it contracts.  Stops when the
-    bordered residual and residual(c, t) alone are both below TOL_NEWTON,
-    and returns the converged evaluation (its `.state` is the solution),
-    mu and the last preconditioner (None when no step was taken), for a
-    tangent at the solution.  Raises NoConvergenceError,
-    whose `positivity_boundary` tells whether the line search ever hit the
-    positivity boundary.  Each state is evaluated once
-    (`galerkin.Evaluation`) for its residual and its linearization."""
+    (the mu term and the phase row only with an `_Orbit`; the phase row lies
+    in the kernel span, orthogonal to the constant, so it reads
+    <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs, t) and mu = 0.
+    Returns the converged evaluation (its `.state` is the solution), mu and
+    the last preconditioner, for a tangent at the solution.  Raises
+    NoConvergenceError, also for a singular bordered matrix."""
     n = model.n_modes
     row = np.asarray(row, dtype=float)
-    positivity_seen = False
 
     def mu_of(x):
         return 0.0 if orbit is None else float(x[n + 1])
@@ -464,55 +491,26 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
         if orbit is None:
             full = np.append(res, last)
         else:
-            full = np.concatenate([res + x[n + 1] * orbit.gen.apply(c),
+            full = np.concatenate([res + x[n + 1] * orbit.apply(c),
                                    [orbit.phase @ c, last]])
         return full, ev, float(np.linalg.norm(res))
 
     x = np.append(np.asarray(coeffs, dtype=float).ravel(),
                   [float(t)] if orbit is None else [float(t), 0.0])
-    pre = None
-    F, ev, plain = evaluate(x)
-    norm = float(np.linalg.norm(F))
-    for _ in range(MAX_NEWTON_ITER):
-        if norm < TOL_NEWTON and plain < TOL_NEWTON:
-            return ev, mu_of(x), pre
-        lin = _bordered_linear(model, ev, orbit, row, mu_of(x))
-        try:
-            step, pre = _solve_linear(lin, -F, pre, min(_FORCING, norm))
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(
-                f"singular bordered matrix near t = {x[n]}: {exc}"
-            ) from exc
-        alpha = 1.0
-        while True:
-            cand = x + alpha * step
-            if cand[n] > 0:
-                try:
-                    F_new, ev_new, plain_new = evaluate(cand)
-                except PositivityViolationError:
-                    positivity_seen = True
-                else:
-                    new_norm = float(np.linalg.norm(F_new))
-                    if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < TOL_NEWTON:
-                        x, F, ev, plain, norm = cand, F_new, ev_new, plain_new, new_norm
-                        break
-            alpha *= 0.5
-            if alpha < _MIN_DAMPING:
-                raise NoConvergenceError(
-                    f"bordered solve stalled near t = {x[n]} (residual {norm:.3e})",
-                    positivity_boundary=positivity_seen,
-                )
-    raise NoConvergenceError(
-        f"bordered solve: no convergence in {MAX_NEWTON_ITER} iterations (residual {norm:.3e})",
-        positivity_boundary=positivity_seen,
-    )
+    try:
+        x, ev, _, pre = _newton(
+            evaluate, lambda ev, x: _bordered_linear(model, ev, orbit, row, mu_of(x)),
+            x, TOL_NEWTON)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"singular bordered matrix near t = {t}: {exc}") from exc
+    return ev, mu_of(x), pre
 
 
-def _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start):
+def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
     """The branch-switching corrector of `switch_branch` and
     `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
     phase along n_hat, and solve from `start` at t = bp.t."""
-    orbit = _orbit(model, bp, gen, n_hat)
+    orbit = _orbit(model, bp, n_hat)
     ev, _, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
                                n_hat @ c_triv + amplitude)
     return ev.state
@@ -530,12 +528,11 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
     or one circle cos/sin pair raise PreconditionError."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
-    gen = _rotation_generator(model, bp)
     amplitude = float(amplitude)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     n_hat = kernel_vectors(model, bp)[0].ravel()
     try:
-        state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude,
+        state = _switch_solve(model, bp, c_triv, n_hat, amplitude,
                               c_triv + amplitude * n_hat)
     except (NoConvergenceError, PositivityViolationError) as exc:
         cause = str(exc)
@@ -646,7 +643,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
 
     c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
     offset = start.coeffs.ravel() - c_triv
-    orbit = _orbit(model, origin, _rotation_generator(model, origin), offset)
+    orbit = _orbit(model, origin, offset)
 
     # first tangent: positive along the offset from u = 1 (along t when the
     # start is u = 1 itself), then flipped to the requested direction
@@ -760,49 +757,47 @@ class ReductionResult:
 
 
 def _complement_solve(model, t, base_coeffs, indices, start=None):
-    """Newton for the complement-projected equation: find v supported on
+    """`_newton` on the complement-projected equation: find v supported on
     `indices` (flat) with P residual(base + v) = 0, from v = `start` (0 by
-    default).  Each step solves the Jacobian bordered by the unit vectors
-    E of the other modes, [[J, E], [E^T, 0]]: its multipliers take up the
-    kernel rows, and E^T dv = 0 keeps v on `indices`; it is solved to the
-    forcing term min(_FORCING, |P residual|).  Returns v, the final
-    projected residual and the evaluation of base + v.  An iterate that is
-    not positive on the grid raises ReductionFailedError naming the
-    positivity loss."""
+    default), to TOL_COMPLEMENT.  The unit vectors E of the other modes
+    border it into a square system in (v, z), residual(base + v) + E z = 0
+    and E^T v = 0, with Jacobian [[J, E], [E^T, 0]]: the multipliers z
+    take up the kernel rows, and v is read on `indices` only, so E^T v = 0
+    holds exactly.  Returns v, the final projected residual and the
+    evaluation of base + v.  A singular step, a start that is not positive
+    on the grid and a Newton failure raise ReductionFailedError naming the
+    cause."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
     pinned = np.delete(np.arange(n), idx)
     unit = np.zeros((n, len(pinned)))
     unit[pinned, np.arange(len(pinned))] = 1.0
     corner = np.zeros((len(pinned), len(pinned)))
-    v = np.zeros(len(idx)) if start is None else np.asarray(start, dtype=float)
-    pre = None
-    for _ in range(MAX_NEWTON_ITER):
-        c = base_coeffs.copy().ravel()
-        c[idx] += v
-        state = State(t, c.reshape(model.shape))
-        try:
-            ev = galerkin.Evaluation(model, state)
-        except PositivityViolationError as exc:
-            raise ReductionFailedError(
-                f"complement solve left the positive cone: {exc}"
-            ) from exc
-        res = galerkin.residual(model, state, ev).ravel()
-        norm = float(np.linalg.norm(res[idx]))
-        if norm < TOL_COMPLEMENT:
-            return v, norm, ev
-        lin = _Linear(model, ev, unit, unit.T, corner)
-        try:
-            step, pre = _solve_linear(lin, np.append(-res, np.zeros(len(pinned))), pre,
-                                      min(_FORCING, norm))
-        except np.linalg.LinAlgError as exc:
-            raise ReductionFailedError(
-                f"complement Jacobian is singular ({exc}); the kernel split is invalid"
-            ) from exc
-        v = v + step[idx]
-    raise ReductionFailedError(
-        f"complement solve did not converge (residual {norm:.3e})"
-    )
+    base = np.asarray(base_coeffs, dtype=float).ravel()
+
+    def evaluate(x):
+        c = base.copy()
+        c[idx] += x[idx]
+        ev = galerkin.Evaluation(model, State(t, c.reshape(model.shape)))
+        res = galerkin.residual(model, ev.state, ev).ravel()
+        full = np.append(res, np.zeros(len(pinned)))
+        full[pinned] += x[n:]
+        return full, ev, float(np.linalg.norm(res[idx]))
+
+    x = np.zeros(n + len(pinned))
+    if start is not None:
+        x[idx] = start
+    try:
+        x, ev, norm, _ = _newton(
+            evaluate, lambda ev, x: _Linear(model, ev, unit, unit.T, corner),
+            x, TOL_COMPLEMENT)
+    except np.linalg.LinAlgError as exc:
+        raise ReductionFailedError(
+            f"complement Jacobian is singular ({exc}); the kernel split is invalid"
+        ) from exc
+    except (NoConvergenceError, PositivityViolationError) as exc:
+        raise ReductionFailedError(f"complement solve failed: {exc}") from exc
+    return x[idx], norm, ev
 
 
 def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
@@ -928,7 +923,6 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         raise InvalidArgumentError(f"need trials >= 1, got {trials}")
     if amplitude == 0:
         raise InvalidArgumentError(f"need amplitude != 0, got {amplitude}")
-    gen = _rotation_generator(model, bp)
 
     rng = np.random.default_rng(seed)
     vecs = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
@@ -948,7 +942,7 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
 
         start = c_triv + amplitude * (n_hat + fiber_part)
         try:
-            state = _switch_solve(model, bp, gen, c_triv, n_hat, amplitude, start)
+            state = _switch_solve(model, bp, c_triv, n_hat, amplitude, start)
         except (NoConvergenceError, PositivityViolationError):
             rows_out.append(TrialRow(trial, False, False, None, None, None, False))
             continue

@@ -145,13 +145,33 @@ def test_configs_load_without_the_pure_python_reader(monkeypatch):
     assert len(readers) == 1
 
 
-def test_readme_schema_lists_every_key():
+def _readme_schema_block():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("### Config schema", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+    return readme.split("### Config schema", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+
+
+def test_readme_schema_lists_every_key():
+    block = _readme_schema_block()
     tables = (cli.CONFIG, cli.SPHERE, cli.EXPLICIT, cli.SPECTRUM, cli.WINDOW,
               cli.GALERKIN, cli.CONTINUATION)
     keys = {key for rows in tables for key, _, _ in rows}
     assert {key for key in keys if not re.search(rf"(?<!\w){key}:", block)} == set()
+
+
+def test_readme_schema_block_is_the_schema_tables():
+    # the other way round: every key the README block sets is a key of its
+    # table, and its galerkin and continuation values are the defaults
+    doc = yaml.safe_load(_readme_schema_block())
+
+    def keys(rows):
+        return {key for key, _, _ in rows}
+
+    assert set(doc) <= keys(cli.CONFIG)
+    for name in ("base", "fiber"):
+        assert set(doc[name]) <= keys(cli.MANIFOLDS[doc[name]["kind"]])
+    assert set(doc["window"]) <= keys(cli.WINDOW)
+    for name, rows in (("galerkin", cli.GALERKIN), ("continuation", cli.CONTINUATION)):
+        assert doc[name] == {key: default for key, _, default in rows}
 
 
 def test_readme_lists_every_csv_header():
@@ -259,6 +279,10 @@ MALFORMED = {
         CIRCLE_SPHERE, lambda d: _put(d, "continuation.amplitude", 0),
         "continuation.amplitude",
     ),
+    # an exact number that no double holds, where the schema wants a float
+    "ds-beyond-double": (
+        CIRCLE_SPHERE, lambda d: _put(d, "continuation.ds", "1e400"), "continuation.ds",
+    ),
     # keys the schema no longer has, each in a config it used to accept
     "removed-joint_total_at_one": (
         HOPF, lambda d: d.update(joint_pairs=[[0, 0, 1]], joint_total_at_one={
@@ -304,6 +328,31 @@ def test_malformed_window_override(tmp_path, override):
     code, out = _run(tmp_path, "classify", "--config", str(CIRCLE_SPHERE), *override)
     assert code == 2
     assert not out.exists()
+
+
+def test_a_window_beyond_the_double_range_stays_exact(tmp_path):
+    # the window is exact end to end: a bound no double holds is followed
+    # like any other, and every provenance row writes it as given
+    path = _small_circle_sphere(tmp_path)
+    huge = "1" + "0" * 400
+    for command in ("branch", "verify"):
+        code, out = _run(tmp_path / command, command, "--config", str(path),
+                         "--window", "1/2..1e400")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["window"] == {"t_min": "1/2", "t_max": huge}
+        (detected,) = [p for p in report["provenance"] if p["quantity"] == "branch_points"]
+        assert detected["inputs"] == {"t_min": "1/2", "t_max": huge}
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_an_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys, where):
+    (tmp_path / "file").write_text("taken\n")
+    out = tmp_path / where
+    code = cli.main(["classify", "--config", str(HOPF), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"cscbif: error: cannot write {out}: ")
+    assert (tmp_path / "file").read_text() == "taken\n"
 
 
 # ---------------------------------------------------------------------------

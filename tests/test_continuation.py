@@ -178,8 +178,7 @@ def test_switch_needs_kernel_modes(cs_model):
 def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
     state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
-    gen = continuation._rotation_generator(cs_model, cs_branch_point)
-    orbit = continuation._orbit(cs_model, cs_branch_point, gen, offset)
+    orbit = continuation._orbit(cs_model, cs_branch_point, offset)
     unit = offset / np.linalg.norm(offset)
     v = continuation._tangent(cs_model, galerkin.Evaluation(cs_model, state), orbit,
                               np.append(unit, 0.0))
@@ -205,8 +204,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(cs_model, cs_branch_point.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    gen = continuation._rotation_generator(cs_model, cs_branch_point)
-    orbit = continuation._orbit(cs_model, cs_branch_point, gen, n_hat)
+    orbit = continuation._orbit(cs_model, cs_branch_point, n_hat)
     ev, mu, _ = continuation._solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
@@ -217,10 +215,20 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     assert galerkin.u_distance(cs_model, state) > 1e-3
 
 
+def dense_rotation(model, orbit):
+    """The orbit's rotation generator R as an n x n matrix: its small
+    generator repeated within every fiber degree (base circle) or within
+    every base mode (fiber circle)."""
+    nb, nf = model.shape
+    if orbit.on_base:
+        return np.kron(orbit.generator, np.eye(nf))
+    return np.kron(np.eye(nb), orbit.generator)
+
+
 def bordered_matrix(model, ev, orbit, row, mu=0.0):
     """The dense square Jacobian of the bordered system at the evaluated
     state `ev`, as the corrector assembled it before it solved by fiber
-    degree: unknowns (c, t) and, with an orbit, mu; rows residual + mu gen c,
+    degree: unknowns (c, t) and, with an orbit, mu; rows residual + mu R c,
     then with an orbit the phase row, then `row` over (c, t)."""
     n = model.n_modes
     k = 0 if orbit is None else 1
@@ -229,9 +237,8 @@ def bordered_matrix(model, ev, orbit, row, mu=0.0):
     mat[:n, :n] = galerkin.residual_jacobian(model, state, ev)
     mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
     if orbit is not None:
-        gen = orbit.gen
-        mat[gen.rows, gen.cols] += mu * gen.vals
-        mat[:n, n + 1] = gen.apply(state.coeffs.ravel())
+        mat[:n, :n] += mu * dense_rotation(model, orbit)
+        mat[:n, n + 1] = orbit.apply(state.coeffs.ravel())
         mat[n, :n] = orbit.phase
         mat[n, n:] = 0.0
     mat[n + k, :n + 1] = row
@@ -249,7 +256,7 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(model, bp).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    orbit = continuation._orbit(model, bp, continuation._rotation_generator(model, bp), n_hat)
+    orbit = continuation._orbit(model, bp, n_hat)
     rng = np.random.default_rng(5)
     row = rng.standard_normal(n + 1)
 
@@ -286,8 +293,7 @@ def _trial_system(model, bp, seed):
         fiber = rng.standard_normal(model.shape)
         fiber[:, 0] = 0.0
         coeffs += 1e-2 * fiber.ravel() / np.linalg.norm(fiber)
-    gen = continuation._rotation_generator(model, bp)
-    orbit = continuation._orbit(model, bp, gen, n_hat)
+    orbit = continuation._orbit(model, bp, n_hat)
     return coeffs, orbit, np.append(n_hat, 0.0)
 
 
@@ -413,7 +419,7 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
             scale = 2 * continuation._EPS * pre.norm * np.linalg.norm(x)
             return super().apply(x) + scale * e / np.linalg.norm(e)
 
-    rounded = Rounded(model, ev, lin.cols, lin.rows, lin.corner, lin.gen, lin.mu)
+    rounded = Rounded(model, ev, lin.cols, lin.rows, lin.corner, lin.orbit, lin.mu)
     rhs = np.random.default_rng(3).standard_normal(lin.size)
     x, _ = continuation._solve_linear(rounded, rhs, pre)
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row), rhs)
@@ -495,7 +501,7 @@ def padded_solution(cs_model, cs_branch_point):
     _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
     state = branch.samples[-1].state
     offset = state.coeffs.ravel() - galerkin.constant_state(model, state.t).coeffs.ravel()
-    orbit = continuation._orbit(model, bp, continuation._rotation_generator(model, bp), offset)
+    orbit = continuation._orbit(model, bp, offset)
     return galerkin.Evaluation(model, state), orbit
 
 
@@ -571,9 +577,8 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
     state = continuation.switch_branch(model, bp, 1e-2)
-    rot = continuation._rotation_generator(model, bp)
-    gen = np.zeros((model.n_modes, model.n_modes))
-    gen[rot.rows, rot.cols] = rot.vals
+    rot = continuation._orbit(model, bp, continuation.kernel_vectors(model, bp)[0].ravel())
+    gen = dense_rotation(model, rot)
     assert np.array_equal(gen, -gen.T)
     orbit_dir = gen @ state.coeffs.ravel()
     assert np.array_equal(rot.apply(state.coeffs.ravel()), orbit_dir)
@@ -1012,6 +1017,19 @@ def test_the_full_reduction_starts_off_the_fiber_constant_subspace(cs_model, cs_
         for sample in res.samples:
             assert np.abs(sample.alpha_full[:, 1:]).max() <= 1e-12
     assert nf > 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_damped_complement_solve_converges_from_a_far_start(cs_model, seed):
+    # at sample radius 1 the full complement solve starts far from its
+    # solution: with full Newton steps none of these three seeds converged
+    # in 50 steps (residuals 4.2e-4, 4.5e-4 and 1.1e-10); the damped steps
+    # of the shared Newton loop reach it (observed discrepancy <= 6.6e-14)
+    (bp,) = continuation.detect_branch_points(cs_model, 0.2, 0.3)
+    assert bp.t == Fraction(1, 4)
+    res = continuation.lyapunov_schmidt_reduce(cs_model, bp, 1.0, 2, seed=seed)
+    assert res.passed
+    assert res.discrepancy < 1e-12
 
 
 def test_reduction_needs_horizontal_kernel(mixed_model):
