@@ -49,10 +49,11 @@ bp = points[0]
 print(f"branch point at t = {bp.t}, kernel dim {bp.kernel_dim}, "
       f"horizontal: {bp.horizontal}")
 
-state, shrink = continuation.follow_branch(model, bp, cont.amplitude, -1, cont.steps, cont.ds)
-print(f"switched branch on the {bp.subspace} subspace: t = {state.t:.12f}, "
-      f"|u - 1| = {galerkin.u_distance(model, state):.3e}, "
-      f"fiber fraction = {galerkin.fiber_energy_fraction(state):.3e}")
+shrink = continuation.follow_branch(model, bp, cont.amplitude, -1, cont.steps, cont.ds)
+start = shrink.samples[0]
+print(f"switched branch on the {bp.subspace} subspace: t = {start.t:.12f}, "
+      f"|u - 1| = {start.u_distance:.3e}, "
+      f"fiber fraction = {start.fiber_fraction:.3e}")
 
 print()
 print("== continuation toward the branch point ==")
@@ -66,9 +67,9 @@ print(f"final: t = {last.t:.12f}, |u - 1| = {last.u_distance:.3e}, "
 
 print()
 print("== continuation away from the branch point ==")
-_, grow = continuation.follow_branch(model, bp, cont.amplitude, +1, 60, 2e-2)
+grow = continuation.follow_branch(model, bp, cont.amplitude, +1, 60, 2e-2)
 last = grow.samples[-1]
-grid_min = galerkin.grid_values(model, last.state).min()
+grid_min = last.grid.min()
 print(f"stop reason: {grow.stop_reason}, samples: {len(grow)}")
 print(f"final: t = {last.t:.6f}, |u - 1| = {last.u_distance:.4f}, "
       f"min u on grid = {grid_min:.4f}")

@@ -61,6 +61,7 @@ from .variation import (
     stability_epsilon,
 )
 from .galerkin import (
+    Evaluation,
     GalerkinModel,
     State,
     build_model,

@@ -402,7 +402,7 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
         {"quantity": "epsilon", "operation": "variation.stability_epsilon", "inputs": {}},
         {"quantity": "nondiscrete", "operation": "variation.check_nondiscreteness",
          "inputs": {}},
-        {"quantity": "certificates", "operation": "variation.certify_bifurcation",
+        {"quantity": "certificates", "operation": "variation.classify_window",
          "inputs": {"t_star": "each horizontal instant"}},
     ]
     rows = []
@@ -489,7 +489,7 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             "predicted_instant": fmt_number(bp.t),
         }
         try:
-            start, branch = continuation.follow_branch(
+            branch = continuation.follow_branch(
                 model, bp, cont.amplitude, cont.direction, cont.steps, cont.ds,
             )
         except CscbifError as exc:
@@ -497,7 +497,7 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             rows_json.append(entry)
             continue
         successes += 1
-        side = start.t - bp.t
+        side = branch.samples[0].t - bp.t
         entry["status"] = "ok"
         entry["observed_t_side"] = (
             "below" if side < -1e-12 else ("above" if side > 1e-12 else "at")
@@ -559,9 +559,11 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
             constancy = _failure(exc)
         else:
             constancy = {
-                "status": "ok" if fc.passed else "fraction-exceeded",
+                "status": ("ok" if fc.passed else "no-nontrivial-trial" if not fc.nontrivial
+                           else "fraction-exceeded"),
                 "max_fraction": fmt_number(fc.max_fraction),
                 "trials": len(fc.trials),
+                "nontrivial_trials": fc.nontrivial,
                 "seed": fc.seed,
             }
         failing = [block["status"] for block in (reduction, constancy)

@@ -35,9 +35,8 @@ instead of nb * nf, and the restricted reduction solves there too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .errors import (
     PositivityViolationError,
     PreconditionError,
     ReductionFailedError,
-    UndefinedFractionError,
 )
 from .galerkin import GalerkinModel, State
 
@@ -63,18 +61,6 @@ _MIN_DAMPING = 1e-9
 _NONTRIVIAL_NORM = 1e-8      # below this, a solution counts as the trivial one
 DISCREPANCY_BOUND = 1e-8     # largest reduction discrepancy that counts as agreement
 FIBER_FRACTION_BOUND = 1e-8  # a trial solution at or above this fiber fraction violates
-
-
-def residual_norm(model: GalerkinModel, state: State,
-                  ev: galerkin.Evaluation | None = None) -> float:
-    return float(np.linalg.norm(galerkin.residual(model, state, ev)))
-
-
-def _fraction_or_zero(state: State) -> float:
-    try:
-        return galerkin.fiber_energy_fraction(state)
-    except UndefinedFractionError:
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +205,18 @@ class _Linear:
     n_modes x n_modes matrix.  Vectors are the flat coefficients followed
     by the q border unknowns."""
 
-    def __init__(self, model, ev, cols, rows, corner, orbit=None, mu=0.0):
-        self.model, self.ev, self.orbit, self.mu = model, ev, orbit, mu
+    def __init__(self, ev, cols, rows, corner, orbit=None, mu=0.0):
+        self.ev, self.orbit, self.mu = ev, orbit, mu
         self.cols, self.rows, self.corner = cols, rows, corner
-        self.size = model.n_modes + len(corner)     # the order of M
+        self.size = ev.model.n_modes + len(corner)     # the order of M
 
     def apply(self, x):
         """M x."""
-        model = self.model
+        model = self.ev.model
         n = model.n_modes
         c, z = x[:n], x[n:]
         y = np.empty_like(x)
-        y[:n] = galerkin.jacobian_apply(model, self.ev, c.reshape(model.shape)).ravel()
+        y[:n] = galerkin.jacobian_apply(self.ev, c.reshape(model.shape)).ravel()
         y[:n] += self.cols @ z
         if self.orbit is not None:
             y[:n] += self.mu * self.orbit.apply(c)
@@ -245,9 +231,9 @@ class _Preconditioner:
     circle's generator, zero for the fiber circle's), and every degree
     j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
 
-    J_00 is `galerkin.degree_zero_block` for every nf.  At a fiber-constant
-    state J has exactly these blocks, and mu vanishes on solutions, so
-    there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree
+    J_00 is the evaluation's `degree_zero_block` for every nf.  At a
+    fiber-constant state J has exactly these blocks, and mu vanishes on
+    solutions, so there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree
     j >= 1 as Q (Lambda + c_j)^-1 Q^T, two small products for all of them;
     their elimination leaves degree 0 with the border as one dense Schur
     system of order nb + q, inverted once, as P^-1 is applied at every
@@ -256,14 +242,14 @@ class _Preconditioner:
     system, raises numpy.linalg.LinAlgError."""
 
     def __init__(self, lin):
-        model, orbit = lin.model, lin.orbit
+        ev, orbit, model = lin.ev, lin.orbit, lin.ev.model
         nb, nf = model.shape
         q = len(lin.corner)
-        self.ev, self.shape = lin.ev, (nb, nf)
-        block = galerkin.degree_zero_block(model, lin.ev)
+        self.ev, self.shape = ev, (nb, nf)
+        block = ev.degree_zero_block
         if nf > 1:
             lam, self.basis = np.linalg.eigh(block)
-            shifts = model.a_m * model.fiber.eigenvalues[1:] / lin.ev.state.t
+            shifts = model.a_m * model.fiber.eigenvalues[1:] / ev.t
             self.shifted = lam[:, None] + shifts                    # Lambda_i + c_j, [nb, nf-1]
             with np.errstate(divide="ignore"):
                 self.scale = 1.0 / self.shifted
@@ -326,7 +312,7 @@ def _solve_linear(lin, r, pre=None, rtol=0.0):
     state: refining costs less than factoring.  A singular P, or a Krylov
     space exhausted (the order of M steps) short of the bound, raises
     numpy.linalg.LinAlgError."""
-    nf = lin.model.shape[1]
+    nf = lin.ev.model.shape[1]
     if pre is None or nf == 1:
         pre = _Preconditioner(lin)
     x = pre(r)
@@ -399,22 +385,22 @@ def _gmres(lin, pre, res, beta, bound, limit):
     return np.array(y) @ zs[:m], m
 
 
-def _bordered_linear(model, ev, orbit, row, mu=0.0):
+def _bordered_linear(ev, orbit, row, mu=0.0):
     """The `_Linear` for the square Jacobian of the bordered system at
     the evaluated state `ev` (a `galerkin.Evaluation`): unknowns (c, t)
     and, with an orbit, mu; rows residual + mu R c, then with an orbit
     the phase row, then `row` over (c, t)."""
-    n = model.n_modes
+    n = ev.model.n_modes
     q = 1 if orbit is None else 2
     cols, rows, corner = np.empty((n, q)), np.empty((q, n)), np.zeros((q, q))
-    cols[:, 0] = galerkin.residual_t_derivative(model, ev.state, ev).ravel()
+    cols[:, 0] = galerkin.residual_t_derivative(ev).ravel()
     rows[-1] = row[:n]
     corner[-1, 0] = row[n]
     if orbit is None:
-        return _Linear(model, ev, cols, rows, corner)
+        return _Linear(ev, cols, rows, corner)
     cols[:, 1] = orbit.apply(ev.state.coeffs.ravel())
     rows[0] = orbit.phase
-    return _Linear(model, ev, cols, rows, corner, orbit, mu)
+    return _Linear(ev, cols, rows, corner, orbit, mu)
 
 
 def _newton(evaluate, linear, x, tol):
@@ -486,20 +472,20 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     def evaluate(x):
         c = x[:n]
         ev = galerkin.Evaluation(model, State(x[n], c.reshape(model.shape)))
-        res = galerkin.residual(model, ev.state, ev).ravel()
+        res = ev.residual.ravel()
         last = row @ x[:n + 1] - target
         if orbit is None:
             full = np.append(res, last)
         else:
             full = np.concatenate([res + x[n + 1] * orbit.apply(c),
                                    [orbit.phase @ c, last]])
-        return full, ev, float(np.linalg.norm(res))
+        return full, ev, ev.residual_norm
 
     x = np.append(np.asarray(coeffs, dtype=float).ravel(),
                   [float(t)] if orbit is None else [float(t), 0.0])
     try:
         x, ev, _, pre = _newton(
-            evaluate, lambda ev, x: _bordered_linear(model, ev, orbit, row, mu_of(x)),
+            evaluate, lambda ev, x: _bordered_linear(ev, orbit, row, mu_of(x)),
             x, TOL_NEWTON)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"singular bordered matrix near t = {t}: {exc}") from exc
@@ -509,11 +495,12 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
     """The branch-switching corrector of `switch_branch` and
     `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
-    phase along n_hat, and solve from `start` at t = bp.t."""
+    phase along n_hat, and solve from `start` at t = bp.t.  Returns the
+    converged evaluation."""
     orbit = _orbit(model, bp, n_hat)
     ev, _, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
                                n_hat @ c_triv + amplitude)
-    return ev.state
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +519,13 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     n_hat = kernel_vectors(model, bp)[0].ravel()
     try:
-        state = _switch_solve(model, bp, c_triv, n_hat, amplitude,
-                              c_triv + amplitude * n_hat)
+        ev = _switch_solve(model, bp, c_triv, n_hat, amplitude,
+                           c_triv + amplitude * n_hat)
     except (NoConvergenceError, PositivityViolationError) as exc:
         cause = str(exc)
     else:
-        if galerkin.u_distance(model, state) > _NONTRIVIAL_NORM:
-            return state
+        if ev.u_distance > _NONTRIVIAL_NORM:
+            return ev.state
         cause = "the solution collapsed to u = 1"
     raise NoNontrivialSolutionError(
         f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
@@ -549,38 +536,11 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
 # pseudo-arclength continuation
 
 @dataclass(frozen=True)
-class BranchSample:
-    """A solution on a branch with its measurements in `model`, each
-    computed on first access, and the corrector's converged evaluation of
-    it when the branch was followed in `model` itself."""
-
-    model: GalerkinModel
-    state: State
-    evaluation: galerkin.Evaluation | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def t(self) -> float:
-        return self.state.t
-
-    @cached_property
-    def energy(self) -> float:
-        return galerkin.energy(self.model, self.state)
-
-    @cached_property
-    def fiber_fraction(self) -> float:
-        return _fraction_or_zero(self.state)
-
-    @cached_property
-    def residual_norm(self) -> float:
-        return residual_norm(self.model, self.state)
-
-    @cached_property
-    def u_distance(self) -> float:
-        return galerkin.u_distance(self.model, self.state)
-
-
-@dataclass(frozen=True)
 class Branch:
+    """A followed branch: its samples are `galerkin.Evaluation`s, the first
+    the switch solution, each read for its measurements (t, u_distance,
+    energy, fiber_fraction, residual_norm)."""
+
     samples: tuple
     origin: BranchPoint | None
     stop_reason: str
@@ -598,7 +558,7 @@ class Branch:
         return np.array([s.u_distance for s in self.samples])
 
 
-def _tangent(model, ev, orbit, last_row, pre=None):
+def _tangent(ev, orbit, last_row, pre=None):
     """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
     (a `galerkin.Evaluation`, as the corrector returns it): one full-accuracy
     solve of the bordered matrix with `last_row` over (c, t) as its last row
@@ -606,14 +566,14 @@ def _tangent(model, ev, orbit, last_row, pre=None):
     `last_row` (the previous tangent, or the unit offset from u = 1 at the
     start).  `pre` is the corrector's preconditioner, kept while it
     contracts."""
-    lin = _bordered_linear(model, ev, orbit, np.asarray(last_row, dtype=float))
+    lin = _bordered_linear(ev, orbit, np.asarray(last_row, dtype=float))
     rhs = np.zeros(lin.size)
     rhs[-1] = 1.0
     try:
-        v = _solve_linear(lin, rhs, pre)[0][:model.n_modes + 1]
+        v = _solve_linear(lin, rhs, pre)[0][:ev.model.n_modes + 1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(
-            f"singular tangent system at t = {ev.state.t}: {exc}"
+            f"singular tangent system at t = {ev.t}: {exc}"
         ) from exc
     return v / np.linalg.norm(v)
 
@@ -638,7 +598,7 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     if direction not in (1, -1):
         raise InvalidArgumentError(f"direction must be +1 or -1, got {direction!r}")
     start_ev = galerkin.Evaluation(model, start)
-    if residual_norm(model, start, start_ev) > 10 * TOL_NEWTON:
+    if start_ev.residual_norm > 10 * TOL_NEWTON:
         raise PreconditionError("start state does not satisfy the residual tolerance")
 
     c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
@@ -651,9 +611,9 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
                  else np.append(offset, 1.0))
     x = np.concatenate([start.coeffs.ravel(), [start.t]])
-    v = direction * _tangent(model, start_ev, orbit, first_row)
+    v = direction * _tangent(start_ev, orbit, first_row)
 
-    samples = [BranchSample(model, start, start_ev)]
+    samples = [start_ev]
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
@@ -670,15 +630,13 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
                             or exc.positivity_boundary)
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
-        state = ev.state
-        sample = BranchSample(model, state, ev)
-        dist, last = sample.u_distance, samples[-1].u_distance
+        dist, last = ev.u_distance, samples[-1].u_distance
         if (dist - last) * direction < 0 and max(dist, last) >= _NONTRIVIAL_NORM:
             reason = "turnaround"
             break
-        x = np.concatenate([state.coeffs.ravel(), [state.t]])
-        v = _tangent(model, ev, orbit, v, pre)
-        samples.append(sample)
+        x = np.concatenate([ev.state.coeffs.ravel(), [ev.t]])
+        v = _tangent(ev, orbit, v, pre)
+        samples.append(ev)
     return Branch(tuple(samples), origin, reason)
 
 
@@ -696,33 +654,33 @@ def _padded(model, state):
 def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float:
     """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
     given as `ev`, its evaluation in `model.fiber_constant`: J_0 is the
-    nb x nb Jacobian there (`galerkin.degree_zero_block`), and one
+    nb x nb Jacobian there (its `degree_zero_block`), and one
     `eigvalsh` gives the margin.  Every fiber block
     J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1 has its smallest
     eigenvalue at or above it, so a positive margin makes them all
     positive definite: no fiber-dependent mode is degenerate there."""
-    jac0 = galerkin.degree_zero_block(model.fiber_constant, ev)
     lam1 = model.fiber.eigenvalues[1]
-    return float(np.linalg.eigvalsh(jac0)[0] + model.a_m * lam1 / ev.state.t)
+    return float(np.linalg.eigvalsh(ev.degree_zero_block)[0] + model.a_m * lam1 / ev.t)
 
 
 def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
-                  direction: int, steps: int, ds: float) -> tuple[State, Branch]:
+                  direction: int, steps: int, ds: float) -> Branch:
     """`switch_branch` onto the branch through bp, then `continue_branch` in
-    `direction`; returns (start, branch).  A horizontal branch is followed on
-    `model.fiber_constant` and every sample zero-padded to [nb, nf], with its
-    energy, distance, fiber fraction (exactly 0) and residual evaluated in
-    `model`; the branch carries the smallest `fiber_margin` of its samples.
-    Any other kernel is followed in `model` itself."""
+    `direction`; the branch's first sample is the switch solution.  A
+    horizontal branch is followed on `model.fiber_constant`, every sample
+    zero-padded to [nb, nf] and evaluated once in `model`, where its
+    energy, distance, fiber fraction (exactly 0) and residual are read;
+    the branch carries the smallest `fiber_margin` of its samples.  Any
+    other kernel is followed in `model` itself."""
     sub = model.fiber_constant if bp.horizontal else model
     start = switch_branch(sub, bp, amplitude)
     branch = continue_branch(sub, start, direction, steps, ds, origin=bp)
     if not bp.horizontal:
-        return start, branch
-    states = [_padded(model, s.state) for s in branch.samples]
-    return _padded(model, start), Branch(
-        tuple(BranchSample(model, s) for s in states), bp, branch.stop_reason,
-        fiber_margin=min(fiber_margin(model, s.evaluation) for s in branch.samples),
+        return branch
+    return Branch(
+        tuple(galerkin.Evaluation(model, _padded(model, s.state)) for s in branch.samples),
+        bp, branch.stop_reason,
+        fiber_margin=min(fiber_margin(model, s) for s in branch.samples),
     )
 
 
@@ -779,7 +737,7 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
         c = base.copy()
         c[idx] += x[idx]
         ev = galerkin.Evaluation(model, State(t, c.reshape(model.shape)))
-        res = galerkin.residual(model, ev.state, ev).ravel()
+        res = ev.residual.ravel()
         full = np.append(res, np.zeros(len(pinned)))
         full[pinned] += x[n:]
         return full, ev, float(np.linalg.norm(res[idx]))
@@ -789,7 +747,7 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
         x[idx] = start
     try:
         x, ev, norm, _ = _newton(
-            evaluate, lambda ev, x: _Linear(model, ev, unit, unit.T, corner),
+            evaluate, lambda ev, x: _Linear(ev, unit, unit.T, corner),
             x, TOL_COMPLEMENT)
     except np.linalg.LinAlgError as exc:
         raise ReductionFailedError(
@@ -893,8 +851,13 @@ class FiberConstancyReport:
     max_fraction: float
 
     @property
+    def nontrivial(self) -> int:
+        """The number of trials that converged to a nontrivial solution."""
+        return sum(row.nontrivial for row in self.trials)
+
+    @property
     def passed(self) -> bool:
-        return not any(row.violation for row in self.trials)
+        return self.nontrivial > 0 and not any(row.violation for row in self.trials)
 
 
 def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
@@ -903,8 +866,9 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
     branch-switch from seeded random perturbations that mix kernel and
     fiber-mode components; every converged nontrivial solution must shed its
     fiber content below FIBER_FRACTION_BOUND.  Violations are reported, not
-    raised; the report passes when there are none.  A zero amplitude pins
-    every trial to u = 1 and is refused with InvalidArgumentError."""
+    raised; the report passes when there are none and at least one trial
+    converged to a nontrivial solution.  A zero amplitude pins every trial
+    to u = 1 and is refused with InvalidArgumentError."""
     try:
         epsilon = variation.stability_epsilon(model.family)
     except NotApplicableError as exc:
@@ -942,18 +906,18 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
 
         start = c_triv + amplitude * (n_hat + fiber_part)
         try:
-            state = _switch_solve(model, bp, c_triv, n_hat, amplitude, start)
+            ev = _switch_solve(model, bp, c_triv, n_hat, amplitude, start)
         except (NoConvergenceError, PositivityViolationError):
             rows_out.append(TrialRow(trial, False, False, None, None, None, False))
             continue
-        dist = galerkin.u_distance(model, state)
+        dist = ev.u_distance
         if dist <= _NONTRIVIAL_NORM:
-            rows_out.append(TrialRow(trial, True, False, state.t, dist, None, False))
+            rows_out.append(TrialRow(trial, True, False, ev.t, dist, None, False))
             continue
-        fraction = _fraction_or_zero(state)
+        fraction = ev.fiber_fraction
         max_fraction = max(max_fraction, fraction)
         rows_out.append(TrialRow(
-            trial, True, True, state.t, dist, fraction,
+            trial, True, True, ev.t, dist, fraction,
             fraction >= FIBER_FRACTION_BOUND,
         ))
     return FiberConstancyReport(bp, tuple(rows_out), seed, max_fraction)

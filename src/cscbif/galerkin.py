@@ -269,8 +269,9 @@ def constant_state(model: GalerkinModel, t, value: float = 1.0) -> State:
 
 
 def grid_values(model: GalerkinModel, state: State) -> np.ndarray:
-    """u on the tensor quadrature grid, [Mb, Mf]."""
-    return model.base.values.T @ state.coeffs @ model.fiber.values
+    """u on the tensor quadrature grid, [Mb, Mf].  The coefficients are
+    read C-contiguous, so a strided view and its copy give the same bits."""
+    return model.base.values.T @ np.ascontiguousarray(state.coeffs) @ model.fiber.values
 
 
 def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
@@ -279,28 +280,38 @@ def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
     return pb @ grid @ pf.T
 
 
-def _positive_grid(model, state):
-    g = grid_values(model, state)
-    low = g.min()
-    if not low > 0:
-        raise PositivityViolationError(
-            f"state is not strictly positive on the grid (min {low:.6e})"
-        )
-    return g
-
-
 class Evaluation:
-    """What `residual` and its derivatives (`jacobian_apply`,
-    `degree_zero_block`, `residual_t_derivative` and the dense oracle
-    `residual_jacobian`) share at one state: its values on the quadrature
-    grid, checked positive, and, each computed on first use, the projected
-    power u^(p-1) and the two parts of the Jacobian.  Pass it as `ev` to
-    evaluate the state once for all."""
+    """A state of a model, evaluated: the numerical layer's one handle on a
+    state, which the kernels below take.  Its values on the quadrature grid
+    are computed and checked positive at construction (else
+    PositivityViolationError); every other fact is computed on first use
+    and kept: b_i + lam_j / t, s(t), the projected power u^(p-1), the
+    Jacobian's parts and degree-0 block, the residual, the energy and the
+    measurements of a branch sample."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model = model
         self.state = state
-        self.grid = _positive_grid(model, state)
+        self.grid = grid_values(model, state)
+        low = self.grid.min()
+        if not low > 0:
+            raise PositivityViolationError(
+                f"state is not strictly positive on the grid (min {low:.6e})"
+            )
+
+    @property
+    def t(self) -> float:
+        return self.state.t
+
+    @cached_property
+    def mode_eigenvalues(self) -> np.ndarray:
+        """b_i + lam_j / t, [nb, nf]."""
+        return self.model.mode_eigenvalues(self.state.t)
+
+    @cached_property
+    def scalar_curvature(self) -> float:
+        """s(t)."""
+        return self.model.scalar_curvature(self.state.t)
 
     @cached_property
     def projected_power(self) -> np.ndarray:
@@ -312,36 +323,68 @@ class Evaluation:
         -s(t) (p - 1) w u^(p-2) of its projected power term on the grid,
         quadrature weight included, [Mb, Mf], and its diagonal linear part
         a_m (b_i + lam_j / t) + s(t), [nb, nf]."""
-        model, t = self.model, self.state.t
-        p, s_t = model.p_m, model.scalar_curvature(t)
+        model, p, s_t = self.model, self.model.p_m, self.scalar_curvature
         weight = -s_t * (p - 1.0) * model.weights2 * self.grid ** (p - 2.0)
-        return weight, model.a_m * model.mode_eigenvalues(t) + s_t
+        return weight, model.a_m * self.mode_eigenvalues + s_t
+
+    @cached_property
+    def degree_zero_block(self) -> np.ndarray:
+        """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian, [nb, nb]:
+        B diag(w) B^T plus the diagonal linear part, with w the Jacobian's
+        weight contracted with phi_0^2 over the fiber nodes.  The one
+        kernel for this block: the preconditioner and
+        `continuation.fiber_margin` read it, and at a fiber-constant state
+        every degree-j block is it plus (a_m lam_j / t) I."""
+        weight, diagonal = self.jacobian_parts
+        phi0 = self.model.fiber.values[0]
+        block = _gram(self.model, weight, phi0 * phi0)
+        block[np.diag_indices(len(block))] += diagonal[:, 0]
+        return block
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """`residual` at this state."""
+        return residual(self)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        return float(np.linalg.norm(self.residual))
+
+    @cached_property
+    def energy(self) -> float:
+        """`energy` at this state."""
+        return energy(self)
+
+    @cached_property
+    def u_distance(self) -> float:
+        return u_distance(self.model, self.state)
+
+    @cached_property
+    def fiber_fraction(self) -> float:
+        """`fiber_energy_fraction`, 0 at a constant state."""
+        try:
+            return fiber_energy_fraction(self.state)
+        except UndefinedFractionError:
+            return 0.0
 
 
-def _evaluation(model, state, ev):
-    return Evaluation(model, state) if ev is None else ev
-
-
-def residual(model: GalerkinModel, state: State, ev: Evaluation | None = None) -> np.ndarray:
+def residual(ev: Evaluation) -> np.ndarray:
     """Coefficients of -a_m Lap_{g(t)} u + s(t) (u - u^{p-1}) in the basis.
 
     This is the gradient of `energy` divided by the measure factor t^{k/2};
     at t = 1 it is the gradient exactly."""
-    ev = _evaluation(model, state, ev)
-    lam = model.mode_eigenvalues(state.t)
-    s_t = model.scalar_curvature(state.t)
-    return model.a_m * lam * state.coeffs + s_t * (state.coeffs - ev.projected_power)
+    coeffs = ev.state.coeffs
+    return (ev.model.a_m * ev.mode_eigenvalues * coeffs
+            + ev.scalar_curvature * (coeffs - ev.projected_power))
 
 
-def energy(model: GalerkinModel, state: State) -> float:
+def energy(ev: Evaluation) -> float:
     """Total energy of the state under g(t), measure factor included."""
-    t = state.t
-    g = _positive_grid(model, state)
-    lam = model.mode_eigenvalues(t)
-    s_t = model.scalar_curvature(t)
-    grad_term = 0.5 * model.a_m * np.sum(lam * state.coeffs**2)
-    potential = s_t * np.sum(model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m))
-    return t ** (model.family.fiber.dim / 2) * (grad_term + potential)
+    model, g = ev.model, ev.grid
+    grad_term = 0.5 * model.a_m * np.sum(ev.mode_eigenvalues * ev.state.coeffs**2)
+    potential = ev.scalar_curvature * np.sum(
+        model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m))
+    return ev.state.t ** (model.family.fiber.dim / 2) * (grad_term + potential)
 
 
 def _gram(model: GalerkinModel, weight: np.ndarray, fiber_product: np.ndarray) -> np.ndarray:
@@ -352,14 +395,14 @@ def _gram(model: GalerkinModel, weight: np.ndarray, fiber_product: np.ndarray) -
     return (base * (weight @ fiber_product)) @ base.T
 
 
-def residual_jacobian(model: GalerkinModel, state: State,
-                      ev: Evaluation | None = None) -> np.ndarray:
+def residual_jacobian(ev: Evaluation) -> np.ndarray:
     """Dense Jacobian of `residual` with respect to the coefficients,
     [n_modes, n_modes] over row-major mode pairs: one `_gram` block per pair
     of fiber modes (j, l), fiber nodes contracted first, plus the diagonal
-    linear part.  A test oracle; with one fiber mode it is
+    linear part.  A test oracle; with one fiber mode it is the evaluation's
     `degree_zero_block` bit for bit."""
-    weight, diagonal = _evaluation(model, state, ev).jacobian_parts
+    model = ev.model
+    weight, diagonal = ev.jacobian_parts
     (nb, nf), n = model.shape, model.n_modes
     fiber = model.fiber.values
     jac = np.empty((nb, nf, nb, nf))
@@ -370,37 +413,22 @@ def residual_jacobian(model: GalerkinModel, state: State,
     return jac
 
 
-def degree_zero_block(model: GalerkinModel, ev: Evaluation) -> np.ndarray:
-    """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian at the
-    evaluated state, [nb, nb]: B diag(w) B^T plus the diagonal linear part,
-    with w the Jacobian's weight contracted with phi_0^2 over the fiber
-    nodes.  The one kernel for this block: the preconditioner and
-    `continuation.fiber_margin` read it, and at a fiber-constant state
-    every degree-j block is it plus (a_m lam_j / t) I."""
-    weight, diagonal = ev.jacobian_parts
-    phi0 = model.fiber.values[0]
-    block = _gram(model, weight, phi0 * phi0)
-    block[np.diag_indices(len(block))] += diagonal[:, 0]
-    return block
-
-
-def jacobian_apply(model: GalerkinModel, ev: Evaluation, v: np.ndarray) -> np.ndarray:
+def jacobian_apply(ev: Evaluation, v: np.ndarray) -> np.ndarray:
     """J v for `residual_jacobian` J at the evaluated state and a
     coefficient array v, [nb, nf], computed through the quadrature grid as
     `residual` is, with no n_modes x n_modes matrix."""
-    base, fiber = model.base.values, model.fiber.values
+    base, fiber = ev.model.base.values, ev.model.fiber.values
     weight, diagonal = ev.jacobian_parts
     return diagonal * v + base @ (weight * (base.T @ v @ fiber)) @ fiber.T
 
 
-def residual_t_derivative(model: GalerkinModel, state: State,
-                          ev: Evaluation | None = None) -> np.ndarray:
+def residual_t_derivative(ev: Evaluation) -> np.ndarray:
     """Partial derivative of `residual` with respect to t at fixed
     coefficients, [nb, nf]."""
-    ev = _evaluation(model, state, ev)
-    dlam = -model.fiber.eigenvalues[None, :] / state.t**2
-    ds = model.scalar_curvature_dt(state.t)
-    return model.a_m * dlam * state.coeffs + ds * (state.coeffs - ev.projected_power)
+    model, t, coeffs = ev.model, ev.state.t, ev.state.coeffs
+    dlam = -model.fiber.eigenvalues[None, :] / t**2
+    ds = model.scalar_curvature_dt(t)
+    return model.a_m * dlam * coeffs + ds * (coeffs - ev.projected_power)
 
 
 def u_distance(model: GalerkinModel, state: State) -> float:

@@ -174,13 +174,14 @@ def test_gradient_consistency(circle_sphere):
         coeffs = 0.05 * rng.standard_normal(model.shape)
         coeffs[0, 0] = np.sqrt(model.volume_at_one)
         state = galerkin.State(1.0, coeffs)
-        res = galerkin.residual(model, state)
+        res = galerkin.residual(galerkin.Evaluation(model, state))
         fd = np.zeros(model.shape)
         for idx in np.ndindex(model.shape):
             for sign in (+1, -1):
                 pert = coeffs.copy()
                 pert[idx] += sign * h
-                fd[idx] += sign * galerkin.energy(model, galerkin.State(1.0, pert))
+                fd[idx] += sign * galerkin.energy(
+                    galerkin.Evaluation(model, galerkin.State(1.0, pert)))
         fd /= 2 * h
         rel = np.abs(fd - res).max() / np.abs(res).max()
         chk.expect(rel < 1e-6, f"trial {trial}: relative error {rel:.2e}")
@@ -196,7 +197,7 @@ def test_gradient_consistency(circle_sphere):
         def shifted(step):
             pert = base.coeffs.copy()
             pert[idx] += step
-            return galerkin.residual(model, galerkin.State(t, pert)).ravel()
+            return galerkin.residual(galerkin.Evaluation(model, galerkin.State(t, pert))).ravel()
 
         fd_jac[:, col] = (
             8 * (shifted(hj) - shifted(-hj)) - (shifted(2 * hj) - shifted(-2 * hj))

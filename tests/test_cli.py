@@ -382,6 +382,20 @@ def test_classify_circle_sphere(tmp_path):
         assert cells[2] == cells[3] == cells[4] == "true"
 
 
+def test_classify_provenance_names_the_operations_that_ran(tmp_path):
+    # classify_window certifies every horizontal instant itself
+    code, out = _run(tmp_path, "classify", "--config", str(CIRCLE_SPHERE))
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    operations = {p["quantity"]: p["operation"] for p in report["provenance"]}
+    assert operations == {
+        "instants": "variation.classify_window",
+        "epsilon": "variation.stability_epsilon",
+        "nondiscrete": "variation.check_nondiscreteness",
+        "certificates": "variation.classify_window",
+    }
+
+
 def test_classify_reports_witness_pairs(tmp_path):
     code, out = _run(
         tmp_path, "classify", "--config", str(CIRCLE_SPHERE), "--window", "1/2..3/2"
@@ -580,6 +594,26 @@ def test_branch_builds_no_dense_jacobian(tmp_path, monkeypatch):
     assert [e["status"] for e in report["results"]["branch_points"]] == ["ok"]
 
 
+def test_branch_rows_that_all_fail_exit_1_with_the_report_only(tmp_path):
+    # amplitude 5 at 6x3 throws every switch off the positive cone: each of
+    # the five rows names its failure, no CSV is written, and the run fails
+    with open(CIRCLE_SPHERE) as fh:
+        data = yaml.safe_load(fh)
+    data["galerkin"] = {"N_b": 6, "N_f": 3}
+    data["continuation"].update({"steps": 3, "amplitude": 5})
+    path = tmp_path / "family.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out = _run(tmp_path, "branch", "--config", str(path))
+    assert code == 1
+    assert os.listdir(out) == ["report.json"]
+    rows = json.loads((out / "report.json").read_text())["results"]["branch_points"]
+    assert len(rows) == 5
+    for row in rows:
+        assert row["status"].startswith(
+            f"failed: no nontrivial branch found at t = {row['predicted_instant']} ")
+        assert "file" not in row and "samples" not in row
+
+
 def test_branch_is_byte_deterministic(tmp_path):
     path = _small_circle_sphere(tmp_path)
     _, out_a = _run(tmp_path / "a", "branch", "--config", str(path))
@@ -669,8 +703,25 @@ def test_a_reduction_sample_off_the_positive_cone_fails_its_row_only(tmp_path):
     assert "positive" in row["reduction"]["detail"]
     assert row["fiber_constancy"]["status"] == "ok"
     assert row["fiber_constancy"]["trials"] == 6
+    assert row["fiber_constancy"]["nontrivial_trials"] == 6
     lines = (out / "verify.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].endswith(",reduction-failed")
+
+
+def test_trials_that_test_nothing_fail_their_row(tmp_path):
+    # at amplitude 1e-12 every trial collapses to u = 1, so no solution was
+    # checked for fiber content: the row fails as no-nontrivial-trial and
+    # the run exits 5; its reduction still passes
+    path = _small_circle_sphere(tmp_path, amplitude=1e-12)
+    code, out = _run(tmp_path, "verify", "--config", str(path))
+    assert code == 5
+    (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
+    assert row["reduction"]["status"] == "ok"
+    constancy = row["fiber_constancy"]
+    assert constancy["status"] == "no-nontrivial-trial"
+    assert (constancy["trials"], constancy["nontrivial_trials"]) == (6, 0)
+    lines = (out / "verify.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",no-nontrivial-trial")
 
 
 def test_verify_is_byte_deterministic(tmp_path):

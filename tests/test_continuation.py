@@ -123,7 +123,7 @@ def test_newton_basin_of_the_constant(cs_model):
     start = galerkin.constant_state(cs_model, 0.7, value=0.9)
     sol = newton_solve(cs_model, 0.7, start)
     assert sol.t == 0.7
-    assert continuation.residual_norm(cs_model, sol) < continuation.TOL_NEWTON
+    assert galerkin.Evaluation(cs_model, sol).residual_norm < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, sol) < 1e-8
 
 
@@ -151,7 +151,7 @@ def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
     state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
     # the solve relaxes t along the branch, which bends at second order
     assert abs(state.t - cs_branch_point.t) < 1e-4
-    assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
+    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
     dist = galerkin.u_distance(cs_model, state)
     assert 1e-3 < dist < 1e-1
     assert galerkin.fiber_energy_fraction(state) < 1e-15
@@ -161,7 +161,7 @@ def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]
     state = continuation.switch_branch(cs_model, points[0], 5e-3)
-    assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
+    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state) > 1e-3
 
 
@@ -180,8 +180,7 @@ def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point)
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
     orbit = continuation._orbit(cs_model, cs_branch_point, offset)
     unit = offset / np.linalg.norm(offset)
-    v = continuation._tangent(cs_model, galerkin.Evaluation(cs_model, state), orbit,
-                              np.append(unit, 0.0))
+    v = continuation._tangent(galerkin.Evaluation(cs_model, state), orbit, np.append(unit, 0.0))
 
     # oracle: the null vector of the extended Jacobian whose extra row fixes
     # the phase, the kernel-span direction orthogonal to the offset's kernel part
@@ -190,8 +189,9 @@ def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point)
     phase = (-b * vecs[0] + a * vecs[1]) / np.hypot(a, b)
     n = cs_model.n_modes
     ext = np.zeros((n + 1, n + 1))
-    ext[:n, :n] = galerkin.residual_jacobian(cs_model, state)
-    ext[:n, n] = galerkin.residual_t_derivative(cs_model, state).ravel()
+    ev = galerkin.Evaluation(cs_model, state)
+    ext[:n, :n] = galerkin.residual_jacobian(ev)
+    ext[:n, n] = galerkin.residual_t_derivative(ev).ravel()
     ext[n, :n] = phase
     null = np.linalg.svd(ext)[2][-1]
 
@@ -211,7 +211,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     )
     state = ev.state
     assert abs(mu) <= 1e-10
-    assert continuation.residual_norm(cs_model, state) < continuation.TOL_NEWTON
+    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state) > 1e-3
 
 
@@ -234,8 +234,8 @@ def bordered_matrix(model, ev, orbit, row, mu=0.0):
     k = 0 if orbit is None else 1
     mat = np.empty((n + 1 + k, n + 1 + k))
     state = ev.state
-    mat[:n, :n] = galerkin.residual_jacobian(model, state, ev)
-    mat[:n, n] = galerkin.residual_t_derivative(model, state, ev).ravel()
+    mat[:n, :n] = galerkin.residual_jacobian(ev)
+    mat[:n, n] = galerkin.residual_t_derivative(ev).ravel()
     if orbit is not None:
         mat[:n, :n] += mu * dense_rotation(model, orbit)
         mat[:n, n + 1] = orbit.apply(state.coeffs.ravel())
@@ -262,8 +262,9 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
 
     def dense(state, mu):
         mat = np.zeros((n + 2, n + 2))
-        mat[:n, :n] = galerkin.residual_jacobian(model, state) + mu * gen
-        mat[:n, n] = galerkin.residual_t_derivative(model, state).ravel()
+        ev = galerkin.Evaluation(model, state)
+        mat[:n, :n] = galerkin.residual_jacobian(ev) + mu * gen
+        mat[:n, n] = galerkin.residual_t_derivative(ev).ravel()
         mat[:n, n + 1] = gen @ state.coeffs.ravel()
         mat[n, :n] = orbit.phase
         mat[n + 1, :n + 1] = row
@@ -275,7 +276,7 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
         ev = galerkin.Evaluation(model, state)
         want = dense(state, mu)
         assert np.array_equal(bordered_matrix(model, ev, orbit, row, mu), want)
-        lin = continuation._bordered_linear(model, ev, orbit, row, mu)
+        lin = continuation._bordered_linear(ev, orbit, row, mu)
         got = np.stack([lin.apply(e) for e in np.eye(n + 2)], axis=1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -305,7 +306,7 @@ def _dense_and_degree_steps(model, coeffs, t, orbit, row, mu, pre=None, rhs=None
     if rhs is None:
         rhs = np.random.default_rng(3).standard_normal(model.n_modes + 1 + (orbit is not None))
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row, mu), rhs)
-    lin = continuation._bordered_linear(model, ev, orbit, row, mu)
+    lin = continuation._bordered_linear(ev, orbit, row, mu)
     step, pre = continuation._solve_linear(lin, rhs, pre)
     return dense, step, pre
 
@@ -347,7 +348,7 @@ def test_degree_solver_matches_the_dense_step_on_a_fiber_dependent_branch(sphere
     # of M and GMRES does the work; the step must still be the dense one
     model = galerkin.build_model(sphere_sphere, 8, 6)
     _, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
-    _, branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
     sample = branch.samples[-1]
     assert sample.fiber_fraction >= 0.1
     row = np.random.default_rng(9).standard_normal(model.n_modes + 1)
@@ -378,7 +379,7 @@ def test_singular_bordered_systems_raise_typed_errors(cs_model, cs_branch_point,
     ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
                                                    coeffs.reshape(model.shape)))
     with pytest.raises(NoConvergenceError, match="singular tangent system"):
-        continuation._tangent(model, ev, orbit, zero)
+        continuation._tangent(ev, orbit, zero)
 
 
 def test_a_solve_that_stalls_gives_up_when_the_krylov_space_is_spent(
@@ -409,7 +410,7 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
     coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
     ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
                                                    coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(model, ev, orbit, row)
+    lin = continuation._bordered_linear(ev, orbit, row)
     pre = continuation._Preconditioner(lin)
     rng = np.random.default_rng(0)
 
@@ -419,7 +420,7 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
             scale = 2 * continuation._EPS * pre.norm * np.linalg.norm(x)
             return super().apply(x) + scale * e / np.linalg.norm(e)
 
-    rounded = Rounded(model, ev, lin.cols, lin.rows, lin.corner, lin.orbit, lin.mu)
+    rounded = Rounded(ev, lin.cols, lin.rows, lin.corner, lin.orbit, lin.mu)
     rhs = np.random.default_rng(3).standard_normal(lin.size)
     x, _ = continuation._solve_linear(rounded, rhs, pre)
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row), rhs)
@@ -447,7 +448,7 @@ def test_an_inexact_solve_meets_its_forcing_term_on_the_true_operator(
     model, bp = cs_model, cs_branch_point
     coeffs, orbit, row = _trial_system(model, bp, seed=2)
     ev = galerkin.Evaluation(model, galerkin.State(bp.t, coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(model, ev, orbit, row)
+    lin = continuation._bordered_linear(ev, orbit, row)
     dense = bordered_matrix(model, ev, orbit, row)
     rhs = np.random.default_rng(1).standard_normal(lin.size)
     want = np.linalg.solve(dense, rhs)
@@ -498,7 +499,7 @@ def padded_solution(cs_model, cs_branch_point):
     """A fiber-constant solution of cs_model (a sample of the horizontal
     branch at t = 1, zero-padded) with its evaluation and orbit."""
     model, bp = cs_model, cs_branch_point
-    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
     state = branch.samples[-1].state
     offset = state.coeffs.ravel() - galerkin.constant_state(model, state.t).coeffs.ravel()
     orbit = continuation._orbit(model, bp, offset)
@@ -514,7 +515,7 @@ def test_the_first_sweep_is_the_solve_at_a_fiber_constant_solution(
     ev, orbit = padded_solution
     rng = np.random.default_rng(4)
     row = rng.standard_normal(model.n_modes + 1)
-    lin = continuation._bordered_linear(model, ev, orbit, row)
+    lin = continuation._bordered_linear(ev, orbit, row)
     pre = continuation._Preconditioner(lin)
     dense = bordered_matrix(model, ev, orbit, row)
     steps = _counting_gmres(monkeypatch)
@@ -534,9 +535,9 @@ def test_the_preconditioner_margin_is_the_eigvalsh_one(cs_model, padded_solution
     model = cs_model
     ev, orbit = padded_solution
     nb, nf = model.shape
-    lin = continuation._bordered_linear(model, ev, orbit, np.ones(model.n_modes + 1))
+    lin = continuation._bordered_linear(ev, orbit, np.ones(model.n_modes + 1))
     pre = continuation._Preconditioner(lin)
-    jac = galerkin.residual_jacobian(model, ev.state).reshape(nb, nf, nb, nf)
+    jac = galerkin.residual_jacobian(ev).reshape(nb, nf, nb, nf)
     oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
     sub = galerkin.Evaluation(model.fiber_constant,
                               galerkin.State(ev.state.t, ev.state.coeffs[:, :1]))
@@ -559,9 +560,9 @@ def test_a_singular_fiber_block_raises(cs_model, padded_solution, monkeypatch, d
     ev, orbit = padded_solution
     nb = model.shape[0]
     c1 = model.a_m * model.fiber.eigenvalues[1] / ev.state.t
-    monkeypatch.setattr(galerkin, "degree_zero_block",
-                        lambda m, e: -c1 * np.eye(nb) + defect)
-    lin = continuation._bordered_linear(model, ev, orbit, np.ones(model.n_modes + 1))
+    monkeypatch.setattr(galerkin.Evaluation, "degree_zero_block",
+                        property(lambda e: -c1 * np.eye(nb) + defect))
+    lin = continuation._bordered_linear(ev, orbit, np.ones(model.n_modes + 1))
     with pytest.raises(np.linalg.LinAlgError, match=match):
         continuation._Preconditioner(lin)
 
@@ -582,7 +583,7 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
     assert np.array_equal(gen, -gen.T)
     orbit_dir = gen @ state.coeffs.ravel()
     assert np.array_equal(rot.apply(state.coeffs.ravel()), orbit_dir)
-    jac = galerkin.residual_jacobian(model, state)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))
     assert np.linalg.norm(orbit_dir) > 1e-3
     assert np.linalg.norm(jac @ orbit_dir) <= 1e-9 * np.linalg.norm(orbit_dir)
 
@@ -654,9 +655,8 @@ def test_branch_energy_gradient_vanishes_along_tangent(cs_model, shrinking_branc
         direction /= np.linalg.norm(direction)
         plus = galerkin.State(sample.t, sample.state.coeffs + h * direction)
         minus = galerkin.State(sample.t, sample.state.coeffs - h * direction)
-        fd = (galerkin.energy(cs_model, plus) - galerkin.energy(cs_model, minus)) / (
-            2 * h
-        )
+        fd = (galerkin.energy(galerkin.Evaluation(cs_model, plus))
+              - galerkin.energy(galerkin.Evaluation(cs_model, minus))) / (2 * h)
         assert abs(fd) < 1e-6
 
 
@@ -750,7 +750,8 @@ def test_fiber_constant_branch_matches_the_dense_one(small_cs_model, t):
     # bp.t than the dense t, give or take 2e-9
     model = small_cs_model
     bp = _only_point(model, t)
-    start, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    start = branch.samples[0].state
     dense_start = continuation.switch_branch(model, bp, 1e-2)
     dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origin=bp)
 
@@ -778,13 +779,13 @@ def test_fiber_blocks_of_the_dense_jacobian(small_cs_model):
     # the blocks' eigenvalues to the same relative 1e-12
     model = small_cs_model
     nb, nf = model.shape
-    _, branch = continuation.follow_branch(model, _only_point(model, Fraction(1)),
+    branch = continuation.follow_branch(model, _only_point(model, Fraction(1)),
                                            1e-2, -1, 40, 4e-4)
     eye = np.eye(nb)
     for sample in branch.samples:
-        jac = galerkin.residual_jacobian(model, sample.state).reshape(nb, nf, nb, nf)
-        jac0 = galerkin.residual_jacobian(
-            model.fiber_constant, galerkin.State(sample.t, sample.state.coeffs[:, :1]))
+        jac = galerkin.residual_jacobian(sample).reshape(nb, nf, nb, nf)
+        jac0 = galerkin.residual_jacobian(galerkin.Evaluation(
+            model.fiber_constant, galerkin.State(sample.t, sample.state.coeffs[:, :1])))
         scale = np.abs(jac).max()
         off = jac.copy()
         for j in range(nf):
@@ -803,13 +804,33 @@ def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
     assert vertical.kernel_modes == ((0, 1),) and vertical.subspace == "full"
     assert horizontal.kernel_modes == ((1, 0),)
 
-    _, branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin is None
     assert all(s.fiber_fraction > 0.5 for s in branch.samples)
 
-    _, branch = continuation.follow_branch(model, horizontal, 1e-2, -1, 5, 4e-4)
+    branch = continuation.follow_branch(model, horizontal, 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin > 0
     assert all(s.fiber_fraction == 0.0 for s in branch.samples)
+
+
+def test_an_evaluation_is_independent_of_memory_layout(cs_model):
+    # the fiber-constant part of each padded sample of the t = 1/225 branch,
+    # read through a strided [nb, 1] view and through a contiguous copy,
+    # gives the same grid and residual bit for bit: two evaluations of one
+    # state agree whatever the layout of its coefficients
+    model = cs_model
+    bp = continuation.detect_branch_points(model, Fraction(1, 1000), 2)[0]
+    assert bp.t == Fraction(1, 225)
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    sub = model.fiber_constant
+    for sample in branch.samples:
+        view = sample.state.coeffs[:, :1]
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous
+        strided, dense = (galerkin.Evaluation(sub, galerkin.State(sample.t, c))
+                          for c in (view, copy))
+        assert np.array_equal(strided.grid, dense.grid)
+        assert np.array_equal(galerkin.residual(strided), galerkin.residual(dense))
 
 
 def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
@@ -823,12 +844,12 @@ def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
         raise AssertionError("a dense Jacobian was built")
 
     monkeypatch.setattr(galerkin, "residual_jacobian", no_dense)
-    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
     monkeypatch.undo()
     sub, shift = model.fiber_constant, model.a_m * model.fiber.eigenvalues[1]
     want = min(
-        np.linalg.eigvalsh(galerkin.residual_jacobian(
-            sub, galerkin.State(s.t, s.state.coeffs[:, :1])))[0] + shift / s.t
+        np.linalg.eigvalsh(galerkin.residual_jacobian(galerkin.Evaluation(
+            sub, galerkin.State(s.t, s.state.coeffs[:, :1]))))[0] + shift / s.t
         for s in branch.samples)
     assert abs(branch.fiber_margin - want) <= 1e-12 * abs(want)
 
@@ -857,8 +878,8 @@ def _follow_counting(model, bp, monkeypatch, rebuild=False):
     if rebuild:
         tangent = continuation._tangent
         monkeypatch.setattr(continuation, "_tangent",
-                            lambda m, ev, orbit, row, pre=None: tangent(m, ev, orbit, row))
-    _, branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+                            lambda ev, orbit, row, pre=None: tangent(ev, orbit, row))
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
     monkeypatch.undo()
     return branch, len(builds)
 
@@ -917,6 +938,27 @@ def test_reduction_discrepancy_is_tiny(cs_model, cs_branch_point):
         assert sample.difference <= res.discrepancy + 1e-18
 
 
+def test_the_reduction_through_a_one_mode_kernel(sphere_sphere):
+    # S^2 x S^2 at t = 1/2: the kernel is the one mode (1, 0), sampled at
+    # the coordinates +1 and -1 in turn (observed: discrepancy 3.5e-15,
+    # margin 12.0).  Samples at one coordinate start the full solve from
+    # different seeded fiber-mixed corrections and must land on one alpha
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    (bp,) = continuation.detect_branch_points(model, Fraction(2, 5), Fraction(3, 5))
+    assert (bp.t, bp.kernel_modes) == (Fraction(1, 2), ((1, 0),))
+    res = continuation.lyapunov_schmidt_reduce(model, bp, 1e-2, 4)
+    assert res.kernel_dim == 1
+    assert len(res.samples) == 4
+    assert res.passed and res.discrepancy < 1e-12
+    assert res.fiber_margin > 0
+    plus, minus, plus_again, minus_again = res.samples
+    for a, b in ((plus, plus_again), (minus, minus_again)):
+        assert np.abs(a.alpha_full - b.alpha_full).max() <= 1e-12
+    # the reduced map is not odd: the second-order terms of alpha(+n) and
+    # alpha(-n) agree, so the two are far from opposite
+    assert np.abs(plus.alpha_restricted + minus.alpha_restricted).max() > 1e-8
+
+
 def _oracle_complement_solve(model, t, base, idx):
     """The complement Newton on the full model's Jacobian sliced to `idx`."""
     v = np.zeros(len(idx))
@@ -924,10 +966,11 @@ def _oracle_complement_solve(model, t, base, idx):
         c = base.copy()
         c[idx] += v
         state = galerkin.State(t, c.reshape(model.shape))
-        res = galerkin.residual(model, state).ravel()[idx]
+        ev = galerkin.Evaluation(model, state)
+        res = galerkin.residual(ev).ravel()[idx]
         if np.linalg.norm(res) < continuation.TOL_COMPLEMENT:
             return v
-        v = v - np.linalg.solve(galerkin.residual_jacobian(model, state)[np.ix_(idx, idx)], res)
+        v = v - np.linalg.solve(galerkin.residual_jacobian(ev)[np.ix_(idx, idx)], res)
     raise AssertionError("oracle complement solve did not converge")
 
 
@@ -946,9 +989,9 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
     base = galerkin.constant_state(model, bp.t).coeffs.ravel() + 1e-2 * vecs[0]
 
     state = galerkin.State(bp.t, base.reshape(model.shape))
-    jac = galerkin.residual_jacobian(model, state)[np.ix_(fc_flat, fc_flat)]
-    sub = galerkin.residual_jacobian(
-        model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1]))[np.ix_(fc, fc)]
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))[np.ix_(fc_flat, fc_flat)]
+    sub = galerkin.residual_jacobian(galerkin.Evaluation(
+        model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1])))[np.ix_(fc, fc)]
     assert np.abs(sub - jac).max() <= 1e-12 * np.abs(jac).max()
 
     v, res, _ = continuation._complement_solve(model.fiber_constant, bp.t,
@@ -973,9 +1016,9 @@ def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, mon
     jacobians = []
     original = galerkin.residual_jacobian
 
-    def counting(m, state, *args, **kwargs):
-        jacobians.append(m)
-        return original(m, state, *args, **kwargs)
+    def counting(ev):
+        jacobians.append(ev.model)
+        return original(ev)
 
     monkeypatch.setattr(galerkin, "residual_jacobian", counting)
     continuation.verify_fiber_constancy(model, cs_branch_point, trials=3, seed=0)
@@ -1052,8 +1095,32 @@ def test_fiber_constancy_trials_pass(cs_model, cs_branch_point):
     assert report.passed
     assert report.max_fraction < 1e-8
     assert len(report.trials) == 20
+    assert report.nontrivial == 20
     assert all(row.converged and row.nontrivial for row in report.trials)
     assert not any(row.violation for row in report.trials)
+
+
+@pytest.mark.parametrize("amplitude, converged", [(3.0, False), (1e-12, True)],
+                         ids=["none-converges", "all-collapse"])
+def test_fiber_constancy_with_no_nontrivial_trial_does_not_pass(circle_sphere, amplitude,
+                                                                 converged):
+    # at 6x3 and t = 1, amplitude 3 leaves every trial unconverged and
+    # amplitude 1e-12 lets every trial collapse to u = 1: no solution was
+    # checked for fiber content, so the report does not pass
+    model = galerkin.build_model(circle_sphere, 6, 3)
+    (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
+    report = continuation.verify_fiber_constancy(model, bp, 8, seed=0, amplitude=amplitude)
+    assert report.nontrivial == 0
+    assert not report.passed
+    assert report.max_fraction == 0.0
+    assert len(report.trials) == 8
+    for row in report.trials:
+        assert (row.converged, row.nontrivial, row.violation) == (converged, False, False)
+        assert row.fiber_fraction is None
+        if converged:
+            assert row.u_distance <= continuation._NONTRIVIAL_NORM
+        else:
+            assert row.t is None and row.u_distance is None
 
 
 def test_fiber_constancy_is_seed_deterministic(cs_model, cs_branch_point):

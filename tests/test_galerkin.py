@@ -177,14 +177,16 @@ def test_linearization_zeroes_exactly_at_degeneracy_witnesses(
 
 def test_constant_one_is_a_solution(small_model):
     for t in (0.3, 1.0, 2.5):
-        res = galerkin.residual(small_model, galerkin.constant_state(small_model, t))
+        state = galerkin.constant_state(small_model, t)
+        res = galerkin.residual(galerkin.Evaluation(small_model, state))
         assert np.abs(res).max() < 1e-13
 
 
 def test_constant_residual_closed_form(small_model):
     # for u = c the equation collapses to s(t) (c - c^5) on the constant mode
     c, t = 1.3, 0.8
-    res = galerkin.residual(small_model, galerkin.constant_state(small_model, t, c))
+    state = galerkin.constant_state(small_model, t, c)
+    res = galerkin.residual(galerkin.Evaluation(small_model, state))
     s_t = 2.0 / t
     expected = s_t * (c - c**5) * math.sqrt(small_model.volume_at_one)
     assert res[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -193,7 +195,8 @@ def test_constant_residual_closed_form(small_model):
 
 
 def test_energy_of_the_unit_constant(small_model):
-    e = galerkin.energy(small_model, galerkin.constant_state(small_model, 1.0))
+    state = galerkin.constant_state(small_model, 1.0)
+    e = galerkin.energy(galerkin.Evaluation(small_model, state))
     assert e == pytest.approx(16 * math.pi**2 / 3, rel=1e-13)
 
 
@@ -202,14 +205,14 @@ def test_residual_is_the_energy_gradient_at_t_one(small_model):
     h = 1e-6
     for _ in range(10):
         state = _random_positive_state(small_model, rng, 1.0)
-        res = galerkin.residual(small_model, state)
+        res = galerkin.residual(galerkin.Evaluation(small_model, state))
         fd = np.zeros(small_model.shape)
         for idx in np.ndindex(small_model.shape):
             for sign in (+1, -1):
                 pert = state.coeffs.copy()
                 pert[idx] += sign * h
                 fd[idx] += sign * galerkin.energy(
-                    small_model, galerkin.State(1.0, pert)
+                    galerkin.Evaluation(small_model, galerkin.State(1.0, pert))
                 )
         fd /= 2 * h
         assert np.abs(fd - res).max() / np.abs(res).max() < 1e-6
@@ -222,13 +225,14 @@ def test_energy_gradient_scaled_identity(small_model):
     h = 1e-6
     for t in (0.4, 1.7):
         state = _random_positive_state(small_model, rng, t)
-        scaled = t * galerkin.residual(small_model, state)  # k = 2
+        scaled = t * galerkin.residual(galerkin.Evaluation(small_model, state))  # k = 2
         fd = np.zeros(small_model.shape)
         for idx in np.ndindex(small_model.shape):
             for sign in (+1, -1):
                 pert = state.coeffs.copy()
                 pert[idx] += sign * h
-                fd[idx] += sign * galerkin.energy(small_model, galerkin.State(t, pert))
+                fd[idx] += sign * galerkin.energy(
+                    galerkin.Evaluation(small_model, galerkin.State(t, pert)))
         fd /= 2 * h
         assert np.abs(fd - scaled).max() / np.abs(scaled).max() < 1e-6
 
@@ -236,7 +240,7 @@ def test_energy_gradient_scaled_identity(small_model):
 def test_linearization_matches_jacobian_at_the_constant(small_model):
     t = 0.7
     state = galerkin.constant_state(small_model, t)
-    jac = galerkin.residual_jacobian(small_model, state)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(small_model, state))
     lin = np.diag(linearization_at_one(small_model, t).ravel())
     assert np.abs(jac - lin).max() < 1e-10
 
@@ -244,7 +248,7 @@ def test_linearization_matches_jacobian_at_the_constant(small_model):
 def test_jacobian_matches_finite_differences(small_model):
     rng = np.random.default_rng(13)
     state = _random_positive_state(small_model, rng, 0.9)
-    jac = galerkin.residual_jacobian(small_model, state)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(small_model, state))
     h = 1e-6
     n = small_model.n_modes
     fd = np.zeros((n, n))
@@ -254,8 +258,8 @@ def test_jacobian_matches_finite_differences(small_model):
         minus = state.coeffs.copy()
         minus[idx] -= h
         diff = galerkin.residual(
-            small_model, galerkin.State(0.9, plus)
-        ) - galerkin.residual(small_model, galerkin.State(0.9, minus))
+            galerkin.Evaluation(small_model, galerkin.State(0.9, plus))
+        ) - galerkin.residual(galerkin.Evaluation(small_model, galerkin.State(0.9, minus)))
         fd[:, col] = diff.ravel() / (2 * h)
     assert np.abs(fd - jac).max() < 1e-8
 
@@ -287,7 +291,7 @@ def test_factored_jacobian_matches_dense_assembly(base_dim, fiber_dim):
         (tensor * weights * grid ** (p - 2)) @ tensor.T
     )
 
-    jac = galerkin.residual_jacobian(model, state)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))
     assert np.abs(jac - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -307,8 +311,8 @@ def test_degree_zero_block_is_the_dense_degree_zero_block(base_dim, fiber_dim):
     # the dense Jacobian bit for bit (the same Gram kernel)
     model, state = _mixed_product(base_dim, fiber_dim)
     nb, nf = model.shape
-    jac = galerkin.residual_jacobian(model, state).reshape(nb, nf, nb, nf)
-    block = galerkin.degree_zero_block(model, galerkin.Evaluation(model, state))
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state)).reshape(nb, nf, nb, nf)
+    block = galerkin.Evaluation(model, state).degree_zero_block
     scale = np.abs(jac).max()
     assert block.shape == (nb, nb)
     assert np.abs(block - jac[:, 0, :, 0]).max() <= 1e-13 * scale
@@ -319,17 +323,18 @@ def test_degree_zero_block_is_the_dense_degree_zero_block(base_dim, fiber_dim):
 
     sub = model.fiber_constant
     restricted = galerkin.State(state.t, state.coeffs[:, :1])
-    block = galerkin.degree_zero_block(sub, galerkin.Evaluation(sub, restricted))
-    assert np.array_equal(block, galerkin.residual_jacobian(sub, restricted))
+    ev = galerkin.Evaluation(sub, restricted)
+    block = ev.degree_zero_block
+    assert np.array_equal(block, galerkin.residual_jacobian(ev))
 
 
 @pytest.mark.parametrize("base_dim, fiber_dim", [(1, 2), (2, 1)])
 def test_jacobian_apply_is_the_dense_product(base_dim, fiber_dim):
     model, state = _mixed_product(base_dim, fiber_dim)
     ev = galerkin.Evaluation(model, state)
-    jac = galerkin.residual_jacobian(model, state)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))
     for v in np.random.default_rng(47).standard_normal((3,) + model.shape):
-        got = galerkin.jacobian_apply(model, ev, v)
+        got = galerkin.jacobian_apply(ev, v)
         want = jac @ v.ravel()
         assert got.shape == model.shape
         assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(jac).max() * np.abs(v).max()
@@ -338,10 +343,12 @@ def test_jacobian_apply_is_the_dense_product(base_dim, fiber_dim):
 def test_t_derivative_matches_finite_differences(small_model):
     rng = np.random.default_rng(17)
     state = _random_positive_state(small_model, rng, 0.8)
-    dt = galerkin.residual_t_derivative(small_model, state)
+    dt = galerkin.residual_t_derivative(galerkin.Evaluation(small_model, state))
     h = 1e-7
-    plus = galerkin.residual(small_model, galerkin.State(0.8 + h, state.coeffs))
-    minus = galerkin.residual(small_model, galerkin.State(0.8 - h, state.coeffs))
+    plus = galerkin.residual(
+        galerkin.Evaluation(small_model, galerkin.State(0.8 + h, state.coeffs)))
+    minus = galerkin.residual(
+        galerkin.Evaluation(small_model, galerkin.State(0.8 - h, state.coeffs)))
     fd = (plus - minus) / (2 * h)
     assert np.abs(fd - dt).max() < 1e-6
 
@@ -350,7 +357,7 @@ def test_residual_rejects_sign_changing_states(small_model):
     state = galerkin.constant_state(small_model, 0.7)
     state.coeffs[1, 0] = 15.0  # drives the grid minimum well below zero
     with pytest.raises(PositivityViolationError):
-        galerkin.residual(small_model, state)
+        galerkin.residual(galerkin.Evaluation(small_model, state))
 
 
 def test_refinement_stability(circle_sphere):
@@ -361,10 +368,10 @@ def test_refinement_stability(circle_sphere):
     coeffs[1, 0] = 0.05
     coeffs[3, 1] = 0.02
     coeffs[0, 2] = -0.03
-    res_c = galerkin.residual(coarse, galerkin.State(0.8, coeffs))
+    res_c = galerkin.residual(galerkin.Evaluation(coarse, galerkin.State(0.8, coeffs)))
     lifted = np.zeros(fine.shape)
     lifted[: coarse.shape[0], : coarse.shape[1]] = coeffs
-    res_f = galerkin.residual(fine, galerkin.State(0.8, lifted))
+    res_f = galerkin.residual(galerkin.Evaluation(fine, galerkin.State(0.8, lifted)))
     shared = res_f[: coarse.shape[0], : coarse.shape[1]]
     assert np.abs(shared - res_c).max() < 1e-8
 
@@ -413,6 +420,6 @@ def test_unit_constant_solves_at_every_scale(t):
         base=cscbif.sphere_manifold(1, Fraction(1)),
     )
     model = galerkin.build_model(fam, 4, 3)
-    res = galerkin.residual(model, galerkin.constant_state(model, t))
+    res = galerkin.residual(galerkin.Evaluation(model, galerkin.constant_state(model, t)))
     # roundoff scales with the curvature prefactor s(t) = 2/t
     assert np.abs(res).max() < 1e-13 * max(1.0, 2.0 / t) * 10

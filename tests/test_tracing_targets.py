@@ -8,12 +8,17 @@ that every target still resolves.
 
 import importlib.util
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from cscbif import spectra, variation
+import pytest
+import yaml
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from cscbif import cli, galerkin, spectra, variation
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing(monkeypatch):
@@ -51,3 +56,30 @@ def test_classify_reaches_the_generic_contains(circle_sphere, monkeypatch):
     monkeypatch.setattr(variation, "contains", counting)
     rep = variation.classify_window(circle_sphere, Fraction(1, 1000), 2)
     assert len(calls) >= len(rep.certified_instants) > 0
+
+
+@pytest.mark.parametrize("command, names", [
+    ("branch", ("residual", "residual_t_derivative", "energy")),
+    ("verify", ("residual", "residual_t_derivative")),
+])
+def test_numerical_commands_reach_the_traced_galerkin_kernels(command, names, tmp_path,
+                                                              monkeypatch):
+    # the tracer times these kernels by patching their `galerkin` module
+    # attributes, so the commands must call them through those attributes:
+    # a value an evaluation computed some other way would read 0 calls
+    # (verify computes no energy)
+    calls = Counter()
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(galerkin, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(galerkin, name, counting)
+    data = yaml.safe_load((ROOT / "scripts" / "configs" / "circle_sphere.yaml").read_text())
+    data["window"] = {"t_min": "1/2", "t_max": "3/2"}
+    data["galerkin"] = {"N_b": 6, "N_f": 3}
+    data["continuation"].update({"steps": 3, "trials": 2, "reduce_samples": 2})
+    path = tmp_path / "family.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert all(calls[name] > 0 for name in names), calls
