@@ -13,7 +13,13 @@ trials share, a square bordered system (Keller's pseudo-arclength
 corrector in the bordered form of Govaerts), and the complement solves of
 the reduction, made square by their kernel pins.  Its linear solves go by
 fiber degree (`_solve_linear`): block elimination over the fiber blocks of
-the Jacobian, refined by GMRES on the true operator.  In the corrector
+the Jacobian, refined by GMRES on the true operator.  The loop and its
+linear solves work on a stack of independent systems at once: the trials
+of a branch point are one stack, and so are its full-complement samples
+and its restricted samples, evaluated, factored and stepped together
+while each member keeps its own tolerances, damping, outcome and error.
+A single solve, such as a continuation step or its tangent, is a stack of
+one.  In the corrector
 the unknowns are (c, t) and the equations are residual(c, t) = 0 plus one
 affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
 with n a unit kernel direction, or the arclength row when continuing.
@@ -34,7 +40,10 @@ instead of nb * nf, and the restricted reduction solves there too.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,6 +120,9 @@ def kernel_vectors(model: GalerkinModel, bp: BranchPoint) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Newton solvers
+#
+# Every solver below works on a stack of k independent systems, one per
+# member, along a leading axis: vectors are [k, N].
 
 def _circle_generator(factor) -> np.ndarray:
     """d/dphi on one Fourier factor's coefficients: the frequency-k pair
@@ -130,27 +142,38 @@ class _Orbit:
     the [nb, nf] coefficient array when the circle is the base (`on_base`;
     R then repeats it within every fiber degree) and to the columns when it
     is the fiber.  `phase` is the unit orbit direction R k / |R k| of the
-    branch's kernel part k, [n]."""
+    branch's kernel part k, [n], or [k, n] for a stack of branches."""
 
     def __init__(self, generator, on_base, kernel_part):
         self.generator, self.on_base = generator, on_base
         phase = self.apply(kernel_part)
-        self.phase = phase / np.linalg.norm(phase)
+        scale = np.linalg.norm(phase) if phase.ndim == 1 else galerkin.norms(phase)[:, None]
+        self.phase = phase / scale
 
     def apply(self, c):
-        """R c for flat coefficients c, [n]: one small product."""
-        gen = self.generator
+        """R c for flat coefficients c, [n] or a stack [k, n]: one small
+        product."""
+        gen, lead = self.generator, c.shape[:-1]
         if self.on_base:
-            return (gen @ c.reshape(len(gen), -1)).ravel()
-        return (c.reshape(-1, len(gen)) @ gen.T).ravel()
+            return (gen @ c.reshape(lead + (len(gen), -1))).reshape(c.shape)
+        return (c.reshape(lead + (-1, len(gen))) @ gen.T).reshape(c.shape)
+
+    def take(self, members):
+        """The orbit of the members `members` of a stack of branches."""
+        if self.phase.ndim == 1:
+            return self
+        orbit = copy.copy(self)
+        orbit.phase = self.phase[members]
+        return orbit
 
 
 def _orbit(model, bp, align):
     """The orbit of a branch through `bp` whose kernel part points along
-    `align` (flattened); None when there is no rotation orbit to fix (no
-    branch point, a one-mode kernel) or `align` has no kernel part.  A
-    kernel that is neither one mode nor the cos/sin pair of one
-    circle-factor frequency raises PreconditionError."""
+    `align` (flattened; [k, n] for a stack of branches, each with a kernel
+    part); None when there is no rotation orbit to fix (no branch point, a
+    one-mode kernel) or `align` has no kernel part.  A kernel that is
+    neither one mode nor the cos/sin pair of one circle-factor frequency
+    raises PreconditionError."""
     if bp is None or bp.kernel_dim == 1:
         return None
 
@@ -171,7 +194,7 @@ def _orbit(model, bp, align):
             "kernels and such pairs only"
         )
     span = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
-    coords = span @ align
+    coords = align @ span.T
     if np.linalg.norm(coords) <= 1e-12:
         return None
     circle = model.base if on_base else model.fiber
@@ -195,316 +218,597 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _Linear:
-    """The linearized system at one evaluated state,
+    """The linearized systems at a stack of k evaluated states, one per
+    member,
 
         M = [[J + mu R   cols  ],
              [rows       corner]],
 
     J the Jacobian of `residual`, R the rotation generator of `orbit` (if
-    any) and q = len(corner) border rows and columns, applied without an
-    n_modes x n_modes matrix.  Vectors are the flat coefficients followed
-    by the q border unknowns."""
+    any) and q border rows and columns, applied without an n_modes x
+    n_modes matrix.  cols [k, n, q], rows [k, q, n], corner [k, q, q] and
+    mu [k] (None without an orbit); a border given without the member axis
+    is every member's.  Vectors are stacks [k, N] of the flat coefficients
+    followed by the q border unknowns."""
 
-    def __init__(self, ev, cols, rows, corner, orbit=None, mu=0.0):
-        self.ev, self.orbit, self.mu = ev, orbit, mu
+    def __init__(self, ev, cols, rows, corner, orbit=None, mu=None):
+        k = len(ev.t)
+        if cols.ndim == 2:
+            cols, rows, corner = (np.broadcast_to(a, (k,) + a.shape) for a in (cols, rows, corner))
+        self.ev, self.orbit = ev, orbit
         self.cols, self.rows, self.corner = cols, rows, corner
-        self.size = ev.model.n_modes + len(corner)     # the order of M
+        if orbit is None:
+            mu = None
+        elif not isinstance(mu, np.ndarray):
+            mu = np.zeros(k) if mu is None else np.full(k, mu)
+        self.mu = mu
+        self.size = ev.model.n_modes + corner.shape[-1]     # the order of M
 
     def apply(self, x):
-        """M x."""
+        """M x, member by member."""
         model = self.ev.model
-        n = model.n_modes
-        c, z = x[:n], x[n:]
+        n, k = model.n_modes, len(x)
+        c, z = x[:, :n], x[:, n:, None]
         y = np.empty_like(x)
-        y[:n] = galerkin.jacobian_apply(self.ev, c.reshape(model.shape)).ravel()
-        y[:n] += self.cols @ z
+        y[:, :n] = galerkin.jacobian_apply(self.ev, c.reshape((k,) + model.shape)).reshape(k, n)
+        y[:, :n] += (self.cols @ z)[:, :, 0]
         if self.orbit is not None:
-            y[:n] += self.mu * self.orbit.apply(c)
-        y[n:] = self.rows @ c + self.corner @ z
+            y[:, :n] += self.mu[:, None] * self.orbit.apply(c)
+        y[:, n:] = (self.rows @ c[:, :, None])[:, :, 0] + (self.corner @ z)[:, :, 0]
         return y
+
+    def take(self, members):
+        """The systems of the members `members`."""
+        lin = copy.copy(self)
+        lin.ev = self.ev[members]
+        lin.cols, lin.rows, lin.corner = (a[members] for a in (self.cols, self.rows, self.corner))
+        if self.orbit is not None:
+            lin.orbit, lin.mu = self.orbit.take(members), self.mu[members]
+        return lin
+
+
+def _factor(routine, failed, mats, *operands):
+    """A numpy.linalg `routine` on a stack of matrices [k, m, m] (and its
+    other operands, stacked alike) as one call.  When that call raises
+    LinAlgError, every member that raises it alone gets its error in
+    `failed` and the identity in its place, so it fails only itself."""
+    try:
+        return routine(mats, *operands)
+    except np.linalg.LinAlgError:
+        mats = mats.copy()
+        for i in range(len(mats)):
+            try:
+                routine(mats[i], *(a[i] for a in operands))
+            except np.linalg.LinAlgError as exc:
+                failed[i] = failed[i] or exc
+                mats[i] = np.eye(mats.shape[-1])
+        return routine(mats, *operands)
 
 
 class _Preconditioner:
-    """P^-1 for a `_Linear` M, with P the matrix M whose J + mu R is
-    replaced by its fiber-constant model: the entries between different
-    fiber degrees zeroed, degree 0 kept (J_00 + mu R_00, R_00 the base
-    circle's generator, zero for the fiber circle's), and every degree
-    j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
+    """P^-1 for each member of a `_Linear` stack M, with P the matrix M
+    whose J + mu R is replaced by its fiber-constant model: the entries
+    between different fiber degrees zeroed, degree 0 kept (J_00 + mu R_00,
+    R_00 the base circle's generator, zero for the fiber circle's), and
+    every degree j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
 
     J_00 is the evaluation's `degree_zero_block` for every nf.  At a
     fiber-constant state J has exactly these blocks, and mu vanishes on
-    solutions, so there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every degree
-    j >= 1 as Q (Lambda + c_j)^-1 Q^T, two small products for all of them;
-    their elimination leaves degree 0 with the border as one dense Schur
-    system of order nb + q, inverted once, as P^-1 is applied at every
+    solutions, so there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every
+    degree j >= 1 as Q (Lambda + c_j)^-1 Q^T, two small products for all of
+    them; their elimination leaves degree 0 with the border as one dense
+    Schur system of order nb + q, inverted once, as P^-1 is applied at every
     GMRES step.  When nf = 1 that system is M itself and is solved as it
-    stands.  A zero or non-finite Lambda_i + c_j, or a singular Schur
-    system, raises numpy.linalg.LinAlgError."""
+    stands.  The whole stack is factored by one `eigh` and one `inv` call.
+    A member with a zero or non-finite Lambda_i + c_j, or a singular Schur
+    system, has its numpy.linalg.LinAlgError in `failed` (at the first
+    solve when nf = 1)."""
+
+    _STACKED = ("basis", "shifted", "scale", "rows_up", "w", "schur_inv", "norm", "schur")
 
     def __init__(self, lin):
         ev, orbit, model = lin.ev, lin.orbit, lin.ev.model
         nb, nf = model.shape
-        q = len(lin.corner)
-        self.ev, self.shape = ev, (nb, nf)
+        k, q = lin.corner.shape[:2]
+        self.shape, self.failed = (nb, nf), [None] * k
+        self.built_at = weakref.ref(ev)         # the evaluation it was built at, if one
         block = ev.degree_zero_block
         if nf > 1:
-            lam, self.basis = np.linalg.eigh(block)
-            shifts = model.a_m * model.fiber.eigenvalues[1:] / ev.t
-            self.shifted = lam[:, None] + shifts                    # Lambda_i + c_j, [nb, nf-1]
+            lam, self.basis = _factor(np.linalg.eigh, self.failed, block)
+            shifts = model.a_m * model.fiber.eigenvalues[1:] / ev.t[:, None]
+            self.shifted = lam[:, :, None] + shifts[:, None, :]             # Lambda_i + c_j
             with np.errstate(divide="ignore"):
                 self.scale = 1.0 / self.shifted
-            if not (np.isfinite(self.shifted).all() and np.isfinite(self.scale).all()):
-                raise np.linalg.LinAlgError("singular fiber block")
-        if orbit is not None and orbit.on_base and lin.mu != 0.0:
-            block = block + lin.mu * orbit.generator
-        cols3, rows3 = lin.cols.reshape(nb, nf, q), lin.rows.reshape(q, nb, nf)
-        schur = np.empty((nb + q, nb + q))
-        schur[:nb, :nb] = block
-        schur[:nb, nb:] = cols3[:, 0]
-        schur[nb:, :nb] = rows3[:, :, 0]
-        schur[nb:, nb:] = lin.corner
+            finite = (np.isfinite(self.shifted).all(axis=(1, 2))
+                      & np.isfinite(self.scale).all(axis=(1, 2)))
+            for i in np.flatnonzero(~finite):
+                self.failed[i] = self.failed[i] or np.linalg.LinAlgError("singular fiber block")
+                self.scale[i] = 0.0
+        if orbit is not None and orbit.on_base:
+            mu = lin.mu.tolist()
+            if any(mu):
+                turned = block + lin.mu[:, None, None] * orbit.generator
+                block = turned if all(mu) else np.where((lin.mu != 0.0)[:, None, None],
+                                                        turned, block)
+        cols4, rows4 = lin.cols.reshape(k, nb, nf, q), lin.rows.reshape(k, q, nb, nf)
+        schur = np.empty((k, nb + q, nb + q))
+        schur[:, :nb, :nb] = block
+        schur[:, :nb, nb:] = cols4[:, :, 0]
+        schur[:, nb:, :nb] = rows4[:, :, :, 0]
+        schur[:, nb:, nb:] = lin.corner
         if nf == 1:
             self.schur = schur
             return
-        self.rows_up = rows3[:, :, 1:].reshape(q, nb * (nf - 1))          # (i, j)
-        cols_up = cols3[:, 1:]
-        self.norm = float(np.sqrt(sum(np.vdot(a, a) for a in (
-            schur, self.shifted, cols_up, self.rows_up))))
-        self.w = self._invert_up(cols_up)                                 # [nb, nf-1, q]
-        schur[nb:, nb:] -= self.rows_up @ self.w.reshape(nb * (nf - 1), q)
-        self.schur_inv = np.linalg.inv(schur)
+        self.rows_up = rows4[:, :, :, 1:].reshape(k, q, nb * (nf - 1))    # (i, j)
+        cols_up = cols4[:, :, 1:]
+        total = 0.0
+        for a in (schur, self.shifted, cols_up, self.rows_up):
+            flat = a.reshape(k, -1)
+            total = total + np.vecdot(flat, flat)
+        self.norm = np.sqrt(total)
+        self.w = self._invert_up(cols_up)                                # [k, nb, nf-1, q]
+        schur[:, nb:, nb:] -= self.rows_up @ self.w.reshape(k, nb * (nf - 1), q)
+        self.schur_inv = _factor(np.linalg.inv, self.failed, schur)
 
     def _invert_up(self, b):
-        """(J_00 + c_j I)^-1 b[:, j - 1] for every degree j >= 1, b [nb, nf-1, k]."""
+        """(J_00 + c_j I)^-1 b[:, :, j - 1] for every degree j >= 1 and
+        member, b [k, nb, nf-1, c]."""
         basis = self.basis
-        nb = len(basis)
-        coef = (basis.T @ b.reshape(nb, -1)).reshape(b.shape) * self.scale[:, :, None]
-        return (basis @ coef.reshape(nb, -1)).reshape(b.shape)
+        k, nb = basis.shape[:2]
+        coef = ((basis.transpose(0, 2, 1) @ b.reshape(k, nb, -1)).reshape(b.shape)
+                * self.scale[..., None])
+        return (basis @ coef.reshape(k, nb, -1)).reshape(b.shape)
 
     def __call__(self, r):
-        """P^-1 r."""
+        """P^-1 r, member by member."""
         nb, nf = self.shape
         if nf == 1:
-            return np.linalg.solve(self.schur, r)
-        n = nb * nf
-        rc = r[:n].reshape(nb, nf)
-        y = self._invert_up(rc[:, 1:, None])[:, :, 0]                     # [nb, nf-1]
-        s = self.schur_inv @ np.concatenate([rc[:, 0], r[n:] - self.rows_up @ y.ravel()])
+            return _factor(np.linalg.solve, self.failed, self.schur, r[:, :, None])[:, :, 0]
+        k, n = len(r), nb * nf
+        rc = r[:, :n].reshape(k, nb, nf)
+        y = self._invert_up(rc[:, :, 1:, None])[..., 0]                  # [k, nb, nf-1]
+        border = r[:, n:] - (self.rows_up @ y.reshape(k, -1, 1))[:, :, 0]
+        s = (self.schur_inv @ np.concatenate([rc[:, :, 0], border], axis=1)[:, :, None])[:, :, 0]
         x = np.empty_like(r)
-        xc = x[:n].reshape(nb, nf)
-        xc[:, 0] = s[:nb]
-        xc[:, 1:] = y - self.w @ s[nb:]
-        x[n:] = s[nb:]
+        xc = x[:, :n].reshape(k, nb, nf)
+        xc[:, :, 0] = s[:, :nb]
+        xc[:, :, 1:] = y - (self.w @ s[:, None, nb:, None])[..., 0]
+        x[:, n:] = s[:, nb:]
         return x
+
+    def take(self, members):
+        """The preconditioner of the members `members`."""
+        pre = copy.copy(self)
+        for name in self._STACKED:
+            if hasattr(self, name):
+                setattr(pre, name, getattr(self, name)[members])
+        pre.failed = [self.failed[i] for i in members]
+        pre.built_at = None
+        return pre
+
+    def put(self, members, other, ev):
+        """Replace, in place, the members `members` by those of `other`,
+        built for them at `ev`, the evaluation of the stack."""
+        for name in self._STACKED:
+            if hasattr(self, name):
+                getattr(self, name)[members] = getattr(other, name)
+        for i, error in zip(members, other.failed):
+            self.failed[i] = error
+        self.built_at = weakref.ref(ev)
 
 
 def _solve_linear(lin, r, pre=None, rtol=0.0):
-    """Solve M x = r for the `_Linear` M; returns x and the preconditioner
-    it used, to be passed back for the next step of the same Newton solve.
+    """Solve M x = r for every member of the `_Linear` stack M, r [k, N];
+    returns x, the preconditioner it used, to be passed back for the next
+    step of the same Newton solve (a `pre` passed in is updated in place
+    when only some of its members are refactored), and per member None or
+    the numpy.linalg.LinAlgError that failed it.
 
     The first sweep is x = P^-1 r.  When nf = 1, P = M and that is the
-    answer.  Otherwise GMRES on M P^-1 (Saad & Schultz 1986) refines it
-    until |r - M x|, on the true M, is at most the larger of rtol |r| and
-    _BACKWARD_ULPS ulps of normwise backward error: rtol = 0 asks for the
-    full accuracy, a Newton step passes its forcing term.  `pre`, a
-    preconditioner built at an earlier state, is kept unless its first
-    sweep fails to contract the residual, and then refactored at this
-    state: refining costs less than factoring.  A singular P, or a Krylov
-    space exhausted (the order of M steps) short of the bound, raises
-    numpy.linalg.LinAlgError."""
+    answer.  Otherwise GMRES on M P^-1 (Saad & Schultz 1986) refines each
+    member until its |r - M x|, on the true M, is at most the larger of
+    rtol |r| and _BACKWARD_ULPS ulps of normwise backward error: rtol = 0
+    asks for the full accuracy, a Newton step passes its forcing term (rtol
+    may be one per member).  A member's preconditioner from `pre`, built at
+    an earlier state, is kept unless its first sweep fails to contract the
+    member's residual, and then refactored at this state: refining costs
+    less than factoring.  A singular P, or a Krylov space exhausted (the
+    order of M steps) short of the bound, fails the member."""
     nf = lin.ev.model.shape[1]
     if pre is None or nf == 1:
         pre = _Preconditioner(lin)
     x = pre(r)
     if nf == 1:
-        return x, pre
-    r_norm = float(np.linalg.norm(r))
+        return x, pre, pre.failed
+    r_norm = galerkin.norms(r)
     res = r - lin.apply(x)
-    beta = float(np.linalg.norm(res))
-    if beta >= r_norm and pre.ev is not lin.ev:
+    beta = galerkin.norms(res)
+    built_here = pre.built_at is not None and pre.built_at() is lin.ev
+    stale = [] if built_here else np.flatnonzero(beta >= r_norm)
+    if len(stale) == len(r):
         pre = _Preconditioner(lin)
         x = pre(r)
+    elif len(stale):
+        fresh = _Preconditioner(lin.take(stale))
+        pre.put(stale, fresh, lin.ev)
+        x[stale] = fresh(r[stale])
+    if len(stale):
         res = r - lin.apply(x)
-        beta = float(np.linalg.norm(res))
-    used, previous = 0, math.inf
+        beta = galerkin.norms(res)
+    k = len(r)
+    failed = list(pre.failed)
+    going = np.array([f is None for f in failed])
+    rtol = np.broadcast_to(rtol, (k,))
+    used, previous = np.zeros(k, dtype=int), np.full(k, math.inf)
     while True:
-        ulp = _EPS * (pre.norm * float(np.linalg.norm(x)) + r_norm)
-        bound = max(_BACKWARD_ULPS * ulp, rtol * r_norm)
-        if beta <= bound or (beta > 0.5 * previous and beta <= _FLOOR_ULPS * ulp):
-            return x, pre
-        if used >= lin.size:
-            raise np.linalg.LinAlgError(
-                f"Krylov space exhausted at a backward error of "
-                f"{beta / ulp:.3g} ulps"
-            )
-        step, taken = _gmres(lin, pre, res, beta, bound, lin.size - used)
-        x = x + step
-        used += taken
+        ulp = _EPS * (pre.norm * galerkin.norms(x) + r_norm)
+        bound = np.maximum(_BACKWARD_ULPS * ulp, rtol * r_norm)
+        going &= ~((beta <= bound) | ((beta > 0.5 * previous) & (beta <= _FLOOR_ULPS * ulp)))
+        for i in np.flatnonzero(going & (used >= lin.size)):
+            failed[i] = np.linalg.LinAlgError(
+                f"Krylov space exhausted at a backward error of {beta[i] / ulp[i]:.3g} ulps")
+            going[i] = False
+        if not going.any():
+            return x, pre, failed
+        members = np.flatnonzero(going)
+
+        def operator(v, rows, members=members):
+            """P^-1 v and M P^-1 v for the members `members[rows]`, applied
+            to the whole stack with zero vectors for the others, so that no
+            member's data is copied."""
+            rows = members[rows]
+            if len(rows) < k:
+                padded = np.zeros((k, lin.size))
+                padded[rows] = v
+                v = padded
+            z = pre(v)
+            w = lin.apply(z)
+            return (z, w) if len(rows) == k else (z[rows], w[rows])
+
+        step, taken, broken = _gmres(operator, res[members], beta[members],
+                                     bound[members], lin.size - used[members])
+        x[members] += step
+        used[members] += taken
+        for i, error in zip(members, broken):
+            if error is not None:
+                failed[i], going[i] = error, False
         res = r - lin.apply(x)
-        previous, beta = beta, float(np.linalg.norm(res))
+        previous[members] = beta[members]
+        beta[members] = galerkin.norms(res[members])
 
 
-def _gmres(lin, pre, res, beta, bound, limit):
-    """One GMRES cycle from the residual `res` = r - M x: the correction
-    P^-1 V y that minimizes |res - M P^-1 V y| over the Arnoldi basis V,
-    built (classical Gram-Schmidt, twice) until the least-squares residual,
-    tracked by Givens rotations, is at most `bound` or `limit` steps are
-    taken.  Returns (correction, steps)."""
-    basis = np.empty((limit + 1, len(res)))
-    zs = np.empty((limit, len(res)))
-    basis[0] = res / beta
-    tri, g, rot = [], [beta], []
-    for k in range(limit):
-        zs[k] = pre(basis[k])
-        w = lin.apply(zs[k])
-        v = basis[:k + 1]
-        h = v @ w
-        w -= h @ v
-        h2 = v @ w
-        w -= h2 @ v
-        h_next = math.sqrt(w @ w)
-        col = (h + h2).tolist()
-        for i, (c, s) in enumerate(rot):
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-        d = math.hypot(col[k], h_next)
-        if d == 0.0:
-            raise np.linalg.LinAlgError("singular system: the Arnoldi process broke down")
-        c, s = col[k] / d, h_next / d
-        rot.append((c, s))
-        col[k] = d
-        tri.append(col)
-        g.append(-s * g[k])
-        g[k] *= c
-        if abs(g[k + 1]) <= bound:
-            break
-        basis[k + 1] = w / h_next
-    m = len(tri)
-    y = [0.0] * m
+def _back_substitute(tri, g):
+    """y with tri y = g for each member, tri [k, m, m] upper triangular and
+    g [k, m]; each row is summed left to right."""
+    k, m = g.shape
+    y = np.zeros((k, m))
     for i in reversed(range(m)):
-        y[i] = (g[i] - sum(tri[j][i] * y[j] for j in range(i + 1, m))) / tri[i][i]
-    return np.array(y) @ zs[:m], m
+        acc = np.zeros(k)
+        for j in range(i + 1, m):
+            acc = acc + tri[:, i, j] * y[:, j]
+        y[:, i] = (g[:, i] - acc) / tri[:, i, i]
+    return y
 
 
-def _bordered_linear(ev, orbit, row, mu=0.0):
-    """The `_Linear` for the square Jacobian of the bordered system at
-    the evaluated state `ev` (a `galerkin.Evaluation`): unknowns (c, t)
-    and, with an orbit, mu; rows residual + mu R c, then with an orbit
-    the phase row, then `row` over (c, t)."""
+def _gmres(operator, res, beta, bound, limit):
+    """One GMRES cycle for each member of the stack, from its residual res =
+    r - M x, [k, N]: the correction P^-1 V y that minimizes |res - M P^-1 V y|
+    over the member's Arnoldi basis V, grown one step at a time (classical
+    Gram-Schmidt, twice) until its least-squares residual, tracked by Givens
+    rotations, is at most its `bound` or it has taken its `limit` steps; a
+    member that stops leaves the stack.  `operator(v, rows)` gives P^-1 v
+    and M P^-1 v for the members `rows`.  Returns (corrections, steps,
+    failed), failed[i] None or the numpy.linalg.LinAlgError of a breakdown."""
+    k, size = res.shape
+    out, steps, failed = np.zeros_like(res), np.zeros(k, dtype=int), [None] * k
+    live = np.arange(k)                         # the members still stepping
+    basis = (res / beta[:, None])[:, None, :]   # V, [m, j + 1, N]
+    zs = np.empty((k, 0, size))                 # P^-1 V, [m, j, N]
+    tri = np.empty((k, 0, 0))                   # the rotated Hessenberg matrix
+    g = beta[:, None]                           # its right side, [m, j + 1]
+    cos, sin = np.empty((k, 0)), np.empty((k, 0))
+    for j in itertools.count():
+        z, w = operator(basis[:, j], live)
+        h = (basis @ w[:, :, None])[:, :, 0]
+        w -= (h[:, None, :] @ basis)[:, 0]
+        h2 = (basis @ w[:, :, None])[:, :, 0]
+        w -= (h2[:, None, :] @ basis)[:, 0]
+        h_next = np.sqrt(np.vecdot(w, w))
+        col = h + h2
+        for i in range(j):
+            c, s = cos[:, i], sin[:, i]
+            col[:, i], col[:, i + 1] = (c * col[:, i] + s * col[:, i + 1],
+                                        c * col[:, i + 1] - s * col[:, i])
+        d = np.array([math.hypot(a, b) for a, b in zip(col[:, j].tolist(), h_next.tolist())])
+        broke = d == 0.0
+        d_safe = np.where(broke, 1.0, d)
+        c, s = col[:, j] / d_safe, h_next / d_safe
+        col[:, j] = d
+        cos, sin = np.column_stack([cos, c]), np.column_stack([sin, s])
+        grown = np.zeros((len(live), j + 1, j + 1))
+        grown[:, :j, :j] = tri
+        grown[:, :, j] = col
+        tri, zs = grown, np.concatenate([zs, z[:, None]], axis=1)
+        g = np.column_stack([g[:, :j], g[:, j] * c, -s * g[:, j]])
+        stop = broke | (np.abs(g[:, j + 1]) <= bound[live]) | (j + 1 >= limit[live])
+        if stop.any():
+            done = np.flatnonzero(stop & ~broke)
+            y = _back_substitute(tri[done], g[done, :j + 1])
+            out[live[done]] = (y[:, None, :] @ zs[done])[:, 0]
+            steps[live[stop]] = j + 1
+            for i in live[broke]:
+                failed[i] = np.linalg.LinAlgError(
+                    "singular system: the Arnoldi process broke down")
+            if stop.all():
+                return out, steps, failed
+            keep = np.flatnonzero(~stop)
+            live, w, h_next = live[keep], w[keep], h_next[keep]
+            basis, zs, tri, g, cos, sin = (a[keep] for a in (basis, zs, tri, g, cos, sin))
+        basis = np.concatenate([basis, (w / h_next[:, None])[:, None]], axis=1)
+
+
+def _bordered_linear(ev, orbit, row, mu=None):
+    """The `_Linear` stack of the square Jacobians of the bordered systems
+    at the evaluated states `ev` (a stacked `galerkin.Evaluation`):
+    unknowns (c, t) and, with an orbit, mu; rows residual + mu R c, then
+    with an orbit the phase row, then the member's `row` [k, n + 1] over
+    (c, t)."""
     n = ev.model.n_modes
-    q = 1 if orbit is None else 2
-    cols, rows, corner = np.empty((n, q)), np.empty((q, n)), np.zeros((q, q))
-    cols[:, 0] = galerkin.residual_t_derivative(ev).ravel()
-    rows[-1] = row[:n]
-    corner[-1, 0] = row[n]
+    k, q = len(row), 1 if orbit is None else 2
+    cols, rows, corner = np.empty((k, n, q)), np.empty((k, q, n)), np.zeros((k, q, q))
+    cols[:, :, 0] = galerkin.residual_t_derivative(ev).reshape(k, n)
+    rows[:, -1] = row[:, :n]
+    corner[:, -1, 0] = row[:, n]
     if orbit is None:
         return _Linear(ev, cols, rows, corner)
-    cols[:, 1] = orbit.apply(ev.state.coeffs.ravel())
-    rows[0] = orbit.phase
+    cols[:, :, 1] = orbit.apply(ev.state.coeffs.reshape(k, n))
+    rows[:, 0] = orbit.phase
     return _Linear(ev, cols, rows, corner, orbit, mu)
 
 
-def _newton(evaluate, linear, x, tol):
-    """Damped Newton on a square system F(x) = 0, the one Newton loop of the
-    corrector and the complement solves.  `evaluate(x)` returns (F, ev,
-    plain): ev the `galerkin.Evaluation` of x's state, plain the norm of its
-    residual alone; `linear(ev, x)` is the `_Linear` Jacobian of F there.
+def _evaluate(model, t, coeffs):
+    """The `galerkin.Evaluation` of the stack of states (t [k], coeffs
+    [k, nb, nf]), and None when every member is a state positive on the
+    grid.  Otherwise the stack is evaluated member by member: then the
+    evaluation returned is the stack of the members that are (None when
+    there are none), with the list of per member None or the
+    InvalidArgumentError (t <= 0) or PositivityViolationError it raises."""
+    try:
+        return galerkin.Evaluation(model, State(t, coeffs)), None
+    except (InvalidArgumentError, PositivityViolationError):
+        pass
+    evs, errors = [], []
+    for t_i, c_i in zip(t, coeffs):
+        try:
+            evs.append(galerkin.Evaluation(model, State(float(t_i), c_i)))
+            errors.append(None)
+        except (InvalidArgumentError, PositivityViolationError) as exc:
+            errors.append(exc)
+    return (galerkin.stack(evs) if evs else None), errors
 
-    Each step is one `_solve_linear` to the forcing term min(_FORCING, |F|),
-    keeping the preconditioner while it contracts, and is halved until |F|
-    falls by a quarter of the fraction taken (or below `tol`); a candidate
-    with no state (t <= 0) or not positive on the grid is halved too.  Stops
-    when |F| and plain are below `tol` and returns (x, ev, plain, pre), pre
-    the last preconditioner (None when no step was taken).  A singular step
-    raises numpy.linalg.LinAlgError, a start off the positive cone
-    PositivityViolationError; halving below _MIN_DAMPING, or MAX_NEWTON_ITER
-    steps, raise NoConvergenceError, whose `positivity_boundary` tells
-    whether a candidate was not positive."""
-    pre, positivity_seen = None, False
-    F, ev, plain = evaluate(x)
-    norm = float(np.linalg.norm(F))
-    what = f"did not converge in {MAX_NEWTON_ITER} steps"
-    for _ in range(MAX_NEWTON_ITER):
-        if norm < tol and plain < tol:
-            return x, ev, plain, pre
-        step, pre = _solve_linear(linear(ev, x), -F, pre, min(_FORCING, norm))
-        alpha = 1.0
-        while alpha >= _MIN_DAMPING:
-            cand = x + alpha * step
-            try:
-                F_new, ev_new, plain_new = evaluate(cand)
-            except PositivityViolationError:
-                positivity_seen = True
-            except InvalidArgumentError:        # t <= 0: no state to evaluate
-                pass
-            else:
-                new_norm = float(np.linalg.norm(F_new))
-                if new_norm <= (1 - 0.25 * alpha) * norm or new_norm < tol:
-                    x, F, ev, plain, norm = cand, F_new, ev_new, plain_new, new_norm
-                    break
-            alpha *= 0.5
-        else:
-            what = "stalled"
+
+def _newton_failure(what, t, norm, cone):
+    tail = "; damped steps left the positive cone" if cone else ""
+    return NoConvergenceError(f"Newton {what} near t = {float(t)} (residual {norm:.3e}){tail}",
+                              positivity_boundary=bool(cone))
+
+
+def _newton(model, state, system, linear, x, tol):
+    """Damped Newton on a stack of k independent square systems F_i(x_i) = 0,
+    the one Newton loop of the corrector and the complement solves, x [k, N].
+    For the rows x of the members `members` (an index array, or a slice
+    for all k in order), `state(x, members)` gives their states (t [m], coefficients [m, nb, nf]),
+    `system(ev, x, members)` their (F [m, N], plain [m]) at their stacked
+    `galerkin.Evaluation` ev, plain the norms of their residuals alone, and
+    `linear(ev, x, members)` the `_Linear` stack of their Jacobians.
+
+    Each member on its own: each step is one `_solve_linear` to the forcing
+    term min(_FORCING, |F|), keeping the preconditioner while it contracts,
+    and is halved until |F| falls by a quarter of the fraction taken (or
+    below `tol`); a candidate with no state (t <= 0) or not positive on the
+    grid is halved too.  The member stops when |F| and plain are below
+    `tol`.  The members still iterating are solved, factored and evaluated
+    as one stack; the members still halving share their damping factor.
+
+    Returns (x, evs, plain, pre, errors): per member its last iterate, its
+    converged evaluation (a view of the stack it converged in; None when it
+    failed), its plain (0 when it failed), and None or its error; and pre,
+    the preconditioner of the members that converged last (None when they
+    took no step).  The
+    errors: numpy.linalg.LinAlgError for a singular step,
+    InvalidArgumentError or PositivityViolationError for a start with no
+    state or off the positive cone, and NoConvergenceError, whose
+    `positivity_boundary` tells whether a candidate was not positive, for
+    halving below _MIN_DAMPING or MAX_NEWTON_ITER steps."""
+    x = np.array(x, dtype=float)
+    k = len(x)
+    evs, errors, cone = [None] * k, [None] * k, [False] * k
+    plain_out = np.zeros(k)
+    # xa, F, norm, plain and ev hold the current iterates of `members`, in
+    # order; while `whole`, members are all k in order, and the callbacks
+    # read them as a slice
+    members, whole, pre = np.arange(k), True, None
+    xa = x.copy()
+    ev, failed = _evaluate(model, *state(xa, slice(None)))
+    if failed is not None:
+        errors = list(failed)
+        members, whole = np.flatnonzero([f is None for f in failed]), False
+        xa = xa[members]
+    if len(members):
+        F, plain = system(ev, xa, slice(None) if whole else members)
+        norm = galerkin.norms(F)
+    for iteration in range(MAX_NEWTON_ITER + 1):
+        if not len(members):
             break
-    cone = "; damped steps left the positive cone" if positivity_seen else ""
-    raise NoConvergenceError(
-        f"Newton {what} near t = {ev.state.t} (residual {norm:.3e}){cone}",
-        positivity_boundary=positivity_seen,
-    )
+        if iteration == MAX_NEWTON_ITER:
+            for j, i in enumerate(members):
+                errors[i] = _newton_failure(f"did not converge in {MAX_NEWTON_ITER} steps",
+                                            ev.t[j], norm[j], cone[i])
+            break
+        done = [a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())]
+        if any(done):
+            for j, i in enumerate(members.tolist()):
+                if done[j]:
+                    x[i], plain_out[i], evs[i] = xa[j], plain[j], ev[j]
+            if all(done):
+                break
+            live = np.flatnonzero(np.logical_not(done))
+            members, xa, F, norm, plain, ev = (
+                members[live], xa[live], F[live], norm[live], plain[live], ev[live])
+            whole, pre = False, None if pre is None else pre.take(live)
+        sel = slice(None) if whole else members
+        step, pre, failed = _solve_linear(linear(ev, xa, sel), -F, pre,
+                                          np.minimum(_FORCING, norm))
+        if failed.count(None) < len(failed):
+            for i, error in zip(members, failed):
+                errors[i] = error
+            live = np.flatnonzero([f is None for f in failed])
+            if not len(live):
+                break
+            members, xa, F, norm, plain, ev, step = (
+                members[live], xa[live], F[live], norm[live], plain[live], ev[live], step[live])
+            whole, sel, pre = False, members, pre.take(live)
+
+        # the line search: every member starts at alpha = 1, and the members
+        # still halving (at the positions `search` in `members`; None: all of
+        # them) share alpha.  Unless all are accepted at once, `accepted`
+        # maps a position to its new iterate, F, plain, |F| and evaluation
+        alpha, search, accepted, at_once = 1.0, None, {}, False
+        while True:
+            if search is None:
+                ids, cand, positions = sel, xa + alpha * step, list(range(len(members)))
+            else:
+                ids, cand, positions = members[search], xa[search] + alpha * step[search], search
+            cev, failed = _evaluate(model, *state(cand, ids))
+            evaluated = positions
+            if failed is not None:
+                for j, f in zip(positions, failed):
+                    cone[members[j]] |= isinstance(f, PositivityViolationError)
+                kept = [i for i, f in enumerate(failed) if f is None]
+                evaluated = [positions[i] for i in kept]
+                ids, cand = members[evaluated], cand[kept]
+            if cev is not None:
+                F_new, plain_new = system(cev, cand, ids)
+                new_norm = galerkin.norms(F_new)
+                bar, old = 1 - 0.25 * alpha, norm.tolist()
+                ok = [a <= bar * old[j] or a < tol for a, j in zip(new_norm.tolist(), evaluated)]
+                if search is None and failed is None and all(ok):
+                    xa, F, plain, norm, ev, at_once = cand, F_new, plain_new, new_norm, cev, True
+                    break
+                for i, j in enumerate(evaluated):
+                    if ok[i]:
+                        accepted[j] = (cand[i], F_new[i], plain_new[i], new_norm[i], cev[i])
+            search = [j for j in positions if j not in accepted]
+            alpha *= 0.5
+            if alpha < _MIN_DAMPING:
+                for j in search:
+                    errors[members[j]] = _newton_failure("stalled", ev.t[j], norm[j],
+                                                         cone[members[j]])
+                break
+            if not search:
+                break
+        if at_once:
+            continue
+        if not accepted:
+            break
+        live = sorted(accepted)
+        xa, F, plain, norm = (np.array([accepted[j][n] for j in live]) for n in range(4))
+        ev = galerkin.stack([accepted[j][4] for j in live])
+        if len(live) < len(members):
+            members, whole, pre = members[live], False, pre.take(live)
+    return x, evs, plain_out, pre, errors
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
-    """`_newton` on the square bordered system
+    """`_newton` on a stack of k square bordered systems
 
         residual(c, t) + mu R c = 0,  <phase, c> = 0,  row . (c, t) = target
 
     (the mu term and the phase row only with an `_Orbit`; the phase row lies
     in the kernel span, orthogonal to the constant, so it reads
-    <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs, t) and mu = 0.
-    Returns the converged evaluation (its `.state` is the solution), mu and
-    the last preconditioner, for a tangent at the solution.  Raises
-    NoConvergenceError, also for a singular bordered matrix."""
+    <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs [k, n], t) and
+    mu = 0, each member with its own `row` [k, n + 1] and `target` [k]; t
+    may be one for every member, and so may the orbit's phase.  Returns
+    (evs, mu, pre, errors): per member the converged evaluation (its
+    `.state` is the solution), mu and None or its error, and the last
+    preconditioner, for a tangent at the solution of a stack of one.  A
+    singular bordered matrix is a NoConvergenceError."""
     n = model.n_modes
-    row = np.asarray(row, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, n)
+    k = len(coeffs)
+    row, target = np.asarray(row, dtype=float), np.asarray(target, dtype=float)
+    if orbit is not None:                   # a shared phase serves a stack of one
+        phases = orbit.phase if orbit.phase.ndim == 2 else orbit.phase[None]
 
-    def mu_of(x):
-        return 0.0 if orbit is None else float(x[n + 1])
+    def state(x, members):
+        return x[:, n], x[:, :n].reshape((len(x),) + model.shape)
 
-    def evaluate(x):
-        c = x[:n]
-        ev = galerkin.Evaluation(model, State(x[n], c.reshape(model.shape)))
-        res = ev.residual.ravel()
-        last = row @ x[:n + 1] - target
+    def system(ev, x, members):
+        c, F = x[:, :n], np.empty_like(x)
+        res = ev.residual.reshape(len(x), n)
         if orbit is None:
-            full = np.append(res, last)
+            F[:, :n] = res
         else:
-            full = np.concatenate([res + x[n + 1] * orbit.apply(c),
-                                   [orbit.phase @ c, last]])
-        return full, ev, ev.residual_norm
+            np.add(res, x[:, n + 1, None] * orbit.apply(c), out=F[:, :n])
+            np.vecdot(phases[members], c, out=F[:, n])
+        np.subtract(np.vecdot(row[members], x[:, :n + 1]), target[members], out=F[:, -1])
+        return F, ev.residual_norm
 
-    x = np.append(np.asarray(coeffs, dtype=float).ravel(),
-                  [float(t)] if orbit is None else [float(t), 0.0])
-    try:
-        x, ev, _, pre = _newton(
-            evaluate, lambda ev, x: _bordered_linear(ev, orbit, row, mu_of(x)),
-            x, TOL_NEWTON)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"singular bordered matrix near t = {t}: {exc}") from exc
-    return ev, mu_of(x), pre
+    def linear(ev, x, members):
+        if orbit is None:
+            return _bordered_linear(ev, None, row[members])
+        return _bordered_linear(ev, orbit.take(members), row[members], x[:, n + 1])
+
+    x = np.zeros((k, n + (1 if orbit is None else 2)))
+    x[:, :n] = coeffs
+    x[:, n] = t if isinstance(t, np.ndarray) else float(t)
+    x, evs, _, pre, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
+    for i, exc in enumerate(errors):
+        if isinstance(exc, np.linalg.LinAlgError):
+            start = t[i] if isinstance(t, np.ndarray) else t
+            errors[i] = NoConvergenceError(f"singular bordered matrix near t = {start}: {exc}")
+            errors[i].__cause__ = exc
+    mu = np.zeros(k) if orbit is None else x[:, n + 1]
+    return evs, mu, pre, errors
 
 
 def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
     """The branch-switching corrector of `switch_branch` and
-    `verify_fiber_constancy`: pin <c - c_triv, n_hat> = amplitude, fix the
-    phase along n_hat, and solve from `start` at t = bp.t.  Returns the
-    converged evaluation."""
+    `verify_fiber_constancy` for a stack of k pins: member i pins
+    <c - c_triv, n_hat_i> = amplitude, fixes the phase along n_hat_i, and
+    solves from start_i at t = bp.t; n_hat and start are [k, n].  Returns
+    the converged evaluations and errors of `_solve_bordered`."""
     orbit = _orbit(model, bp, n_hat)
-    ev, _, _ = _solve_bordered(model, start, bp.t, orbit, np.append(n_hat, 0.0),
-                               n_hat @ c_triv + amplitude)
-    return ev
+    rows = np.concatenate([n_hat, np.zeros((len(n_hat), 1))], axis=1)
+    evs, _, _, errors = _solve_bordered(model, start, bp.t, orbit, rows,
+                                        n_hat @ c_triv + amplitude)
+    return evs, errors
 
 
 # ---------------------------------------------------------------------------
 # branch switching
+
+def _switch(model, bp, amplitude):
+    """`switch_branch`, returning the converged evaluation."""
+    if bp.kernel_dim < 1:
+        raise PreconditionError("branch point has no kernel modes")
+    amplitude = float(amplitude)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    n_hat = kernel_vectors(model, bp)[0].ravel()
+    (ev,), (error,) = _switch_solve(model, bp, c_triv, n_hat[None], amplitude,
+                                    (c_triv + amplitude * n_hat)[None])
+    if error is None:
+        if ev.u_distance > _NONTRIVIAL_NORM:
+            return ev
+        cause = "the solution collapsed to u = 1"
+    elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
+        cause = str(error)
+    else:
+        raise error
+    raise NoNontrivialSolutionError(
+        f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
+    )
+
 
 def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> State:
     """Land on a nontrivial branch through bp: solve the equation in (c, t)
@@ -513,23 +817,7 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
     failure, or a solution that collapses back to u = 1, raises
     NoNontrivialSolutionError naming the cause.  Kernels other than one mode
     or one circle cos/sin pair raise PreconditionError."""
-    if bp.kernel_dim < 1:
-        raise PreconditionError("branch point has no kernel modes")
-    amplitude = float(amplitude)
-    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
-    n_hat = kernel_vectors(model, bp)[0].ravel()
-    try:
-        ev = _switch_solve(model, bp, c_triv, n_hat, amplitude,
-                           c_triv + amplitude * n_hat)
-    except (NoConvergenceError, PositivityViolationError) as exc:
-        cause = str(exc)
-    else:
-        if ev.u_distance > _NONTRIVIAL_NORM:
-            return ev.state
-        cause = "the solution collapsed to u = 1"
-    raise NoNontrivialSolutionError(
-        f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
-    )
+    return _switch(model, bp, amplitude).state
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +850,26 @@ def _tangent(ev, orbit, last_row, pre=None):
     """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
     (a `galerkin.Evaluation`, as the corrector returns it): one full-accuracy
     solve of the bordered matrix with `last_row` over (c, t) as its last row
-    and right side e_last, so the tangent has a positive component along
-    `last_row` (the previous tangent, or the unit offset from u = 1 at the
-    start).  `pre` is the corrector's preconditioner, kept while it
-    contracts."""
-    lin = _bordered_linear(ev, orbit, np.asarray(last_row, dtype=float))
-    rhs = np.zeros(lin.size)
-    rhs[-1] = 1.0
-    try:
-        v = _solve_linear(lin, rhs, pre)[0][:ev.model.n_modes + 1]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(
-            f"singular tangent system at t = {ev.t}: {exc}"
-        ) from exc
+    and right side e_last, a stack of one, so the tangent has a positive
+    component along `last_row` (the previous tangent, or the unit offset
+    from u = 1 at the start).  `pre` is the corrector's preconditioner, kept
+    while it contracts."""
+    lin = _bordered_linear(galerkin.stack([ev]), orbit,
+                           np.asarray(last_row, dtype=float)[None])
+    rhs = np.zeros((1, lin.size))
+    rhs[0, -1] = 1.0
+    x, _, (error,) = _solve_linear(lin, rhs, pre)
+    if error is not None:
+        raise NoConvergenceError(f"singular tangent system at t = {ev.t}: {error}") from error
+    v = x[0, :ev.model.n_modes + 1]
     return v / np.linalg.norm(v)
 
 
-def continue_branch(model: GalerkinModel, start: State, direction: int,
-                    steps: int, ds: float, origin: BranchPoint | None = None) -> Branch:
-    """Pseudo-arclength continuation from a converged solution.
+def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
+                    direction: int, steps: int, ds: float,
+                    origin: BranchPoint | None = None) -> Branch:
+    """Pseudo-arclength continuation from a converged solution `start`, a
+    state or its evaluation (which is then not evaluated again).
 
     `direction` +1 follows the branch with growing distance from u = 1,
     -1 with shrinking distance (toward the branch point).  Stops early on
@@ -597,7 +886,8 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
         raise InvalidArgumentError(f"need steps >= 1, got {steps}")
     if direction not in (1, -1):
         raise InvalidArgumentError(f"direction must be +1 or -1, got {direction!r}")
-    start_ev = galerkin.Evaluation(model, start)
+    start_ev = galerkin.Evaluation(model, start) if isinstance(start, State) else start
+    start = start_ev.state
     if start_ev.residual_norm > 10 * TOL_NEWTON:
         raise PreconditionError("start state does not satisfy the residual tolerance")
 
@@ -617,11 +907,11 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
     reason = "steps-exhausted"
     for step_no in range(steps):
         x_pred = x + ds * v
-        try:
-            ev, _, pre = _solve_bordered(
-                model, x_pred[:-1], x_pred[-1], orbit, v, float(v @ x_pred)
-            )
-        except (NoConvergenceError, PositivityViolationError) as exc:
+        (ev,), _, pre, (exc,) = _solve_bordered(model, x_pred[None, :-1], x_pred[-1:], orbit,
+                                                v[None], [float(v @ x_pred)])
+        if exc is not None:
+            if not isinstance(exc, (NoConvergenceError, PositivityViolationError)):
+                raise exc
             if step_no == 0:
                 raise EmptyBranchError(
                     f"first continuation corrector failed: {exc}"
@@ -644,43 +934,47 @@ def continue_branch(model: GalerkinModel, start: State, direction: int,
 # horizontal branches on the fiber-constant subspace
 
 def _padded(model, state):
-    """A state of `model.fiber_constant` as a state of `model`: the [nb, 1]
-    coefficients zero-padded to [nb, nf]."""
-    coeffs = np.zeros(model.shape)
-    coeffs[:, :1] = state.coeffs
+    """A state (or a stack) of `model.fiber_constant` as one of `model`: the
+    [nb, 1] coefficients zero-padded to [nb, nf]."""
+    coeffs = np.zeros(state.coeffs.shape[:-1] + model.shape[-1:])
+    coeffs[..., :1] = state.coeffs
     return State(state.t, coeffs)
 
 
-def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float:
+def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float | np.ndarray:
     """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
     given as `ev`, its evaluation in `model.fiber_constant`: J_0 is the
     nb x nb Jacobian there (its `degree_zero_block`), and one
-    `eigvalsh` gives the margin.  Every fiber block
-    J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1 has its smallest
-    eigenvalue at or above it, so a positive margin makes them all
-    positive definite: no fiber-dependent mode is degenerate there."""
+    `eigvalsh` gives the margin (one per member of a stack, from one call).
+    Every fiber block J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1
+    has its smallest eigenvalue at or above it, so a positive margin makes
+    them all positive definite: no fiber-dependent mode is degenerate
+    there."""
     lam1 = model.fiber.eigenvalues[1]
-    return float(np.linalg.eigvalsh(ev.degree_zero_block)[0] + model.a_m * lam1 / ev.t)
+    margin = np.linalg.eigvalsh(ev.degree_zero_block)[..., 0] + model.a_m * lam1 / ev.t
+    return margin if ev.stacked else float(margin)
 
 
 def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
                   direction: int, steps: int, ds: float) -> Branch:
     """`switch_branch` onto the branch through bp, then `continue_branch` in
-    `direction`; the branch's first sample is the switch solution.  A
-    horizontal branch is followed on `model.fiber_constant`, every sample
-    zero-padded to [nb, nf] and evaluated once in `model`, where its
-    energy, distance, fiber fraction (exactly 0) and residual are read;
-    the branch carries the smallest `fiber_margin` of its samples.  Any
-    other kernel is followed in `model` itself."""
+    `direction` from the switch solution's evaluation; the branch's first
+    sample is the switch solution.  A horizontal branch is followed on
+    `model.fiber_constant`, its samples zero-padded to [nb, nf] and
+    evaluated in `model` as one stack, where each sample's energy,
+    distance, fiber fraction (exactly 0) and residual are read; the branch
+    carries the smallest `fiber_margin` of its samples.  Any other kernel
+    is followed in `model` itself."""
     sub = model.fiber_constant if bp.horizontal else model
-    start = switch_branch(sub, bp, amplitude)
-    branch = continue_branch(sub, start, direction, steps, ds, origin=bp)
+    branch = continue_branch(sub, _switch(sub, bp, amplitude), direction, steps, ds,
+                             origin=bp)
     if not bp.horizontal:
         return branch
+    samples = galerkin.stack(branch.samples)
+    padded = galerkin.Evaluation(model, _padded(model, samples.state))
     return Branch(
-        tuple(galerkin.Evaluation(model, _padded(model, s.state)) for s in branch.samples),
-        bp, branch.stop_reason,
-        fiber_margin=min(fiber_margin(model, s) for s in branch.samples),
+        tuple(padded[i] for i in range(len(branch))), bp, branch.stop_reason,
+        fiber_margin=float(fiber_margin(model, samples).min()),
     )
 
 
@@ -715,47 +1009,54 @@ class ReductionResult:
 
 
 def _complement_solve(model, t, base_coeffs, indices, start=None):
-    """`_newton` on the complement-projected equation: find v supported on
-    `indices` (flat) with P residual(base + v) = 0, from v = `start` (0 by
-    default), to TOL_COMPLEMENT.  The unit vectors E of the other modes
-    border it into a square system in (v, z), residual(base + v) + E z = 0
-    and E^T v = 0, with Jacobian [[J, E], [E^T, 0]]: the multipliers z
-    take up the kernel rows, and v is read on `indices` only, so E^T v = 0
-    holds exactly.  Returns v, the final projected residual and the
-    evaluation of base + v.  A singular step, a start that is not positive
-    on the grid and a Newton failure raise ReductionFailedError naming the
-    cause."""
+    """`_newton` on a stack of k complement-projected equations: for member
+    i find v_i supported on `indices` (flat) with P residual(base_i + v_i)
+    = 0, from v_i = start_i (0 by default), to TOL_COMPLEMENT; base_coeffs
+    is [k, n] (or [k, nb, nf]) and start [k, len(indices)].  The unit
+    vectors E of the other modes border each into a square system in
+    (v, z), residual(base + v) + E z = 0 and E^T v = 0, with Jacobian
+    [[J, E], [E^T, 0]]: the multipliers z take up the kernel rows, and v is
+    read on `indices` only, so E^T v = 0 holds exactly.  Returns (v, the
+    final projected residuals, the evaluations of base + v, errors): per
+    member None or the ReductionFailedError naming the cause of a singular
+    step, a start that is not positive on the grid or a Newton failure."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
     pinned = np.delete(np.arange(n), idx)
-    unit = np.zeros((n, len(pinned)))
-    unit[pinned, np.arange(len(pinned))] = 1.0
-    corner = np.zeros((len(pinned), len(pinned)))
-    base = np.asarray(base_coeffs, dtype=float).ravel()
+    q = len(pinned)
+    unit = np.zeros((n, q))
+    unit[pinned, np.arange(q)] = 1.0
+    corner = np.zeros((q, q))
+    base = np.asarray(base_coeffs, dtype=float).reshape(-1, n)
+    k = len(base)
 
-    def evaluate(x):
-        c = base.copy()
-        c[idx] += x[idx]
-        ev = galerkin.Evaluation(model, State(t, c.reshape(model.shape)))
-        res = ev.residual.ravel()
-        full = np.append(res, np.zeros(len(pinned)))
-        full[pinned] += x[n:]
-        return full, ev, float(np.linalg.norm(res[idx]))
+    def state(x, members):
+        c = base[members].copy()
+        c[:, idx] += x[:, idx]
+        return np.full(len(x), float(t)), c.reshape((len(x),) + model.shape)
 
-    x = np.zeros(n + len(pinned))
+    def system(ev, x, members):
+        res = ev.residual.reshape(len(x), n)
+        full = np.concatenate([res, np.zeros((len(x), q))], axis=1)
+        full[:, pinned] += x[:, n:]
+        return full, galerkin.norms(res[:, idx])
+
+    x = np.zeros((k, n + q))
     if start is not None:
-        x[idx] = start
-    try:
-        x, ev, norm, _ = _newton(
-            evaluate, lambda ev, x: _Linear(ev, unit, unit.T, corner),
-            x, TOL_COMPLEMENT)
-    except np.linalg.LinAlgError as exc:
-        raise ReductionFailedError(
-            f"complement Jacobian is singular ({exc}); the kernel split is invalid"
-        ) from exc
-    except (NoConvergenceError, PositivityViolationError) as exc:
-        raise ReductionFailedError(f"complement solve failed: {exc}") from exc
-    return x[idx], norm, ev
+        x[:, idx] = start
+    x, evs, norm, _, errors = _newton(
+        model, state, system, lambda ev, x, members: _Linear(ev, unit, unit.T, corner),
+        x, TOL_COMPLEMENT)
+    for i, exc in enumerate(errors):
+        if isinstance(exc, np.linalg.LinAlgError):
+            errors[i] = ReductionFailedError(
+                f"complement Jacobian is singular ({exc}); the kernel split is invalid")
+        elif isinstance(exc, (NoConvergenceError, PositivityViolationError)):
+            errors[i] = ReductionFailedError(f"complement solve failed: {exc}")
+        else:
+            continue
+        errors[i].__cause__ = exc
+    return x[:, idx], norm, evs, errors
 
 
 def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
@@ -773,7 +1074,10 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
     agree by construction, while from off it agreement shows that its
     solution near the kernel is the fiber-constant one.  The smallest
     `fiber_margin` at the restricted solutions is the premise of their
-    agreement (every fiber block invertible)."""
+    agreement (every fiber block invertible).  All samples' full solves run
+    as one stack and their restricted solves as another; a failing sample
+    raises the first error in sample order (full before restricted), a
+    ReductionFailedError."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     if not bp.horizontal:
@@ -802,30 +1106,33 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
         ]
 
     rng = np.random.default_rng(seed)
-    samples = []
-    worst = 0.0
-    margin = np.inf
+    bases, starts = [], []
     for coeffs in coords:
-        n_vec = sample_radius * sum(c * v for c, v in zip(coeffs, vecs))
-        base = c_triv + n_vec
+        bases.append(c_triv + sample_radius * sum(c * v for c, v in zip(coeffs, vecs)))
         mixed = rng.standard_normal(len(full_comp))
-        vf, rf, _ = _complement_solve(model, bp.t, base, full_comp,
-                                      sample_radius * mixed / np.linalg.norm(mixed))
-        vr, rr, restricted = _complement_solve(model.fiber_constant, bp.t,
-                                               base.reshape(model.shape)[:, :1], fc_comp)
+        starts.append(sample_radius * mixed / np.linalg.norm(mixed))
+    bases = np.array(bases)
+    vf, rf, _, full_errors = _complement_solve(model, bp.t, bases, full_comp, np.array(starts))
+    vr, rr, restricted, restricted_errors = _complement_solve(
+        model.fiber_constant, bp.t, bases.reshape((-1,) + model.shape)[:, :, :1], fc_comp)
+    for pair in zip(full_errors, restricted_errors):
+        for error in pair:
+            if error is not None:
+                raise error
+    samples = []
+    for i in range(len(coords)):
         alpha_full = np.zeros(model.n_modes)
-        alpha_full[full_comp] = vf
+        alpha_full[full_comp] = vf[i]
         alpha_restricted = np.zeros(model.shape)
-        alpha_restricted[fc_comp, 0] = vr
-        sample = ReductionSample(
+        alpha_restricted[fc_comp, 0] = vr[i]
+        samples.append(ReductionSample(
             alpha_full=alpha_full.reshape(model.shape),
             alpha_restricted=alpha_restricted,
-            projected_residual_full=rf,
-            projected_residual_restricted=rr,
-        )
-        samples.append(sample)
-        worst = max(worst, sample.difference)
-        margin = min(margin, fiber_margin(model, restricted))
+            projected_residual_full=float(rf[i]),
+            projected_residual_restricted=float(rr[i]),
+        ))
+    worst = max(0.0, *(sample.difference for sample in samples))
+    margin = float(fiber_margin(model, galerkin.stack(restricted)).min())
     return ReductionResult(bp.kernel_dim, tuple(samples), worst, margin)
 
 
@@ -867,8 +1174,9 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
     fiber-mode components; every converged nontrivial solution must shed its
     fiber content below FIBER_FRACTION_BOUND.  Violations are reported, not
     raised; the report passes when there are none and at least one trial
-    converged to a nontrivial solution.  A zero amplitude pins every trial
-    to u = 1 and is refused with InvalidArgumentError."""
+    converged to a nontrivial solution.  The starts are drawn trial by
+    trial and all trials are solved as one stack.  A zero amplitude pins
+    every trial to u = 1 and is refused with InvalidArgumentError."""
     try:
         epsilon = variation.stability_epsilon(model.family)
     except NotApplicableError as exc:
@@ -893,9 +1201,8 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     nb, nf = model.shape
 
-    rows_out = []
-    max_fraction = 0.0
-    for trial in range(trials):
+    n_hats, starts = [], []
+    for _ in range(trials):
         kcoef = rng.standard_normal(bp.kernel_dim)
         n_hat = (kcoef @ vecs)
         n_hat /= np.linalg.norm(n_hat)
@@ -903,11 +1210,17 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         fiber_part[:, 0] = 0.0
         fiber_part = fiber_part.ravel()
         fiber_part /= np.linalg.norm(fiber_part)
+        n_hats.append(n_hat)
+        starts.append(c_triv + amplitude * (n_hat + fiber_part))
+    evs, errors = _switch_solve(model, bp, c_triv, np.array(n_hats), amplitude,
+                                np.array(starts))
 
-        start = c_triv + amplitude * (n_hat + fiber_part)
-        try:
-            ev = _switch_solve(model, bp, c_triv, n_hat, amplitude, start)
-        except (NoConvergenceError, PositivityViolationError):
+    rows_out = []
+    max_fraction = 0.0
+    for trial, (ev, error) in enumerate(zip(evs, errors)):
+        if error is not None:
+            if not isinstance(error, (NoConvergenceError, PositivityViolationError)):
+                raise error
             rows_out.append(TrialRow(trial, False, False, None, None, None, False))
             continue
         dist = ev.u_distance

@@ -24,6 +24,10 @@ Scaling the fiber metric by t multiplies the volume measure by t^{k/2}
 residual is the coefficient vector of the equation in the unweighted basis
 inner product, so the gradient of the energy equals t^{k/2} times the
 residual, and exactly the residual at t = 1.
+
+The kernels broadcast over a leading stack axis: a `State` may hold k
+states (t [k], coefficients [k, nb, nf]), and its `Evaluation` evaluates
+them together, each member getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -173,7 +177,8 @@ class GalerkinModel:
                 float(fam.a_norm_sq))
 
     def scalar_curvature(self, t: float) -> float:
-        """s(t) = s_h + s_g / t - t |A|^2 in floats."""
+        """s(t) = s_h + s_g / t - t |A|^2 in floats (elementwise for an
+        array t)."""
         s_h, s_g, a_sq = self._curvature
         return s_h + s_g / t - t * a_sq
 
@@ -220,25 +225,64 @@ class GalerkinModel:
             for j, lj in enumerate(self.fiber.eigenvalues_exact)
         ]
 
-    def mode_eigenvalues(self, t: float) -> np.ndarray:
-        """b_i + lam_j / t on the [nb, nf] grid of mode pairs."""
-        if not t > 0:
+    def mode_eigenvalues(self, t) -> np.ndarray:
+        """b_i + lam_j / t on the [nb, nf] grid of mode pairs; [k, nb, nf]
+        for k values of t."""
+        if not _positive(t):
             raise InvalidArgumentError(f"scale parameter must be positive, got {t}")
-        return self.base.eigenvalues[:, None] + self.fiber.eigenvalues[None, :] / t
+        return self._mode_eigenvalues(t)
+
+    def _mode_eigenvalues(self, t) -> np.ndarray:
+        scale = _per_member(float, t)
+        values = self.base.eigenvalues[:, None] + self.fiber.eigenvalues[None, :] / scale
+        return values[None] if isinstance(t, np.ndarray) and len(t) == 1 else values
+
+
+def _positive(t) -> bool:
+    """Whether t, a float or an array of them, is positive (not NaN)."""
+    return all(map((0.0).__lt__, t.tolist())) if isinstance(t, np.ndarray) else t > 0
+
+
+def _per_member(f, t):
+    """f(t) in floats, member by member for an array t, as it broadcasts
+    against [nb, nf] and [k, nb, nf] arrays: a float for a float t or a
+    stack of one (the cheap form of its [1, 1, 1]), else [k, 1, 1]."""
+    if not isinstance(t, np.ndarray):
+        return f(t)
+    if len(t) == 1:
+        return f(t.item())
+    return np.array([f(v) for v in t.tolist()])[:, None, None]
 
 
 @dataclass(frozen=True)
 class State:
     """A candidate conformal factor: the fiber scale t, stored as a float,
-    and the coefficient array of u in the tensor basis."""
+    and the coefficient array of u in the tensor basis.  A stack of k
+    states has t a float array [k] and coeffs [k, nb, nf]."""
 
-    t: float
+    t: float | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        if not self.t > 0:
+        stacked = isinstance(self.t, np.ndarray) and self.t.ndim == 1
+        t = np.array(self.t, dtype=float) if stacked else float(self.t)
+        object.__setattr__(self, "t", t)
+        if not _positive(t):
             raise InvalidArgumentError(f"state needs t > 0, got {self.t!r}")
+
+    @property
+    def stacked(self) -> bool:
+        return isinstance(self.t, np.ndarray)
+
+
+def _members(state: State, rows) -> State:
+    """The members `rows` of a stacked state (an int: one state), which
+    were checked when the stack was made."""
+    out = object.__new__(State)
+    t = state.t[rows]
+    object.__setattr__(out, "t", float(t) if isinstance(t, np.floating) else t)
+    object.__setattr__(out, "coeffs", state.coeffs[rows])
+    return out
 
 
 def build_model(family: SubmersionFamily, base_modes: int, fiber_modes: int) -> GalerkinModel:
@@ -269,15 +313,78 @@ def constant_state(model: GalerkinModel, t, value: float = 1.0) -> State:
 
 
 def grid_values(model: GalerkinModel, state: State) -> np.ndarray:
-    """u on the tensor quadrature grid, [Mb, Mf].  The coefficients are
-    read C-contiguous, so a strided view and its copy give the same bits."""
+    """u on the tensor quadrature grid, [Mb, Mf] ([k, Mb, Mf] for a stack).
+    The coefficients are read C-contiguous, so a strided view and its copy
+    give the same bits."""
     return model.base.values.T @ np.ascontiguousarray(state.coeffs) @ model.fiber.values
 
 
 def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
-    """L^2(g(1)) projection of a grid function onto the basis, [nb, nf]."""
+    """L^2(g(1)) projection of a grid function onto the basis, [nb, nf]
+    ([k, nb, nf] for a stack)."""
     pb, pf = model.projectors
     return pb @ grid @ pf.T
+
+
+class _Part:
+    """A part of an `Evaluation`, computed on first use and kept.  A view of
+    a stack (`ev[rows]`) reads the part from its stack when the stack has
+    computed it, and a member (`ev[i]`) has its stack compute it for every
+    member, so one computation serves the stack and its members."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ev, owner=None):
+        if ev is None:
+            return self
+        if ev.joined is None:
+            value = self.compute(ev)
+        elif isinstance(ev.joined[1], int):        # a member: from its stack
+            value = _rows(getattr(ev.joined[0][0], self.name), ev.joined[1])
+            if isinstance(value, np.floating):
+                value = float(value)
+        else:
+            value = _known(ev, self.name)
+            if value is None:
+                value = self.compute(ev)
+        ev.__dict__[self.name] = value
+        return value
+
+
+def _rows(value, rows):
+    """value[rows] for an array, item by item for a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(part[rows] for part in value)
+    return value[rows]
+
+
+def _known(ev, name):
+    """The part `name` of ev if ev, or what it is made of, has computed it:
+    the stack it views, or every member it joins; else None."""
+    if name in ev.__dict__:
+        return ev.__dict__[name]
+    if ev.joined is None:
+        return None
+    parts, rows = ev.joined
+    if rows is not None:                     # a view of the stack parts[0]
+        value = _known(parts[0], name)
+        return None if value is None else _rows(value, rows)
+    values = [_known(part, name) for part in parts]
+    return None if any(v is None for v in values) else _concatenated(parts, values)
+
+
+def _concatenated(parts, values):
+    """The values of the evaluations `parts`, each given a member axis if
+    its evaluation is a single state, concatenated."""
+    if isinstance(values[0], tuple):
+        return tuple(_concatenated(parts, items) for items in zip(*values))
+    if not any(part.stacked for part in parts):
+        return np.stack(values)
+    return np.concatenate([v if part.stacked else v[None] for part, v in zip(parts, values)])
 
 
 class Evaluation:
@@ -287,11 +394,19 @@ class Evaluation:
     PositivityViolationError); every other fact is computed on first use
     and kept: b_i + lam_j / t, s(t), the projected power u^(p-1), the
     Jacobian's parts and degree-0 block, the residual, the energy and the
-    measurements of a branch sample."""
+    measurements of a branch sample.
+
+    A stacked state is evaluated as one: its arrays gain a leading member
+    axis, its scalars (t, s(t), the norms and measurements) are one per
+    member, and every member is positive.  `ev[i]` is member i as an
+    evaluation of its own and `ev[rows]` the members `rows` (an index
+    array) as a stack; both are views, which read the parts the stack has
+    computed, and a member has its stack compute the parts it lacks."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model = model
-        self.state = state
+        self.state, self.stacked = state, state.stacked
+        self.joined = None          # what a view or a `stack` is made of
         self.grid = grid_values(model, state)
         low = self.grid.min()
         if not low > 0:
@@ -299,25 +414,32 @@ class Evaluation:
                 f"state is not strictly positive on the grid (min {low:.6e})"
             )
 
+    def __getitem__(self, rows) -> Evaluation:
+        view = type(self).__new__(type(self))
+        view.model, view.joined = self.model, ((self,), rows)
+        view.state = _members(self.state, rows)
+        view.stacked, view.grid = view.state.stacked, self.grid[rows]
+        return view
+
     @property
-    def t(self) -> float:
+    def t(self) -> float | np.ndarray:
         return self.state.t
 
-    @cached_property
+    @_Part
     def mode_eigenvalues(self) -> np.ndarray:
-        """b_i + lam_j / t, [nb, nf]."""
-        return self.model.mode_eigenvalues(self.state.t)
+        """b_i + lam_j / t, [nb, nf] (t was checked with the state)."""
+        return self.model._mode_eigenvalues(self.state.t)
 
     @cached_property
     def scalar_curvature(self) -> float:
-        """s(t)."""
-        return self.model.scalar_curvature(self.state.t)
+        """s(t) (for a stack as `_per_member` gives it)."""
+        return _per_member(self.model.scalar_curvature, self.state.t)
 
-    @cached_property
+    @_Part
     def projected_power(self) -> np.ndarray:
         return project(self.model, self.grid ** (self.model.p_m - 1.0))
 
-    @cached_property
+    @_Part
     def jacobian_parts(self) -> tuple:
         """The two parts of the Jacobian of `residual`: the weight
         -s(t) (p - 1) w u^(p-2) of its projected power term on the grid,
@@ -327,7 +449,7 @@ class Evaluation:
         weight = -s_t * (p - 1.0) * model.weights2 * self.grid ** (p - 2.0)
         return weight, model.a_m * self.mode_eigenvalues + s_t
 
-    @cached_property
+    @_Part
     def degree_zero_block(self) -> np.ndarray:
         """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian, [nb, nb]:
         B diag(w) B^T plus the diagonal linear part, with w the Jacobian's
@@ -338,34 +460,70 @@ class Evaluation:
         weight, diagonal = self.jacobian_parts
         phi0 = self.model.fiber.values[0]
         block = _gram(self.model, weight, phi0 * phi0)
-        block[np.diag_indices(len(block))] += diagonal[:, 0]
+        diag = np.arange(block.shape[-1])
+        block[..., diag, diag] += diagonal[..., 0]
         return block
 
-    @cached_property
+    @_Part
     def residual(self) -> np.ndarray:
         """`residual` at this state."""
         return residual(self)
 
-    @cached_property
-    def residual_norm(self) -> float:
+    @_Part
+    def residual_norm(self) -> float | np.ndarray:
+        if self.stacked:
+            return norms(self.residual)
         return float(np.linalg.norm(self.residual))
 
-    @cached_property
-    def energy(self) -> float:
+    @_Part
+    def energy(self) -> float | np.ndarray:
         """`energy` at this state."""
         return energy(self)
 
-    @cached_property
-    def u_distance(self) -> float:
+    @_Part
+    def u_distance(self) -> float | np.ndarray:
         return u_distance(self.model, self.state)
 
-    @cached_property
-    def fiber_fraction(self) -> float:
+    @_Part
+    def fiber_fraction(self) -> float | np.ndarray:
         """`fiber_energy_fraction`, 0 at a constant state."""
-        try:
-            return fiber_energy_fraction(self.state)
-        except UndefinedFractionError:
-            return 0.0
+        if not self.stacked:
+            try:
+                return fiber_energy_fraction(self.state)
+            except UndefinedFractionError:
+                return 0.0
+        sq = self.state.coeffs ** 2
+        nonconstant = sq.sum(axis=(1, 2)) - sq[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fraction = sq[:, :, 1:].sum(axis=(1, 2)) / nonconstant
+        return np.where(nonconstant == 0.0, 0.0, fraction)
+
+
+def stack(evaluations) -> Evaluation:
+    """The members of `evaluations` (evaluations of one model, each a single
+    state or a stack) as one stack, in order, which reads the parts that all
+    of them have computed.  A single member viewed from a stack of one is
+    that stack."""
+    if len(evaluations) == 1:
+        (ev,) = evaluations
+        if ev.stacked:
+            return ev
+        if ev.joined is not None and ev.joined[1] is not None and len(ev.joined[0][0].t) == 1:
+            return ev.joined[0][0]
+    first = evaluations[0]
+    out = type(first).__new__(type(first))
+    out.model, out.joined, out.stacked = first.model, (tuple(evaluations), None), True
+    out.state = State(np.concatenate([np.atleast_1d(ev.t) for ev in evaluations]),
+                      _concatenated(evaluations, [ev.state.coeffs for ev in evaluations]))
+    out.grid = _concatenated(evaluations, [ev.grid for ev in evaluations])
+    return out
+
+
+def norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of each member of a stack a [k, ...], bit for bit as
+    numpy.linalg.norm gives it for the member alone."""
+    flat = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def residual(ev: Evaluation) -> np.ndarray:
@@ -378,21 +536,26 @@ def residual(ev: Evaluation) -> np.ndarray:
             + ev.scalar_curvature * (coeffs - ev.projected_power))
 
 
-def energy(ev: Evaluation) -> float:
-    """Total energy of the state under g(t), measure factor included."""
-    model, g = ev.model, ev.grid
-    grad_term = 0.5 * model.a_m * np.sum(ev.mode_eigenvalues * ev.state.coeffs**2)
-    potential = ev.scalar_curvature * np.sum(
-        model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m))
-    return ev.state.t ** (model.family.fiber.dim / 2) * (grad_term + potential)
+def energy(ev: Evaluation) -> float | np.ndarray:
+    """Total energy of the state under g(t), measure factor included; one
+    per member of a stack."""
+    model, g, t, axes = ev.model, ev.grid, ev.state.t, (-2, -1)
+    grad_term = 0.5 * model.a_m * np.sum(ev.mode_eigenvalues * ev.state.coeffs**2, axis=axes)
+    potential = np.sum(model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m), axis=axes)
+    power = model.family.fiber.dim / 2
+    if ev.stacked:
+        measure = np.array([v ** power for v in t.tolist()])
+        return measure * (grad_term + np.reshape(ev.scalar_curvature, -1) * potential)
+    return t ** power * (grad_term + ev.scalar_curvature * potential)
 
 
 def _gram(model: GalerkinModel, weight: np.ndarray, fiber_product: np.ndarray) -> np.ndarray:
-    """B diag(weight @ fiber_product) B^T, [nb, nb], B the base functions at
-    their nodes: the power term of the Jacobian between two fiber modes
-    whose product at the fiber nodes is `fiber_product`."""
+    """B diag(weight @ fiber_product) B^T, [nb, nb] ([k, nb, nb] for a
+    stack of weights), B the base functions at their nodes: the power term
+    of the Jacobian between two fiber modes whose product at the fiber
+    nodes is `fiber_product`."""
     base = model.base.values
-    return (base * (weight @ fiber_product)) @ base.T
+    return (base * (weight @ fiber_product)[..., None, :]) @ base.T
 
 
 def residual_jacobian(ev: Evaluation) -> np.ndarray:
@@ -415,26 +578,30 @@ def residual_jacobian(ev: Evaluation) -> np.ndarray:
 
 def jacobian_apply(ev: Evaluation, v: np.ndarray) -> np.ndarray:
     """J v for `residual_jacobian` J at the evaluated state and a
-    coefficient array v, [nb, nf], computed through the quadrature grid as
-    `residual` is, with no n_modes x n_modes matrix."""
+    coefficient array v, [nb, nf] (a stack: [k, nb, nf], member by member),
+    computed through the quadrature grid as `residual` is, with no
+    n_modes x n_modes matrix."""
     base, fiber = ev.model.base.values, ev.model.fiber.values
     weight, diagonal = ev.jacobian_parts
-    return diagonal * v + base @ (weight * (base.T @ v @ fiber)) @ fiber.T
+    power = base.T @ v @ fiber
+    power *= weight
+    return diagonal * v + base @ power @ fiber.T
 
 
 def residual_t_derivative(ev: Evaluation) -> np.ndarray:
     """Partial derivative of `residual` with respect to t at fixed
     coefficients, [nb, nf]."""
     model, t, coeffs = ev.model, ev.state.t, ev.state.coeffs
-    dlam = -model.fiber.eigenvalues[None, :] / t**2
-    ds = model.scalar_curvature_dt(t)
+    dlam = -model.fiber.eigenvalues[None, :] / _per_member(lambda v: v ** 2, t)
+    ds = _per_member(model.scalar_curvature_dt, t)
     return model.a_m * dlam * coeffs + ds * (coeffs - ev.projected_power)
 
 
-def u_distance(model: GalerkinModel, state: State) -> float:
-    """L^2(g(1)) distance of the state from the constant solution u = 1."""
-    ref = constant_state(model, state.t)
-    return float(np.linalg.norm(state.coeffs - ref.coeffs))
+def u_distance(model: GalerkinModel, state: State) -> float | np.ndarray:
+    """L^2(g(1)) distance of the state from the constant solution u = 1;
+    one per member of a stack."""
+    offset = state.coeffs - constant_state(model, 1.0).coeffs
+    return norms(offset) if state.stacked else float(np.linalg.norm(offset))
 
 
 def fiber_energy_fraction(state: State) -> float:

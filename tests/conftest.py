@@ -206,14 +206,24 @@ def linearization_at_one(model, t):
     return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
 
 
+def solve_bordered(model, coeffs, t, orbit, row, target):
+    """The package's bordered corrector on one system, a stack of one:
+    returns (ev, mu, pre) or raises the system's error."""
+    from cscbif import continuation
+
+    (ev,), (mu,), pre, (error,) = continuation._solve_bordered(
+        model, np.asarray(coeffs)[None], t, orbit, np.asarray(row)[None], [target])
+    if error is not None:
+        raise error
+    return ev, mu, pre
+
+
 def newton_solve(model, t, initial):
     """Damped Newton at fixed t: the package's bordered corrector with the
     pin row t = t and no orbit.  The initial state must be positive on the
     grid; every iterate stays positive."""
-    from cscbif import continuation
-
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    ev, _, _ = continuation._solve_bordered(model, initial.coeffs, t, None, pin, float(t))
+    ev, _, _ = solve_bordered(model, initial.coeffs, t, None, pin, float(t))
     return ev.state
 
 

@@ -23,7 +23,7 @@ from cscbif.errors import (
     PreconditionError,
 )
 
-from conftest import linearization_at_one, newton_solve
+from conftest import linearization_at_one, newton_solve, solve_bordered
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
     orbit = continuation._orbit(cs_model, cs_branch_point, n_hat)
-    ev, mu, _ = continuation._solve_bordered(
+    ev, mu, _ = solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
     )
@@ -276,8 +276,8 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
         ev = galerkin.Evaluation(model, state)
         want = dense(state, mu)
         assert np.array_equal(bordered_matrix(model, ev, orbit, row, mu), want)
-        lin = continuation._bordered_linear(ev, orbit, row, mu)
-        got = np.stack([lin.apply(e) for e in np.eye(n + 2)], axis=1)
+        lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None], mu)
+        got = np.stack([lin.apply(e[None])[0] for e in np.eye(n + 2)], axis=1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -306,9 +306,11 @@ def _dense_and_degree_steps(model, coeffs, t, orbit, row, mu, pre=None, rhs=None
     if rhs is None:
         rhs = np.random.default_rng(3).standard_normal(model.n_modes + 1 + (orbit is not None))
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row, mu), rhs)
-    lin = continuation._bordered_linear(ev, orbit, row, mu)
-    step, pre = continuation._solve_linear(lin, rhs, pre)
-    return dense, step, pre
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None], mu)
+    step, pre, (error,) = continuation._solve_linear(lin, rhs[None], pre)
+    if error is not None:
+        raise error
+    return dense, step[0], pre
 
 
 def test_degree_solver_matches_the_dense_step_near_the_fiber_constant_states(
@@ -375,7 +377,7 @@ def test_singular_bordered_systems_raise_typed_errors(cs_model, cs_branch_point,
     coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=6)
     zero = np.zeros_like(row)
     with pytest.raises(NoConvergenceError, match="singular bordered matrix"):
-        continuation._solve_bordered(model, coeffs, cs_branch_point.t, orbit, zero, 0.0)
+        solve_bordered(model, coeffs, cs_branch_point.t, orbit, zero, 0.0)
     ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
                                                    coeffs.reshape(model.shape)))
     with pytest.raises(NoConvergenceError, match="singular tangent system"):
@@ -390,14 +392,13 @@ def test_a_solve_that_stalls_gives_up_when_the_krylov_space_is_spent(
     coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
     cycles = []
 
-    def stalled(lin, pre, res, beta, bound, limit):
-        cycles.append(limit)
-        return np.zeros_like(res), 7
+    def stalled(operator, res, beta, bound, limit):
+        cycles.extend(limit.tolist())
+        return np.zeros_like(res), np.full(len(res), 7), [None] * len(res)
 
     monkeypatch.setattr(continuation, "_gmres", stalled)
     with pytest.raises(NoConvergenceError, match="Krylov space exhausted"):
-        continuation._solve_bordered(model, coeffs, cs_branch_point.t, orbit, row,
-                                     row[:-1] @ coeffs)
+        solve_bordered(model, coeffs, cs_branch_point.t, orbit, row, row[:-1] @ coeffs)
     size = model.n_modes + 2
     assert cycles == list(range(size, 0, -7))
 
@@ -410,19 +411,19 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
     coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
     ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
                                                    coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(ev, orbit, row)
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
     pre = continuation._Preconditioner(lin)
     rng = np.random.default_rng(0)
 
     class Rounded(continuation._Linear):
         def apply(self, x):
-            e = rng.standard_normal(len(x))
-            scale = 2 * continuation._EPS * pre.norm * np.linalg.norm(x)
+            e = rng.standard_normal(x.shape[-1])
+            scale = 2 * continuation._EPS * pre.norm[0] * np.linalg.norm(x)
             return super().apply(x) + scale * e / np.linalg.norm(e)
 
-    rounded = Rounded(ev, lin.cols, lin.rows, lin.corner, lin.orbit, lin.mu)
+    rounded = Rounded(lin.ev, lin.cols, lin.rows, lin.corner, lin.orbit, lin.mu)
     rhs = np.random.default_rng(3).standard_normal(lin.size)
-    x, _ = continuation._solve_linear(rounded, rhs, pre)
+    x = continuation._solve_linear(rounded, rhs[None], pre)[0][0]
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row), rhs)
     assert np.linalg.norm(x - dense) <= 1e-9 * np.linalg.norm(dense)
 
@@ -432,9 +433,9 @@ def _counting_gmres(monkeypatch):
     steps, original = [], continuation._gmres
 
     def counting(*args):
-        step, taken = original(*args)
-        steps.append(taken)
-        return step, taken
+        step, taken, failed = original(*args)
+        steps.extend(taken.tolist())
+        return step, taken, failed
 
     monkeypatch.setattr(continuation, "_gmres", counting)
     return steps
@@ -448,7 +449,7 @@ def test_an_inexact_solve_meets_its_forcing_term_on_the_true_operator(
     model, bp = cs_model, cs_branch_point
     coeffs, orbit, row = _trial_system(model, bp, seed=2)
     ev = galerkin.Evaluation(model, galerkin.State(bp.t, coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(ev, orbit, row)
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
     dense = bordered_matrix(model, ev, orbit, row)
     rhs = np.random.default_rng(1).standard_normal(lin.size)
     want = np.linalg.solve(dense, rhs)
@@ -456,7 +457,7 @@ def test_an_inexact_solve_meets_its_forcing_term_on_the_true_operator(
     taken = []
     for rtol in (1e-2, 0.0):
         steps.clear()
-        x, _ = continuation._solve_linear(lin, rhs, None, rtol)
+        x = continuation._solve_linear(lin, rhs[None], None, rtol)[0][0]
         taken.append(sum(steps))
         if rtol:
             assert np.linalg.norm(rhs - dense @ x) <= rtol * np.linalg.norm(rhs)
@@ -474,7 +475,8 @@ def test_newton_steps_are_solved_to_the_forcing_term(cs_model, cs_branch_point, 
     calls, original = [], continuation._solve_linear
 
     def recording(lin, r, pre=None, rtol=0.0):
-        calls.append((rtol, float(np.linalg.norm(r)), len(lin.corner)))
+        for r_i, rtol_i in zip(r, np.broadcast_to(rtol, len(r))):
+            calls.append((float(rtol_i), float(np.linalg.norm(r_i)), lin.corner.shape[-1]))
         return original(lin, r, pre, rtol)
 
     monkeypatch.setattr(continuation, "_solve_linear", recording)
@@ -515,16 +517,16 @@ def test_the_first_sweep_is_the_solve_at_a_fiber_constant_solution(
     ev, orbit = padded_solution
     rng = np.random.default_rng(4)
     row = rng.standard_normal(model.n_modes + 1)
-    lin = continuation._bordered_linear(ev, orbit, row)
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
     pre = continuation._Preconditioner(lin)
     dense = bordered_matrix(model, ev, orbit, row)
     steps = _counting_gmres(monkeypatch)
     for _ in range(3):
         rhs = rng.standard_normal(lin.size)
-        x = pre(rhs)
-        ulp = continuation._EPS * (pre.norm * np.linalg.norm(x) + np.linalg.norm(rhs))
+        x = pre(rhs[None])[0]
+        ulp = continuation._EPS * (pre.norm[0] * np.linalg.norm(x) + np.linalg.norm(rhs))
         assert np.linalg.norm(rhs - dense @ x) <= continuation._BACKWARD_ULPS * ulp
-        assert np.array_equal(continuation._solve_linear(lin, rhs, pre)[0], x)
+        assert np.array_equal(continuation._solve_linear(lin, rhs[None], pre)[0][0], x)
     assert steps == []
 
 
@@ -535,16 +537,17 @@ def test_the_preconditioner_margin_is_the_eigvalsh_one(cs_model, padded_solution
     model = cs_model
     ev, orbit = padded_solution
     nb, nf = model.shape
-    lin = continuation._bordered_linear(ev, orbit, np.ones(model.n_modes + 1))
-    pre = continuation._Preconditioner(lin)
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit,
+                                        np.ones((1, model.n_modes + 1)))
+    shifted = continuation._Preconditioner(lin).shifted[0]
     jac = galerkin.residual_jacobian(ev).reshape(nb, nf, nb, nf)
     oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
     sub = galerkin.Evaluation(model.fiber_constant,
                               galerkin.State(ev.state.t, ev.state.coeffs[:, :1]))
     margin = continuation.fiber_margin(model, sub)
     scale = np.abs(jac).max()
-    assert pre.shifted[0, 0] == np.min(pre.shifted)
-    assert abs(pre.shifted[0, 0] - oracle) <= 1e-13 * scale
+    assert shifted[0, 0] == np.min(shifted)
+    assert abs(shifted[0, 0] - oracle) <= 1e-13 * scale
     assert abs(margin - oracle) <= 1e-13 * scale
 
 
@@ -561,10 +564,39 @@ def test_a_singular_fiber_block_raises(cs_model, padded_solution, monkeypatch, d
     nb = model.shape[0]
     c1 = model.a_m * model.fiber.eigenvalues[1] / ev.state.t
     monkeypatch.setattr(galerkin.Evaluation, "degree_zero_block",
-                        property(lambda e: -c1 * np.eye(nb) + defect))
-    lin = continuation._bordered_linear(ev, orbit, np.ones(model.n_modes + 1))
+                        property(lambda e: (-c1 * np.eye(nb) + defect)[None]))
+    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit,
+                                        np.ones((1, model.n_modes + 1)))
+    (error,) = continuation._Preconditioner(lin).failed
     with pytest.raises(np.linalg.LinAlgError, match=match):
-        continuation._Preconditioner(lin)
+        raise error
+
+
+@pytest.mark.parametrize("routine", ["inv", "eigh"])
+def test_a_failing_member_of_a_factored_stack_fails_only_itself(routine):
+    # numpy raises for a whole stack when one member fails (a zero row for
+    # inv, NaN entries for eigh); the other members keep their own results
+    # bit for bit, and the failing one gets the error it raises alone
+    rng = np.random.default_rng(0)
+    mats = rng.standard_normal((3, 5, 5))
+    mats = mats + mats.transpose(0, 2, 1)
+    if routine == "inv":
+        mats[1, 2] = 0.0
+    else:
+        mats[1] = np.nan
+    call = getattr(np.linalg, routine)
+    failed = [None] * 3
+    out = continuation._factor(call, failed, mats)
+    with pytest.raises(np.linalg.LinAlgError) as alone:
+        call(mats[1])
+    assert failed[0] is None and failed[2] is None
+    assert str(failed[1]) == str(alone.value)
+    def parts(result):
+        return result if isinstance(result, tuple) else (result,)
+
+    for i in (0, 2):
+        for got, want in zip(parts(out), parts(call(mats[i]))):
+            assert np.array_equal(got[i], want)
 
 
 @pytest.mark.parametrize("which", ["base", "fiber"])
@@ -994,8 +1026,10 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
         model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1])))[np.ix_(fc, fc)]
     assert np.abs(sub - jac).max() <= 1e-12 * np.abs(jac).max()
 
-    v, res, _ = continuation._complement_solve(model.fiber_constant, bp.t,
-                                               state.coeffs[:, :1], fc)
+    (v,), (res,), _, (error,) = continuation._complement_solve(
+        model.fiber_constant, bp.t, state.coeffs[None, :, :1], fc)
+    if error is not None:
+        raise error
     assert res < continuation.TOL_COMPLEMENT
     assert np.abs(v - _oracle_complement_solve(model, bp.t, base, fc_flat)).max() <= 1e-12
 
@@ -1041,9 +1075,10 @@ def test_the_full_reduction_starts_off_the_fiber_constant_subspace(cs_model, cs_
 
     def recording(m, t, base, indices, start=None):
         if m is model:
-            full = np.zeros(model.n_modes)
-            full[indices] = start
-            starts.append(full.reshape(model.shape))
+            for member_start in start:
+                full = np.zeros(model.n_modes)
+                full[indices] = member_start
+                starts.append(full.reshape(model.shape))
         return original(m, t, base, indices, start)
 
     monkeypatch.setattr(continuation, "_complement_solve", recording)
@@ -1082,6 +1117,125 @@ def test_reduction_needs_horizontal_kernel(mixed_model):
     assert not bp.horizontal  # the t = 1 kernel here is pure fiber
     with pytest.raises(HypothesisViolatedError):
         continuation.lyapunov_schmidt_reduce(mixed_model, bp, 1e-2, 4)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves
+
+
+def _alone_and_stacked(solve, k):
+    """`solve(members)` -> {member: (evaluation, error)}: every member of
+    the stack solved alone (a stack of one), the whole stack, and the stack
+    of the members that converge in it."""
+    alone = {i: solve([i])[i] for i in range(k)}
+    stacked = solve(list(range(k)))
+    converged = [i for i in range(k) if stacked[i][1] is None]
+    return alone, stacked, converged, solve(converged)
+
+
+def _assert_each_member_gets_its_own_result(alone, stacked, converged, only_converged):
+    # the same status and error text, the same solution to 1e-12 (observed:
+    # bit for bit), and the failing members leave the others as they are
+    assert converged and len(converged) < len(alone)
+    for i, (ev, error) in stacked.items():
+        ev_alone, error_alone = alone[i]
+        assert (error is None) == (error_alone is None)
+        if error is None:
+            for other in (ev_alone, only_converged[i][0]):
+                assert abs(ev.t - other.t) <= 1e-12
+                assert np.abs(ev.state.coeffs - other.state.coeffs).max() <= 1e-12
+        else:
+            assert (type(error), str(error)) == (type(error_alone), str(error_alone))
+
+
+@pytest.fixture(scope="module")
+def cs6(circle_sphere):
+    """circle_sphere at 6x3 with its branch point t = 1."""
+    model = galerkin.build_model(circle_sphere, 6, 3)
+    (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
+    return model, bp
+
+
+def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
+    # fiber-mixed trial starts at amplitude 1e-2 converge at 6x3; at
+    # amplitude 3 a start leaves the positive cone (as in the none-converges
+    # case below), and at 1.5 and 2 the damped steps stall against it
+    model, bp = cs6
+    rng = np.random.default_rng(0)
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    amplitudes = np.array([1e-2, 3.0, 1.5, 1e-2, 2.0, -1e-2])
+    n_hats, starts = [], []
+    for amplitude in amplitudes:
+        n_hat = rng.standard_normal(bp.kernel_dim) @ vecs
+        n_hat /= np.linalg.norm(n_hat)
+        fiber = rng.standard_normal(model.shape)
+        fiber[:, 0] = 0.0
+        n_hats.append(n_hat)
+        starts.append(c_triv + amplitude * (n_hat + fiber.ravel() / np.linalg.norm(fiber)))
+    n_hats, starts = np.array(n_hats), np.array(starts)
+    rows = np.concatenate([n_hats, np.zeros((len(n_hats), 1))], axis=1)
+    targets = n_hats @ c_triv + amplitudes
+
+    def solve(members):
+        evs, _, _, errors = continuation._solve_bordered(
+            model, starts[members], bp.t, continuation._orbit(model, bp, n_hats[members]),
+            rows[members], targets[members])
+        return dict(zip(members, zip(evs, errors)))
+
+    alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
+    assert {type(error).__name__ for _, error in stacked.values()} == {
+        "NoneType", "PositivityViolationError", "NoConvergenceError"}
+    _assert_each_member_gets_its_own_result(alone, stacked, converged, only_converged)
+
+
+def test_a_stack_of_complement_solves_gives_each_member_its_own_result(cs6):
+    # full-complement samples of radius 1e-2 converge at 6x3; of those of
+    # radius 1.5, some converge and some stall against the positive cone
+    model, bp = cs6
+    rng = np.random.default_rng(1)
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    kernel = [i * model.shape[1] + j for i, j in bp.kernel_modes]
+    complement = [m for m in range(model.n_modes) if m not in kernel]
+    radii = np.array([1e-2, 1.5, 1e-2, 1.5, 1e-2])
+    bases, starts = [], []
+    for radius in radii:
+        direction = rng.standard_normal(bp.kernel_dim) @ vecs
+        bases.append(c_triv + radius * direction / np.linalg.norm(direction))
+        mixed = rng.standard_normal(len(complement))
+        starts.append(radius * mixed / np.linalg.norm(mixed))
+    bases, starts = np.array(bases), np.array(starts)
+
+    def solve(members):
+        _, _, evs, errors = continuation._complement_solve(
+            model, bp.t, bases[members], complement, starts[members])
+        return dict(zip(members, zip(evs, errors)))
+
+    _assert_each_member_gets_its_own_result(*_alone_and_stacked(solve, len(radii)))
+
+
+def test_the_verify_path_factors_per_stack(cs_model, cs_branch_point, monkeypatch):
+    # the trials and the full-complement samples are solved as stacks: one
+    # eigh call factors the degree-0 blocks of every member still iterating,
+    # so there are fewer calls than solves, and the first sees all six trials
+    shapes, solves = [], []
+
+    def spy(a, *args, _original=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _original(a, *args, **kwargs)
+
+    def counting(model, state, system, linear, x, tol, _original=continuation._newton):
+        solves.append(len(x))
+        return _original(model, state, system, linear, x, tol)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(continuation, "_newton", counting)
+    continuation.verify_fiber_constancy(cs_model, cs_branch_point, trials=6)
+    continuation.lyapunov_schmidt_reduce(cs_model, cs_branch_point, 1e-2, 4)
+    assert sum(solves) == 6 + 4 + 4
+    assert 0 < len(shapes) < sum(solves)
+    assert shapes[0][:-2] == (6,)
 
 
 # ---------------------------------------------------------------------------
