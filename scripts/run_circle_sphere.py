@@ -50,29 +50,29 @@ print(f"branch point at t = {bp.t}, kernel dim {bp.kernel_dim}, "
       f"horizontal: {bp.horizontal}")
 
 shrink = continuation.follow_branch(model, bp, cont.amplitude, -1, cont.steps, cont.ds)
-start = shrink.samples[0]
-print(f"switched branch on the {bp.subspace} subspace: t = {start.t:.12f}, "
-      f"|u - 1| = {start.u_distance:.3e}, "
-      f"fiber fraction = {start.fiber_fraction:.3e}")
+samples = shrink.samples
+ts, dists = samples.t.tolist(), samples.u_distance.tolist()
+print(f"switched branch on the {bp.subspace} subspace: t = {ts[0]:.12f}, "
+      f"|u - 1| = {dists[0]:.3e}, "
+      f"fiber fraction = {samples.fiber_fraction[0]:.3e}")
 
 print()
 print("== continuation toward the branch point ==")
 print(f"stop reason: {shrink.stop_reason}, samples: {len(shrink)}")
-for s in shrink.samples[:: max(1, len(shrink) // 5)]:
-    print(f"  t = {s.t:.9f}  |u - 1| = {s.u_distance:.3e}  "
-          f"residual = {s.residual_norm:.1e}")
-last = shrink.samples[-1]
-print(f"final: t = {last.t:.12f}, |u - 1| = {last.u_distance:.3e}, "
+residuals = samples.residual_norm.tolist()
+for i in range(0, len(shrink), max(1, len(shrink) // 5)):
+    print(f"  t = {ts[i]:.9f}  |u - 1| = {dists[i]:.3e}  "
+          f"residual = {residuals[i]:.1e}")
+print(f"final: t = {ts[-1]:.12f}, |u - 1| = {dists[-1]:.3e}, "
       f"smallest fiber-block margin = {shrink.fiber_margin:.3f}")
 
 print()
 print("== continuation away from the branch point ==")
 grow = continuation.follow_branch(model, bp, cont.amplitude, +1, 60, 2e-2)
-last = grow.samples[-1]
-grid_min = last.grid.min()
+last = grow.samples[-1:]
 print(f"stop reason: {grow.stop_reason}, samples: {len(grow)}")
-print(f"final: t = {last.t:.6f}, |u - 1| = {last.u_distance:.4f}, "
-      f"min u on grid = {grid_min:.4f}")
+print(f"final: t = {last.t[0]:.6f}, |u - 1| = {last.u_distance[0]:.4f}, "
+      f"min u on grid = {last.grid.min():.4f}")
 
 print()
 print("== fiber constancy along the branch ==")

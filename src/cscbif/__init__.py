@@ -26,7 +26,6 @@ from .errors import (
     PositivityViolationError,
     PreconditionError,
     ReductionFailedError,
-    UndefinedFractionError,
     UnsupportedGeometryError,
     ZeroScalarCurvatureError,
 )

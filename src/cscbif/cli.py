@@ -497,23 +497,22 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             rows_json.append(entry)
             continue
         successes += 1
-        side = branch.samples[0].t - bp.t
+        s = branch.samples
+        columns = [a.tolist() for a in (s.t, s.u_distance, s.energy, s.fiber_fraction,
+                                        s.residual_norm)]
+        side = columns[0][0] - bp.t
         entry["status"] = "ok"
         entry["observed_t_side"] = (
             "below" if side < -1e-12 else ("above" if side > 1e-12 else "at")
         )
-        entry["samples"] = len(branch.samples)
+        entry["samples"] = len(s)
         entry["stop_reason"] = branch.stop_reason
         if branch.fiber_margin is not None:
             entry["min_fiber_margin"] = fmt_number(branch.fiber_margin)
         name = f"branch_{k}.csv"
         entry["file"] = name
-        tables[name] = _csv(BRANCH_CSV, [
-            {"t": fmt_number(s.t), "u_minus_one_norm": fmt_number(s.u_distance),
-             "energy": fmt_number(s.energy), "fiber_fraction": fmt_number(s.fiber_fraction),
-             "residual_norm": fmt_number(s.residual_norm)}
-            for s in branch.samples
-        ])
+        tables[name] = _csv(BRANCH_CSV, [dict(zip(BRANCH_CSV, map(fmt_number, row)))
+                                         for row in zip(*columns)])
         rows_json.append(entry)
 
     payload = _payload("branch", cfg, provenance, {

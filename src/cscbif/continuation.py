@@ -19,9 +19,9 @@ of a branch point are one stack, and so are its full-complement samples
 and its restricted samples, evaluated, factored and stepped together
 while each member keeps its own tolerances, damping, outcome and error.
 A single solve, such as a continuation step or its tangent, is a stack of
-one.  In the corrector
-the unknowns are (c, t) and the equations are residual(c, t) = 0 plus one
-affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
+one, and a followed branch is one evaluation of its samples as a stack.
+In the corrector the unknowns are (c, t) and the equations are
+residual(c, t) = 0 plus one affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
 with n a unit kernel direction, or the arclength row when continuing.
 When the kernel is the cos/sin pair of one circle-factor frequency, the
 rotation orbit of a solution is a null direction of that system.  An
@@ -43,7 +43,6 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,17 +140,16 @@ class _Orbit:
     rotation generator R of the flat coefficients applies it to the rows of
     the [nb, nf] coefficient array when the circle is the base (`on_base`;
     R then repeats it within every fiber degree) and to the columns when it
-    is the fiber.  `phase` is the unit orbit direction R k / |R k| of the
-    branch's kernel part k, [n], or [k, n] for a stack of branches."""
+    is the fiber.  `phase` is the unit orbit direction R k / |R k| of each
+    branch's kernel part k, [k, n] for a stack of k branches."""
 
     def __init__(self, generator, on_base, kernel_part):
         self.generator, self.on_base = generator, on_base
         phase = self.apply(kernel_part)
-        scale = np.linalg.norm(phase) if phase.ndim == 1 else galerkin.norms(phase)[:, None]
-        self.phase = phase / scale
+        self.phase = phase / galerkin.norms(phase)[:, None]
 
     def apply(self, c):
-        """R c for flat coefficients c, [n] or a stack [k, n]: one small
+        """R c for a stack of flat coefficients c [k, n]: one small
         product."""
         gen, lead = self.generator, c.shape[:-1]
         if self.on_base:
@@ -160,20 +158,17 @@ class _Orbit:
 
     def take(self, members):
         """The orbit of the members `members` of a stack of branches."""
-        if self.phase.ndim == 1:
-            return self
         orbit = copy.copy(self)
         orbit.phase = self.phase[members]
         return orbit
 
 
 def _orbit(model, bp, align):
-    """The orbit of a branch through `bp` whose kernel part points along
-    `align` (flattened; [k, n] for a stack of branches, each with a kernel
-    part); None when there is no rotation orbit to fix (no branch point, a
-    one-mode kernel) or `align` has no kernel part.  A kernel that is
-    neither one mode nor the cos/sin pair of one circle-factor frequency
-    raises PreconditionError."""
+    """The orbit of a stack of branches through `bp` whose kernel parts
+    point along `align` (flattened, [k, n]); None when there is no rotation
+    orbit to fix (no branch point, a one-mode kernel) or `align` has no
+    kernel part.  A kernel that is neither one mode nor the cos/sin pair of
+    one circle-factor frequency raises PreconditionError."""
     if bp is None or bp.kernel_dim == 1:
         return None
 
@@ -227,21 +222,17 @@ class _Linear:
     J the Jacobian of `residual`, R the rotation generator of `orbit` (if
     any) and q border rows and columns, applied without an n_modes x
     n_modes matrix.  cols [k, n, q], rows [k, q, n], corner [k, q, q] and
-    mu [k] (None without an orbit); a border given without the member axis
-    is every member's.  Vectors are stacks [k, N] of the flat coefficients
-    followed by the q border unknowns."""
+    mu [k] (zero when not given; None without an orbit); a border given
+    without the member axis is every member's.  Vectors are stacks [k, N]
+    of the flat coefficients followed by the q border unknowns."""
 
     def __init__(self, ev, cols, rows, corner, orbit=None, mu=None):
-        k = len(ev.t)
+        k = len(ev)
         if cols.ndim == 2:
             cols, rows, corner = (np.broadcast_to(a, (k,) + a.shape) for a in (cols, rows, corner))
         self.ev, self.orbit = ev, orbit
         self.cols, self.rows, self.corner = cols, rows, corner
-        if orbit is None:
-            mu = None
-        elif not isinstance(mu, np.ndarray):
-            mu = np.zeros(k) if mu is None else np.full(k, mu)
-        self.mu = mu
+        self.mu = None if orbit is None else np.zeros(k) if mu is None else mu
         self.size = ev.model.n_modes + corner.shape[-1]     # the order of M
 
     def apply(self, x):
@@ -269,8 +260,8 @@ class _Linear:
 
 def _factor(routine, failed, mats, *operands):
     """A numpy.linalg `routine` on a stack of matrices [k, m, m] (and its
-    other operands, stacked alike) as one call.  When that call raises
-    LinAlgError, every member that raises it alone gets its error in
+    other operands, with the same member axis) as one call.  When that call
+    raises LinAlgError, every member that raises it alone gets its error in
     `failed` and the identity in its place, so it fails only itself."""
     try:
         return routine(mats, *operands)
@@ -311,7 +302,6 @@ class _Preconditioner:
         nb, nf = model.shape
         k, q = lin.corner.shape[:2]
         self.shape, self.failed = (nb, nf), [None] * k
-        self.built_at = weakref.ref(ev)         # the evaluation it was built at, if one
         block = ev.degree_zero_block
         if nf > 1:
             lam, self.basis = _factor(np.linalg.eigh, self.failed, block)
@@ -383,18 +373,15 @@ class _Preconditioner:
             if hasattr(self, name):
                 setattr(pre, name, getattr(self, name)[members])
         pre.failed = [self.failed[i] for i in members]
-        pre.built_at = None
         return pre
 
-    def put(self, members, other, ev):
-        """Replace, in place, the members `members` by those of `other`,
-        built for them at `ev`, the evaluation of the stack."""
+    def put(self, members, other):
+        """Replace, in place, the members `members` by those of `other`."""
         for name in self._STACKED:
             if hasattr(self, name):
                 getattr(self, name)[members] = getattr(other, name)
         for i, error in zip(members, other.failed):
             self.failed[i] = error
-        self.built_at = weakref.ref(ev)
 
 
 def _solve_linear(lin, r, pre=None, rtol=0.0):
@@ -414,8 +401,8 @@ def _solve_linear(lin, r, pre=None, rtol=0.0):
     member's residual, and then refactored at this state: refining costs
     less than factoring.  A singular P, or a Krylov space exhausted (the
     order of M steps) short of the bound, fails the member."""
-    nf = lin.ev.model.shape[1]
-    if pre is None or nf == 1:
+    nf, fresh = lin.ev.model.shape[1], pre is None
+    if fresh or nf == 1:
         pre = _Preconditioner(lin)
     x = pre(r)
     if nf == 1:
@@ -423,15 +410,14 @@ def _solve_linear(lin, r, pre=None, rtol=0.0):
     r_norm = galerkin.norms(r)
     res = r - lin.apply(x)
     beta = galerkin.norms(res)
-    built_here = pre.built_at is not None and pre.built_at() is lin.ev
-    stale = [] if built_here else np.flatnonzero(beta >= r_norm)
+    stale = [] if fresh else np.flatnonzero(beta >= r_norm)
     if len(stale) == len(r):
         pre = _Preconditioner(lin)
         x = pre(r)
     elif len(stale):
-        fresh = _Preconditioner(lin.take(stale))
-        pre.put(stale, fresh, lin.ev)
-        x[stale] = fresh(r[stale])
+        rebuilt = _Preconditioner(lin.take(stale))
+        pre.put(stale, rebuilt)
+        x[stale] = rebuilt(r[stale])
     if len(stale):
         res = r - lin.apply(x)
         beta = galerkin.norms(res)
@@ -549,10 +535,10 @@ def _gmres(operator, res, beta, bound, limit):
 
 def _bordered_linear(ev, orbit, row, mu=None):
     """The `_Linear` stack of the square Jacobians of the bordered systems
-    at the evaluated states `ev` (a stacked `galerkin.Evaluation`):
-    unknowns (c, t) and, with an orbit, mu; rows residual + mu R c, then
-    with an orbit the phase row, then the member's `row` [k, n + 1] over
-    (c, t)."""
+    at the evaluated states `ev` (a `galerkin.Evaluation`): unknowns (c, t)
+    and, with an orbit, mu [k] (zero when None); rows residual + mu R c,
+    then with an orbit the phase row, then the member's `row` [k, n + 1]
+    over (c, t)."""
     n = ev.model.n_modes
     k, q = len(row), 1 if orbit is None else 2
     cols, rows, corner = np.empty((k, n, q)), np.empty((k, q, n)), np.zeros((k, q, q))
@@ -569,7 +555,7 @@ def _bordered_linear(ev, orbit, row, mu=None):
 def _evaluate(model, t, coeffs):
     """The `galerkin.Evaluation` of the stack of states (t [k], coeffs
     [k, nb, nf]), and None when every member is a state positive on the
-    grid.  Otherwise the stack is evaluated member by member: then the
+    grid.  Otherwise each member is evaluated as a stack of one: then the
     evaluation returned is the stack of the members that are (None when
     there are none), with the list of per member None or the
     InvalidArgumentError (t <= 0) or PositivityViolationError it raises."""
@@ -578,9 +564,9 @@ def _evaluate(model, t, coeffs):
     except (InvalidArgumentError, PositivityViolationError):
         pass
     evs, errors = [], []
-    for t_i, c_i in zip(t, coeffs):
+    for i in range(len(t)):
         try:
-            evs.append(galerkin.Evaluation(model, State(float(t_i), c_i)))
+            evs.append(galerkin.Evaluation(model, State(t[i:i + 1], coeffs[i:i + 1])))
             errors.append(None)
         except (InvalidArgumentError, PositivityViolationError) as exc:
             errors.append(exc)
@@ -597,10 +583,11 @@ def _newton(model, state, system, linear, x, tol):
     """Damped Newton on a stack of k independent square systems F_i(x_i) = 0,
     the one Newton loop of the corrector and the complement solves, x [k, N].
     For the rows x of the members `members` (an index array, or a slice
-    for all k in order), `state(x, members)` gives their states (t [m], coefficients [m, nb, nf]),
-    `system(ev, x, members)` their (F [m, N], plain [m]) at their stacked
-    `galerkin.Evaluation` ev, plain the norms of their residuals alone, and
-    `linear(ev, x, members)` the `_Linear` stack of their Jacobians.
+    for all k in order), `state(x, members)` gives their states (t [m],
+    coefficients [m, nb, nf]), `system(ev, x, members)` their (F [m, N],
+    plain [m]) at their `galerkin.Evaluation` ev, plain the norms of their
+    residuals alone, and `linear(ev, x, members)` the `_Linear` stack of
+    their Jacobians.
 
     Each member on its own: each step is one `_solve_linear` to the forcing
     term min(_FORCING, |F|), keeping the preconditioner while it contracts,
@@ -611,11 +598,11 @@ def _newton(model, state, system, linear, x, tol):
     as one stack; the members still halving share their damping factor.
 
     Returns (x, evs, plain, pre, errors): per member its last iterate, its
-    converged evaluation (a view of the stack it converged in; None when it
-    failed), its plain (0 when it failed), and None or its error; and pre,
-    the preconditioner of the members that converged last (None when they
-    took no step).  The
-    errors: numpy.linalg.LinAlgError for a singular step,
+    converged evaluation (a stack of one viewing the stack it converged in;
+    None when it failed), its plain (0 when it failed), and None or its
+    error; and pre, the preconditioner of the members that converged last
+    (None when they took no step).  The errors:
+    numpy.linalg.LinAlgError for a singular step,
     InvalidArgumentError or PositivityViolationError for a start with no
     state or off the positive cone, and NoConvergenceError, whose
     `positivity_boundary` tells whether a candidate was not positive, for
@@ -649,7 +636,7 @@ def _newton(model, state, system, linear, x, tol):
         if any(done):
             for j, i in enumerate(members.tolist()):
                 if done[j]:
-                    x[i], plain_out[i], evs[i] = xa[j], plain[j], ev[j]
+                    x[i], plain_out[i], evs[i] = xa[j], plain[j], ev[j:j + 1]
             if all(done):
                 break
             live = np.flatnonzero(np.logical_not(done))
@@ -697,7 +684,8 @@ def _newton(model, state, system, linear, x, tol):
                     break
                 for i, j in enumerate(evaluated):
                     if ok[i]:
-                        accepted[j] = (cand[i], F_new[i], plain_new[i], new_norm[i], cev[i])
+                        accepted[j] = (cand[i], F_new[i], plain_new[i], new_norm[i],
+                                       cev[i:i + 1])
             search = [j for j in positions if j not in accepted]
             alpha *= 0.5
             if alpha < _MIN_DAMPING:
@@ -726,19 +714,17 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 
     (the mu term and the phase row only with an `_Orbit`; the phase row lies
     in the kernel span, orthogonal to the constant, so it reads
-    <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs [k, n], t) and
-    mu = 0, each member with its own `row` [k, n + 1] and `target` [k]; t
-    may be one for every member, and so may the orbit's phase.  Returns
-    (evs, mu, pre, errors): per member the converged evaluation (its
-    `.state` is the solution), mu and None or its error, and the last
-    preconditioner, for a tangent at the solution of a stack of one.  A
-    singular bordered matrix is a NoConvergenceError."""
+    <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs [k, n], t [k]) and
+    mu = 0, each member with its own `row` [k, n + 1] and `target` [k]; an
+    error names the member's start t as given.  Returns (evs, mu, pre,
+    errors): per member the converged evaluation (its `.state` is the
+    solution), mu and None or its error, and the last preconditioner, for a
+    tangent at the solution of a stack of one.  A singular bordered matrix
+    is a NoConvergenceError."""
     n = model.n_modes
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, n)
     k = len(coeffs)
     row, target = np.asarray(row, dtype=float), np.asarray(target, dtype=float)
-    if orbit is not None:                   # a shared phase serves a stack of one
-        phases = orbit.phase if orbit.phase.ndim == 2 else orbit.phase[None]
 
     def state(x, members):
         return x[:, n], x[:, :n].reshape((len(x),) + model.shape)
@@ -750,7 +736,7 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
             F[:, :n] = res
         else:
             np.add(res, x[:, n + 1, None] * orbit.apply(c), out=F[:, :n])
-            np.vecdot(phases[members], c, out=F[:, n])
+            np.vecdot(orbit.phase[members], c, out=F[:, n])
         np.subtract(np.vecdot(row[members], x[:, :n + 1]), target[members], out=F[:, -1])
         return F, ev.residual_norm
 
@@ -761,12 +747,11 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
 
     x = np.zeros((k, n + (1 if orbit is None else 2)))
     x[:, :n] = coeffs
-    x[:, n] = t if isinstance(t, np.ndarray) else float(t)
+    x[:, n] = t
     x, evs, _, pre, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
     for i, exc in enumerate(errors):
         if isinstance(exc, np.linalg.LinAlgError):
-            start = t[i] if isinstance(t, np.ndarray) else t
-            errors[i] = NoConvergenceError(f"singular bordered matrix near t = {start}: {exc}")
+            errors[i] = NoConvergenceError(f"singular bordered matrix near t = {t[i]}: {exc}")
             errors[i].__cause__ = exc
     mu = np.zeros(k) if orbit is None else x[:, n + 1]
     return evs, mu, pre, errors
@@ -780,7 +765,7 @@ def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
     the converged evaluations and errors of `_solve_bordered`."""
     orbit = _orbit(model, bp, n_hat)
     rows = np.concatenate([n_hat, np.zeros((len(n_hat), 1))], axis=1)
-    evs, _, _, errors = _solve_bordered(model, start, bp.t, orbit, rows,
+    evs, _, _, errors = _solve_bordered(model, start, [bp.t] * len(start), orbit, rows,
                                         n_hat @ c_triv + amplitude)
     return evs, errors
 
@@ -798,7 +783,7 @@ def _switch(model, bp, amplitude):
     (ev,), (error,) = _switch_solve(model, bp, c_triv, n_hat[None], amplitude,
                                     (c_triv + amplitude * n_hat)[None])
     if error is None:
-        if ev.u_distance > _NONTRIVIAL_NORM:
+        if ev.u_distance[0] > _NONTRIVIAL_NORM:
             return ev
         cause = "the solution collapsed to u = 1"
     elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
@@ -811,12 +796,13 @@ def _switch(model, bp, amplitude):
 
 
 def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> State:
-    """Land on a nontrivial branch through bp: solve the equation in (c, t)
-    with the amplitude along the first kernel mode n pinned to `amplitude`,
-    from the one start u = 1 + amplitude * n at t = bp.t.  A corrector
-    failure, or a solution that collapses back to u = 1, raises
-    NoNontrivialSolutionError naming the cause.  Kernels other than one mode
-    or one circle cos/sin pair raise PreconditionError."""
+    """Land on a nontrivial branch through bp, a stack of one: solve the
+    equation in (c, t) with the amplitude along the first kernel mode n
+    pinned to `amplitude`, from the one start u = 1 + amplitude * n at
+    t = bp.t.  A corrector failure, or a solution that collapses back to
+    u = 1, raises NoNontrivialSolutionError naming the cause.  Kernels
+    other than one mode or one circle cos/sin pair raise
+    PreconditionError."""
     return _switch(model, bp, amplitude).state
 
 
@@ -825,11 +811,12 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> St
 
 @dataclass(frozen=True)
 class Branch:
-    """A followed branch: its samples are `galerkin.Evaluation`s, the first
-    the switch solution, each read for its measurements (t, u_distance,
-    energy, fiber_fraction, residual_norm)."""
+    """A followed branch: its samples are one `galerkin.Evaluation`, a stack
+    whose first member is the switch solution; its per-member arrays are
+    the measurements (t, u_distance, energy, fiber_fraction,
+    residual_norm)."""
 
-    samples: tuple
+    samples: galerkin.Evaluation
     origin: BranchPoint | None
     stop_reason: str
     fiber_margin: float | None = None   # smallest over the samples; fiber-constant branches
@@ -839,28 +826,27 @@ class Branch:
 
     @property
     def ts(self):
-        return np.array([s.t for s in self.samples])
+        return self.samples.t
 
     @property
     def distances(self):
-        return np.array([s.u_distance for s in self.samples])
+        return self.samples.u_distance
 
 
 def _tangent(ev, orbit, last_row, pre=None):
     """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
-    (a `galerkin.Evaluation`, as the corrector returns it): one full-accuracy
-    solve of the bordered matrix with `last_row` over (c, t) as its last row
-    and right side e_last, a stack of one, so the tangent has a positive
-    component along `last_row` (the previous tangent, or the unit offset
-    from u = 1 at the start).  `pre` is the corrector's preconditioner, kept
+    (a `galerkin.Evaluation` of a stack of one, as the corrector returns
+    it): one full-accuracy solve of the bordered matrix with `last_row`
+    over (c, t) as its last row and right side e_last, so the tangent has
+    a positive component along `last_row` (the previous tangent, or the
+    unit offset from u = 1 at the start).  `pre` is the corrector's preconditioner, kept
     while it contracts."""
-    lin = _bordered_linear(galerkin.stack([ev]), orbit,
-                           np.asarray(last_row, dtype=float)[None])
+    lin = _bordered_linear(ev, orbit, np.asarray(last_row, dtype=float)[None])
     rhs = np.zeros((1, lin.size))
     rhs[0, -1] = 1.0
     x, _, (error,) = _solve_linear(lin, rhs, pre)
     if error is not None:
-        raise NoConvergenceError(f"singular tangent system at t = {ev.t}: {error}") from error
+        raise NoConvergenceError(f"singular tangent system at t = {ev.t[0]}: {error}") from error
     v = x[0, :ev.model.n_modes + 1]
     return v / np.linalg.norm(v)
 
@@ -869,7 +855,8 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
                     direction: int, steps: int, ds: float,
                     origin: BranchPoint | None = None) -> Branch:
     """Pseudo-arclength continuation from a converged solution `start`, a
-    state or its evaluation (which is then not evaluated again).
+    state (a stack of one) or its evaluation (which is then not evaluated
+    again).
 
     `direction` +1 follows the branch with growing distance from u = 1,
     -1 with shrinking distance (toward the branch point).  Stops early on
@@ -888,19 +875,21 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
         raise InvalidArgumentError(f"direction must be +1 or -1, got {direction!r}")
     start_ev = galerkin.Evaluation(model, start) if isinstance(start, State) else start
     start = start_ev.state
-    if start_ev.residual_norm > 10 * TOL_NEWTON:
+    if len(start_ev) != 1:
+        raise InvalidArgumentError(f"a branch starts from one state, not {len(start_ev)}")
+    if start_ev.residual_norm[0] > 10 * TOL_NEWTON:
         raise PreconditionError("start state does not satisfy the residual tolerance")
 
     c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
     offset = start.coeffs.ravel() - c_triv
-    orbit = _orbit(model, origin, offset)
+    orbit = _orbit(model, origin, offset[None])
 
     # first tangent: positive along the offset from u = 1 (along t when the
     # start is u = 1 itself), then flipped to the requested direction
     offset_norm = np.linalg.norm(offset)
     first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
                  else np.append(offset, 1.0))
-    x = np.concatenate([start.coeffs.ravel(), [start.t]])
+    x = np.concatenate([start.coeffs.ravel(), start.t])
     v = direction * _tangent(start_ev, orbit, first_row)
 
     samples = [start_ev]
@@ -920,39 +909,38 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
                             or exc.positivity_boundary)
             reason = "positivity-stop" if hit_boundary else "no-convergence"
             break
-        dist, last = ev.u_distance, samples[-1].u_distance
+        dist, last = ev.u_distance[0], samples[-1].u_distance[0]
         if (dist - last) * direction < 0 and max(dist, last) >= _NONTRIVIAL_NORM:
             reason = "turnaround"
             break
-        x = np.concatenate([ev.state.coeffs.ravel(), [ev.t]])
+        x = np.concatenate([ev.state.coeffs.ravel(), ev.t])
         v = _tangent(ev, orbit, v, pre)
         samples.append(ev)
-    return Branch(tuple(samples), origin, reason)
+    return Branch(galerkin.stack(samples), origin, reason)
 
 
 # ---------------------------------------------------------------------------
 # horizontal branches on the fiber-constant subspace
 
 def _padded(model, state):
-    """A state (or a stack) of `model.fiber_constant` as one of `model`: the
-    [nb, 1] coefficients zero-padded to [nb, nf]."""
+    """A state of `model.fiber_constant` as one of `model`: the [k, nb, 1]
+    coefficients zero-padded to [k, nb, nf]."""
     coeffs = np.zeros(state.coeffs.shape[:-1] + model.shape[-1:])
-    coeffs[..., :1] = state.coeffs
+    coeffs[:, :, :1] = state.coeffs
     return State(state.t, coeffs)
 
 
-def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float | np.ndarray:
-    """lambda_min(J_0) + a_m lam_1 / t at a fiber-constant state of `model`,
-    given as `ev`, its evaluation in `model.fiber_constant`: J_0 is the
-    nb x nb Jacobian there (its `degree_zero_block`), and one
-    `eigvalsh` gives the margin (one per member of a stack, from one call).
+def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> np.ndarray:
+    """lambda_min(J_0) + a_m lam_1 / t at fiber-constant states of `model`,
+    given as `ev`, their evaluation in `model.fiber_constant`: J_0 is the
+    nb x nb Jacobian there (its `degree_zero_block`), and one `eigvalsh`
+    call gives the margins, one per member.
     Every fiber block J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1
     has its smallest eigenvalue at or above it, so a positive margin makes
     them all positive definite: no fiber-dependent mode is degenerate
     there."""
     lam1 = model.fiber.eigenvalues[1]
-    margin = np.linalg.eigvalsh(ev.degree_zero_block)[..., 0] + model.a_m * lam1 / ev.t
-    return margin if ev.stacked else float(margin)
+    return np.linalg.eigvalsh(ev.degree_zero_block)[:, 0] + model.a_m * lam1 / ev.t
 
 
 def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
@@ -961,8 +949,8 @@ def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
     `direction` from the switch solution's evaluation; the branch's first
     sample is the switch solution.  A horizontal branch is followed on
     `model.fiber_constant`, its samples zero-padded to [nb, nf] and
-    evaluated in `model` as one stack, where each sample's energy,
-    distance, fiber fraction (exactly 0) and residual are read; the branch
+    evaluated in `model` as one stack, which gives their energies,
+    distances, fiber fractions (exactly 0) and residuals; the branch
     carries the smallest `fiber_margin` of its samples.  Any other kernel
     is followed in `model` itself."""
     sub = model.fiber_constant if bp.horizontal else model
@@ -970,10 +958,9 @@ def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
                              origin=bp)
     if not bp.horizontal:
         return branch
-    samples = galerkin.stack(branch.samples)
-    padded = galerkin.Evaluation(model, _padded(model, samples.state))
+    samples = branch.samples
     return Branch(
-        tuple(padded[i] for i in range(len(branch))), bp, branch.stop_reason,
+        galerkin.Evaluation(model, _padded(model, samples.state)), bp, branch.stop_reason,
         fiber_margin=float(fiber_margin(model, samples).min()),
     )
 
@@ -1215,22 +1202,28 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
     evs, errors = _switch_solve(model, bp, c_triv, np.array(n_hats), amplitude,
                                 np.array(starts))
 
+    # the converged solutions, measured as one stack
+    converged = [trial for trial, error in enumerate(errors) if error is None]
+    measured = {}
+    if converged:
+        solved = galerkin.stack([evs[trial] for trial in converged])
+        measured = dict(zip(converged, zip(solved.t.tolist(), solved.u_distance.tolist(),
+                                           solved.fiber_fraction.tolist())))
     rows_out = []
     max_fraction = 0.0
-    for trial, (ev, error) in enumerate(zip(evs, errors)):
+    for trial, error in enumerate(errors):
         if error is not None:
             if not isinstance(error, (NoConvergenceError, PositivityViolationError)):
                 raise error
             rows_out.append(TrialRow(trial, False, False, None, None, None, False))
             continue
-        dist = ev.u_distance
+        t, dist, fraction = measured[trial]
         if dist <= _NONTRIVIAL_NORM:
-            rows_out.append(TrialRow(trial, True, False, ev.t, dist, None, False))
+            rows_out.append(TrialRow(trial, True, False, t, dist, None, False))
             continue
-        fraction = ev.fiber_fraction
         max_fraction = max(max_fraction, fraction)
         rows_out.append(TrialRow(
-            trial, True, True, ev.t, dist, fraction,
+            trial, True, True, t, dist, fraction,
             fraction >= FIBER_FRACTION_BOUND,
         ))
     return FiberConstancyReport(bp, tuple(rows_out), seed, max_fraction)

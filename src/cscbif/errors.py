@@ -108,8 +108,3 @@ class HypothesisViolatedError(CscbifError):
 class ReductionFailedError(CscbifError):
     """The complement solve inside the finite-dimensional reduction did
     not converge or met a singular projected Jacobian."""
-
-
-class UndefinedFractionError(CscbifError):
-    """The fiber energy fraction is undefined because the state has no
-    nonconstant component."""

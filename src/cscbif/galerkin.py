@@ -25,9 +25,9 @@ residual is the coefficient vector of the equation in the unweighted basis
 inner product, so the gradient of the energy equals t^{k/2} times the
 residual, and exactly the residual at t = 1.
 
-The kernels broadcast over a leading stack axis: a `State` may hold k
-states (t [k], coefficients [k, nb, nf]), and its `Evaluation` evaluates
-them together, each member getting the bits it gets alone.
+Every state is a stack: a `State` holds k states (t [k], coefficients
+[k, nb, nf]), a single state being a stack of one, and its `Evaluation`
+evaluates them together, each member getting the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .errors import (
     ConfigurationError,
     InvalidArgumentError,
     PositivityViolationError,
-    UndefinedFractionError,
     UnsupportedGeometryError,
 )
 from .spectra import ManifoldDescriptor, SphereSpectrum
@@ -225,63 +224,42 @@ class GalerkinModel:
             for j, lj in enumerate(self.fiber.eigenvalues_exact)
         ]
 
-    def mode_eigenvalues(self, t) -> np.ndarray:
-        """b_i + lam_j / t on the [nb, nf] grid of mode pairs; [k, nb, nf]
-        for k values of t."""
-        if not _positive(t):
-            raise InvalidArgumentError(f"scale parameter must be positive, got {t}")
-        return self._mode_eigenvalues(t)
-
-    def _mode_eigenvalues(self, t) -> np.ndarray:
-        scale = _per_member(float, t)
-        values = self.base.eigenvalues[:, None] + self.fiber.eigenvalues[None, :] / scale
-        return values[None] if isinstance(t, np.ndarray) and len(t) == 1 else values
-
-
-def _positive(t) -> bool:
-    """Whether t, a float or an array of them, is positive (not NaN)."""
-    return all(map((0.0).__lt__, t.tolist())) if isinstance(t, np.ndarray) else t > 0
-
 
 def _per_member(f, t):
-    """f(t) in floats, member by member for an array t, as it broadcasts
-    against [nb, nf] and [k, nb, nf] arrays: a float for a float t or a
-    stack of one (the cheap form of its [1, 1, 1]), else [k, 1, 1]."""
-    if not isinstance(t, np.ndarray):
-        return f(t)
-    if len(t) == 1:
-        return f(t.item())
+    """f(t) in floats, member by member for t [k], as [k, 1, 1]: it
+    broadcasts against [k, nb, nf] arrays."""
     return np.array([f(v) for v in t.tolist()])[:, None, None]
 
 
 @dataclass(frozen=True)
 class State:
-    """A candidate conformal factor: the fiber scale t, stored as a float,
-    and the coefficient array of u in the tensor basis.  A stack of k
-    states has t a float array [k] and coeffs [k, nb, nf]."""
+    """A stack of k candidate conformal factors: their fiber scales t, a
+    float array [k], and the coefficient arrays of u in the tensor basis,
+    [k, nb, nf].  A single state is a stack of one."""
 
-    t: float | np.ndarray
+    t: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
-        stacked = isinstance(self.t, np.ndarray) and self.t.ndim == 1
-        t = np.array(self.t, dtype=float) if stacked else float(self.t)
+        t = np.array(self.t, dtype=float)
         object.__setattr__(self, "t", t)
-        if not _positive(t):
-            raise InvalidArgumentError(f"state needs t > 0, got {self.t!r}")
-
-    @property
-    def stacked(self) -> bool:
-        return isinstance(self.t, np.ndarray)
+        if t.ndim != 1 or np.ndim(self.coeffs) != 3 or len(self.coeffs) != len(t):
+            raise InvalidArgumentError(
+                f"a state is a stack of t [k] and coefficients [k, nb, nf], got shapes "
+                f"{t.shape} and {np.shape(self.coeffs)}")
+        bad = [v for v in t.tolist() if not v > 0]      # NaN included
+        if bad:
+            raise InvalidArgumentError(f"state needs t > 0, got {bad[0]!r}")
 
 
 def _members(state: State, rows) -> State:
-    """The members `rows` of a stacked state (an int: one state), which
-    were checked when the stack was made."""
+    """The members `rows` (an index array or a slice) of a state, which
+    were checked when it was made."""
     out = object.__new__(State)
-    t = state.t[rows]
-    object.__setattr__(out, "t", float(t) if isinstance(t, np.floating) else t)
+    object.__setattr__(out, "t", state.t[rows])
     object.__setattr__(out, "coeffs", state.coeffs[rows])
+    if out.t.ndim != 1:
+        raise InvalidArgumentError("members are taken as rows, an index array or a slice")
     return out
 
 
@@ -306,31 +284,32 @@ def build_model(family: SubmersionFamily, base_modes: int, fiber_modes: int) -> 
 
 
 def constant_state(model: GalerkinModel, t, value: float = 1.0) -> State:
-    """The constant function `value` as a coefficient array."""
-    coeffs = np.zeros(model.shape)
-    coeffs[0, 0] = value * np.sqrt(model.volume_at_one)
+    """The constant function `value` at each scale of t, an array [k] or
+    one number (a stack of one)."""
+    t = np.array(t, dtype=float).reshape(-1)
+    coeffs = np.zeros((len(t),) + model.shape)
+    coeffs[:, 0, 0] = value * np.sqrt(model.volume_at_one)
     return State(t, coeffs)
 
 
 def grid_values(model: GalerkinModel, state: State) -> np.ndarray:
-    """u on the tensor quadrature grid, [Mb, Mf] ([k, Mb, Mf] for a stack).
-    The coefficients are read C-contiguous, so a strided view and its copy
-    give the same bits."""
+    """u on the tensor quadrature grid, [k, Mb, Mf].  The coefficients are
+    read C-contiguous, so a strided view and its copy give the same bits."""
     return model.base.values.T @ np.ascontiguousarray(state.coeffs) @ model.fiber.values
 
 
 def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
-    """L^2(g(1)) projection of a grid function onto the basis, [nb, nf]
-    ([k, nb, nf] for a stack)."""
+    """L^2(g(1)) projection of grid functions [k, Mb, Mf] (or one,
+    [Mb, Mf]) onto the basis, [k, nb, nf] ([nb, nf])."""
     pb, pf = model.projectors
     return pb @ grid @ pf.T
 
 
 class _Part:
     """A part of an `Evaluation`, computed on first use and kept.  A view of
-    a stack (`ev[rows]`) reads the part from its stack when the stack has
-    computed it, and a member (`ev[i]`) has its stack compute it for every
-    member, so one computation serves the stack and its members."""
+    a stack (`ev[rows]`) or a join of stacks (`stack`) reads the part from
+    what it is made of when that has computed it, so one computation serves
+    a stack, its views and its joins."""
 
     def __init__(self, compute):
         self.compute, self.__doc__ = compute, compute.__doc__
@@ -341,16 +320,9 @@ class _Part:
     def __get__(self, ev, owner=None):
         if ev is None:
             return self
-        if ev.joined is None:
+        value = None if ev.joined is None else _known(ev, self.name)
+        if value is None:
             value = self.compute(ev)
-        elif isinstance(ev.joined[1], int):        # a member: from its stack
-            value = _rows(getattr(ev.joined[0][0], self.name), ev.joined[1])
-            if isinstance(value, np.floating):
-                value = float(value)
-        else:
-            value = _known(ev, self.name)
-            if value is None:
-                value = self.compute(ev)
         ev.__dict__[self.name] = value
         return value
 
@@ -364,7 +336,7 @@ def _rows(value, rows):
 
 def _known(ev, name):
     """The part `name` of ev if ev, or what it is made of, has computed it:
-    the stack it views, or every member it joins; else None."""
+    the stack it views, or every stack it joins; else None."""
     if name in ev.__dict__:
         return ev.__dict__[name]
     if ev.joined is None:
@@ -374,38 +346,33 @@ def _known(ev, name):
         value = _known(parts[0], name)
         return None if value is None else _rows(value, rows)
     values = [_known(part, name) for part in parts]
-    return None if any(v is None for v in values) else _concatenated(parts, values)
+    return None if any(v is None for v in values) else _concatenated(values)
 
 
-def _concatenated(parts, values):
-    """The values of the evaluations `parts`, each given a member axis if
-    its evaluation is a single state, concatenated."""
+def _concatenated(values):
+    """The values of stacks joined along the member axis, item by item for
+    tuples of arrays."""
     if isinstance(values[0], tuple):
-        return tuple(_concatenated(parts, items) for items in zip(*values))
-    if not any(part.stacked for part in parts):
-        return np.stack(values)
-    return np.concatenate([v if part.stacked else v[None] for part, v in zip(parts, values)])
+        return tuple(_concatenated(items) for items in zip(*values))
+    return np.concatenate(values)
 
 
 class Evaluation:
-    """A state of a model, evaluated: the numerical layer's one handle on a
-    state, which the kernels below take.  Its values on the quadrature grid
-    are computed and checked positive at construction (else
+    """A stack of states of a model, evaluated: the numerical layer's one
+    handle on states, which the kernels below take.  Its values on the
+    quadrature grid are computed and checked positive at construction (else
     PositivityViolationError); every other fact is computed on first use
     and kept: b_i + lam_j / t, s(t), the projected power u^(p-1), the
     Jacobian's parts and degree-0 block, the residual, the energy and the
-    measurements of a branch sample.
+    measurements of a branch.
 
-    A stacked state is evaluated as one: its arrays gain a leading member
-    axis, its scalars (t, s(t), the norms and measurements) are one per
-    member, and every member is positive.  `ev[i]` is member i as an
-    evaluation of its own and `ev[rows]` the members `rows` (an index
-    array) as a stack; both are views, which read the parts the stack has
-    computed, and a member has its stack compute the parts it lacks."""
+    Arrays carry a leading member axis, and scalars (t, s(t), the norms
+    and measurements) are one per member.  `ev[rows]` is the members
+    `rows` (an index array or a slice, which keeps numpy views) as a stack
+    of their own, a view that reads the parts the stack has computed."""
 
     def __init__(self, model: GalerkinModel, state: State):
-        self.model = model
-        self.state, self.stacked = state, state.stacked
+        self.model, self.state = model, state
         self.joined = None          # what a view or a `stack` is made of
         self.grid = grid_values(model, state)
         low = self.grid.min()
@@ -414,25 +381,28 @@ class Evaluation:
                 f"state is not strictly positive on the grid (min {low:.6e})"
             )
 
+    def __len__(self) -> int:
+        return len(self.state.t)
+
     def __getitem__(self, rows) -> Evaluation:
         view = type(self).__new__(type(self))
         view.model, view.joined = self.model, ((self,), rows)
-        view.state = _members(self.state, rows)
-        view.stacked, view.grid = view.state.stacked, self.grid[rows]
+        view.state, view.grid = _members(self.state, rows), self.grid[rows]
         return view
 
     @property
-    def t(self) -> float | np.ndarray:
+    def t(self) -> np.ndarray:
         return self.state.t
 
     @_Part
     def mode_eigenvalues(self) -> np.ndarray:
-        """b_i + lam_j / t, [nb, nf] (t was checked with the state)."""
-        return self.model._mode_eigenvalues(self.state.t)
+        """b_i + lam_j / t on the grid of mode pairs, [k, nb, nf]."""
+        base, fiber = self.model.base, self.model.fiber
+        return base.eigenvalues[:, None] + fiber.eigenvalues / self.state.t[:, None, None]
 
     @cached_property
-    def scalar_curvature(self) -> float:
-        """s(t) (for a stack as `_per_member` gives it)."""
+    def scalar_curvature(self) -> np.ndarray:
+        """s(t), [k, 1, 1]."""
         return _per_member(self.model.scalar_curvature, self.state.t)
 
     @_Part
@@ -443,15 +413,15 @@ class Evaluation:
     def jacobian_parts(self) -> tuple:
         """The two parts of the Jacobian of `residual`: the weight
         -s(t) (p - 1) w u^(p-2) of its projected power term on the grid,
-        quadrature weight included, [Mb, Mf], and its diagonal linear part
-        a_m (b_i + lam_j / t) + s(t), [nb, nf]."""
+        quadrature weight included, [k, Mb, Mf], and its diagonal linear
+        part a_m (b_i + lam_j / t) + s(t), [k, nb, nf]."""
         model, p, s_t = self.model, self.model.p_m, self.scalar_curvature
         weight = -s_t * (p - 1.0) * model.weights2 * self.grid ** (p - 2.0)
         return weight, model.a_m * self.mode_eigenvalues + s_t
 
     @_Part
     def degree_zero_block(self) -> np.ndarray:
-        """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian, [nb, nb]:
+        """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian, [k, nb, nb]:
         B diag(w) B^T plus the diagonal linear part, with w the Jacobian's
         weight contracted with phi_0^2 over the fiber nodes.  The one
         kernel for this block: the preconditioner and
@@ -466,56 +436,39 @@ class Evaluation:
 
     @_Part
     def residual(self) -> np.ndarray:
-        """`residual` at this state."""
+        """`residual` at these states."""
         return residual(self)
 
     @_Part
-    def residual_norm(self) -> float | np.ndarray:
-        if self.stacked:
-            return norms(self.residual)
-        return float(np.linalg.norm(self.residual))
+    def residual_norm(self) -> np.ndarray:
+        return norms(self.residual)
 
     @_Part
-    def energy(self) -> float | np.ndarray:
-        """`energy` at this state."""
+    def energy(self) -> np.ndarray:
+        """`energy` at these states."""
         return energy(self)
 
     @_Part
-    def u_distance(self) -> float | np.ndarray:
+    def u_distance(self) -> np.ndarray:
         return u_distance(self.model, self.state)
 
     @_Part
-    def fiber_fraction(self) -> float | np.ndarray:
-        """`fiber_energy_fraction`, 0 at a constant state."""
-        if not self.stacked:
-            try:
-                return fiber_energy_fraction(self.state)
-            except UndefinedFractionError:
-                return 0.0
-        sq = self.state.coeffs ** 2
-        nonconstant = sq.sum(axis=(1, 2)) - sq[:, 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction = sq[:, :, 1:].sum(axis=(1, 2)) / nonconstant
-        return np.where(nonconstant == 0.0, 0.0, fraction)
+    def fiber_fraction(self) -> np.ndarray:
+        return fiber_energy_fraction(self.state)
 
 
 def stack(evaluations) -> Evaluation:
-    """The members of `evaluations` (evaluations of one model, each a single
-    state or a stack) as one stack, in order, which reads the parts that all
-    of them have computed.  A single member viewed from a stack of one is
-    that stack."""
+    """The members of `evaluations` (evaluations of one model) as one stack,
+    in order, which reads the parts that all of them have computed; one
+    evaluation is its own stack."""
     if len(evaluations) == 1:
-        (ev,) = evaluations
-        if ev.stacked:
-            return ev
-        if ev.joined is not None and ev.joined[1] is not None and len(ev.joined[0][0].t) == 1:
-            return ev.joined[0][0]
+        return evaluations[0]
     first = evaluations[0]
     out = type(first).__new__(type(first))
-    out.model, out.joined, out.stacked = first.model, (tuple(evaluations), None), True
-    out.state = State(np.concatenate([np.atleast_1d(ev.t) for ev in evaluations]),
-                      _concatenated(evaluations, [ev.state.coeffs for ev in evaluations]))
-    out.grid = _concatenated(evaluations, [ev.grid for ev in evaluations])
+    out.model, out.joined = first.model, (tuple(evaluations), None)
+    out.state = State(np.concatenate([ev.t for ev in evaluations]),
+                      np.concatenate([ev.state.coeffs for ev in evaluations]))
+    out.grid = np.concatenate([ev.grid for ev in evaluations])
     return out
 
 
@@ -527,7 +480,8 @@ def norms(a: np.ndarray) -> np.ndarray:
 
 
 def residual(ev: Evaluation) -> np.ndarray:
-    """Coefficients of -a_m Lap_{g(t)} u + s(t) (u - u^{p-1}) in the basis.
+    """Coefficients of -a_m Lap_{g(t)} u + s(t) (u - u^{p-1}) in the basis,
+    [k, nb, nf].
 
     This is the gradient of `energy` divided by the measure factor t^{k/2};
     at t = 1 it is the gradient exactly."""
@@ -536,51 +490,48 @@ def residual(ev: Evaluation) -> np.ndarray:
             + ev.scalar_curvature * (coeffs - ev.projected_power))
 
 
-def energy(ev: Evaluation) -> float | np.ndarray:
-    """Total energy of the state under g(t), measure factor included; one
-    per member of a stack."""
-    model, g, t, axes = ev.model, ev.grid, ev.state.t, (-2, -1)
+def energy(ev: Evaluation) -> np.ndarray:
+    """Total energy of each state under g(t), measure factor included, [k]."""
+    model, g, axes = ev.model, ev.grid, (-2, -1)
     grad_term = 0.5 * model.a_m * np.sum(ev.mode_eigenvalues * ev.state.coeffs**2, axis=axes)
     potential = np.sum(model.weights2 * (g**2 / 2 - g**model.p_m / model.p_m), axis=axes)
     power = model.family.fiber.dim / 2
-    if ev.stacked:
-        measure = np.array([v ** power for v in t.tolist()])
-        return measure * (grad_term + np.reshape(ev.scalar_curvature, -1) * potential)
-    return t ** power * (grad_term + ev.scalar_curvature * potential)
+    measure = np.array([v ** power for v in ev.t.tolist()])
+    return measure * (grad_term + ev.scalar_curvature[:, 0, 0] * potential)
 
 
 def _gram(model: GalerkinModel, weight: np.ndarray, fiber_product: np.ndarray) -> np.ndarray:
-    """B diag(weight @ fiber_product) B^T, [nb, nb] ([k, nb, nb] for a
-    stack of weights), B the base functions at their nodes: the power term
-    of the Jacobian between two fiber modes whose product at the fiber
-    nodes is `fiber_product`."""
+    """B diag(weight @ fiber_product) B^T for each member of the weights
+    [k, Mb, Mf], [k, nb, nb], B the base functions at their nodes: the
+    power term of the Jacobian between two fiber modes whose product at the
+    fiber nodes is `fiber_product`."""
     base = model.base.values
     return (base * (weight @ fiber_product)[..., None, :]) @ base.T
 
 
 def residual_jacobian(ev: Evaluation) -> np.ndarray:
-    """Dense Jacobian of `residual` with respect to the coefficients,
-    [n_modes, n_modes] over row-major mode pairs: one `_gram` block per pair
-    of fiber modes (j, l), fiber nodes contracted first, plus the diagonal
-    linear part.  A test oracle; with one fiber mode it is the evaluation's
-    `degree_zero_block` bit for bit."""
+    """Dense Jacobian of `residual` with respect to the coefficients for
+    each member, [k, n_modes, n_modes] over row-major mode pairs: one
+    `_gram` block per pair of fiber modes (j, l), fiber nodes contracted
+    first, plus the diagonal linear part.  A test oracle; with one fiber
+    mode it is the evaluation's `degree_zero_block` bit for bit."""
     model = ev.model
     weight, diagonal = ev.jacobian_parts
-    (nb, nf), n = model.shape, model.n_modes
+    (nb, nf), n, k = model.shape, model.n_modes, len(ev)
     fiber = model.fiber.values
-    jac = np.empty((nb, nf, nb, nf))
+    jac = np.empty((k, nb, nf, nb, nf))
     for j, l in np.ndindex(nf, nf):
-        jac[:, j, :, l] = _gram(model, weight, fiber[j] * fiber[l])
-    jac = jac.reshape(n, n)
-    jac[np.diag_indices(n)] += diagonal.ravel()
+        jac[:, :, j, :, l] = _gram(model, weight, fiber[j] * fiber[l])
+    jac = jac.reshape(k, n, n)
+    diag = np.arange(n)
+    jac[:, diag, diag] += diagonal.reshape(k, n)
     return jac
 
 
 def jacobian_apply(ev: Evaluation, v: np.ndarray) -> np.ndarray:
-    """J v for `residual_jacobian` J at the evaluated state and a
-    coefficient array v, [nb, nf] (a stack: [k, nb, nf], member by member),
-    computed through the quadrature grid as `residual` is, with no
-    n_modes x n_modes matrix."""
+    """J v for `residual_jacobian` J at the evaluated states and coefficient
+    arrays v [k, nb, nf], member by member, computed through the quadrature
+    grid as `residual` is, with no n_modes x n_modes matrix."""
     base, fiber = ev.model.base.values, ev.model.fiber.values
     weight, diagonal = ev.jacobian_parts
     power = base.T @ v @ fiber
@@ -590,27 +541,25 @@ def jacobian_apply(ev: Evaluation, v: np.ndarray) -> np.ndarray:
 
 def residual_t_derivative(ev: Evaluation) -> np.ndarray:
     """Partial derivative of `residual` with respect to t at fixed
-    coefficients, [nb, nf]."""
+    coefficients, [k, nb, nf]."""
     model, t, coeffs = ev.model, ev.state.t, ev.state.coeffs
-    dlam = -model.fiber.eigenvalues[None, :] / _per_member(lambda v: v ** 2, t)
+    dlam = -model.fiber.eigenvalues / _per_member(lambda v: v ** 2, t)
     ds = _per_member(model.scalar_curvature_dt, t)
     return model.a_m * dlam * coeffs + ds * (coeffs - ev.projected_power)
 
 
-def u_distance(model: GalerkinModel, state: State) -> float | np.ndarray:
-    """L^2(g(1)) distance of the state from the constant solution u = 1;
-    one per member of a stack."""
-    offset = state.coeffs - constant_state(model, 1.0).coeffs
-    return norms(offset) if state.stacked else float(np.linalg.norm(offset))
+def u_distance(model: GalerkinModel, state: State) -> np.ndarray:
+    """L^2(g(1)) distance of each state from the constant solution u = 1,
+    [k]."""
+    return norms(state.coeffs - constant_state(model, 1.0).coeffs)
 
 
-def fiber_energy_fraction(state: State) -> float:
-    """Share of the nonconstant coefficient energy carried by modes that
-    vary along the fiber factor (fiber index >= 1)."""
-    sq = np.asarray(state.coeffs, dtype=float) ** 2
-    nonconstant = sq.sum() - sq[0, 0]
-    if nonconstant == 0.0:
-        raise UndefinedFractionError(
-            "state is constant; the fiber energy fraction is undefined"
-        )
-    return float(sq[:, 1:].sum() / nonconstant)
+def fiber_energy_fraction(state: State) -> np.ndarray:
+    """Share of each state's nonconstant coefficient energy carried by modes
+    that vary along the fiber factor (fiber index >= 1), [k]; 0 for a
+    constant state, which has no nonconstant energy to share."""
+    sq = state.coeffs ** 2
+    nonconstant = sq.sum(axis=(1, 2)) - sq[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = sq[:, :, 1:].sum(axis=(1, 2)) / nonconstant
+    return np.where(nonconstant == 0.0, 0.0, fraction)

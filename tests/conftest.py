@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cscbif
-from cscbif import variation
+from cscbif import galerkin, variation
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,21 @@ def b_sequence(fam, count):
 
 
 # ---------------------------------------------------------------------------
+# single states as stacks of one
+
+
+def one_state(t, coeffs):
+    """The state (t, coeffs [nb, nf]) as the package takes it, a stack of
+    one, for t a float or an exact number read as its float."""
+    return galerkin.State(np.array([float(t)]), np.asarray(coeffs)[None])
+
+
+def one_evaluation(model, t, coeffs):
+    """The evaluation of `one_state(t, coeffs)` in `model`."""
+    return galerkin.Evaluation(model, one_state(t, coeffs))
+
+
+# ---------------------------------------------------------------------------
 # oracles: the linearization at u = 1 and Newton at a fixed scale
 
 
@@ -202,17 +217,18 @@ def linearization_at_one(model, t):
     a_m (b_i + lam_j / t - s(t) / (m - 1)) per mode pair, [nb, nf], for t
     a float or an exact number read as its float."""
     t = float(t)
-    lam = model.mode_eigenvalues(t)
+    lam = model.base.eigenvalues[:, None] + model.fiber.eigenvalues[None, :] / t
     return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
 
 
 def solve_bordered(model, coeffs, t, orbit, row, target):
     """The package's bordered corrector on one system, a stack of one:
-    returns (ev, mu, pre) or raises the system's error."""
+    returns (ev, mu, pre), ev a stack of one, or raises the system's
+    error."""
     from cscbif import continuation
 
     (ev,), (mu,), pre, (error,) = continuation._solve_bordered(
-        model, np.asarray(coeffs)[None], t, orbit, np.asarray(row)[None], [target])
+        model, np.asarray(coeffs)[None], [t], orbit, np.asarray(row)[None], [target])
     if error is not None:
         raise error
     return ev, mu, pre
@@ -220,10 +236,10 @@ def solve_bordered(model, coeffs, t, orbit, row, target):
 
 def newton_solve(model, t, initial):
     """Damped Newton at fixed t: the package's bordered corrector with the
-    pin row t = t and no orbit.  The initial state must be positive on the
-    grid; every iterate stays positive."""
+    pin row t = t and no orbit, from a stack of one.  The initial state
+    must be positive on the grid; every iterate stays positive."""
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    ev, _, _ = solve_bordered(model, initial.coeffs, t, None, pin, float(t))
+    ev, _, _ = solve_bordered(model, initial.coeffs[0], t, None, pin, float(t))
     return ev.state
 
 
@@ -412,8 +428,6 @@ def pullback_nondiscrete_family(extra_rows=()):
 
 @pytest.fixture(scope="session")
 def cs_model(circle_sphere):
-    from cscbif import galerkin
-
     return galerkin.build_model(circle_sphere, 16, 8)
 
 

@@ -23,7 +23,13 @@ from cscbif.errors import (
     PreconditionError,
 )
 
-from conftest import linearization_at_one, newton_solve, solve_bordered
+from conftest import (
+    linearization_at_one,
+    newton_solve,
+    one_evaluation,
+    one_state,
+    solve_bordered,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +128,14 @@ def test_negative_mode_count_jumps_by_kernel_size(cs_model, cs_branch_point):
 def test_newton_basin_of_the_constant(cs_model):
     start = galerkin.constant_state(cs_model, 0.7, value=0.9)
     sol = newton_solve(cs_model, 0.7, start)
-    assert sol.t == 0.7
-    assert galerkin.Evaluation(cs_model, sol).residual_norm < continuation.TOL_NEWTON
-    assert galerkin.u_distance(cs_model, sol) < 1e-8
+    assert sol.t[0] == 0.7
+    assert galerkin.Evaluation(cs_model, sol).residual_norm[0] < continuation.TOL_NEWTON
+    assert galerkin.u_distance(cs_model, sol)[0] < 1e-8
 
 
 def test_newton_rejects_sign_changing_initial(cs_model):
     bad = galerkin.constant_state(cs_model, 0.7)
-    bad.coeffs[1, 0] = 15.0
+    bad.coeffs[0, 1, 0] = 15.0
     with pytest.raises(PositivityViolationError):
         newton_solve(cs_model, 0.7, bad)
 
@@ -138,7 +144,7 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
     # at the branch point itself the Jacobian is singular and the damped
     # iteration stalls instead of converging
     near = galerkin.constant_state(cs_model, 1.0)
-    near.coeffs[1, 0] = 5.0
+    near.coeffs[0, 1, 0] = 5.0
     with pytest.raises(NoConvergenceError):
         newton_solve(cs_model, 1.0, near)
 
@@ -150,19 +156,19 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
 def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
     state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
     # the solve relaxes t along the branch, which bends at second order
-    assert abs(state.t - cs_branch_point.t) < 1e-4
-    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
-    dist = galerkin.u_distance(cs_model, state)
+    assert abs(state.t[0] - cs_branch_point.t) < 1e-4
+    assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
+    dist = galerkin.u_distance(cs_model, state)[0]
     assert 1e-3 < dist < 1e-1
-    assert galerkin.fiber_energy_fraction(state) < 1e-15
+    assert galerkin.fiber_energy_fraction(state)[0] < 1e-15
 
 
 def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]
     state = continuation.switch_branch(cs_model, points[0], 5e-3)
-    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
-    assert galerkin.u_distance(cs_model, state) > 1e-3
+    assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
+    assert galerkin.u_distance(cs_model, state)[0] > 1e-3
 
 
 def test_switch_needs_kernel_modes(cs_model):
@@ -178,7 +184,7 @@ def test_switch_needs_kernel_modes(cs_model):
 def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
     state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
-    orbit = continuation._orbit(cs_model, cs_branch_point, offset)
+    orbit = continuation._orbit(cs_model, cs_branch_point, offset[None])
     unit = offset / np.linalg.norm(offset)
     v = continuation._tangent(galerkin.Evaluation(cs_model, state), orbit, np.append(unit, 0.0))
 
@@ -190,7 +196,7 @@ def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point)
     n = cs_model.n_modes
     ext = np.zeros((n + 1, n + 1))
     ev = galerkin.Evaluation(cs_model, state)
-    ext[:n, :n] = galerkin.residual_jacobian(ev)
+    ext[:n, :n] = galerkin.residual_jacobian(ev)[0]
     ext[:n, n] = galerkin.residual_t_derivative(ev).ravel()
     ext[n, :n] = phase
     null = np.linalg.svd(ext)[2][-1]
@@ -204,15 +210,15 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(cs_model, cs_branch_point.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    orbit = continuation._orbit(cs_model, cs_branch_point, n_hat)
+    orbit = continuation._orbit(cs_model, cs_branch_point, n_hat[None])
     ev, mu, _ = solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
     )
     state = ev.state
     assert abs(mu) <= 1e-10
-    assert galerkin.Evaluation(cs_model, state).residual_norm < continuation.TOL_NEWTON
-    assert galerkin.u_distance(cs_model, state) > 1e-3
+    assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
+    assert galerkin.u_distance(cs_model, state)[0] > 1e-3
 
 
 def dense_rotation(model, orbit):
@@ -234,12 +240,12 @@ def bordered_matrix(model, ev, orbit, row, mu=0.0):
     k = 0 if orbit is None else 1
     mat = np.empty((n + 1 + k, n + 1 + k))
     state = ev.state
-    mat[:n, :n] = galerkin.residual_jacobian(ev)
+    mat[:n, :n] = galerkin.residual_jacobian(ev)[0]
     mat[:n, n] = galerkin.residual_t_derivative(ev).ravel()
     if orbit is not None:
         mat[:n, :n] += mu * dense_rotation(model, orbit)
-        mat[:n, n + 1] = orbit.apply(state.coeffs.ravel())
-        mat[n, :n] = orbit.phase
+        mat[:n, n + 1] = orbit.apply(state.coeffs.reshape(1, n))[0]
+        mat[n, :n] = orbit.phase[0]
         mat[n, n:] = 0.0
     mat[n + k, :n + 1] = row
     mat[n + k, n + 1:] = 0.0
@@ -256,27 +262,27 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(model, bp).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    orbit = continuation._orbit(model, bp, n_hat)
+    orbit = continuation._orbit(model, bp, n_hat[None])
     rng = np.random.default_rng(5)
     row = rng.standard_normal(n + 1)
 
     def dense(state, mu):
         mat = np.zeros((n + 2, n + 2))
         ev = galerkin.Evaluation(model, state)
-        mat[:n, :n] = galerkin.residual_jacobian(ev) + mu * gen
+        mat[:n, :n] = galerkin.residual_jacobian(ev)[0] + mu * gen
         mat[:n, n] = galerkin.residual_t_derivative(ev).ravel()
         mat[:n, n + 1] = gen @ state.coeffs.ravel()
-        mat[n, :n] = orbit.phase
+        mat[n, :n] = orbit.phase[0]
         mat[n + 1, :n + 1] = row
         return mat
 
-    a = galerkin.State(bp.t, (c_triv + 1e-2 * n_hat).reshape(model.shape))
-    b = galerkin.State(0.9, (c_triv + 1e-2 * rng.standard_normal(n)).reshape(model.shape))
+    a = one_state(bp.t, (c_triv + 1e-2 * n_hat).reshape(model.shape))
+    b = one_state(0.9, (c_triv + 1e-2 * rng.standard_normal(n)).reshape(model.shape))
     for state, mu in ((a, 0.3), (b, -0.7)):
         ev = galerkin.Evaluation(model, state)
         want = dense(state, mu)
         assert np.array_equal(bordered_matrix(model, ev, orbit, row, mu), want)
-        lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None], mu)
+        lin = continuation._bordered_linear(ev, orbit, row[None], np.array([mu]))
         got = np.stack([lin.apply(e[None])[0] for e in np.eye(n + 2)], axis=1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -294,7 +300,7 @@ def _trial_system(model, bp, seed):
         fiber = rng.standard_normal(model.shape)
         fiber[:, 0] = 0.0
         coeffs += 1e-2 * fiber.ravel() / np.linalg.norm(fiber)
-    orbit = continuation._orbit(model, bp, n_hat)
+    orbit = continuation._orbit(model, bp, n_hat[None])
     return coeffs, orbit, np.append(n_hat, 0.0)
 
 
@@ -302,11 +308,11 @@ def _dense_and_degree_steps(model, coeffs, t, orbit, row, mu, pre=None, rhs=None
     """The solution of the bordered system at (coeffs, t, mu) for `rhs`
     (random by default), by the dense LU oracle and by `_solve_linear`, and
     the preconditioner the latter used."""
-    ev = galerkin.Evaluation(model, galerkin.State(t, coeffs.reshape(model.shape)))
+    ev = one_evaluation(model, t, coeffs.reshape(model.shape))
     if rhs is None:
         rhs = np.random.default_rng(3).standard_normal(model.n_modes + 1 + (orbit is not None))
     dense = np.linalg.solve(bordered_matrix(model, ev, orbit, row, mu), rhs)
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None], mu)
+    lin = continuation._bordered_linear(ev, orbit, row[None], np.array([mu]))
     step, pre, (error,) = continuation._solve_linear(lin, rhs[None], pre)
     if error is not None:
         raise error
@@ -351,10 +357,10 @@ def test_degree_solver_matches_the_dense_step_on_a_fiber_dependent_branch(sphere
     model = galerkin.build_model(sphere_sphere, 8, 6)
     _, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
     branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
-    sample = branch.samples[-1]
-    assert sample.fiber_fraction >= 0.1
+    sample = branch.samples[-1:]
+    assert sample.fiber_fraction[0] >= 0.1
     row = np.random.default_rng(9).standard_normal(model.n_modes + 1)
-    dense, step, _ = _dense_and_degree_steps(model, sample.state.coeffs.ravel(), sample.t,
+    dense, step, _ = _dense_and_degree_steps(model, sample.state.coeffs.ravel(), sample.t[0],
                                              None, row, 0.0)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -378,8 +384,7 @@ def test_singular_bordered_systems_raise_typed_errors(cs_model, cs_branch_point,
     zero = np.zeros_like(row)
     with pytest.raises(NoConvergenceError, match="singular bordered matrix"):
         solve_bordered(model, coeffs, cs_branch_point.t, orbit, zero, 0.0)
-    ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
-                                                   coeffs.reshape(model.shape)))
+    ev = one_evaluation(model, cs_branch_point.t, coeffs.reshape(model.shape))
     with pytest.raises(NoConvergenceError, match="singular tangent system"):
         continuation._tangent(ev, orbit, zero)
 
@@ -409,9 +414,8 @@ def test_a_solve_at_the_rounding_floor_of_the_product_is_accepted(cs_model, cs_b
     # within the textbook bound instead of spending the Krylov space
     model = cs_model
     coeffs, orbit, row = _trial_system(model, cs_branch_point, seed=8)
-    ev = galerkin.Evaluation(model, galerkin.State(cs_branch_point.t,
-                                                   coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
+    ev = one_evaluation(model, cs_branch_point.t, coeffs.reshape(model.shape))
+    lin = continuation._bordered_linear(ev, orbit, row[None])
     pre = continuation._Preconditioner(lin)
     rng = np.random.default_rng(0)
 
@@ -448,8 +452,8 @@ def test_an_inexact_solve_meets_its_forcing_term_on_the_true_operator(
     # rtol = 0 is the dense solve to 1e-9 (observed 3e-12)
     model, bp = cs_model, cs_branch_point
     coeffs, orbit, row = _trial_system(model, bp, seed=2)
-    ev = galerkin.Evaluation(model, galerkin.State(bp.t, coeffs.reshape(model.shape)))
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
+    ev = one_evaluation(model, bp.t, coeffs.reshape(model.shape))
+    lin = continuation._bordered_linear(ev, orbit, row[None])
     dense = bordered_matrix(model, ev, orbit, row)
     rhs = np.random.default_rng(1).standard_normal(lin.size)
     want = np.linalg.solve(dense, rhs)
@@ -502,9 +506,9 @@ def padded_solution(cs_model, cs_branch_point):
     branch at t = 1, zero-padded) with its evaluation and orbit."""
     model, bp = cs_model, cs_branch_point
     branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
-    state = branch.samples[-1].state
+    state = branch.samples[-1:].state
     offset = state.coeffs.ravel() - galerkin.constant_state(model, state.t).coeffs.ravel()
-    orbit = continuation._orbit(model, bp, offset)
+    orbit = continuation._orbit(model, bp, offset[None])
     return galerkin.Evaluation(model, state), orbit
 
 
@@ -517,7 +521,7 @@ def test_the_first_sweep_is_the_solve_at_a_fiber_constant_solution(
     ev, orbit = padded_solution
     rng = np.random.default_rng(4)
     row = rng.standard_normal(model.n_modes + 1)
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit, row[None])
+    lin = continuation._bordered_linear(ev, orbit, row[None])
     pre = continuation._Preconditioner(lin)
     dense = bordered_matrix(model, ev, orbit, row)
     steps = _counting_gmres(monkeypatch)
@@ -537,14 +541,13 @@ def test_the_preconditioner_margin_is_the_eigvalsh_one(cs_model, padded_solution
     model = cs_model
     ev, orbit = padded_solution
     nb, nf = model.shape
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit,
-                                        np.ones((1, model.n_modes + 1)))
+    lin = continuation._bordered_linear(ev, orbit, np.ones((1, model.n_modes + 1)))
     shifted = continuation._Preconditioner(lin).shifted[0]
-    jac = galerkin.residual_jacobian(ev).reshape(nb, nf, nb, nf)
+    jac = galerkin.residual_jacobian(ev)[0].reshape(nb, nf, nb, nf)
     oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
     sub = galerkin.Evaluation(model.fiber_constant,
-                              galerkin.State(ev.state.t, ev.state.coeffs[:, :1]))
-    margin = continuation.fiber_margin(model, sub)
+                              galerkin.State(ev.state.t, ev.state.coeffs[:, :, :1]))
+    (margin,) = continuation.fiber_margin(model, sub)
     scale = np.abs(jac).max()
     assert shifted[0, 0] == np.min(shifted)
     assert abs(shifted[0, 0] - oracle) <= 1e-13 * scale
@@ -562,11 +565,10 @@ def test_a_singular_fiber_block_raises(cs_model, padded_solution, monkeypatch, d
     model = cs_model
     ev, orbit = padded_solution
     nb = model.shape[0]
-    c1 = model.a_m * model.fiber.eigenvalues[1] / ev.state.t
+    c1 = model.a_m * model.fiber.eigenvalues[1] / ev.state.t[0]
     monkeypatch.setattr(galerkin.Evaluation, "degree_zero_block",
                         property(lambda e: (-c1 * np.eye(nb) + defect)[None]))
-    lin = continuation._bordered_linear(galerkin.stack([ev]), orbit,
-                                        np.ones((1, model.n_modes + 1)))
+    lin = continuation._bordered_linear(ev, orbit, np.ones((1, model.n_modes + 1)))
     (error,) = continuation._Preconditioner(lin).failed
     with pytest.raises(np.linalg.LinAlgError, match=match):
         raise error
@@ -610,12 +612,12 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
     state = continuation.switch_branch(model, bp, 1e-2)
-    rot = continuation._orbit(model, bp, continuation.kernel_vectors(model, bp)[0].ravel())
+    rot = continuation._orbit(model, bp, continuation.kernel_vectors(model, bp)[:1].reshape(1, -1))
     gen = dense_rotation(model, rot)
     assert np.array_equal(gen, -gen.T)
     orbit_dir = gen @ state.coeffs.ravel()
-    assert np.array_equal(rot.apply(state.coeffs.ravel()), orbit_dir)
-    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))
+    assert np.array_equal(rot.apply(state.coeffs.reshape(1, -1))[0], orbit_dir)
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))[0]
     assert np.linalg.norm(orbit_dir) > 1e-3
     assert np.linalg.norm(jac @ orbit_dir) <= 1e-9 * np.linalg.norm(orbit_dir)
 
@@ -637,10 +639,10 @@ def test_branch_converges_under_base_refinement(circle_sphere):
         start = continuation.switch_branch(model, bp, 1e-2)
         branch = continuation.continue_branch(model, start, -1, 10, 4e-4, origin=bp)
         assert len(branch) == 11
-        last.append(branch.samples[-1])
+        last.append(branch.samples[-1:])
     coarse, fine = last
-    assert abs(coarse.t - fine.t) <= 2.2e-12
-    assert abs(coarse.u_distance - fine.u_distance) <= 5.3e-15
+    assert abs(coarse.t[0] - fine.t[0]) <= 2.2e-12
+    assert abs(coarse.u_distance[0] - fine.u_distance[0]) <= 5.3e-15
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +669,13 @@ def test_branch_approaches_the_branch_point(cs_model, shrinking_branch):
 
 def test_branch_samples_are_converged_and_close(cs_model, shrinking_branch):
     br = shrinking_branch
-    for sample in br.samples:
-        assert sample.residual_norm < continuation.TOL_NEWTON
-        assert sample.fiber_fraction < 1e-10
-    for a, b in zip(br.samples, br.samples[1:]):
+    for residual_norm, fiber_fraction in zip(br.samples.residual_norm, br.samples.fiber_fraction):
+        assert residual_norm < continuation.TOL_NEWTON
+        assert fiber_fraction < 1e-10
+    ts, coeffs = br.ts, br.samples.state.coeffs
+    for i in range(1, len(br)):
         gap = np.hypot(
-            b.t - a.t, np.linalg.norm(b.state.coeffs - a.state.coeffs)
+            ts[i] - ts[i - 1], np.linalg.norm(coeffs[i] - coeffs[i - 1])
         )
         assert gap < 2 * 4e-4
 
@@ -682,13 +685,13 @@ def test_branch_energy_gradient_vanishes_along_tangent(cs_model, shrinking_branc
     # zero to solver tolerance in any direction; probe a random one
     rng = np.random.default_rng(23)
     h = 1e-6
-    for sample in list(shrinking_branch.samples)[:3]:
+    samples = shrinking_branch.samples
+    for t, coeffs in zip(samples.t[:3], samples.state.coeffs[:3]):
         direction = rng.standard_normal(cs_model.shape)
         direction /= np.linalg.norm(direction)
-        plus = galerkin.State(sample.t, sample.state.coeffs + h * direction)
-        minus = galerkin.State(sample.t, sample.state.coeffs - h * direction)
-        fd = (galerkin.energy(galerkin.Evaluation(cs_model, plus))
-              - galerkin.energy(galerkin.Evaluation(cs_model, minus))) / (2 * h)
+        plus = one_evaluation(cs_model, t, coeffs + h * direction)
+        minus = one_evaluation(cs_model, t, coeffs - h * direction)
+        fd = (galerkin.energy(plus)[0] - galerkin.energy(minus)[0]) / (2 * h)
         assert abs(fd) < 1e-6
 
 
@@ -699,7 +702,7 @@ def test_growing_branch_stops_at_positivity(cs_model, cs_branch_point):
     )
     assert br.stop_reason == "positivity-stop"
     assert br.distances[-1] > 1.0
-    last = galerkin.grid_values(cs_model, br.samples[-1].state)
+    last = galerkin.grid_values(cs_model, br.samples[-1:].state)
     assert 0 < last.min() < 0.05
 
 
@@ -733,9 +736,8 @@ def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
     a, b = run(), run()
     assert len(a) == len(b)
     assert np.array_equal(a.ts, b.ts)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.state.coeffs, sb.state.coeffs)
-        assert sa.energy == sb.energy
+    assert np.array_equal(a.samples.state.coeffs, b.samples.state.coeffs)
+    assert np.array_equal(a.samples.energy, b.samples.energy)
 
 
 def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monkeypatch):
@@ -783,24 +785,25 @@ def test_fiber_constant_branch_matches_the_dense_one(small_cs_model, t):
     model = small_cs_model
     bp = _only_point(model, t)
     branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
-    start = branch.samples[0].state
+    start = branch.samples.state.coeffs[0]
     dense_start = continuation.switch_branch(model, bp, 1e-2)
     dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origin=bp)
 
-    assert start.coeffs.shape == model.shape
-    assert not start.coeffs[:, 1:].any()
+    assert start.shape == model.shape
+    assert not start[:, 1:].any()
     assert len(branch) == len(dense) > 10
     assert branch.stop_reason == dense.stop_reason
     assert dense.fiber_margin is None and branch.fiber_margin > 0
-    for a, b in zip(branch.samples[:-1], dense.samples):
-        assert abs(a.t - b.t) <= 2e-9
-    assert (abs(branch.samples[-1].t - float(t))
-            <= abs(dense.samples[-1].t - float(t)) + 2e-9)
-    for a, b in zip(branch.samples, dense.samples):
-        assert abs(a.u_distance - b.u_distance) <= 1e-12
-        assert abs(a.energy - b.energy) <= 1e-12
-        assert a.fiber_fraction == 0.0
-        assert a.residual_norm < continuation.TOL_NEWTON
+    for a, b in zip(branch.ts[:-1], dense.ts):
+        assert abs(a - b) <= 2e-9
+    assert (abs(branch.ts[-1] - float(t))
+            <= abs(dense.ts[-1] - float(t)) + 2e-9)
+    a, b = branch.samples, dense.samples
+    for i in range(len(branch)):
+        assert abs(a.u_distance[i] - b.u_distance[i]) <= 1e-12
+        assert abs(a.energy[i] - b.energy[i]) <= 1e-12
+        assert a.fiber_fraction[i] == 0.0
+        assert a.residual_norm[i] < continuation.TOL_NEWTON
 
 
 def test_fiber_blocks_of_the_dense_jacobian(small_cs_model):
@@ -814,15 +817,16 @@ def test_fiber_blocks_of_the_dense_jacobian(small_cs_model):
     branch = continuation.follow_branch(model, _only_point(model, Fraction(1)),
                                            1e-2, -1, 40, 4e-4)
     eye = np.eye(nb)
-    for sample in branch.samples:
-        jac = galerkin.residual_jacobian(sample).reshape(nb, nf, nb, nf)
-        jac0 = galerkin.residual_jacobian(galerkin.Evaluation(
-            model.fiber_constant, galerkin.State(sample.t, sample.state.coeffs[:, :1])))
+    samples = branch.samples
+    jacs = galerkin.residual_jacobian(samples).reshape(-1, nb, nf, nb, nf)
+    jac0s = galerkin.residual_jacobian(galerkin.Evaluation(
+        model.fiber_constant, galerkin.State(samples.t, samples.state.coeffs[:, :, :1])))
+    for t, jac, jac0 in zip(samples.t, jacs, jac0s):
         scale = np.abs(jac).max()
         off = jac.copy()
         for j in range(nf):
             block = jac[:, j, :, j]
-            shift = float(model.a_m) * model.fiber.eigenvalues[j] / sample.t
+            shift = float(model.a_m) * model.fiber.eigenvalues[j] / t
             assert np.abs(block - (jac0 + shift * eye)).max() <= 1e-12 * scale
             if j >= 1:
                 assert branch.fiber_margin <= np.linalg.eigvalsh(block)[0] + 1e-12 * scale
@@ -838,11 +842,31 @@ def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
 
     branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin is None
-    assert all(s.fiber_fraction > 0.5 for s in branch.samples)
+    assert all(f > 0.5 for f in branch.samples.fiber_fraction)
 
     branch = continuation.follow_branch(model, horizontal, 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin > 0
-    assert all(s.fiber_fraction == 0.0 for s in branch.samples)
+    assert all(f == 0.0 for f in branch.samples.fiber_fraction)
+
+
+@pytest.mark.parametrize("which", ["vertical", "horizontal"])
+def test_a_followed_branch_is_measured_once(sphere_sphere, monkeypatch, which):
+    # the branches of the test above: a branch's samples are one stack, so
+    # reading their energies is one kernel call over every sample
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    horizontal, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    calls, energy = [], galerkin.energy
+
+    def counting(ev):
+        calls.append(len(ev))
+        return energy(ev)
+
+    monkeypatch.setattr(galerkin, "energy", counting)
+    bp = {"horizontal": horizontal, "vertical": vertical}[which]
+    branch = continuation.follow_branch(model, bp, 1e-2, -1, 5, 4e-4)
+    energies = branch.samples.energy
+    assert len(branch) > 1
+    assert calls == [len(branch)] and len(energies) == len(branch)
 
 
 def test_an_evaluation_is_independent_of_memory_layout(cs_model):
@@ -855,12 +879,11 @@ def test_an_evaluation_is_independent_of_memory_layout(cs_model):
     assert bp.t == Fraction(1, 225)
     branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
     sub = model.fiber_constant
-    for sample in branch.samples:
-        view = sample.state.coeffs[:, :1]
+    for t, coeffs in zip(branch.ts, branch.samples.state.coeffs):
+        view = coeffs[:, :1]
         copy = np.ascontiguousarray(view)
         assert not view.flags.c_contiguous
-        strided, dense = (galerkin.Evaluation(sub, galerkin.State(sample.t, c))
-                          for c in (view, copy))
+        strided, dense = (one_evaluation(sub, t, c) for c in (view, copy))
         assert np.array_equal(strided.grid, dense.grid)
         assert np.array_equal(galerkin.residual(strided), galerkin.residual(dense))
 
@@ -880,9 +903,9 @@ def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
     monkeypatch.undo()
     sub, shift = model.fiber_constant, model.a_m * model.fiber.eigenvalues[1]
     want = min(
-        np.linalg.eigvalsh(galerkin.residual_jacobian(galerkin.Evaluation(
-            sub, galerkin.State(s.t, s.state.coeffs[:, :1]))))[0] + shift / s.t
-        for s in branch.samples)
+        np.linalg.eigvalsh(galerkin.residual_jacobian(one_evaluation(sub, t, c[:, :1]))[0])[0]
+        + shift / t
+        for t, c in zip(branch.ts, branch.samples.state.coeffs))
     assert abs(branch.fiber_margin - want) <= 1e-12 * abs(want)
 
 
@@ -997,12 +1020,11 @@ def _oracle_complement_solve(model, t, base, idx):
     for _ in range(continuation.MAX_NEWTON_ITER):
         c = base.copy()
         c[idx] += v
-        state = galerkin.State(t, c.reshape(model.shape))
-        ev = galerkin.Evaluation(model, state)
+        ev = one_evaluation(model, t, c.reshape(model.shape))
         res = galerkin.residual(ev).ravel()[idx]
         if np.linalg.norm(res) < continuation.TOL_COMPLEMENT:
             return v
-        v = v - np.linalg.solve(galerkin.residual_jacobian(ev)[np.ix_(idx, idx)], res)
+        v = v - np.linalg.solve(galerkin.residual_jacobian(ev)[0][np.ix_(idx, idx)], res)
     raise AssertionError("oracle complement solve did not converge")
 
 
@@ -1020,14 +1042,15 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
     vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
     base = galerkin.constant_state(model, bp.t).coeffs.ravel() + 1e-2 * vecs[0]
 
-    state = galerkin.State(bp.t, base.reshape(model.shape))
-    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))[np.ix_(fc_flat, fc_flat)]
-    sub = galerkin.residual_jacobian(galerkin.Evaluation(
-        model.fiber_constant, galerkin.State(bp.t, state.coeffs[:, :1])))[np.ix_(fc, fc)]
+    state = one_state(bp.t, base.reshape(model.shape))
+    jac = galerkin.residual_jacobian(galerkin.Evaluation(model, state))[0]
+    jac = jac[np.ix_(fc_flat, fc_flat)]
+    sub = galerkin.residual_jacobian(one_evaluation(
+        model.fiber_constant, bp.t, state.coeffs[0, :, :1]))[0][np.ix_(fc, fc)]
     assert np.abs(sub - jac).max() <= 1e-12 * np.abs(jac).max()
 
     (v,), (res,), _, (error,) = continuation._complement_solve(
-        model.fiber_constant, bp.t, state.coeffs[None, :, :1], fc)
+        model.fiber_constant, bp.t, state.coeffs[:, :, :1], fc)
     if error is not None:
         raise error
     assert res < continuation.TOL_COMPLEMENT
@@ -1142,7 +1165,7 @@ def _assert_each_member_gets_its_own_result(alone, stacked, converged, only_conv
         assert (error is None) == (error_alone is None)
         if error is None:
             for other in (ev_alone, only_converged[i][0]):
-                assert abs(ev.t - other.t) <= 1e-12
+                assert abs(ev.t[0] - other.t[0]) <= 1e-12
                 assert np.abs(ev.state.coeffs - other.state.coeffs).max() <= 1e-12
         else:
             assert (type(error), str(error)) == (type(error_alone), str(error_alone))
@@ -1179,8 +1202,8 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
 
     def solve(members):
         evs, _, _, errors = continuation._solve_bordered(
-            model, starts[members], bp.t, continuation._orbit(model, bp, n_hats[members]),
-            rows[members], targets[members])
+            model, starts[members], [bp.t] * len(members),
+            continuation._orbit(model, bp, n_hats[members]), rows[members], targets[members])
         return dict(zip(members, zip(evs, errors)))
 
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
