@@ -248,15 +248,6 @@ class _Linear:
         y[:, n:] = (self.rows @ c[:, :, None])[:, :, 0] + (self.corner @ z)[:, :, 0]
         return y
 
-    def take(self, members):
-        """The systems of the members `members`."""
-        lin = copy.copy(self)
-        lin.ev = self.ev[members]
-        lin.cols, lin.rows, lin.corner = (a[members] for a in (self.cols, self.rows, self.corner))
-        if self.orbit is not None:
-            lin.orbit, lin.mu = self.orbit.take(members), self.mu[members]
-        return lin
-
 
 def _factor(routine, failed, mats, *operands):
     """A numpy.linalg `routine` on a stack of matrices [k, m, m] (and its
@@ -291,9 +282,11 @@ class _Preconditioner:
     Schur system of order nb + q, inverted once, as P^-1 is applied at every
     GMRES step.  When nf = 1 that system is M itself and is solved as it
     stands.  The whole stack is factored by one `eigh` and one `inv` call.
-    A member with a zero or non-finite Lambda_i + c_j, or a singular Schur
-    system, has its numpy.linalg.LinAlgError in `failed` (at the first
-    solve when nf = 1)."""
+    A fiber-mixed Newton solve factors it at its first step and keeps each
+    member's to the end; `take` drops the members that leave.  A member
+    with a zero or non-finite Lambda_i + c_j, or a singular Schur system,
+    has its numpy.linalg.LinAlgError in `failed` (at the first solve when
+    nf = 1)."""
 
     _STACKED = ("basis", "shifted", "scale", "rows_up", "w", "schur_inv", "norm", "schur")
 
@@ -375,34 +368,24 @@ class _Preconditioner:
         pre.failed = [self.failed[i] for i in members]
         return pre
 
-    def put(self, members, other):
-        """Replace, in place, the members `members` by those of `other`."""
-        for name in self._STACKED:
-            if hasattr(self, name):
-                getattr(self, name)[members] = getattr(other, name)
-        for i, error in zip(members, other.failed):
-            self.failed[i] = error
-
 
 def _solve_linear(lin, r, pre=None, rtol=0.0):
     """Solve M x = r for every member of the `_Linear` stack M, r [k, N];
     returns x, the preconditioner it used, to be passed back for the next
-    step of the same Newton solve (a `pre` passed in is updated in place
-    when only some of its members are refactored), and per member None or
-    the numpy.linalg.LinAlgError that failed it.
+    step of the same Newton solve, and per member None or the
+    numpy.linalg.LinAlgError that failed it.
 
-    The first sweep is x = P^-1 r.  When nf = 1, P = M and that is the
-    answer.  Otherwise GMRES on M P^-1 (Saad & Schultz 1986) refines each
-    member until its |r - M x|, on the true M, is at most the larger of
-    rtol |r| and _BACKWARD_ULPS ulps of normwise backward error: rtol = 0
-    asks for the full accuracy, a Newton step passes its forcing term (rtol
-    may be one per member).  A member's preconditioner from `pre`, built at
-    an earlier state, is kept unless its first sweep fails to contract the
-    member's residual, and then refactored at this state: refining costs
-    less than factoring.  A singular P, or a Krylov space exhausted (the
-    order of M steps) short of the bound, fails the member."""
-    nf, fresh = lin.ev.model.shape[1], pre is None
-    if fresh or nf == 1:
+    The first sweep is x = P^-1 r.  When nf = 1, P = M is built for every
+    call and that is the answer.  Otherwise GMRES on M P^-1 (Saad & Schultz
+    1986) refines each member until its |r - M x|, on the true M, is at
+    most the larger of rtol |r| and _BACKWARD_ULPS ulps of normwise backward
+    error: rtol = 0 asks for the full accuracy, a Newton step passes its
+    forcing term (rtol may be one per member).  A `pre` passed in, built at
+    an earlier state, is used as it stands; GMRES absorbs its drift.  A
+    singular P, or a Krylov space exhausted (the order of M steps) short of
+    the bound, fails the member."""
+    nf = lin.ev.model.shape[1]
+    if pre is None or nf == 1:
         pre = _Preconditioner(lin)
     x = pre(r)
     if nf == 1:
@@ -410,17 +393,6 @@ def _solve_linear(lin, r, pre=None, rtol=0.0):
     r_norm = galerkin.norms(r)
     res = r - lin.apply(x)
     beta = galerkin.norms(res)
-    stale = [] if fresh else np.flatnonzero(beta >= r_norm)
-    if len(stale) == len(r):
-        pre = _Preconditioner(lin)
-        x = pre(r)
-    elif len(stale):
-        rebuilt = _Preconditioner(lin.take(stale))
-        pre.put(stale, rebuilt)
-        x[stale] = rebuilt(r[stale])
-    if len(stale):
-        res = r - lin.apply(x)
-        beta = galerkin.norms(res)
     k = len(r)
     failed = list(pre.failed)
     going = np.array([f is None for f in failed])
@@ -590,10 +562,10 @@ def _newton(model, state, system, linear, x, tol):
     their Jacobians.
 
     Each member on its own: each step is one `_solve_linear` to the forcing
-    term min(_FORCING, |F|), keeping the preconditioner while it contracts,
-    and is halved until |F| falls by a quarter of the fraction taken (or
-    below `tol`); a candidate with no state (t <= 0) or not positive on the
-    grid is halved too.  The member stops when |F| and plain are below
+    term min(_FORCING, |F|), with the preconditioner factored at the first
+    step and kept to the end, and is halved until |F| falls by a quarter of
+    the fraction taken (or below `tol`); a candidate with no state (t <= 0)
+    or not positive on the grid is halved too.  The member stops when |F| and plain are below
     `tol`.  The members still iterating are solved, factored and evaluated
     as one stack; the members still halving share their damping factor.
 
@@ -612,17 +584,16 @@ def _newton(model, state, system, linear, x, tol):
     evs, errors, cone = [None] * k, [None] * k, [False] * k
     plain_out = np.zeros(k)
     # xa, F, norm, plain and ev hold the current iterates of `members`, in
-    # order; while `whole`, members are all k in order, and the callbacks
-    # read them as a slice
-    members, whole, pre = np.arange(k), True, None
+    # order; while they are all k members, the callbacks read them as a slice
+    members, pre = np.arange(k), None
     xa = x.copy()
     ev, failed = _evaluate(model, *state(xa, slice(None)))
     if failed is not None:
         errors = list(failed)
-        members, whole = np.flatnonzero([f is None for f in failed]), False
+        members = np.flatnonzero([f is None for f in failed])
         xa = xa[members]
     if len(members):
-        F, plain = system(ev, xa, slice(None) if whole else members)
+        F, plain = system(ev, xa, slice(None) if len(members) == k else members)
         norm = galerkin.norms(F)
     for iteration in range(MAX_NEWTON_ITER + 1):
         if not len(members):
@@ -642,8 +613,8 @@ def _newton(model, state, system, linear, x, tol):
             live = np.flatnonzero(np.logical_not(done))
             members, xa, F, norm, plain, ev = (
                 members[live], xa[live], F[live], norm[live], plain[live], ev[live])
-            whole, pre = False, None if pre is None else pre.take(live)
-        sel = slice(None) if whole else members
+            pre = None if pre is None else pre.take(live)
+        sel = slice(None) if len(members) == k else members
         step, pre, failed = _solve_linear(linear(ev, xa, sel), -F, pre,
                                           np.minimum(_FORCING, norm))
         if failed.count(None) < len(failed):
@@ -654,7 +625,7 @@ def _newton(model, state, system, linear, x, tol):
                 break
             members, xa, F, norm, plain, ev, step = (
                 members[live], xa[live], F[live], norm[live], plain[live], ev[live], step[live])
-            whole, sel, pre = False, members, pre.take(live)
+            sel, pre = members, pre.take(live)
 
         # the line search: every member starts at alpha = 1, and the members
         # still halving (at the positions `search` in `members`; None: all of
@@ -703,7 +674,7 @@ def _newton(model, state, system, linear, x, tol):
         xa, F, plain, norm = (np.array([accepted[j][n] for j in live]) for n in range(4))
         ev = galerkin.stack([accepted[j][4] for j in live])
         if len(live) < len(members):
-            members, whole, pre = members[live], False, pre.take(live)
+            members, pre = members[live], pre.take(live)
     return x, evs, plain_out, pre, errors
 
 
@@ -773,8 +744,16 @@ def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
 # ---------------------------------------------------------------------------
 # branch switching
 
-def _switch(model, bp, amplitude):
-    """`switch_branch`, returning the converged evaluation."""
+def switch_branch(model: GalerkinModel, bp: BranchPoint,
+                  amplitude: float) -> galerkin.Evaluation:
+    """Land on a nontrivial branch through bp: solve the equation in (c, t)
+    with the amplitude along the first kernel mode n pinned to `amplitude`,
+    from the one start u = 1 + amplitude * n at t = bp.t.  Returns the
+    converged `galerkin.Evaluation`, a stack of one whose `.state` is the
+    solution.  A corrector failure, or a solution that collapses back to
+    u = 1, raises NoNontrivialSolutionError naming the cause.  Kernels
+    other than one mode or one circle cos/sin pair raise
+    PreconditionError."""
     if bp.kernel_dim < 1:
         raise PreconditionError("branch point has no kernel modes")
     amplitude = float(amplitude)
@@ -793,17 +772,6 @@ def _switch(model, bp, amplitude):
     raise NoNontrivialSolutionError(
         f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
     )
-
-
-def switch_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float) -> State:
-    """Land on a nontrivial branch through bp, a stack of one: solve the
-    equation in (c, t) with the amplitude along the first kernel mode n
-    pinned to `amplitude`, from the one start u = 1 + amplitude * n at
-    t = bp.t.  A corrector failure, or a solution that collapses back to
-    u = 1, raises NoNontrivialSolutionError naming the cause.  Kernels
-    other than one mode or one circle cos/sin pair raise
-    PreconditionError."""
-    return _switch(model, bp, amplitude).state
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +807,8 @@ def _tangent(ev, orbit, last_row, pre=None):
     it): one full-accuracy solve of the bordered matrix with `last_row`
     over (c, t) as its last row and right side e_last, so the tangent has
     a positive component along `last_row` (the previous tangent, or the
-    unit offset from u = 1 at the start).  `pre` is the corrector's preconditioner, kept
-    while it contracts."""
+    unit offset from u = 1 at the start).  `pre` is the corrector's
+    preconditioner, used as it stands."""
     lin = _bordered_linear(ev, orbit, np.asarray(last_row, dtype=float)[None])
     rhs = np.zeros((1, lin.size))
     rhs[0, -1] = 1.0
@@ -954,7 +922,7 @@ def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
     carries the smallest `fiber_margin` of its samples.  Any other kernel
     is followed in `model` itself."""
     sub = model.fiber_constant if bp.horizontal else model
-    branch = continue_branch(sub, _switch(sub, bp, amplitude), direction, steps, ds,
+    branch = continue_branch(sub, switch_branch(sub, bp, amplitude), direction, steps, ds,
                              origin=bp)
     if not bp.horizontal:
         return branch

@@ -154,7 +154,7 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
 
 
 def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
     # the solve relaxes t along the branch, which bends at second order
     assert abs(state.t[0] - cs_branch_point.t) < 1e-4
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
@@ -166,7 +166,7 @@ def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
 def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]
-    state = continuation.switch_branch(cs_model, points[0], 5e-3)
+    state = continuation.switch_branch(cs_model, points[0], 5e-3).state
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state)[0] > 1e-3
 
@@ -182,7 +182,7 @@ def test_switch_needs_kernel_modes(cs_model):
 
 
 def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
     orbit = continuation._orbit(cs_model, cs_branch_point, offset[None])
     unit = offset / np.linalg.norm(offset)
@@ -324,9 +324,8 @@ def test_degree_solver_matches_the_dense_step_near_the_fiber_constant_states(
     # a trial start (fiber content 1e-2), then an iterate one dense Newton
     # step on with mu != 0, solved both with a fresh preconditioner and with
     # the one factored at the start, as the corrector reuses it; the start's
-    # preconditioner serves the start state at t 1 % off, but for a right
-    # side along the kernel at t 10 % off it does not contract and is
-    # refactored
+    # preconditioner is kept as it stands for the start state at t 1 % off,
+    # and for a right side along the kernel at t 10 % off
     model, bp = cs_model, cs_branch_point
     coeffs, orbit, row = _trial_system(model, bp, seed=2)
     t = float(bp.t)
@@ -348,7 +347,7 @@ def test_degree_solver_matches_the_dense_step_near_the_fiber_constant_states(
     dense, step, used = _dense_and_degree_steps(model, coeffs, 1.1 * t, orbit, row, 0.0,
                                                 pre, along)
     assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
-    assert used is not pre
+    assert used is pre
 
 
 def test_degree_solver_matches_the_dense_step_on_a_fiber_dependent_branch(sphere_sphere):
@@ -611,7 +610,7 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
     else:
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
-    state = continuation.switch_branch(model, bp, 1e-2)
+    state = continuation.switch_branch(model, bp, 1e-2).state
     rot = continuation._orbit(model, bp, continuation.kernel_vectors(model, bp)[:1].reshape(1, -1))
     gen = dense_rotation(model, rot)
     assert np.array_equal(gen, -gen.T)
@@ -744,7 +743,7 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
     # the corrector hands its converged evaluation to the tangent, and the
     # start's residual check and first tangent share one, so no state of a
     # run is put on the quadrature grid twice
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
     evaluated = []     # the states themselves, so no id is reused in the run
 
     class Counting(galerkin.Evaluation):
@@ -1259,6 +1258,22 @@ def test_the_verify_path_factors_per_stack(cs_model, cs_branch_point, monkeypatc
     assert sum(solves) == 6 + 4 + 4
     assert 0 < len(shapes) < sum(solves)
     assert shapes[0][:-2] == (6,)
+
+
+def test_a_fiber_mixed_solve_factors_its_preconditioner_once(cs_model, cs_branch_point,
+                                                              monkeypatch):
+    # the 20 trials are one Newton solve: each member's preconditioner is
+    # factored at the first step and kept until the member leaves
+    builds = []
+    original = continuation._Preconditioner.__init__
+
+    def counting(self, lin):
+        builds.append(len(lin.ev))
+        original(self, lin)
+
+    monkeypatch.setattr(continuation._Preconditioner, "__init__", counting)
+    continuation.verify_fiber_constancy(cs_model, cs_branch_point, 20, seed=0)
+    assert builds == [20]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cscbif import cli, galerkin, spectra, variation
+from cscbif import cli, continuation, galerkin, spectra, variation
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -59,22 +59,27 @@ def test_classify_reaches_the_generic_contains(circle_sphere, monkeypatch):
 
 
 @pytest.mark.parametrize("command, names", [
-    ("branch", ("residual", "residual_t_derivative", "energy")),
-    ("verify", ("residual", "residual_t_derivative")),
+    ("branch", ("galerkin.residual", "galerkin.residual_t_derivative", "galerkin.energy",
+                "continuation.switch_branch", "continuation.continue_branch")),
+    ("verify", ("galerkin.residual", "galerkin.residual_t_derivative",
+                "continuation.lyapunov_schmidt_reduce", "continuation.verify_fiber_constancy")),
 ])
 def test_numerical_commands_reach_the_traced_galerkin_kernels(command, names, tmp_path,
                                                               monkeypatch):
-    # the tracer times these kernels by patching their `galerkin` module
-    # attributes, so the commands must call them through those attributes:
-    # a value an evaluation computed some other way would read 0 calls
-    # (verify computes no energy)
+    # the tracer times these kernels and entry points by patching their
+    # module attributes, so the commands must call them through those
+    # attributes: a value computed some other way, or an entry point bypassed
+    # by a private twin, would read 0 calls (verify computes no energy)
     calls = Counter()
+    modules = {"galerkin": galerkin, "continuation": continuation}
     for name in names:
-        def counting(*args, _name=name, _original=getattr(galerkin, name)):
-            calls[_name] += 1
-            return _original(*args)
+        module, attr = name.split(".")
 
-        monkeypatch.setattr(galerkin, name, counting)
+        def counting(*args, _name=name, _original=getattr(modules[module], attr), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(modules[module], attr, counting)
     data = yaml.safe_load((ROOT / "scripts" / "configs" / "circle_sphere.yaml").read_text())
     data["window"] = {"t_min": "1/2", "t_max": "3/2"}
     data["galerkin"] = {"N_b": 6, "N_f": 3}
