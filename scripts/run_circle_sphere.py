@@ -49,7 +49,7 @@ bp = points[0]
 print(f"branch point at t = {bp.t}, kernel dim {bp.kernel_dim}, "
       f"horizontal: {bp.horizontal}")
 
-shrink = continuation.follow_branch(model, bp, cont.amplitude, -1, cont.steps, cont.ds)
+(shrink,) = continuation.follow_branch(model, [bp], cont.amplitude, -1, cont.steps, cont.ds)
 samples = shrink.samples
 ts, dists = samples.t.tolist(), samples.u_distance.tolist()
 print(f"switched branch on the {bp.subspace} subspace: t = {ts[0]:.12f}, "
@@ -68,7 +68,7 @@ print(f"final: t = {ts[-1]:.12f}, |u - 1| = {dists[-1]:.3e}, "
 
 print()
 print("== continuation away from the branch point ==")
-grow = continuation.follow_branch(model, bp, cont.amplitude, +1, 60, 2e-2)
+(grow,) = continuation.follow_branch(model, [bp], cont.amplitude, +1, 60, 2e-2)
 last = grow.samples[-1:]
 print(f"stop reason: {grow.stop_reason}, samples: {len(grow)}")
 print(f"final: t = {last.t[0]:.6f}, |u - 1| = {last.u_distance[0]:.4f}, "

@@ -10,6 +10,8 @@ constant along the fibers.  `cli` exposes the whole pipeline on config
 files.
 """
 
+import importlib
+
 from .errors import (
     ConfigurationError,
     CscbifError,
@@ -59,27 +61,22 @@ from .variation import (
     scalar_curvature,
     stability_epsilon,
 )
-from .galerkin import (
-    Evaluation,
-    GalerkinModel,
-    State,
-    build_model,
-    constant_state,
-    energy,
-    fiber_energy_fraction,
-    residual,
-)
-from .continuation import (
-    Branch,
-    BranchPoint,
-    FiberConstancyReport,
-    ReductionResult,
-    continue_branch,
-    detect_branch_points,
-    follow_branch,
-    lyapunov_schmidt_reduce,
-    switch_branch,
-    verify_fiber_constancy,
-)
 
 __version__ = "0.1.0"
+
+# the numerical layer imports numpy, so its names are imported on first use
+# (PEP 562): the exact layer and `classify` start without it
+_NUMERICAL = {
+    "galerkin": ("Evaluation", "GalerkinModel", "State", "build_model", "constant_state",
+                 "energy", "fiber_energy_fraction", "residual"),
+    "continuation": ("Branch", "BranchPoint", "FiberConstancyReport", "ReductionResult",
+                     "continue_branch", "detect_branch_points", "follow_branch",
+                     "lyapunov_schmidt_reduce", "switch_branch", "verify_fiber_constancy"),
+}
+
+
+def __getattr__(name):
+    for module, names in _NUMERICAL.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import yaml
 
-from . import __version__, continuation, galerkin, variation
+from . import __version__, variation
 from .errors import (
     ConfigurationError,
     CscbifError,
@@ -449,7 +449,11 @@ def cmd_classify(cfg: FamilyConfig) -> CliReport:
 
 def _branch_points(cfg: FamilyConfig, command: str):
     """What branch and verify share: the Galerkin model, the continuation
-    settings, the branch points in the window and their provenance row."""
+    settings, the branch points in the window and their provenance row.
+    The numerical layer, and numpy with it, is imported by the commands
+    that use it, so `classify` starts without it."""
+    from . import continuation, galerkin
+
     # geometry first: an undiscretizable family is exit 4 regardless of
     # which config sections are present
     model = galerkin.build_model(cfg.family, cfg.galerkin.n_b, cfg.galerkin.n_f)
@@ -465,6 +469,8 @@ def _branch_points(cfg: FamilyConfig, command: str):
 
 
 def cmd_branch(cfg: FamilyConfig) -> CliReport:
+    from . import continuation
+
     model, cont, points, detected = _branch_points(cfg, "branch")
     provenance = [
         detected,
@@ -478,7 +484,9 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
     tables = {}
     rows_json = []
     successes = 0
-    for k, bp in enumerate(points):
+    branches = continuation.follow_branch(model, points, cont.amplitude, cont.direction,
+                                          cont.steps, cont.ds)
+    for k, (bp, branch) in enumerate(zip(points, branches)):
         entry = {
             "index": k,
             "t": fmt_number(float(bp.t)),
@@ -488,12 +496,8 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
             "subspace": bp.subspace,
             "predicted_instant": fmt_number(bp.t),
         }
-        try:
-            branch = continuation.follow_branch(
-                model, bp, cont.amplitude, cont.direction, cont.steps, cont.ds,
-            )
-        except CscbifError as exc:
-            entry["status"] = f"failed: {exc}"
+        if isinstance(branch, CscbifError):
+            entry["status"] = f"failed: {branch}"
             rows_json.append(entry)
             continue
         successes += 1
@@ -524,6 +528,8 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
 
 
 def cmd_verify(cfg: FamilyConfig) -> CliReport:
+    from . import continuation
+
     model, cont, points, detected = _branch_points(cfg, "verify")
     provenance = [
         detected,

@@ -18,8 +18,10 @@ linear solves work on a stack of independent systems at once: the trials
 of a branch point are one stack, and so are its full-complement samples
 and its restricted samples, evaluated, factored and stepped together
 while each member keeps its own tolerances, damping, outcome and error.
-A single solve, such as a continuation step or its tangent, is a stack of
-one, and a followed branch is one evaluation of its samples as a stack.
+So are branches: `follow_branch` switches the branch points of one group
+as one stack and continues them in lockstep, each step one corrector and
+one tangent solve over the members still running, and a followed branch
+is one evaluation of its samples as a stack.
 In the corrector the unknowns are (c, t) and the equations are
 residual(c, t) = 0 plus one affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
 with n a unit kernel direction, or the arclength row when continuing.
@@ -43,13 +45,15 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import galerkin, variation
 from .errors import (
+    CscbifError,
     EmptyBranchError,
     HypothesisViolatedError,
     InvalidArgumentError,
@@ -163,37 +167,60 @@ class _Orbit:
         return orbit
 
 
-def _orbit(model, bp, align):
-    """The orbit of a stack of branches through `bp` whose kernel parts
-    point along `align` (flattened, [k, n]); None when there is no rotation
-    orbit to fix (no branch point, a one-mode kernel) or `align` has no
-    kernel part.  A kernel that is neither one mode nor the cos/sin pair of
-    one circle-factor frequency raises PreconditionError."""
-    if bp is None or bp.kernel_dim == 1:
+def _orbit_kind(model, bp):
+    """The rotation orbit of a branch through `bp`: None when there is none
+    to fix (no branch point, a one-mode kernel), True for the cos/sin
+    kernel pair of one base-circle frequency and False for one of the
+    fiber circle.  A branch point with no kernel modes, or any other
+    kernel, raises PreconditionError."""
+    if bp is None:
+        return None
+    if bp.kernel_dim < 1:
+        raise PreconditionError("branch point has no kernel modes")
+    if bp.kernel_dim == 1:
         return None
 
     def is_pair(factor, a, b):
         return factor.label == "fourier" and a % 2 == 1 and b == a + 1
 
-    on_base = None
     if bp.kernel_dim == 2:
         (i1, j1), (i2, j2) = sorted(bp.kernel_modes)
         if j1 == j2 and is_pair(model.base, i1, i2):
-            on_base = True
-        elif i1 == i2 and is_pair(model.fiber, j1, j2):
-            on_base = False
+            return True
+        if i1 == i2 and is_pair(model.fiber, j1, j2):
+            return False
+    raise PreconditionError(
+        f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
+        "circle-factor frequency; the bordered corrector supports one-mode "
+        "kernels and such pairs only"
+    )
+
+
+def _orbit(model, points, align):
+    """The orbit of a stack of branches, member i through `points[i]` (all
+    of one `_orbit_kind`; None: no branch points) with its kernel part
+    along `align[i]` (flattened, [k, n]).  None when there is no rotation
+    orbit to fix, or no member's `align` has a kernel part; a stack where
+    only some members have one raises PreconditionError."""
+    kinds = {None} if points is None else {_orbit_kind(model, bp) for bp in set(points)}
+    if len(kinds) > 1:
+        raise InvalidArgumentError("the branches of one stack must share their orbit kind")
+    (on_base,) = kinds
     if on_base is None:
-        raise PreconditionError(
-            f"kernel modes {list(bp.kernel_modes)} are not the cos/sin pair of one "
-            "circle-factor frequency; the bordered corrector supports one-mode "
-            "kernels and such pairs only"
-        )
-    span = kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
-    coords = align @ span.T
-    if np.linalg.norm(coords) <= 1e-12:
         return None
+    nf = model.shape[1]
+    part = np.zeros(np.shape(align))          # the kernel parts; kernel vectors are unit modes
+    for i, bp in enumerate(points):
+        modes = [r * nf + c for r, c in bp.kernel_modes]
+        part[i, modes] = align[i, modes]
+    empty = galerkin.norms(part) <= 1e-12
+    if empty.all():
+        return None
+    if empty.any():
+        raise PreconditionError("some branches of the stack have no kernel part to fix "
+                                "the phase of")
     circle = model.base if on_base else model.fiber
-    return _Orbit(_circle_generator(circle), on_base, coords @ span)
+    return _Orbit(_circle_generator(circle), on_base, part)
 
 
 # A linear solve stops at a normwise backward error |r - M x| / (|M| |x| + |r|)
@@ -569,11 +596,13 @@ def _newton(model, state, system, linear, x, tol):
     `tol`.  The members still iterating are solved, factored and evaluated
     as one stack; the members still halving share their damping factor.
 
-    Returns (x, evs, plain, pre, errors): per member its last iterate, its
-    converged evaluation (a stack of one viewing the stack it converged in;
-    None when it failed), its plain (0 when it failed), and None or its
-    error; and pre, the preconditioner of the members that converged last
-    (None when they took no step).  The errors:
+    Returns (x, evs, plain, first, errors): per member its last iterate,
+    its converged evaluation (a stack of one viewing the stack it converged
+    in; None when it failed), its plain (0 when it failed), and None or its
+    error; and first, (P, members): the preconditioner stack of its first
+    step, or of the start when a member converged there, and the members it
+    is of, which include every converged member (None when no member took
+    a step or converged at its start).  The errors:
     numpy.linalg.LinAlgError for a singular step,
     InvalidArgumentError or PositivityViolationError for a start with no
     state or off the positive cone, and NoConvergenceError, whose
@@ -585,7 +614,7 @@ def _newton(model, state, system, linear, x, tol):
     plain_out = np.zeros(k)
     # xa, F, norm, plain and ev hold the current iterates of `members`, in
     # order; while they are all k members, the callbacks read them as a slice
-    members, pre = np.arange(k), None
+    members, pre, first = np.arange(k), None, None
     xa = x.copy()
     ev, failed = _evaluate(model, *state(xa, slice(None)))
     if failed is not None:
@@ -605,6 +634,12 @@ def _newton(model, state, system, linear, x, tol):
             break
         done = [a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())]
         if any(done):
+            if first is None:
+                # a member converged at its start keeps the preconditioner of
+                # its start, as the others keep their first step's
+                pre = _Preconditioner(linear(ev, xa, slice(None) if len(members) == k
+                                             else members))
+                first = pre, members
             for j, i in enumerate(members.tolist()):
                 if done[j]:
                     x[i], plain_out[i], evs[i] = xa[j], plain[j], ev[j:j + 1]
@@ -626,6 +661,8 @@ def _newton(model, state, system, linear, x, tol):
             members, xa, F, norm, plain, ev, step = (
                 members[live], xa[live], F[live], norm[live], plain[live], ev[live], step[live])
             sel, pre = members, pre.take(live)
+        if first is None:
+            first = pre, members
 
         # the line search: every member starts at alpha = 1, and the members
         # still halving (at the positions `search` in `members`; None: all of
@@ -675,7 +712,7 @@ def _newton(model, state, system, linear, x, tol):
         ev = galerkin.stack([accepted[j][4] for j in live])
         if len(live) < len(members):
             members, pre = members[live], pre.take(live)
-    return x, evs, plain_out, pre, errors
+    return x, evs, plain_out, first, errors
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
@@ -687,11 +724,11 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     in the kernel span, orthogonal to the constant, so it reads
     <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs [k, n], t [k]) and
     mu = 0, each member with its own `row` [k, n + 1] and `target` [k]; an
-    error names the member's start t as given.  Returns (evs, mu, pre,
+    error names the member's start t as given.  Returns (evs, mu, first,
     errors): per member the converged evaluation (its `.state` is the
-    solution), mu and None or its error, and the last preconditioner, for a
-    tangent at the solution of a stack of one.  A singular bordered matrix
-    is a NoConvergenceError."""
+    solution), mu and None or its error, and `_newton`'s first-step
+    preconditioners, for the tangents at the solutions.  A singular
+    bordered matrix is a NoConvergenceError."""
     n = model.n_modes
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, n)
     k = len(coeffs)
@@ -719,59 +756,69 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     x = np.zeros((k, n + (1 if orbit is None else 2)))
     x[:, :n] = coeffs
     x[:, n] = t
-    x, evs, _, pre, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
+    x, evs, _, first, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
     for i, exc in enumerate(errors):
         if isinstance(exc, np.linalg.LinAlgError):
             errors[i] = NoConvergenceError(f"singular bordered matrix near t = {t[i]}: {exc}")
             errors[i].__cause__ = exc
     mu = np.zeros(k) if orbit is None else x[:, n + 1]
-    return evs, mu, pre, errors
+    return evs, mu, first, errors
 
 
-def _switch_solve(model, bp, c_triv, n_hat, amplitude, start):
+def _switch_solve(model, points, c_triv, n_hat, amplitude, start):
     """The branch-switching corrector of `switch_branch` and
     `verify_fiber_constancy` for a stack of k pins: member i pins
-    <c - c_triv, n_hat_i> = amplitude, fixes the phase along n_hat_i, and
-    solves from start_i at t = bp.t; n_hat and start are [k, n].  Returns
-    the converged evaluations and errors of `_solve_bordered`."""
-    orbit = _orbit(model, bp, n_hat)
+    <c - c_triv_i, n_hat_i> = amplitude, fixes the phase along n_hat_i, and
+    solves from start_i at t = points[i].t, the points all of one
+    `_orbit_kind`; n_hat and start are [k, n], c_triv [k, n] or one [n] for
+    every member.  Returns the converged evaluations and errors of
+    `_solve_bordered`."""
+    orbit = _orbit(model, points, n_hat)
     rows = np.concatenate([n_hat, np.zeros((len(n_hat), 1))], axis=1)
-    evs, _, _, errors = _solve_bordered(model, start, [bp.t] * len(start), orbit, rows,
-                                        n_hat @ c_triv + amplitude)
+    evs, _, _, errors = _solve_bordered(model, start, [bp.t for bp in points], orbit, rows,
+                                        np.vecdot(n_hat, c_triv) + amplitude)
     return evs, errors
 
 
 # ---------------------------------------------------------------------------
 # branch switching
 
-def switch_branch(model: GalerkinModel, bp: BranchPoint,
-                  amplitude: float) -> galerkin.Evaluation:
-    """Land on a nontrivial branch through bp: solve the equation in (c, t)
-    with the amplitude along the first kernel mode n pinned to `amplitude`,
-    from the one start u = 1 + amplitude * n at t = bp.t.  Returns the
-    converged `galerkin.Evaluation`, a stack of one whose `.state` is the
-    solution.  A corrector failure, or a solution that collapses back to
-    u = 1, raises NoNontrivialSolutionError naming the cause.  Kernels
-    other than one mode or one circle cos/sin pair raise
-    PreconditionError."""
-    if bp.kernel_dim < 1:
-        raise PreconditionError("branch point has no kernel modes")
+def switch_branch(model: GalerkinModel, points, amplitude: float) -> list:
+    """Land on a nontrivial branch through each branch point of `points`,
+    all of one `_orbit_kind`, as one stack: for each, solve the equation in
+    (c, t) with the amplitude along its first kernel mode n pinned to
+    `amplitude`, from the one start u = 1 + amplitude * n at t = bp.t.
+    Returns per point the converged `galerkin.Evaluation`, a stack of one
+    whose `.state` is the solution, or the error that left it without one:
+    a corrector failure, or a solution that collapses back to u = 1, is a
+    NoNontrivialSolutionError naming the cause.  A point with no kernel
+    modes, or a kernel other than one mode or one circle cos/sin pair,
+    raises PreconditionError."""
+    points = list(points)
+    for bp in points:
+        _orbit_kind(model, bp)
     amplitude = float(amplitude)
-    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
-    n_hat = kernel_vectors(model, bp)[0].ravel()
-    (ev,), (error,) = _switch_solve(model, bp, c_triv, n_hat[None], amplitude,
-                                    (c_triv + amplitude * n_hat)[None])
-    if error is None:
-        if ev.u_distance[0] > _NONTRIVIAL_NORM:
-            return ev
-        cause = "the solution collapsed to u = 1"
-    elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
-        cause = str(error)
-    else:
-        raise error
-    raise NoNontrivialSolutionError(
-        f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
-    )
+    c_triv = galerkin.constant_state(model, [bp.t for bp in points]).coeffs
+    c_triv = c_triv.reshape(len(points), -1)
+    n_hat = np.array([kernel_vectors(model, bp)[0].ravel() for bp in points])
+    evs, errors = _switch_solve(model, points, c_triv, n_hat, amplitude,
+                                c_triv + amplitude * n_hat)
+    out = []
+    for bp, ev, error in zip(points, evs, errors):
+        if error is None:
+            if ev.u_distance[0] > _NONTRIVIAL_NORM:
+                out.append(ev)
+                continue
+            cause = "the solution collapsed to u = 1"
+        elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
+            cause = str(error)
+        else:
+            out.append(error)
+            continue
+        out.append(NoNontrivialSolutionError(
+            f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -779,18 +826,41 @@ def switch_branch(model: GalerkinModel, bp: BranchPoint,
 
 @dataclass(frozen=True)
 class Branch:
-    """A followed branch: its samples are one `galerkin.Evaluation`, a stack
-    whose first member is the switch solution; its per-member arrays are
-    the measurements (t, u_distance, energy, fiber_fraction,
-    residual_norm)."""
+    """A stack of followed branches, one per member.  Member i's samples
+    are `member_samples[i]`, one `galerkin.Evaluation`: a stack whose first
+    member is its start, and whose per-member arrays are the measurements
+    (t, u_distance, energy, fiber_fraction, residual_norm).  Per member
+    too: its origin, its stop reason, its smallest `fiber_margin`
+    (fiber-constant branches, else None), and None or the CscbifError that
+    left it without a branch (it then has no stop reason).  `samples`
+    joins every member's samples in member order; `branch[i]` is member i,
+    a stack of one, whose `stop_reason` and `fiber_margin` are its own."""
 
-    samples: galerkin.Evaluation
-    origin: BranchPoint | None
-    stop_reason: str
-    fiber_margin: float | None = None   # smallest over the samples; fiber-constant branches
+    member_samples: tuple
+    origins: tuple
+    stop_reasons: tuple
+    errors: tuple
+    fiber_margins: tuple
 
     def __len__(self):
         return len(self.samples)
+
+    def __getitem__(self, i) -> Branch:
+        return Branch(*((getattr(self, f.name)[i],) for f in fields(self)))
+
+    @cached_property
+    def samples(self) -> galerkin.Evaluation:
+        return galerkin.stack(self.member_samples)
+
+    @property
+    def stop_reason(self) -> str:
+        (reason,) = self.stop_reasons
+        return reason
+
+    @property
+    def fiber_margin(self) -> float | None:
+        (margin,) = self.fiber_margins
+        return margin
 
     @property
     def ts(self):
@@ -802,38 +872,47 @@ class Branch:
 
 
 def _tangent(ev, orbit, last_row, pre=None):
-    """Unit tangent (dc, dt) of the branch at the evaluated solution `ev`
-    (a `galerkin.Evaluation` of a stack of one, as the corrector returns
-    it): one full-accuracy solve of the bordered matrix with `last_row`
-    over (c, t) as its last row and right side e_last, so the tangent has
-    a positive component along `last_row` (the previous tangent, or the
-    unit offset from u = 1 at the start).  `pre` is the corrector's
-    preconditioner, used as it stands."""
-    lin = _bordered_linear(ev, orbit, np.asarray(last_row, dtype=float)[None])
-    rhs = np.zeros((1, lin.size))
-    rhs[0, -1] = 1.0
-    x, _, (error,) = _solve_linear(lin, rhs, pre)
-    if error is not None:
-        raise NoConvergenceError(f"singular tangent system at t = {ev.t[0]}: {error}") from error
-    v = x[0, :ev.model.n_modes + 1]
-    return v / np.linalg.norm(v)
+    """Unit tangents (dc, dt), [k, n + 1], of a stack of branches at their
+    evaluated solutions `ev` (a `galerkin.Evaluation`, as the corrector
+    returns them): one full-accuracy solve of each member's bordered matrix
+    with its `last_row` over (c, t) as the last row and right side e_last,
+    so the tangent has a positive component along `last_row` (the previous
+    tangent, or the unit offset from u = 1 at the start).  `pre` is the
+    correctors' preconditioners, used as they stand.  Returns the tangents
+    and per member None or the NoConvergenceError of a singular system."""
+    lin = _bordered_linear(ev, orbit, last_row)
+    rhs = np.zeros((len(ev), lin.size))
+    rhs[:, -1] = 1.0
+    x, _, failed = _solve_linear(lin, rhs, pre)
+    errors = [None] * len(ev)
+    for i, error in enumerate(failed):
+        if error is not None:
+            errors[i] = NoConvergenceError(f"singular tangent system at t = {ev.t[i]}: {error}")
+            errors[i].__cause__ = error
+    v = x[:, :ev.model.n_modes + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):    # a failed member's v may be 0
+        return v / galerkin.norms(v)[:, None], errors
 
 
 def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
-                    direction: int, steps: int, ds: float,
-                    origin: BranchPoint | None = None) -> Branch:
-    """Pseudo-arclength continuation from a converged solution `start`, a
-    state (a stack of one) or its evaluation (which is then not evaluated
-    again).
+                    direction: int, steps: int, ds: float, origins=None) -> Branch:
+    """Pseudo-arclength continuation of a stack of branches in lockstep,
+    member i from the converged solution i of `start`, a state (a stack) or
+    its evaluation (which is then not evaluated again), through the branch
+    point `origins[i]` (None: no origins), all of one `_orbit_kind`.
 
-    `direction` +1 follows the branch with growing distance from u = 1,
-    -1 with shrinking distance (toward the branch point).  Stops early on
-    positivity loss, corrector failure, or when the distance turns around
-    (the turning sample is discarded so the kept prefix stays monotone).
-    Two distances both below _NONTRIVIAL_NORM are the rounding of u = 1,
-    so their order is no turnaround.
-    The rotation orbit of a cos/sin kernel pair of `origin` is fixed by the
-    phase of the start state; without `origin` no phase is fixed.
+    `direction` +1 follows the branches with growing distance from u = 1,
+    -1 with shrinking distance (toward the branch point).  Each step is one
+    stacked predictor, one `_newton` over the members still running and
+    one stacked `_tangent`.  A member stops early on positivity loss,
+    corrector failure, or when its distance turns around (the turning
+    sample is discarded so the kept prefix stays monotone); two distances
+    both below _NONTRIVIAL_NORM are the rounding of u = 1, so their order
+    is no turnaround.  A member whose first corrector fails gets an
+    EmptyBranchError, and one whose tangent system is singular a
+    NoConvergenceError.  A member that stops leaves the stack, and every
+    member gets the bits it gets alone.  The rotation orbit of a cos/sin
+    kernel pair of a member's origin is fixed by the phase of its start.
     """
     if not ds > 0:
         raise InvalidArgumentError(f"arclength step must be positive, got {ds}")
@@ -843,48 +922,84 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
         raise InvalidArgumentError(f"direction must be +1 or -1, got {direction!r}")
     start_ev = galerkin.Evaluation(model, start) if isinstance(start, State) else start
     start = start_ev.state
-    if len(start_ev) != 1:
-        raise InvalidArgumentError(f"a branch starts from one state, not {len(start_ev)}")
-    if start_ev.residual_norm[0] > 10 * TOL_NEWTON:
+    k, n = len(start_ev), model.n_modes
+    origins = (None,) * k if origins is None else tuple(origins)
+    if len(origins) != k:
+        raise InvalidArgumentError(f"need one origin per start, got {len(origins)} for {k}")
+    if (start_ev.residual_norm > 10 * TOL_NEWTON).any():
         raise PreconditionError("start state does not satisfy the residual tolerance")
 
-    c_triv = galerkin.constant_state(model, start.t).coeffs.ravel()
-    offset = start.coeffs.ravel() - c_triv
-    orbit = _orbit(model, origin, offset[None])
+    x = np.concatenate([start.coeffs.reshape(k, n), start.t[:, None]], axis=1)
+    offset = x[:, :n] - galerkin.constant_state(model, start.t).coeffs.reshape(k, n)
+    orbit = _orbit(model, origins, offset)
 
-    # first tangent: positive along the offset from u = 1 (along t when the
+    # first tangents: positive along the offset from u = 1 (along t when the
     # start is u = 1 itself), then flipped to the requested direction
-    offset_norm = np.linalg.norm(offset)
-    first_row = (np.append(offset / offset_norm, 0.0) if offset_norm > 0
-                 else np.append(offset, 1.0))
-    x = np.concatenate([start.coeffs.ravel(), start.t])
-    v = direction * _tangent(start_ev, orbit, first_row)
+    offset_norm = galerkin.norms(offset)
+    moved = offset_norm > 0
+    first_row = np.concatenate([offset, np.where(moved, 0.0, 1.0)[:, None]], axis=1)
+    first_row[moved, :n] /= offset_norm[moved, None]
+    v, errors = _tangent(start_ev, orbit, first_row)
+    v *= direction
 
-    samples = [start_ev]
-    reason = "steps-exhausted"
+    samples = [[start_ev[i:i + 1]] for i in range(k)]
+    reasons = ["steps-exhausted"] * k
+    last = start_ev.u_distance.tolist()
+    running = [i for i in range(k) if errors[i] is None]
     for step_no in range(steps):
-        x_pred = x + ds * v
-        (ev,), _, pre, (exc,) = _solve_bordered(model, x_pred[None, :-1], x_pred[-1:], orbit,
-                                                v[None], [float(v @ x_pred)])
-        if exc is not None:
-            if not isinstance(exc, (NoConvergenceError, PositivityViolationError)):
-                raise exc
-            if step_no == 0:
-                raise EmptyBranchError(
-                    f"first continuation corrector failed: {exc}"
-                ) from exc
-            hit_boundary = (isinstance(exc, PositivityViolationError)
-                            or exc.positivity_boundary)
-            reason = "positivity-stop" if hit_boundary else "no-convergence"
+        if not running:
             break
-        dist, last = ev.u_distance[0], samples[-1].u_distance[0]
-        if (dist - last) * direction < 0 and max(dist, last) >= _NONTRIVIAL_NORM:
-            reason = "turnaround"
+        ids = np.array(running)
+        x_pred = x[ids] + ds * v[ids]
+        evs, _, first, failed = _solve_bordered(
+            model, x_pred[:, :-1], x_pred[:, -1], None if orbit is None else orbit.take(ids),
+            v[ids], np.vecdot(v[ids], x_pred))
+        solved = []     # (position in the corrector stack, member, its evaluation)
+        for r, (i, solution, exc) in enumerate(zip(running, evs, failed)):
+            if exc is None:
+                solved.append((r, i, solution))
+            elif not isinstance(exc, (NoConvergenceError, PositivityViolationError)):
+                errors[i] = exc
+            elif step_no == 0:
+                errors[i] = EmptyBranchError(f"first continuation corrector failed: {exc}")
+                errors[i].__cause__ = exc
+            else:
+                hit_boundary = (isinstance(exc, PositivityViolationError)
+                                or exc.positivity_boundary)
+                reasons[i] = "positivity-stop" if hit_boundary else "no-convergence"
+        running = []
+        if not solved:
             break
-        x = np.concatenate([ev.state.coeffs.ravel(), ev.t])
-        v = _tangent(ev, orbit, v, pre)
-        samples.append(ev)
-    return Branch(galerkin.stack(samples), origin, reason)
+        solved_ev = galerkin.stack([ev for _, _, ev in solved])
+        dist = solved_ev.u_distance.tolist()
+        going = []
+        for p, (_, i, _) in enumerate(solved):
+            if (dist[p] - last[i]) * direction < 0 and max(dist[p], last[i]) >= _NONTRIVIAL_NORM:
+                reasons[i] = "turnaround"
+            else:
+                going.append(p)
+        if not going:
+            break
+        ev = solved_ev if len(going) == len(solved) else solved_ev[np.array(going)]
+        ids = np.array([solved[p][1] for p in going])
+        pre = None if first is None else first[0].take(
+            np.searchsorted(first[1], [solved[p][0] for p in going]))
+        tangents, failed = _tangent(ev, None if orbit is None else orbit.take(ids), v[ids], pre)
+        # a sample is the corrector's own evaluation, not a view of this
+        # step's joined stack, so that the step's stacks are freed after it
+        for r, (p, i) in enumerate(zip(going, ids.tolist())):
+            if failed[r] is not None:
+                errors[i] = failed[r]
+                continue
+            x[i, :n] = ev.state.coeffs[r].ravel()
+            x[i, n] = ev.t[r]
+            v[i] = tangents[r]
+            last[i] = dist[p]
+            samples[i].append(solved[p][2])
+            running.append(i)
+    reasons = tuple(None if e is not None else r for r, e in zip(reasons, errors))
+    return Branch(tuple(galerkin.stack(s) for s in samples), origins, reasons, tuple(errors),
+                  (None,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -911,26 +1026,71 @@ def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> np.ndarray:
     return np.linalg.eigvalsh(ev.degree_zero_block)[:, 0] + model.a_m * lam1 / ev.t
 
 
-def follow_branch(model: GalerkinModel, bp: BranchPoint, amplitude: float,
-                  direction: int, steps: int, ds: float) -> Branch:
-    """`switch_branch` onto the branch through bp, then `continue_branch` in
-    `direction` from the switch solution's evaluation; the branch's first
-    sample is the switch solution.  A horizontal branch is followed on
-    `model.fiber_constant`, its samples zero-padded to [nb, nf] and
-    evaluated in `model` as one stack, which gives their energies,
-    distances, fiber fractions (exactly 0) and residuals; the branch
-    carries the smallest `fiber_margin` of its samples.  Any other kernel
-    is followed in `model` itself."""
-    sub = model.fiber_constant if bp.horizontal else model
-    branch = continue_branch(sub, switch_branch(sub, bp, amplitude), direction, steps, ds,
-                             origin=bp)
-    if not bp.horizontal:
-        return branch
-    samples = branch.samples
-    return Branch(
-        galerkin.Evaluation(model, _padded(model, samples.state)), bp, branch.stop_reason,
-        fiber_margin=float(fiber_margin(model, samples).min()),
-    )
+def _follow_group(model, sub, points, amplitude, direction, steps, ds):
+    """One `switch_branch` stack through `points` in the solve model `sub`,
+    then one `continue_branch` in lockstep from its switch solutions: per
+    point its error or its `Branch`, a stack of one.  A branch on
+    `model.fiber_constant` is kept as the fields of its padded `Branch` in
+    `model`, with its samples' states in place of their evaluation, so that
+    the group's evaluations are freed before any branch is padded."""
+    out = switch_branch(sub, points, amplitude)
+    switched = [j for j, start in enumerate(out) if not isinstance(start, CscbifError)]
+    if not switched:
+        return out
+    branch = continue_branch(sub, galerkin.stack([out[j] for j in switched]), direction,
+                             steps, ds, origins=[points[j] for j in switched])
+    for r, j in enumerate(switched):
+        one = branch[r]
+        if branch.errors[r] is not None:
+            out[j] = branch.errors[r]
+        elif sub is model:
+            out[j] = one
+        else:
+            # the margin is measured on a view, which alone keeps what it computes
+            samples = one.samples[:]
+            out[j] = (samples.state, one.origins, one.stop_reasons, one.errors,
+                      (float(fiber_margin(model, samples).min()),))
+    return out
+
+
+def follow_branch(model: GalerkinModel, points, amplitude: float, direction: int,
+                  steps: int, ds: float):
+    """The branch through each branch point of `points`: yields, point by
+    point, its `Branch`, a stack of one whose first sample is the switch
+    solution, or the CscbifError that left it without one.  The points are
+    followed in groups, the points of one solve model and one
+    `_orbit_kind`, each by `_follow_group` when its first point is reached.
+    A horizontal branch is followed on `model.fiber_constant`; when it is
+    reached, its samples are zero-padded to [nb, nf] and evaluated in
+    `model` as one stack, which gives their energies, distances, fiber
+    fractions (exactly 0) and residuals, so one padded branch is held at a
+    time.  It carries the smallest `fiber_margin` of its samples.  Any
+    other kernel is followed in `model` itself."""
+    points = list(points)
+    keys, groups = [], {}
+    for i, bp in enumerate(points):
+        try:
+            key = (bp.horizontal, _orbit_kind(model, bp))
+        except PreconditionError as exc:
+            key = exc
+        else:
+            groups.setdefault(key, []).append(i)
+        keys.append(key)
+    followed = {}
+    for i, key in enumerate(keys):
+        if isinstance(key, CscbifError):
+            yield key
+            continue
+        horizontal, members = key[0], groups[key]
+        if i not in followed:
+            sub = model.fiber_constant if horizontal else model
+            followed.update(zip(members, _follow_group(
+                model, sub, [points[j] for j in members], amplitude, direction, steps, ds)))
+        branch = followed.pop(i)
+        if isinstance(branch, tuple):
+            state, *rest = branch
+            branch = Branch((galerkin.Evaluation(model, _padded(model, state)),), *rest)
+        yield branch
 
 
 # ---------------------------------------------------------------------------
@@ -1167,7 +1327,7 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         fiber_part /= np.linalg.norm(fiber_part)
         n_hats.append(n_hat)
         starts.append(c_triv + amplitude * (n_hat + fiber_part))
-    evs, errors = _switch_solve(model, bp, c_triv, np.array(n_hats), amplitude,
+    evs, errors = _switch_solve(model, [bp] * trials, c_triv, np.array(n_hats), amplitude,
                                 np.array(starts))
 
     # the converged solutions, measured as one stack

@@ -387,12 +387,18 @@ class Evaluation:
     def __getitem__(self, rows) -> Evaluation:
         view = type(self).__new__(type(self))
         view.model, view.joined = self.model, ((self,), rows)
-        view.state, view.grid = _members(self.state, rows), self.grid[rows]
+        view.state = _members(self.state, rows)
         return view
 
     @property
     def t(self) -> np.ndarray:
         return self.state.t
+
+    @_Part
+    def grid(self) -> np.ndarray:
+        """u on the quadrature grid, [k, Mb, Mf]: an evaluation computes it
+        at construction, and a view or a join reads it when first used."""
+        return grid_values(self.model, self.state)
 
     @_Part
     def mode_eigenvalues(self) -> np.ndarray:
@@ -468,7 +474,6 @@ def stack(evaluations) -> Evaluation:
     out.model, out.joined = first.model, (tuple(evaluations), None)
     out.state = State(np.concatenate([ev.t for ev in evaluations]),
                       np.concatenate([ev.state.coeffs for ev in evaluations]))
-    out.grid = np.concatenate([ev.grid for ev in evaluations])
     return out
 
 

@@ -221,9 +221,9 @@ def test_branch_point_location(circle_sphere):
 
 def test_bifurcating_branch(cs_model, cs_branch_point):
     chk = _Check()
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
     branch = continuation.continue_branch(
-        cs_model, start, -1, 40, 4e-4, origin=cs_branch_point
+        cs_model, start, -1, 40, 4e-4, origins=[cs_branch_point]
     )
     chk.expect(len(branch) >= 12, f"only {len(branch)} samples")
     samples = branch.samples

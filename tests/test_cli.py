@@ -774,6 +774,25 @@ def test_bad_arguments_after_a_run_fail_as_in_a_fresh_interpreter(tmp_path, caps
         assert err == done.stderr and err.startswith("usage: cscbif")
 
 
+def test_classify_runs_without_the_numerical_layer(tmp_path):
+    # the exact layer is exact: a fresh classify imports neither numpy nor
+    # the modules built on it, and writes what an in-process run writes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    script = ("import sys; from cscbif import cli; "
+              f"code = cli.main(['classify', '--config', {str(CIRCLE_SPHERE)!r}, "
+              f"'--out', {str(tmp_path / 'fresh')!r}]); "
+              "print(code, sorted(m for m in ('numpy', 'cscbif.galerkin', "
+              "'cscbif.continuation') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    code, out = _run(tmp_path, "classify", "--config", str(CIRCLE_SPHERE))
+    assert code == 0 and sorted(os.listdir(out)) == sorted(os.listdir(tmp_path / "fresh"))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # remaining exit codes
 

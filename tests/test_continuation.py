@@ -14,6 +14,7 @@ import pytest
 import cscbif
 from cscbif import continuation, galerkin, variation
 from cscbif.errors import (
+    CscbifError,
     EmptyBranchError,
     HypothesisViolatedError,
     InvalidArgumentError,
@@ -154,7 +155,7 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
 
 
 def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
+    state = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
     # the solve relaxes t along the branch, which bends at second order
     assert abs(state.t[0] - cs_branch_point.t) < 1e-4
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
@@ -166,7 +167,7 @@ def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
 def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]
-    state = continuation.switch_branch(cs_model, points[0], 5e-3).state
+    state = continuation.switch_branch(cs_model, [points[0]], 5e-3)[0].state
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state)[0] > 1e-3
 
@@ -174,7 +175,7 @@ def test_switch_works_at_the_second_instant(cs_model):
 def test_switch_needs_kernel_modes(cs_model):
     fake = continuation.BranchPoint(t=0.9, kernel_modes=())
     with pytest.raises(PreconditionError):
-        continuation.switch_branch(cs_model, fake, 1e-2)
+        continuation.switch_branch(cs_model, [fake], 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +183,12 @@ def test_switch_needs_kernel_modes(cs_model):
 
 
 def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
+    state = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
-    orbit = continuation._orbit(cs_model, cs_branch_point, offset[None])
+    orbit = continuation._orbit(cs_model, [cs_branch_point], offset[None])
     unit = offset / np.linalg.norm(offset)
-    v = continuation._tangent(galerkin.Evaluation(cs_model, state), orbit, np.append(unit, 0.0))
+    (v,), _ = continuation._tangent(galerkin.Evaluation(cs_model, state), orbit,
+                                    np.append(unit, 0.0)[None])
 
     # oracle: the null vector of the extended Jacobian whose extra row fixes
     # the phase, the kernel-span direction orthogonal to the offset's kernel part
@@ -210,7 +212,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(cs_model, cs_branch_point.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    orbit = continuation._orbit(cs_model, cs_branch_point, n_hat[None])
+    orbit = continuation._orbit(cs_model, [cs_branch_point], n_hat[None])
     ev, mu, _ = solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
@@ -262,7 +264,7 @@ def test_bordered_matrix_matches_a_dense_assembly(cs_model, cs_branch_point):
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     vecs = continuation.kernel_vectors(model, bp).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
-    orbit = continuation._orbit(model, bp, n_hat[None])
+    orbit = continuation._orbit(model, [bp], n_hat[None])
     rng = np.random.default_rng(5)
     row = rng.standard_normal(n + 1)
 
@@ -300,7 +302,7 @@ def _trial_system(model, bp, seed):
         fiber = rng.standard_normal(model.shape)
         fiber[:, 0] = 0.0
         coeffs += 1e-2 * fiber.ravel() / np.linalg.norm(fiber)
-    orbit = continuation._orbit(model, bp, n_hat[None])
+    orbit = continuation._orbit(model, [bp], n_hat[None])
     return coeffs, orbit, np.append(n_hat, 0.0)
 
 
@@ -355,7 +357,7 @@ def test_degree_solver_matches_the_dense_step_on_a_fiber_dependent_branch(sphere
     # of M and GMRES does the work; the step must still be the dense one
     model = galerkin.build_model(sphere_sphere, 8, 6)
     _, vertical = continuation.detect_branch_points(model, Fraction(3, 10), 3)
-    branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    (branch,) = continuation.follow_branch(model, [vertical], 1e-2, -1, 5, 4e-4)
     sample = branch.samples[-1:]
     assert sample.fiber_fraction[0] >= 0.1
     row = np.random.default_rng(9).standard_normal(model.n_modes + 1)
@@ -385,7 +387,7 @@ def test_singular_bordered_systems_raise_typed_errors(cs_model, cs_branch_point,
         solve_bordered(model, coeffs, cs_branch_point.t, orbit, zero, 0.0)
     ev = one_evaluation(model, cs_branch_point.t, coeffs.reshape(model.shape))
     with pytest.raises(NoConvergenceError, match="singular tangent system"):
-        continuation._tangent(ev, orbit, zero)
+        raise continuation._tangent(ev, orbit, zero[None])[1][0]
 
 
 def test_a_solve_that_stalls_gives_up_when_the_krylov_space_is_spent(
@@ -493,8 +495,8 @@ def test_newton_steps_are_solved_to_the_forcing_term(cs_model, cs_branch_point, 
     for rtol, r_norm, _ in complement:
         assert 0 < rtol <= min(continuation._FORCING, r_norm)
     calls.clear()
-    start = continuation.switch_branch(model, bp, 1e-2)
-    continuation.continue_branch(model, start, -1, 2, 4e-4, origin=bp)
+    (start,) = continuation.switch_branch(model, [bp], 1e-2)
+    continuation.continue_branch(model, start, -1, 2, 4e-4, origins=[bp])
     tangents = [rtol for rtol, r_norm, _ in calls if r_norm == 1.0]
     assert len(tangents) >= 3 and set(tangents) == {0.0}
 
@@ -504,10 +506,10 @@ def padded_solution(cs_model, cs_branch_point):
     """A fiber-constant solution of cs_model (a sample of the horizontal
     branch at t = 1, zero-padded) with its evaluation and orbit."""
     model, bp = cs_model, cs_branch_point
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 3, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 3, 4e-4)
     state = branch.samples[-1:].state
     offset = state.coeffs.ravel() - galerkin.constant_state(model, state.t).coeffs.ravel()
-    orbit = continuation._orbit(model, bp, offset[None])
+    orbit = continuation._orbit(model, [bp], offset[None])
     return galerkin.Evaluation(model, state), orbit
 
 
@@ -610,8 +612,9 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
     else:
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
-    state = continuation.switch_branch(model, bp, 1e-2).state
-    rot = continuation._orbit(model, bp, continuation.kernel_vectors(model, bp)[:1].reshape(1, -1))
+    state = continuation.switch_branch(model, [bp], 1e-2)[0].state
+    rot = continuation._orbit(model, [bp],
+                              continuation.kernel_vectors(model, bp)[:1].reshape(1, -1))
     gen = dense_rotation(model, rot)
     assert np.array_equal(gen, -gen.T)
     orbit_dir = gen @ state.coeffs.ravel()
@@ -624,7 +627,7 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
 def test_unsupported_kernel_is_a_precondition_error(cs_model):
     three = continuation.BranchPoint(t=1.0, kernel_modes=((1, 0), (2, 0), (3, 0)))
     with pytest.raises(PreconditionError):
-        continuation.switch_branch(cs_model, three, 1e-2)
+        continuation.switch_branch(cs_model, [three], 1e-2)
 
 
 def test_branch_converges_under_base_refinement(circle_sphere):
@@ -635,8 +638,8 @@ def test_branch_converges_under_base_refinement(circle_sphere):
     last = []
     for n_b in (16, 32):
         model = galerkin.build_model(circle_sphere, n_b, 8)
-        start = continuation.switch_branch(model, bp, 1e-2)
-        branch = continuation.continue_branch(model, start, -1, 10, 4e-4, origin=bp)
+        (start,) = continuation.switch_branch(model, [bp], 1e-2)
+        branch = continuation.continue_branch(model, start, -1, 10, 4e-4, origins=[bp])
         assert len(branch) == 11
         last.append(branch.samples[-1:])
     coarse, fine = last
@@ -650,9 +653,9 @@ def test_branch_converges_under_base_refinement(circle_sphere):
 
 @pytest.fixture(scope="module")
 def shrinking_branch(cs_model, cs_branch_point):
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
     return continuation.continue_branch(
-        cs_model, start, -1, 40, 4e-4, origin=cs_branch_point
+        cs_model, start, -1, 40, 4e-4, origins=[cs_branch_point]
     )
 
 
@@ -695,9 +698,9 @@ def test_branch_energy_gradient_vanishes_along_tangent(cs_model, shrinking_branc
 
 
 def test_growing_branch_stops_at_positivity(cs_model, cs_branch_point):
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
     br = continuation.continue_branch(
-        cs_model, start, +1, 400, 0.1, origin=cs_branch_point
+        cs_model, start, +1, 400, 0.1, origins=[cs_branch_point]
     )
     assert br.stop_reason == "positivity-stop"
     assert br.distances[-1] > 1.0
@@ -706,13 +709,14 @@ def test_growing_branch_stops_at_positivity(cs_model, cs_branch_point):
 
 
 def test_absurd_step_yields_no_branch(cs_model, cs_branch_point):
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
     with pytest.raises(EmptyBranchError):
-        continuation.continue_branch(cs_model, start, +1, 5, 50.0, origin=cs_branch_point)
+        raise continuation.continue_branch(cs_model, start, +1, 5, 50.0,
+                                           origins=[cs_branch_point]).errors[0]
 
 
 def test_continuation_argument_validation(cs_model, cs_branch_point):
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
     with pytest.raises(InvalidArgumentError):
         continuation.continue_branch(cs_model, start, 0, 10, 1e-3)
     with pytest.raises(InvalidArgumentError):
@@ -726,9 +730,9 @@ def test_continuation_argument_validation(cs_model, cs_branch_point):
 
 def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
     def run():
-        start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2)
+        (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
         br = continuation.continue_branch(
-            cs_model, start, -1, 15, 4e-4, origin=cs_branch_point
+            cs_model, start, -1, 15, 4e-4, origins=[cs_branch_point]
         )
         return br
 
@@ -743,7 +747,7 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
     # the corrector hands its converged evaluation to the tangent, and the
     # start's residual check and first tangent share one, so no state of a
     # run is put on the quadrature grid twice
-    start = continuation.switch_branch(cs_model, cs_branch_point, 1e-2).state
+    start = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
     evaluated = []     # the states themselves, so no id is reused in the run
 
     class Counting(galerkin.Evaluation):
@@ -752,7 +756,7 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
             super().__init__(model, state)
 
     monkeypatch.setattr(galerkin, "Evaluation", Counting)
-    br = continuation.continue_branch(cs_model, start, -1, 5, 4e-4, origin=cs_branch_point)
+    br = continuation.continue_branch(cs_model, start, -1, 5, 4e-4, origins=[cs_branch_point])
     assert len(br) == 6
     assert any(s is start for s in evaluated)
     assert len({id(s) for s in evaluated}) == len(evaluated)
@@ -783,10 +787,10 @@ def test_fiber_constant_branch_matches_the_dense_one(small_cs_model, t):
     # bp.t than the dense t, give or take 2e-9
     model = small_cs_model
     bp = _only_point(model, t)
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
     start = branch.samples.state.coeffs[0]
-    dense_start = continuation.switch_branch(model, bp, 1e-2)
-    dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origin=bp)
+    (dense_start,) = continuation.switch_branch(model, [bp], 1e-2)
+    dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origins=[bp])
 
     assert start.shape == model.shape
     assert not start[:, 1:].any()
@@ -813,7 +817,7 @@ def test_fiber_blocks_of_the_dense_jacobian(small_cs_model):
     # the blocks' eigenvalues to the same relative 1e-12
     model = small_cs_model
     nb, nf = model.shape
-    branch = continuation.follow_branch(model, _only_point(model, Fraction(1)),
+    (branch,) = continuation.follow_branch(model, [_only_point(model, Fraction(1))],
                                            1e-2, -1, 40, 4e-4)
     eye = np.eye(nb)
     samples = branch.samples
@@ -839,11 +843,11 @@ def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
     assert vertical.kernel_modes == ((0, 1),) and vertical.subspace == "full"
     assert horizontal.kernel_modes == ((1, 0),)
 
-    branch = continuation.follow_branch(model, vertical, 1e-2, -1, 5, 4e-4)
+    (branch,) = continuation.follow_branch(model, [vertical], 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin is None
     assert all(f > 0.5 for f in branch.samples.fiber_fraction)
 
-    branch = continuation.follow_branch(model, horizontal, 1e-2, -1, 5, 4e-4)
+    (branch,) = continuation.follow_branch(model, [horizontal], 1e-2, -1, 5, 4e-4)
     assert branch.fiber_margin > 0
     assert all(f == 0.0 for f in branch.samples.fiber_fraction)
 
@@ -862,7 +866,7 @@ def test_a_followed_branch_is_measured_once(sphere_sphere, monkeypatch, which):
 
     monkeypatch.setattr(galerkin, "energy", counting)
     bp = {"horizontal": horizontal, "vertical": vertical}[which]
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 5, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 5, 4e-4)
     energies = branch.samples.energy
     assert len(branch) > 1
     assert calls == [len(branch)] and len(energies) == len(branch)
@@ -876,7 +880,7 @@ def test_an_evaluation_is_independent_of_memory_layout(cs_model):
     model = cs_model
     bp = continuation.detect_branch_points(model, Fraction(1, 1000), 2)[0]
     assert bp.t == Fraction(1, 225)
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
     sub = model.fiber_constant
     for t, coeffs in zip(branch.ts, branch.samples.state.coeffs):
         view = coeffs[:, :1]
@@ -898,7 +902,7 @@ def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
         raise AssertionError("a dense Jacobian was built")
 
     monkeypatch.setattr(galerkin, "residual_jacobian", no_dense)
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
     monkeypatch.undo()
     sub, shift = model.fiber_constant, model.a_m * model.fiber.eigenvalues[1]
     want = min(
@@ -933,7 +937,7 @@ def _follow_counting(model, bp, monkeypatch, rebuild=False):
         tangent = continuation._tangent
         monkeypatch.setattr(continuation, "_tangent",
                             lambda ev, orbit, row, pre=None: tangent(ev, orbit, row))
-    branch = continuation.follow_branch(model, bp, 1e-2, -1, 40, 4e-4)
+    (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
     monkeypatch.undo()
     return branch, len(builds)
 
@@ -1202,7 +1206,8 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
     def solve(members):
         evs, _, _, errors = continuation._solve_bordered(
             model, starts[members], [bp.t] * len(members),
-            continuation._orbit(model, bp, n_hats[members]), rows[members], targets[members])
+            continuation._orbit(model, [bp] * len(members), n_hats[members]), rows[members],
+            targets[members])
         return dict(zip(members, zip(evs, errors)))
 
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
@@ -1235,6 +1240,54 @@ def test_a_stack_of_complement_solves_gives_each_member_its_own_result(cs6):
         return dict(zip(members, zip(evs, errors)))
 
     _assert_each_member_gets_its_own_result(*_alone_and_stacked(solve, len(radii)))
+
+
+def _reported(branch):
+    """What a followed branch reports: its samples' t, coefficients,
+    energies, distances and residual norms, its stop reason and margin."""
+    s = branch.samples
+    arrays = (s.t, s.state.coeffs, s.energy, s.u_distance, s.residual_norm)
+    return [a.tolist() for a in arrays] + [branch.stop_reason, branch.fiber_margin]
+
+
+@pytest.mark.parametrize("family, t_max, direction, steps, ds", [
+    ("circle_sphere", 2, -1, 40, 4e-4),
+    ("circle_sphere", 2, +1, 5, 2.0),
+    ("sphere_sphere", 3, -1, 40, 4e-4),
+    ("sphere_sphere", 10, -1, 40, 4e-4),
+], ids=["cs-toward", "cs-away", "ss-toward", "ss-two-vertical"])
+def test_branches_followed_together_get_the_bits_they_get_alone(
+        family, t_max, direction, steps, ds, circle_sphere, sphere_sphere):
+    # circle_sphere at 8x4 has four horizontal cos/sin points on (1/20, 2],
+    # one group; S^2 x S^2 at 8x6 over (3/10, 3] has one horizontal and one
+    # vertical group, and over (3/10, 10] two vertical points (t = 2 and 8)
+    # whose group stops at 41 and 31 samples, each tangent using its own
+    # corrector's preconditioner.  Away from u = 1 at ds = 2 the
+    # circle_sphere members stop at different steps, two of them by an
+    # InvalidArgumentError of their own (a predictor with t < 0).  A
+    # three-mode kernel fails alone and among the others with the same
+    # error, and leaves them unchanged
+    if family == "circle_sphere":
+        model = galerkin.build_model(circle_sphere, 8, 4)
+        points = continuation.detect_branch_points(model, Fraction(1, 20), t_max)
+    else:
+        model = galerkin.build_model(sphere_sphere, 8, 6)
+        points = continuation.detect_branch_points(model, Fraction(3, 10), t_max)
+    three = continuation.BranchPoint(t=1.0, kernel_modes=((1, 0), (2, 0), (3, 0)))
+    points = points[:1] + [three] + points[1:]
+    together = list(continuation.follow_branch(model, points, 1e-2, direction, steps, ds))
+    assert len(together) == len(points) >= 3
+    assert sum(isinstance(b, continuation.Branch) for b in together) >= 2
+    for bp, got in zip(points, together):
+        (alone,) = continuation.follow_branch(model, [bp], 1e-2, direction, steps, ds)
+        if isinstance(alone, CscbifError):
+            assert (type(got), str(got)) == (type(alone), str(alone))
+        else:
+            assert _reported(got) == _reported(alone)
+    if direction == +1:
+        assert {type(b).__name__ for b in together} == {"Branch", "InvalidArgumentError",
+                                                        "PreconditionError"}
+        assert len({len(b) for b in together if isinstance(b, continuation.Branch)}) == 2
 
 
 def test_the_verify_path_factors_per_stack(cs_model, cs_branch_point, monkeypatch):

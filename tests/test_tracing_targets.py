@@ -7,6 +7,7 @@ that every target still resolves.
 """
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -88,3 +89,31 @@ def test_numerical_commands_reach_the_traced_galerkin_kernels(command, names, tm
     path.write_text(yaml.safe_dump(data))
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert all(calls[name] > 0 for name in names), calls
+
+
+def test_branch_solves_each_group_step_once(tmp_path, monkeypatch):
+    # the config above over (1/10, 3/2]: three horizontal cos/sin points, one
+    # group, followed in lockstep: one `_newton` for the switch stack, then
+    # one per continuation step over the members still running.  A member
+    # runs a corrector for each of its samples after the first, and one
+    # more when it stops early
+    sizes = []
+    original = continuation._newton
+
+    def counting(model, state, system, linear, x, tol):
+        sizes.append(len(x))
+        return original(model, state, system, linear, x, tol)
+
+    monkeypatch.setattr(continuation, "_newton", counting)
+    data = yaml.safe_load((ROOT / "scripts" / "configs" / "circle_sphere.yaml").read_text())
+    data["window"] = {"t_min": "1/10", "t_max": "3/2"}
+    data["galerkin"] = {"N_b": 6, "N_f": 3}
+    data["continuation"].update({"steps": 3})
+    path = tmp_path / "family.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main(["branch", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["branch_points"]
+    assert len(rows) == 3 and all(row["status"] == "ok" for row in rows)
+    steps = max(row["samples"] - 1 + (row["stop_reason"] != "steps-exhausted") for row in rows)
+    assert len(sizes) == 1 + steps
+    assert sizes[0] == 3
