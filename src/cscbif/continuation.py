@@ -1,9 +1,10 @@
 """Branch structure of the discretized constant-scalar-curvature equation.
 
 Given a Galerkin model, this module takes the branch points from the exact
-degeneracy roots of the resolved mode pairs (`variation.window_roots`;
-no float search), switches onto the bifurcating branches, follows them by
-pseudo-arclength continuation, and runs a finite-dimensional two-subspace
+degeneracy roots of the resolved mode pairs below the window's truncation
+heights (`variation.window_roots`; no float search), switches onto the
+bifurcating branches, follows them by pseudo-arclength continuation, and
+runs a finite-dimensional two-subspace
 Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
 solutions are constant along the fibers.
 
@@ -12,8 +13,9 @@ the corrector that branch switching, continuation and the fiber-constancy
 trials share, a square bordered system (Keller's pseudo-arclength
 corrector in the bordered form of Govaerts), and the complement solves of
 the reduction, made square by their kernel pins.  Its linear solves go by
-fiber degree (`_solve_linear`): block elimination over the fiber blocks of
-the Jacobian, refined by GMRES on the true operator.  The loop and its
+fiber degree (`_solve_linear`): a preconditioner that keeps the dense
+degree-0 block with the border and inverts every fiber degree j >= 1 by
+its diagonal, refined by GMRES on the true operator.  The loop and its
 linear solves work on a stack of independent systems at once: the trials
 of a branch point are one stack, and so are its full-complement samples
 and its restricted samples, evaluated, factored and stepped together
@@ -104,9 +106,14 @@ class BranchPoint:
 def detect_branch_points(model: GalerkinModel, t_min, t_max) -> list:
     """The branch points on (t_min, t_max], ascending: the exact roots of
     the degeneracy polynomial of every resolved mode pair except the
-    constant one, grouped by exact equality.  Raises
-    NondiscreteDegeneracyError when some pair vanishes identically."""
-    pairs = ((mode, b, lam) for mode, (b, lam) in model.eigentable())
+    constant one, grouped by exact equality.  Pairs above the heights of
+    `variation.pair_truncation_bounds` at the window's exact ends have no
+    root in it and vanish nowhere identically, so they are not solved.
+    Raises NondiscreteDegeneracyError when some pair vanishes identically."""
+    t_min, t_max = variation._check_window(t_min, t_max)
+    b_max, lam_max = variation.pair_truncation_bounds(model.family, Fraction(t_min),
+                                                      Fraction(t_max))
+    pairs = ((mode, b, lam) for mode, (b, lam) in model.eigentable(b_max, lam_max))
     return [
         BranchPoint(t, tuple(modes))
         for t, modes in variation.window_roots(model.family, pairs, t_min, t_max)
@@ -296,26 +303,27 @@ def _factor(routine, failed, mats, *operands):
 
 class _Preconditioner:
     """P^-1 for each member of a `_Linear` stack M, with P the matrix M
-    whose J + mu R is replaced by its fiber-constant model: the entries
+    whose J + mu R is replaced by a block-diagonal model: the entries
     between different fiber degrees zeroed, degree 0 kept (J_00 + mu R_00,
     R_00 the base circle's generator, zero for the fiber circle's), and
-    every degree j >= 1 taken to be J_00 + c_j I, c_j = a_m lam_j / t.
+    every degree j >= 1 taken to be D + c_j I, D the diagonal of J_00 and
+    c_j = a_m lam_j / t.  J_00 is the evaluation's `degree_zero_block`.
 
-    J_00 is the evaluation's `degree_zero_block` for every nf.  At a
-    fiber-constant state J has exactly these blocks, and mu vanishes on
-    solutions, so there P = M.  One `eigh` J_00 = Q Lambda Q^T inverts every
-    degree j >= 1 as Q (Lambda + c_j)^-1 Q^T, two small products for all of
-    them; their elimination leaves degree 0 with the border as one dense
-    Schur system of order nb + q, inverted once, as P^-1 is applied at every
-    GMRES step.  When nf = 1 that system is M itself and is solved as it
-    stands.  The whole stack is factored by one `eigh` and one `inv` call.
-    A fiber-mixed Newton solve factors it at its first step and keeps each
+    The degrees j >= 1 are inverted entry by entry; their elimination
+    leaves degree 0 with the border as one dense Schur system of order
+    nb + q, inverted once (one `inv` call for the stack), as P^-1 is applied
+    at every GMRES step.  When nf = 1 that system is M itself and is solved
+    as it stands.  At a constant state J_00 is diagonal and no entry joins
+    two degrees, so there P = M; near one c_j dominates the degree-j
+    blocks, and GMRES on the true operator takes up the rest.  A
+    fiber-mixed Newton solve factors P at its first step and keeps each
     member's to the end; `take` drops the members that leave.  A member
-    with a zero or non-finite Lambda_i + c_j, or a singular Schur system,
-    has its numpy.linalg.LinAlgError in `failed` (at the first solve when
-    nf = 1)."""
+    with a zero or non-finite D_i + c_j, or a singular Schur system, has
+    its numpy.linalg.LinAlgError in `failed` (at the first solve when
+    nf = 1).  `norm`, the |M| of the backward-error stops, is the Frobenius
+    norm of P with J_00 + c_j I at every degree j >= 1."""
 
-    _STACKED = ("basis", "shifted", "scale", "rows_up", "w", "schur_inv", "norm", "schur")
+    _STACKED = ("scale", "rows_up", "w", "schur_inv", "norm", "schur")
 
     def __init__(self, lin):
         ev, orbit, model = lin.ev, lin.orbit, lin.ev.model
@@ -324,13 +332,16 @@ class _Preconditioner:
         self.shape, self.failed = (nb, nf), [None] * k
         block = ev.degree_zero_block
         if nf > 1:
-            lam, self.basis = _factor(np.linalg.eigh, self.failed, block)
-            shifts = model.a_m * model.fiber.eigenvalues[1:] / ev.t[:, None]
-            self.shifted = lam[:, :, None] + shifts[:, None, :]             # Lambda_i + c_j
+            shifts = model.a_m * model.fiber.eigenvalues[1:] / ev.t[:, None]    # c_j, [k, nf-1]
+            shifted = np.diagonal(block, axis1=1, axis2=2)[:, :, None] + shifts[:, None, :]
             with np.errstate(divide="ignore"):
-                self.scale = 1.0 / self.shifted
-            finite = (np.isfinite(self.shifted).all(axis=(1, 2))
-                      & np.isfinite(self.scale).all(axis=(1, 2)))
+                self.scale = 1.0 / shifted                                  # [k, nb, nf-1]
+            # the sum over j of |J_00 + c_j I|_F^2 = |J_00|_F^2 + 2 c_j tr J_00 + nb c_j^2
+            flat = block.reshape(k, -1)
+            up = ((nf - 1) * np.vecdot(flat, flat)
+                  + 2 * np.trace(block, axis1=1, axis2=2) * shifts.sum(axis=1)
+                  + nb * np.vecdot(shifts, shifts))
+            finite = (np.isfinite(shifted) & np.isfinite(self.scale)).all(axis=(1, 2))
             for i in np.flatnonzero(~finite):
                 self.failed[i] = self.failed[i] or np.linalg.LinAlgError("singular fiber block")
                 self.scale[i] = 0.0
@@ -351,23 +362,13 @@ class _Preconditioner:
             return
         self.rows_up = rows4[:, :, :, 1:].reshape(k, q, nb * (nf - 1))    # (i, j)
         cols_up = cols4[:, :, 1:]
-        total = 0.0
-        for a in (schur, self.shifted, cols_up, self.rows_up):
+        for a in (schur, cols_up, self.rows_up):
             flat = a.reshape(k, -1)
-            total = total + np.vecdot(flat, flat)
-        self.norm = np.sqrt(total)
-        self.w = self._invert_up(cols_up)                                # [k, nb, nf-1, q]
+            up = up + np.vecdot(flat, flat)
+        self.norm = np.sqrt(up)
+        self.w = cols_up * self.scale[..., None]                          # [k, nb, nf-1, q]
         schur[:, nb:, nb:] -= self.rows_up @ self.w.reshape(k, nb * (nf - 1), q)
         self.schur_inv = _factor(np.linalg.inv, self.failed, schur)
-
-    def _invert_up(self, b):
-        """(J_00 + c_j I)^-1 b[:, :, j - 1] for every degree j >= 1 and
-        member, b [k, nb, nf-1, c]."""
-        basis = self.basis
-        k, nb = basis.shape[:2]
-        coef = ((basis.transpose(0, 2, 1) @ b.reshape(k, nb, -1)).reshape(b.shape)
-                * self.scale[..., None])
-        return (basis @ coef.reshape(k, nb, -1)).reshape(b.shape)
 
     def __call__(self, r):
         """P^-1 r, member by member."""
@@ -376,7 +377,7 @@ class _Preconditioner:
             return _factor(np.linalg.solve, self.failed, self.schur, r[:, :, None])[:, :, 0]
         k, n = len(r), nb * nf
         rc = r[:, :n].reshape(k, nb, nf)
-        y = self._invert_up(rc[:, :, 1:, None])[..., 0]                  # [k, nb, nf-1]
+        y = rc[:, :, 1:] * self.scale                                     # [k, nb, nf-1]
         border = r[:, n:] - (self.rows_up @ y.reshape(k, -1, 1))[:, :, 0]
         s = (self.schur_inv @ np.concatenate([rc[:, :, 0], border], axis=1)[:, :, None])[:, :, 0]
         x = np.empty_like(r)

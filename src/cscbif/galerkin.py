@@ -216,13 +216,12 @@ class GalerkinModel:
         """The factors' weighted values ([nb, Mb], [nf, Mf]) for `project`."""
         return tuple(f.values * f.weights for f in (self.base, self.fiber))
 
-    def eigentable(self):
-        """Exact (b_i, lam_j) per mode pair, row-major over (i, j)."""
-        return [
-            ((i, j), (bi, lj))
-            for i, bi in enumerate(self.base.eigenvalues_exact)
-            for j, lj in enumerate(self.fiber.eigenvalues_exact)
-        ]
+    def eigentable(self, b_max=np.inf, lam_max=np.inf):
+        """Exact (b_i, lam_j) per mode pair with b_i <= b_max and
+        lam_j <= lam_max, row-major over (i, j)."""
+        base = [(i, b) for i, b in enumerate(self.base.eigenvalues_exact) if b <= b_max]
+        fiber = [(j, lam) for j, lam in enumerate(self.fiber.eigenvalues_exact) if lam <= lam_max]
+        return [((i, j), (b, lam)) for i, b in base for j, lam in fiber]
 
 
 def _per_member(f, t):
@@ -479,8 +478,9 @@ def stack(evaluations) -> Evaluation:
 
 def norms(a: np.ndarray) -> np.ndarray:
     """The 2-norm of each member of a stack a [k, ...], bit for bit as
-    numpy.linalg.norm gives it for the member alone."""
-    flat = a.reshape(len(a), -1)
+    numpy.linalg.norm gives it for the member alone: `vecdot` rounds a
+    strided row (a Fortran-ordered stack) otherwise, so it reads C order."""
+    flat = np.ascontiguousarray(a.reshape(len(a), -1))
     return np.sqrt(np.vecdot(flat, flat))
 
 

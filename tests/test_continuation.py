@@ -76,6 +76,31 @@ def test_detected_points_lie_on_exact_instants(cs_model, circle_sphere):
     assert {bp.t: {pair_of[m] for m in bp.kernel_modes} for bp in points} == expected
 
 
+@pytest.mark.parametrize("family, window", [
+    ("circle_sphere", (Fraction(1, 1000), 2)),
+    ("circle_sphere", (0.05, 1.5)),
+    ("sphere_sphere", (Fraction(3, 10), 10)),
+], ids=["cs-config", "cs-float", "ss"])
+def test_detection_solves_only_the_pairs_below_the_truncation_heights(
+        family, window, request, monkeypatch):
+    # no pair above `variation.pair_truncation_bounds` has a root in the
+    # window: at 16x8 the list equals the one from every resolved pair, from
+    # fewer solved pairs (observed 30 and 8 of 247, and 5 of 127)
+    fam = request.getfixturevalue(family)
+    model = galerkin.build_model(fam, 16, 8)
+    every = [continuation.BranchPoint(t, tuple(modes)) for t, modes in variation.window_roots(
+        fam, ((mode, b, lam) for mode, (b, lam) in model.eigentable()), *window)]
+    solved, roots = [], variation.degeneracy_roots
+
+    def counting(fam, b, lam):
+        solved.append((b, lam))
+        return roots(fam, b, lam)
+
+    monkeypatch.setattr(variation, "degeneracy_roots", counting)
+    assert continuation.detect_branch_points(model, *window) == every
+    assert every and 0 < len(solved) < (model.n_modes - 1) // 2
+
+
 def test_window_is_half_open(cs_model):
     points = continuation.detect_branch_points(cs_model, Fraction(1, 4), 1)
     assert [bp.t for bp in points] == [1]
@@ -513,55 +538,64 @@ def padded_solution(cs_model, cs_branch_point):
     return galerkin.Evaluation(model, state), orbit
 
 
-def test_the_first_sweep_is_the_solve_at_a_fiber_constant_solution(
-        cs_model, padded_solution, monkeypatch):
-    # there every fiber block is J_00 + c_j I and no entry joins two
-    # degrees, so P = M up to rounding: P^-1 r meets the quarter-ulp stop
-    # (observed 0.002 ulps) and the solve takes no GMRES step
+def test_the_first_sweep_is_the_solve_at_a_constant_state(cs_model, padded_solution,
+                                                          monkeypatch):
+    # at u = 1 the degree-0 block is diagonal (up to quadrature rounding)
+    # and no entry joins two degrees, so P = M: P^-1 r meets the quarter-ulp
+    # stop (observed 0.016 ulps at most) and the solve takes no GMRES step.
+    # At a fiber-constant solution off u = 1, P keeps only the diagonal of
+    # each degree-j block, and GMRES takes a few steps to the quarter-ulp
+    # stop (observed 3 a solve, and 0.12 ulps at most)
     model = cs_model
-    ev, orbit = padded_solution
     rng = np.random.default_rng(4)
-    row = rng.standard_normal(model.n_modes + 1)
-    lin = continuation._bordered_linear(ev, orbit, row[None])
-    pre = continuation._Preconditioner(lin)
-    dense = bordered_matrix(model, ev, orbit, row)
     steps = _counting_gmres(monkeypatch)
-    for _ in range(3):
+    for t in (0.01, 0.7, 1.3):
+        ev = galerkin.Evaluation(model, galerkin.constant_state(model, [t]))
+        row = rng.standard_normal(model.n_modes + 1)
+        lin = continuation._bordered_linear(ev, None, row[None])
+        pre = continuation._Preconditioner(lin)
+        dense = bordered_matrix(model, ev, None, row)
         rhs = rng.standard_normal(lin.size)
         x = pre(rhs[None])[0]
         ulp = continuation._EPS * (pre.norm[0] * np.linalg.norm(x) + np.linalg.norm(rhs))
         assert np.linalg.norm(rhs - dense @ x) <= continuation._BACKWARD_ULPS * ulp
         assert np.array_equal(continuation._solve_linear(lin, rhs[None], pre)[0][0], x)
     assert steps == []
-
-
-def test_the_preconditioner_margin_is_the_eigvalsh_one(cs_model, padded_solution):
-    # Lambda_0 + a_m lam_1 / t from the preconditioner's one eigh is the
-    # smallest eigenvalue of the dense Jacobian's degree-1 block, and
-    # `fiber_margin` at the same state
-    model = cs_model
     ev, orbit = padded_solution
+    row = rng.standard_normal(model.n_modes + 1)
+    lin = continuation._bordered_linear(ev, orbit, row[None])
+    dense = bordered_matrix(model, ev, orbit, row)
+    for _ in range(3):
+        rhs = rng.standard_normal(lin.size)
+        (x,), pre, (error,) = continuation._solve_linear(lin, rhs[None])
+        ulp = continuation._EPS * (pre.norm[0] * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert error is None
+        assert np.linalg.norm(rhs - dense @ x) <= continuation._BACKWARD_ULPS * ulp
+    assert sum(steps) <= 15
+
+
+def test_the_fiber_margin_is_the_smallest_degree_one_eigenvalue(cs_model, padded_solution):
+    # `fiber_margin` at a fiber-constant solution, read from the restricted
+    # evaluation, is the smallest eigenvalue of the dense Jacobian's
+    # degree-1 block there
+    model = cs_model
+    ev, _ = padded_solution
     nb, nf = model.shape
-    lin = continuation._bordered_linear(ev, orbit, np.ones((1, model.n_modes + 1)))
-    shifted = continuation._Preconditioner(lin).shifted[0]
     jac = galerkin.residual_jacobian(ev)[0].reshape(nb, nf, nb, nf)
     oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
     sub = galerkin.Evaluation(model.fiber_constant,
                               galerkin.State(ev.state.t, ev.state.coeffs[:, :, :1]))
     (margin,) = continuation.fiber_margin(model, sub)
-    scale = np.abs(jac).max()
-    assert shifted[0, 0] == np.min(shifted)
-    assert abs(shifted[0, 0] - oracle) <= 1e-13 * scale
-    assert abs(margin - oracle) <= 1e-13 * scale
+    assert abs(margin - oracle) <= 1e-13 * np.abs(jac).max()
 
 
 @pytest.mark.parametrize("defect, match", [
     (0.0, "singular fiber block"),
-    (np.nan, "singular fiber block|did not converge"),   # NaN eigenvalues, or eigh refuses
+    (np.nan, "singular fiber block"),
 ], ids=["zero", "nan"])
 def test_a_singular_fiber_block_raises(cs_model, padded_solution, monkeypatch, defect, match):
-    # J_00 = -c_1 I makes the degree-1 block exactly singular, and a NaN
-    # block has no finite eigenvalues: numpy's LinAlgError, as for a
+    # J_00 = -c_1 I makes the diagonal of the degree-1 block exactly zero,
+    # and a NaN block has no finite diagonal: numpy's LinAlgError, as for a
     # singular Schur system
     model = cs_model
     ev, orbit = padded_solution
@@ -852,6 +886,21 @@ def test_fiber_kernels_are_followed_in_the_full_space(sphere_sphere):
     assert all(f == 0.0 for f in branch.samples.fiber_fraction)
 
 
+def test_the_branch_path_calls_no_eigh(sphere_sphere, monkeypatch):
+    # a vertical branch is followed in the full space (nf = 6), whose
+    # preconditioner inverts the degrees j >= 1 by their diagonals, and a
+    # horizontal one on the fiber-constant subspace (nf = 1)
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    points = continuation.detect_branch_points(model, Fraction(3, 10), 3)
+    branches = list(continuation.follow_branch(model, points, 1e-2, -1, 5, 4e-4))
+    assert [b.subspace for b in points] == ["fiber-constant", "full"]
+    assert [len(b) for b in branches] == [6, 6]
+
+
 @pytest.mark.parametrize("which", ["vertical", "horizontal"])
 def test_a_followed_branch_is_measured_once(sphere_sphere, monkeypatch, which):
     # the branches of the test above: a branch's samples are one stack, so
@@ -1063,8 +1112,9 @@ def test_restricted_complement_solve_matches_the_full_model(cs_model, which):
 def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, monkeypatch):
     # the trials and both reductions solve by fiber degree: no numpy.linalg
     # solve, inv, eigh, lstsq or svd call sees a matrix with a side of
-    # n_modes or more, and no dense Jacobian is built (the margins read the
-    # restricted solve's evaluation)
+    # n_modes or more, no eigh runs at all (the degrees j >= 1 are inverted
+    # by their diagonals), and no dense Jacobian is built (the margins read
+    # the restricted solve's evaluation)
     model = cs_model
     n, nb = model.n_modes, model.shape[0]
     sides = []
@@ -1083,7 +1133,7 @@ def test_the_verify_path_factors_no_n_by_n_matrix(cs_model, cs_branch_point, mon
     monkeypatch.setattr(galerkin, "residual_jacobian", counting)
     continuation.verify_fiber_constancy(model, cs_branch_point, trials=3, seed=0)
     continuation.lyapunov_schmidt_reduce(model, cs_branch_point, 1e-2, 2)
-    assert {name for name, _ in sides} == {"solve", "inv", "eigh"}
+    assert {name for name, _ in sides} == {"solve", "inv"}
     assert max(side for _, side in sides) < n
     assert jacobians == []
     assert max(side for _, side in sides) >= nb
@@ -1217,15 +1267,17 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
 
 
 def test_a_stack_of_complement_solves_gives_each_member_its_own_result(cs6):
-    # full-complement samples of radius 1e-2 converge at 6x3; of those of
-    # radius 1.5, some converge and some stall against the positive cone
+    # full-complement samples of radius 1e-2 and 1.5 converge at 6x3; two
+    # members start at u = -1 plus their kernel part, off the positive
+    # cone, and fail there whatever the others do
     model, bp = cs6
     rng = np.random.default_rng(1)
     vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
     kernel = [i * model.shape[1] + j for i, j in bp.kernel_modes]
     complement = [m for m in range(model.n_modes) if m not in kernel]
-    radii = np.array([1e-2, 1.5, 1e-2, 1.5, 1e-2])
+    radii = np.array([1e-2, 1.5, 1e-2, 1.5, 1e-2, 1e-2])
+    off_cone = [2, 5]
     bases, starts = [], []
     for radius in radii:
         direction = rng.standard_normal(bp.kernel_dim) @ vecs
@@ -1233,13 +1285,45 @@ def test_a_stack_of_complement_solves_gives_each_member_its_own_result(cs6):
         mixed = rng.standard_normal(len(complement))
         starts.append(radius * mixed / np.linalg.norm(mixed))
     bases, starts = np.array(bases), np.array(starts)
+    starts[off_cone] = -2 * c_triv[complement]
 
     def solve(members):
         _, _, evs, errors = continuation._complement_solve(
             model, bp.t, bases[members], complement, starts[members])
         return dict(zip(members, zip(evs, errors)))
 
-    _assert_each_member_gets_its_own_result(*_alone_and_stacked(solve, len(radii)))
+    alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(radii))
+    assert [i for i in stacked if i not in converged] == off_cone
+    for i in off_cone:
+        assert isinstance(stacked[i][1].__cause__, PositivityViolationError)
+    _assert_each_member_gets_its_own_result(alone, stacked, converged, only_converged)
+
+
+def test_a_stack_of_complement_solves_returns_each_member_its_own_norm(cs_model,
+                                                                      cs_branch_point):
+    # the projected residual is a column selection of the stack's residuals,
+    # which numpy returns Fortran-ordered; its norms, which Newton's stop
+    # test reads, are each member's alone bit for bit, as are the solutions
+    model, bp = cs_model, cs_branch_point
+    rng = np.random.default_rng(1)
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    kernel = [i * model.shape[1] + j for i, j in bp.kernel_modes]
+    complement = [m for m in range(model.n_modes) if m not in kernel]
+    bases, starts = [], []
+    for _ in range(8):
+        direction = rng.standard_normal(bp.kernel_dim) @ vecs
+        bases.append(c_triv + 1e-2 * direction / np.linalg.norm(direction))
+        mixed = rng.standard_normal(len(complement))
+        starts.append(1e-2 * mixed / np.linalg.norm(mixed))
+    bases, starts = np.array(bases), np.array(starts)
+    v, norms, _, errors = continuation._complement_solve(model, bp.t, bases, complement, starts)
+    assert errors == [None] * 8
+    for i in range(8):
+        (v_i,), (norm_i,), _, _ = continuation._complement_solve(
+            model, bp.t, bases[i:i + 1], complement, starts[i:i + 1])
+        assert np.array_equal(v[i], v_i)
+        assert norms[i] == norm_i
 
 
 def _reported(branch):
@@ -1292,11 +1376,12 @@ def test_branches_followed_together_get_the_bits_they_get_alone(
 
 def test_the_verify_path_factors_per_stack(cs_model, cs_branch_point, monkeypatch):
     # the trials and the full-complement samples are solved as stacks: one
-    # eigh call factors the degree-0 blocks of every member still iterating,
-    # so there are fewer calls than solves, and the first sees all six trials
+    # inv call factors the Schur systems of every member of a fiber-mixed
+    # solve, so there are fewer calls than solves, and the first sees all
+    # six trials (the restricted samples, with one fiber mode, call solve)
     shapes, solves = [], []
 
-    def spy(a, *args, _original=np.linalg.eigh, **kwargs):
+    def spy(a, *args, _original=np.linalg.inv, **kwargs):
         shapes.append(np.shape(a))
         return _original(a, *args, **kwargs)
 
@@ -1304,13 +1389,12 @@ def test_the_verify_path_factors_per_stack(cs_model, cs_branch_point, monkeypatc
         solves.append(len(x))
         return _original(model, state, system, linear, x, tol)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "inv", spy)
     monkeypatch.setattr(continuation, "_newton", counting)
     continuation.verify_fiber_constancy(cs_model, cs_branch_point, trials=6)
     continuation.lyapunov_schmidt_reduce(cs_model, cs_branch_point, 1e-2, 4)
     assert sum(solves) == 6 + 4 + 4
-    assert 0 < len(shapes) < sum(solves)
-    assert shapes[0][:-2] == (6,)
+    assert [shape[:-2] for shape in shapes] == [(6,), (4,)]
 
 
 def test_a_fiber_mixed_solve_factors_its_preconditioner_once(cs_model, cs_branch_point,
