@@ -346,11 +346,7 @@ class _Preconditioner:
                 self.failed[i] = self.failed[i] or np.linalg.LinAlgError("singular fiber block")
                 self.scale[i] = 0.0
         if orbit is not None and orbit.on_base:
-            mu = lin.mu.tolist()
-            if any(mu):
-                turned = block + lin.mu[:, None, None] * orbit.generator
-                block = turned if all(mu) else np.where((lin.mu != 0.0)[:, None, None],
-                                                        turned, block)
+            block = block + lin.mu[:, None, None] * orbit.generator
         cols4, rows4 = lin.cols.reshape(k, nb, nf, q), lin.rows.reshape(k, q, nb, nf)
         schur = np.empty((k, nb + q, nb + q))
         schur[:, :nb, :nb] = block
@@ -579,15 +575,24 @@ def _newton_failure(what, t, norm, cone):
                               positivity_boundary=bool(cone))
 
 
+def _in_member_order(pieces):
+    """One stack of the members of `pieces`, (members, evaluation) pairs, in
+    member order: one piece is its own stack, and no pieces None."""
+    if len(pieces) < 2:
+        return pieces[0][1] if pieces else None
+    ids = np.concatenate([members for members, _ in pieces])
+    return galerkin.stack([piece for _, piece in pieces])[np.argsort(ids)]
+
+
 def _newton(model, state, system, linear, x, tol):
     """Damped Newton on a stack of k independent square systems F_i(x_i) = 0,
     the one Newton loop of the corrector and the complement solves, x [k, N].
-    For the rows x of the members `members` (an index array, or a slice
-    for all k in order), `state(x, members)` gives their states (t [m],
-    coefficients [m, nb, nf]), `system(ev, x, members)` their (F [m, N],
-    plain [m]) at their `galerkin.Evaluation` ev, plain the norms of their
-    residuals alone, and `linear(ev, x, members)` the `_Linear` stack of
-    their Jacobians.
+    For the rows x of the members `members` (an index array),
+    `state(x, members)` gives their states (t [m], coefficients
+    [m, nb, nf]), `system(ev, x, members)` their (F [m, N], plain [m]) at
+    their `galerkin.Evaluation` ev, plain the norms of their residuals
+    alone, and `linear(ev, x, members)` the `_Linear` stack of their
+    Jacobians.
 
     Each member on its own: each step is one `_solve_linear` to the forcing
     term min(_FORCING, |F|), with the preconditioner factored at the first
@@ -597,13 +602,11 @@ def _newton(model, state, system, linear, x, tol):
     `tol`.  The members still iterating are solved, factored and evaluated
     as one stack; the members still halving share their damping factor.
 
-    Returns (x, evs, plain, first, errors): per member its last iterate,
-    its converged evaluation (a stack of one viewing the stack it converged
-    in; None when it failed), its plain (0 when it failed), and None or its
-    error; and first, (P, members): the preconditioner stack of its first
-    step, or of the start when a member converged there, and the members it
-    is of, which include every converged member (None when no member took
-    a step or converged at its start).  The errors:
+    Returns (x, ev, plain, errors): per member its last iterate, its plain
+    (0 when it failed) and None or its error, and ev, the evaluation of the
+    converged members as one stack in member order (None when none
+    converged): the iterate stack they converged in when they converged
+    together, else a join of the pieces.  The errors:
     numpy.linalg.LinAlgError for a singular step,
     InvalidArgumentError or PositivityViolationError for a start with no
     state or off the positive cone, and NoConvergenceError, whose
@@ -611,19 +614,19 @@ def _newton(model, state, system, linear, x, tol):
     halving below _MIN_DAMPING or MAX_NEWTON_ITER steps."""
     x = np.array(x, dtype=float)
     k = len(x)
-    evs, errors, cone = [None] * k, [None] * k, [False] * k
+    errors, cone = [None] * k, [False] * k
     plain_out = np.zeros(k)
-    # xa, F, norm, plain and ev hold the current iterates of `members`, in
-    # order; while they are all k members, the callbacks read them as a slice
-    members, pre, first = np.arange(k), None, None
+    pieces = []     # (members, evaluation) of the members converged at one step
+    # xa, F, norm, plain and ev hold the current iterates of `members`, in order
+    members, pre = np.arange(k), None
     xa = x.copy()
-    ev, failed = _evaluate(model, *state(xa, slice(None)))
+    ev, failed = _evaluate(model, *state(xa, members))
     if failed is not None:
         errors = list(failed)
         members = np.flatnonzero([f is None for f in failed])
         xa = xa[members]
     if len(members):
-        F, plain = system(ev, xa, slice(None) if len(members) == k else members)
+        F, plain = system(ev, xa, members)
         norm = galerkin.norms(F)
     for iteration in range(MAX_NEWTON_ITER + 1):
         if not len(members):
@@ -633,25 +636,17 @@ def _newton(model, state, system, linear, x, tol):
                 errors[i] = _newton_failure(f"did not converge in {MAX_NEWTON_ITER} steps",
                                             ev.t[j], norm[j], cone[i])
             break
-        done = [a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())]
-        if any(done):
-            if first is None:
-                # a member converged at its start keeps the preconditioner of
-                # its start, as the others keep their first step's
-                pre = _Preconditioner(linear(ev, xa, slice(None) if len(members) == k
-                                             else members))
-                first = pre, members
-            for j, i in enumerate(members.tolist()):
-                if done[j]:
-                    x[i], plain_out[i], evs[i] = xa[j], plain[j], ev[j:j + 1]
-            if all(done):
+        done = np.array([a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())])
+        if done.any():
+            x[members[done]], plain_out[members[done]] = xa[done], plain[done]
+            pieces.append((members[done], ev if done.all() else ev[np.flatnonzero(done)]))
+            if done.all():
                 break
-            live = np.flatnonzero(np.logical_not(done))
+            live = np.flatnonzero(~done)
             members, xa, F, norm, plain, ev = (
                 members[live], xa[live], F[live], norm[live], plain[live], ev[live])
             pre = None if pre is None else pre.take(live)
-        sel = slice(None) if len(members) == k else members
-        step, pre, failed = _solve_linear(linear(ev, xa, sel), -F, pre,
+        step, pre, failed = _solve_linear(linear(ev, xa, members), -F, pre,
                                           np.minimum(_FORCING, norm))
         if failed.count(None) < len(failed):
             for i, error in zip(members, failed):
@@ -661,9 +656,7 @@ def _newton(model, state, system, linear, x, tol):
                 break
             members, xa, F, norm, plain, ev, step = (
                 members[live], xa[live], F[live], norm[live], plain[live], ev[live], step[live])
-            sel, pre = members, pre.take(live)
-        if first is None:
-            first = pre, members
+            pre = pre.take(live)
 
         # the line search: every member starts at alpha = 1, and the members
         # still halving (at the positions `search` in `members`; None: all of
@@ -672,7 +665,7 @@ def _newton(model, state, system, linear, x, tol):
         alpha, search, accepted, at_once = 1.0, None, {}, False
         while True:
             if search is None:
-                ids, cand, positions = sel, xa + alpha * step, list(range(len(members)))
+                ids, cand, positions = members, xa + alpha * step, list(range(len(members)))
             else:
                 ids, cand, positions = members[search], xa[search] + alpha * step[search], search
             cev, failed = _evaluate(model, *state(cand, ids))
@@ -688,6 +681,7 @@ def _newton(model, state, system, linear, x, tol):
                 new_norm = galerkin.norms(F_new)
                 bar, old = 1 - 0.25 * alpha, norm.tolist()
                 ok = [a <= bar * old[j] or a < tol for a, j in zip(new_norm.tolist(), evaluated)]
+                # all accepted: keep the stack whole (views and a join cost branch ~5 %)
                 if search is None and failed is None and all(ok):
                     xa, F, plain, norm, ev, at_once = cand, F_new, plain_new, new_norm, cev, True
                     break
@@ -713,7 +707,7 @@ def _newton(model, state, system, linear, x, tol):
         ev = galerkin.stack([accepted[j][4] for j in live])
         if len(live) < len(members):
             members, pre = members[live], pre.take(live)
-    return x, evs, plain_out, first, errors
+    return x, _in_member_order(pieces), plain_out, errors
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
@@ -725,11 +719,10 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     in the kernel span, orthogonal to the constant, so it reads
     <phase, c - c_triv> = 0) to TOL_NEWTON, from (coeffs [k, n], t [k]) and
     mu = 0, each member with its own `row` [k, n + 1] and `target` [k]; an
-    error names the member's start t as given.  Returns (evs, mu, first,
-    errors): per member the converged evaluation (its `.state` is the
-    solution), mu and None or its error, and `_newton`'s first-step
-    preconditioners, for the tangents at the solutions.  A singular
-    bordered matrix is a NoConvergenceError."""
+    error names the member's start t as given.  Returns (ev, mu, errors):
+    `_newton`'s converged stack (its `.state` holds the solutions of the
+    members with no error, in member order), and per member mu and None or
+    its error.  A singular bordered matrix is a NoConvergenceError."""
     n = model.n_modes
     coeffs = np.asarray(coeffs, dtype=float).reshape(-1, n)
     k = len(coeffs)
@@ -757,13 +750,13 @@ def _solve_bordered(model, coeffs, t, orbit, row, target):
     x = np.zeros((k, n + (1 if orbit is None else 2)))
     x[:, :n] = coeffs
     x[:, n] = t
-    x, evs, _, first, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
+    x, ev, _, errors = _newton(model, state, system, linear, x, TOL_NEWTON)
     for i, exc in enumerate(errors):
         if isinstance(exc, np.linalg.LinAlgError):
             errors[i] = NoConvergenceError(f"singular bordered matrix near t = {t[i]}: {exc}")
             errors[i].__cause__ = exc
     mu = np.zeros(k) if orbit is None else x[:, n + 1]
-    return evs, mu, first, errors
+    return ev, mu, errors
 
 
 def _switch_solve(model, points, c_triv, n_hat, amplitude, start):
@@ -772,13 +765,13 @@ def _switch_solve(model, points, c_triv, n_hat, amplitude, start):
     <c - c_triv_i, n_hat_i> = amplitude, fixes the phase along n_hat_i, and
     solves from start_i at t = points[i].t, the points all of one
     `_orbit_kind`; n_hat and start are [k, n], c_triv [k, n] or one [n] for
-    every member.  Returns the converged evaluations and errors of
+    every member.  Returns the converged stack and the errors of
     `_solve_bordered`."""
     orbit = _orbit(model, points, n_hat)
     rows = np.concatenate([n_hat, np.zeros((len(n_hat), 1))], axis=1)
-    evs, _, _, errors = _solve_bordered(model, start, [bp.t for bp in points], orbit, rows,
-                                        np.vecdot(n_hat, c_triv) + amplitude)
-    return evs, errors
+    ev, _, errors = _solve_bordered(model, start, [bp.t for bp in points], orbit, rows,
+                                    np.vecdot(n_hat, c_triv) + amplitude)
+    return ev, errors
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +795,14 @@ def switch_branch(model: GalerkinModel, points, amplitude: float) -> list:
     c_triv = galerkin.constant_state(model, [bp.t for bp in points]).coeffs
     c_triv = c_triv.reshape(len(points), -1)
     n_hat = np.array([kernel_vectors(model, bp)[0].ravel() for bp in points])
-    evs, errors = _switch_solve(model, points, c_triv, n_hat, amplitude,
-                                c_triv + amplitude * n_hat)
+    ev, errors = _switch_solve(model, points, c_triv, n_hat, amplitude,
+                               c_triv + amplitude * n_hat)
     out = []
-    for bp, ev, error in zip(points, evs, errors):
+    for i, (bp, error) in enumerate(zip(points, errors)):
         if error is None:
-            if ev.u_distance[0] > _NONTRIVIAL_NORM:
-                out.append(ev)
+            r = errors[:i].count(None)      # the point's row in ev
+            if ev.u_distance[r] > _NONTRIVIAL_NORM:
+                out.append(ev[r:r + 1])
                 continue
             cause = "the solution collapsed to u = 1"
         elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
@@ -872,19 +866,19 @@ class Branch:
         return self.samples.u_distance
 
 
-def _tangent(ev, orbit, last_row, pre=None):
+def _tangent(ev, orbit, last_row):
     """Unit tangents (dc, dt), [k, n + 1], of a stack of branches at their
     evaluated solutions `ev` (a `galerkin.Evaluation`, as the corrector
     returns them): one full-accuracy solve of each member's bordered matrix
     with its `last_row` over (c, t) as the last row and right side e_last,
     so the tangent has a positive component along `last_row` (the previous
-    tangent, or the unit offset from u = 1 at the start).  `pre` is the
-    correctors' preconditioners, used as they stand.  Returns the tangents
-    and per member None or the NoConvergenceError of a singular system."""
+    tangent, or the unit offset from u = 1 at the start), preconditioned
+    at `ev`.  Returns the tangents and per member None or the
+    NoConvergenceError of a singular system."""
     lin = _bordered_linear(ev, orbit, last_row)
     rhs = np.zeros((len(ev), lin.size))
     rhs[:, -1] = 1.0
-    x, _, failed = _solve_linear(lin, rhs, pre)
+    x, _, failed = _solve_linear(lin, rhs)
     errors = [None] * len(ev)
     for i, error in enumerate(failed):
         if error is not None:
@@ -899,8 +893,9 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
                     direction: int, steps: int, ds: float, origins=None) -> Branch:
     """Pseudo-arclength continuation of a stack of branches in lockstep,
     member i from the converged solution i of `start`, a state (a stack) or
-    its evaluation (which is then not evaluated again), through the branch
-    point `origins[i]` (None: no origins), all of one `_orbit_kind`.
+    its evaluation (which the residual check and the first tangents then
+    read), through the branch point `origins[i]` (None: no origins), all of
+    one `_orbit_kind`.
 
     `direction` +1 follows the branches with growing distance from u = 1,
     -1 with shrinking distance (toward the branch point).  Each step is one
@@ -914,6 +909,9 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
     NoConvergenceError.  A member that stops leaves the stack, and every
     member gets the bits it gets alone.  The rotation orbit of a cos/sin
     kernel pair of a member's origin is fixed by the phase of its start.
+    A member keeps its samples as (c, t) rows, its start first, and
+    evaluates them once, as one stack, when the branches return, so no
+    corrector's stack outlives its step.
     """
     if not ds > 0:
         raise InvalidArgumentError(f"arclength step must be positive, got {ds}")
@@ -943,7 +941,7 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
     v, errors = _tangent(start_ev, orbit, first_row)
     v *= direction
 
-    samples = [[start_ev[i:i + 1]] for i in range(k)]
+    samples = [[x[i].copy()] for i in range(k)]      # each member's (c, t) rows
     reasons = ["steps-exhausted"] * k
     last = start_ev.u_distance.tolist()
     running = [i for i in range(k) if errors[i] is None]
@@ -952,13 +950,13 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
             break
         ids = np.array(running)
         x_pred = x[ids] + ds * v[ids]
-        evs, _, first, failed = _solve_bordered(
+        solved_ev, _, failed = _solve_bordered(
             model, x_pred[:, :-1], x_pred[:, -1], None if orbit is None else orbit.take(ids),
             v[ids], np.vecdot(v[ids], x_pred))
-        solved = []     # (position in the corrector stack, member, its evaluation)
-        for r, (i, solution, exc) in enumerate(zip(running, evs, failed)):
+        solved = []     # the members solved, in the order of solved_ev
+        for i, exc in zip(running, failed):
             if exc is None:
-                solved.append((r, i, solution))
+                solved.append(i)
             elif not isinstance(exc, (NoConvergenceError, PositivityViolationError)):
                 errors[i] = exc
             elif step_no == 0:
@@ -971,10 +969,9 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
         running = []
         if not solved:
             break
-        solved_ev = galerkin.stack([ev for _, _, ev in solved])
         dist = solved_ev.u_distance.tolist()
         going = []
-        for p, (_, i, _) in enumerate(solved):
+        for p, i in enumerate(solved):
             if (dist[p] - last[i]) * direction < 0 and max(dist[p], last[i]) >= _NONTRIVIAL_NORM:
                 reasons[i] = "turnaround"
             else:
@@ -982,12 +979,8 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
         if not going:
             break
         ev = solved_ev if len(going) == len(solved) else solved_ev[np.array(going)]
-        ids = np.array([solved[p][1] for p in going])
-        pre = None if first is None else first[0].take(
-            np.searchsorted(first[1], [solved[p][0] for p in going]))
-        tangents, failed = _tangent(ev, None if orbit is None else orbit.take(ids), v[ids], pre)
-        # a sample is the corrector's own evaluation, not a view of this
-        # step's joined stack, so that the step's stacks are freed after it
+        ids = np.array([solved[p] for p in going])
+        tangents, failed = _tangent(ev, None if orbit is None else orbit.take(ids), v[ids])
         for r, (p, i) in enumerate(zip(going, ids.tolist())):
             if failed[r] is not None:
                 errors[i] = failed[r]
@@ -996,11 +989,16 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
             x[i, n] = ev.t[r]
             v[i] = tangents[r]
             last[i] = dist[p]
-            samples[i].append(solved[p][2])
+            samples[i].append(x[i].copy())
             running.append(i)
     reasons = tuple(None if e is not None else r for r, e in zip(reasons, errors))
-    return Branch(tuple(galerkin.stack(s) for s in samples), origins, reasons, tuple(errors),
-                  (None,) * k)
+    # the last step's stacks are freed before the samples are evaluated, which
+    # then reuse their memory (branch-cs16 peak RSS about 0.1 MB lower)
+    solved_ev = ev = None
+    member_samples = tuple(
+        galerkin.Evaluation(model, State(rows[:, n], rows[:, :n].reshape((-1,) + model.shape)))
+        for rows in map(np.array, samples))
+    return Branch(member_samples, origins, reasons, tuple(errors), (None,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1045,8 @@ def _follow_group(model, sub, points, amplitude, direction, steps, ds):
         elif sub is model:
             out[j] = one
         else:
-            # the margin is measured on a view, which alone keeps what it computes
+            # the margin is measured on a view, so the blocks it computes
+            # are freed with it
             samples = one.samples[:]
             out[j] = (samples.state, one.origins, one.stop_reasons, one.errors,
                       (float(fiber_margin(model, samples).min()),))
@@ -1133,9 +1132,11 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
     (v, z), residual(base + v) + E z = 0 and E^T v = 0, with Jacobian
     [[J, E], [E^T, 0]]: the multipliers z take up the kernel rows, and v is
     read on `indices` only, so E^T v = 0 holds exactly.  Returns (v, the
-    final projected residuals, the evaluations of base + v, errors): per
-    member None or the ReductionFailedError naming the cause of a singular
-    step, a start that is not positive on the grid or a Newton failure."""
+    final projected residuals, ev, errors): ev `_newton`'s converged stack,
+    the evaluation of base + v for the members with no error in member
+    order, and per member None or the ReductionFailedError naming the
+    cause of a singular step, a start that is not positive on the grid or
+    a Newton failure."""
     n = model.n_modes
     idx = np.asarray(indices, dtype=int)
     pinned = np.delete(np.arange(n), idx)
@@ -1147,7 +1148,7 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
     k = len(base)
 
     def state(x, members):
-        c = base[members].copy()
+        c = base[members]
         c[:, idx] += x[:, idx]
         return np.full(len(x), float(t)), c.reshape((len(x),) + model.shape)
 
@@ -1160,7 +1161,7 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
     x = np.zeros((k, n + q))
     if start is not None:
         x[:, idx] = start
-    x, evs, norm, _, errors = _newton(
+    x, ev, norm, errors = _newton(
         model, state, system, lambda ev, x, members: _Linear(ev, unit, unit.T, corner),
         x, TOL_COMPLEMENT)
     for i, exc in enumerate(errors):
@@ -1172,7 +1173,7 @@ def _complement_solve(model, t, base_coeffs, indices, start=None):
         else:
             continue
         errors[i].__cause__ = exc
-    return x[:, idx], norm, evs, errors
+    return x[:, idx], norm, ev, errors
 
 
 def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
@@ -1248,7 +1249,7 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
             projected_residual_restricted=float(rr[i]),
         ))
     worst = max(0.0, *(sample.difference for sample in samples))
-    margin = float(fiber_margin(model, galerkin.stack(restricted)).min())
+    margin = float(fiber_margin(model, restricted).min())
     return ReductionResult(bp.kernel_dim, tuple(samples), worst, margin)
 
 
@@ -1328,14 +1329,13 @@ def verify_fiber_constancy(model: GalerkinModel, bp: BranchPoint, trials: int,
         fiber_part /= np.linalg.norm(fiber_part)
         n_hats.append(n_hat)
         starts.append(c_triv + amplitude * (n_hat + fiber_part))
-    evs, errors = _switch_solve(model, [bp] * trials, c_triv, np.array(n_hats), amplitude,
-                                np.array(starts))
+    solved, errors = _switch_solve(model, [bp] * trials, c_triv, np.array(n_hats), amplitude,
+                                   np.array(starts))
 
     # the converged solutions, measured as one stack
     converged = [trial for trial, error in enumerate(errors) if error is None]
     measured = {}
     if converged:
-        solved = galerkin.stack([evs[trial] for trial in converged])
         measured = dict(zip(converged, zip(solved.t.tolist(), solved.u_distance.tolist(),
                                            solved.fiber_fraction.tolist())))
     rows_out = []

@@ -304,48 +304,11 @@ def project(model: GalerkinModel, grid: np.ndarray) -> np.ndarray:
     return pb @ grid @ pf.T
 
 
-class _Part:
-    """A part of an `Evaluation`, computed on first use and kept.  A view of
-    a stack (`ev[rows]`) or a join of stacks (`stack`) reads the part from
-    what it is made of when that has computed it, so one computation serves
-    a stack, its views and its joins."""
-
-    def __init__(self, compute):
-        self.compute, self.__doc__ = compute, compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ev, owner=None):
-        if ev is None:
-            return self
-        value = None if ev.joined is None else _known(ev, self.name)
-        if value is None:
-            value = self.compute(ev)
-        ev.__dict__[self.name] = value
-        return value
-
-
 def _rows(value, rows):
     """value[rows] for an array, item by item for a tuple of them."""
     if isinstance(value, tuple):
         return tuple(part[rows] for part in value)
     return value[rows]
-
-
-def _known(ev, name):
-    """The part `name` of ev if ev, or what it is made of, has computed it:
-    the stack it views, or every stack it joins; else None."""
-    if name in ev.__dict__:
-        return ev.__dict__[name]
-    if ev.joined is None:
-        return None
-    parts, rows = ev.joined
-    if rows is not None:                     # a view of the stack parts[0]
-        value = _known(parts[0], name)
-        return None if value is None else _rows(value, rows)
-    values = [_known(part, name) for part in parts]
-    return None if any(v is None for v in values) else _concatenated(values)
 
 
 def _concatenated(values):
@@ -367,39 +330,45 @@ class Evaluation:
 
     Arrays carry a leading member axis, and scalars (t, s(t), the norms
     and measurements) are one per member.  `ev[rows]` is the members
-    `rows` (an index array or a slice, which keeps numpy views) as a stack
-    of their own, a view that reads the parts the stack has computed."""
+    `rows` (an index array or a slice) as a stack of their own, and
+    `stack` joins evaluations.  Both own their data: they copy the facts
+    their sources have computed when they are made (a slice keeps numpy
+    views), compute the rest themselves, and hold no other evaluation."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model, self.state = model, state
-        self.joined = None          # what a view or a `stack` is made of
-        self.grid = grid_values(model, state)
+        self.grid = grid_values(model, state)     # u on the grid, [k, Mb, Mf]
         low = self.grid.min()
         if not low > 0:
             raise PositivityViolationError(
                 f"state is not strictly positive on the grid (min {low:.6e})"
             )
 
+    def _made(self, state, parts) -> Evaluation:
+        """An evaluation of `state` with the computed `parts` (a dict of
+        every name's value, the grid included) and no grid check."""
+        out = type(self).__new__(type(self))
+        out.__dict__.update(parts, model=self.model, state=state)
+        return out
+
+    def _parts(self) -> dict:
+        """The facts computed so far, by name, the grid included."""
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("model", "state")}
+
     def __len__(self) -> int:
         return len(self.state.t)
 
     def __getitem__(self, rows) -> Evaluation:
-        view = type(self).__new__(type(self))
-        view.model, view.joined = self.model, ((self,), rows)
-        view.state = _members(self.state, rows)
-        return view
+        state = _members(self.state, rows)
+        return self._made(state, {name: _rows(value, rows)
+                                  for name, value in self._parts().items()})
 
     @property
     def t(self) -> np.ndarray:
         return self.state.t
 
-    @_Part
-    def grid(self) -> np.ndarray:
-        """u on the quadrature grid, [k, Mb, Mf]: an evaluation computes it
-        at construction, and a view or a join reads it when first used."""
-        return grid_values(self.model, self.state)
-
-    @_Part
+    @cached_property
     def mode_eigenvalues(self) -> np.ndarray:
         """b_i + lam_j / t on the grid of mode pairs, [k, nb, nf]."""
         base, fiber = self.model.base, self.model.fiber
@@ -410,11 +379,11 @@ class Evaluation:
         """s(t), [k, 1, 1]."""
         return _per_member(self.model.scalar_curvature, self.state.t)
 
-    @_Part
+    @cached_property
     def projected_power(self) -> np.ndarray:
         return project(self.model, self.grid ** (self.model.p_m - 1.0))
 
-    @_Part
+    @cached_property
     def jacobian_parts(self) -> tuple:
         """The two parts of the Jacobian of `residual`: the weight
         -s(t) (p - 1) w u^(p-2) of its projected power term on the grid,
@@ -424,7 +393,7 @@ class Evaluation:
         weight = -s_t * (p - 1.0) * model.weights2 * self.grid ** (p - 2.0)
         return weight, model.a_m * self.mode_eigenvalues + s_t
 
-    @_Part
+    @cached_property
     def degree_zero_block(self) -> np.ndarray:
         """The degree-0 block J[(i, 0), (k, 0)] of the Jacobian, [k, nb, nb]:
         B diag(w) B^T plus the diagonal linear part, with w the Jacobian's
@@ -439,41 +408,41 @@ class Evaluation:
         block[..., diag, diag] += diagonal[..., 0]
         return block
 
-    @_Part
+    @cached_property
     def residual(self) -> np.ndarray:
         """`residual` at these states."""
         return residual(self)
 
-    @_Part
+    @cached_property
     def residual_norm(self) -> np.ndarray:
         return norms(self.residual)
 
-    @_Part
+    @cached_property
     def energy(self) -> np.ndarray:
         """`energy` at these states."""
         return energy(self)
 
-    @_Part
+    @cached_property
     def u_distance(self) -> np.ndarray:
         return u_distance(self.model, self.state)
 
-    @_Part
+    @cached_property
     def fiber_fraction(self) -> np.ndarray:
         return fiber_energy_fraction(self.state)
 
 
 def stack(evaluations) -> Evaluation:
     """The members of `evaluations` (evaluations of one model) as one stack,
-    in order, which reads the parts that all of them have computed; one
+    in order, with the facts that all of them have computed; one
     evaluation is its own stack."""
     if len(evaluations) == 1:
         return evaluations[0]
-    first = evaluations[0]
-    out = type(first).__new__(type(first))
-    out.model, out.joined = first.model, (tuple(evaluations), None)
-    out.state = State(np.concatenate([ev.t for ev in evaluations]),
-                      np.concatenate([ev.state.coeffs for ev in evaluations]))
-    return out
+    parts = [ev._parts() for ev in evaluations]
+    state = State(np.concatenate([ev.t for ev in evaluations]),
+                  np.concatenate([ev.state.coeffs for ev in evaluations]))
+    return evaluations[0]._made(state, {
+        name: _concatenated([p[name] for p in parts])
+        for name in parts[0] if all(name in p for p in parts)})
 
 
 def norms(a: np.ndarray) -> np.ndarray:

@@ -221,17 +221,27 @@ def linearization_at_one(model, t):
     return model.a_m * (lam - model.scalar_curvature(t) / (model.m - 1))
 
 
+def per_member(ev, errors):
+    """A Newton solve's converged stack `ev` expanded per member: for each
+    member of `errors`, a stack of one of ev when its error is None (ev
+    holds those members in member order), else None."""
+    converged = [i for i, error in enumerate(errors) if error is None]
+    out = [None] * len(errors)
+    for r, i in enumerate(converged):
+        out[i] = ev[r:r + 1]
+    return out
+
+
 def solve_bordered(model, coeffs, t, orbit, row, target):
     """The package's bordered corrector on one system, a stack of one:
-    returns (ev, mu, pre), ev a stack of one, or raises the system's
-    error."""
+    returns (ev, mu), ev a stack of one, or raises the system's error."""
     from cscbif import continuation
 
-    (ev,), (mu,), pre, (error,) = continuation._solve_bordered(
+    ev, (mu,), (error,) = continuation._solve_bordered(
         model, np.asarray(coeffs)[None], [t], orbit, np.asarray(row)[None], [target])
     if error is not None:
         raise error
-    return ev, mu, pre
+    return ev, mu
 
 
 def newton_solve(model, t, initial):
@@ -239,7 +249,7 @@ def newton_solve(model, t, initial):
     pin row t = t and no orbit, from a stack of one.  The initial state
     must be positive on the grid; every iterate stays positive."""
     pin = np.append(np.zeros(model.n_modes), 1.0)
-    ev, _, _ = solve_bordered(model, initial.coeffs[0], t, None, pin, float(t))
+    ev, _ = solve_bordered(model, initial.coeffs[0], t, None, pin, float(t))
     return ev.state
 
 

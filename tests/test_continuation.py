@@ -29,6 +29,7 @@ from conftest import (
     newton_solve,
     one_evaluation,
     one_state,
+    per_member,
     solve_bordered,
 )
 
@@ -238,7 +239,7 @@ def test_unfolding_parameter_vanishes_on_solutions(cs_model, cs_branch_point):
     vecs = continuation.kernel_vectors(cs_model, cs_branch_point).reshape(2, -1)
     n_hat = (vecs[0] + 2 * vecs[1]) / np.sqrt(5)
     orbit = continuation._orbit(cs_model, [cs_branch_point], n_hat[None])
-    ev, mu, _ = solve_bordered(
+    ev, mu = solve_bordered(
         cs_model, c_triv + 1e-2 * n_hat, cs_branch_point.t, orbit,
         np.append(n_hat, 0.0), n_hat @ c_triv + 1e-2,
     )
@@ -778,9 +779,11 @@ def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
 
 
 def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monkeypatch):
-    # the corrector hands its converged evaluation to the tangent, and the
-    # start's residual check and first tangent share one, so no state of a
-    # run is put on the quadrature grid twice
+    # the start is put on the quadrature grid once, for its residual check
+    # and first tangent, and so is every corrector iterate, the tangent
+    # reading its corrector's converged stack; a branch keeps its samples as
+    # (c, t) rows, which it evaluates once more, as one stack, when it
+    # returns, so that no corrector stack outlives its step
     start = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
     evaluated = []     # the states themselves, so no id is reused in the run
 
@@ -789,11 +792,18 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
             evaluated.append(state)
             super().__init__(model, state)
 
+    def rows(state):
+        return [(t, c.tobytes()) for t, c in zip(state.t.tolist(), state.coeffs)]
+
     monkeypatch.setattr(galerkin, "Evaluation", Counting)
     br = continuation.continue_branch(cs_model, start, -1, 5, 4e-4, origins=[cs_branch_point])
+    *iterates, final = evaluated
     assert len(br) == 6
-    assert any(s is start for s in evaluated)
-    assert len({id(s) for s in evaluated}) == len(evaluated)
+    assert iterates[0] is start and br.samples.state is final
+    earlier = [row for state in iterates for row in rows(state)]
+    assert len(set(earlier)) == len(earlier) > len(br)
+    assert rows(final)[0] == rows(start)[0] and set(rows(final)) <= set(earlier)
+    assert len(set(rows(final))) == len(br)
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +951,10 @@ def test_an_evaluation_is_independent_of_memory_layout(cs_model):
 
 
 def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
-    # follow_branch takes each sample's margin from the evaluation its
-    # corrector converged on, with no dense Jacobian; the branch margin is
-    # the smallest eigvalsh one over the samples, to 1e-12 relative
+    # follow_branch takes each sample's margin from the evaluation of the
+    # branch's samples on the fiber-constant subspace, with no dense
+    # Jacobian; the branch margin is the smallest eigvalsh one over the
+    # samples, to 1e-12 relative
     model = small_cs_model
     bp = _only_point(model, Fraction(1))
 
@@ -971,48 +982,45 @@ def ss16_vertical(sphere_sphere):
     return model, vertical
 
 
-def _follow_counting(model, bp, monkeypatch, rebuild=False):
-    """The vertical branch, 40 steps toward u = 1, and the number of
-    preconditioners built; with `rebuild` every tangent builds its own."""
-    builds = []
-    original = continuation._Preconditioner.__init__
-
-    def counting(self, lin):
-        builds.append(lin.ev)
-        original(self, lin)
-
-    monkeypatch.setattr(continuation._Preconditioner, "__init__", counting)
-    if rebuild:
-        tangent = continuation._tangent
-        monkeypatch.setattr(continuation, "_tangent",
-                            lambda ev, orbit, row, pre=None: tangent(ev, orbit, row))
+def _follow(model, bp):
+    """The vertical branch, 40 steps toward u = 1."""
     (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
-    monkeypatch.undo()
-    return branch, len(builds)
+    return branch
 
 
-def test_the_tangent_keeps_the_corrector_preconditioner(ss16_vertical, monkeypatch):
-    # one preconditioner per continuation step, the corrector's, which the
-    # tangent at its solution keeps; the switch and the first tangent build
-    # one each
-    branch, builds = _follow_counting(*ss16_vertical, monkeypatch)
-    _, rebuilt = _follow_counting(*ss16_vertical, monkeypatch, rebuild=True)
-    steps = len(branch) - 1
-    assert steps == 40
-    assert builds <= steps + 2 < rebuilt
+def test_every_tangent_builds_its_own_preconditioner(ss16_vertical, monkeypatch):
+    # no preconditioner passes from a corrector to a tangent: each of the
+    # 41 tangents (the first, then one per step) builds one, from the
+    # evaluation it is given
+    built, tangents = [], []
+    build, tangent = continuation._Preconditioner.__init__, continuation._tangent
+
+    def building(self, lin):
+        built.append(lin.ev)
+        build(self, lin)
+
+    def spying(ev, *args):
+        before = len(built)
+        out = tangent(ev, *args)
+        tangents.append(len(built) == before + 1 and built[before] is ev)
+        return out
+
+    monkeypatch.setattr(continuation._Preconditioner, "__init__", building)
+    monkeypatch.setattr(continuation, "_tangent", spying)
+    branch = _follow(*ss16_vertical)
+    assert len(branch) == 41
+    assert tangents == [True] * 41
 
 
 def test_rounding_at_u_equal_one_is_no_turnaround(ss16_vertical, monkeypatch):
     # the branch reaches u = 1 after 25 steps and the continuation runs on
     # along the trivial branch, where the distances are rounding (about
-    # 1e-14): their order is no turnaround, so the stop is the same whether
-    # the tangents keep the corrector's preconditioner or rebuild it, and
-    # the same when that rounding grows at every step
-    kept, _ = _follow_counting(*ss16_vertical, monkeypatch)
-    rebuilt, _ = _follow_counting(*ss16_vertical, monkeypatch, rebuild=True)
-    assert kept.stop_reason == rebuilt.stop_reason == "steps-exhausted"
-    assert len(kept) == len(rebuilt) == 41
-    assert kept.distances[-1] < continuation._NONTRIVIAL_NORM
+    # 1e-14): their order is no turnaround, and the stop is the same when
+    # that rounding grows at every step
+    branch = _follow(*ss16_vertical)
+    assert branch.stop_reason == "steps-exhausted"
+    assert len(branch) == 41
+    assert branch.distances[-1] < continuation._NONTRIVIAL_NORM
 
     seen, distance = [], galerkin.u_distance
 
@@ -1024,7 +1032,7 @@ def test_rounding_at_u_equal_one_is_no_turnaround(ss16_vertical, monkeypatch):
         return d
 
     monkeypatch.setattr(galerkin, "u_distance", growing)
-    noisy, _ = _follow_counting(*ss16_vertical, monkeypatch)
+    noisy = _follow(*ss16_vertical)
     assert len(seen) >= 10
     assert (noisy.stop_reason, len(noisy)) == ("steps-exhausted", 41)
 
@@ -1254,11 +1262,11 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
     targets = n_hats @ c_triv + amplitudes
 
     def solve(members):
-        evs, _, _, errors = continuation._solve_bordered(
+        ev, _, errors = continuation._solve_bordered(
             model, starts[members], [bp.t] * len(members),
             continuation._orbit(model, [bp] * len(members), n_hats[members]), rows[members],
             targets[members])
-        return dict(zip(members, zip(evs, errors)))
+        return dict(zip(members, zip(per_member(ev, errors), errors)))
 
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
     assert {type(error).__name__ for _, error in stacked.values()} == {
@@ -1288,15 +1296,73 @@ def test_a_stack_of_complement_solves_gives_each_member_its_own_result(cs6):
     starts[off_cone] = -2 * c_triv[complement]
 
     def solve(members):
-        _, _, evs, errors = continuation._complement_solve(
+        _, _, ev, errors = continuation._complement_solve(
             model, bp.t, bases[members], complement, starts[members])
-        return dict(zip(members, zip(evs, errors)))
+        return dict(zip(members, zip(per_member(ev, errors), errors)))
 
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(radii))
     assert [i for i in stacked if i not in converged] == off_cone
     for i in off_cone:
         assert isinstance(stacked[i][1].__cause__, PositivityViolationError)
     _assert_each_member_gets_its_own_result(alone, stacked, converged, only_converged)
+
+
+@pytest.mark.parametrize("sizes", [(1e-2, 1e-2, 1e-2), (0.3, 1e-2, 1e-2)],
+                         ids=["together", "staggered"])
+@pytest.mark.parametrize("kind", ["bordered", "complement"])
+def test_a_newton_solve_returns_its_converged_members_as_one_stack(cs6, monkeypatch, kind,
+                                                                   sizes):
+    # trial starts (bordered) or full-complement samples (complement) of
+    # the given amplitudes at 6x3: the solve returns one evaluation of its
+    # converged members in member order.  When they converge in the same
+    # iteration it is the iterate stack they converged in; when the first
+    # member, of the larger amplitude, takes more steps, it is a join that
+    # puts that member first again
+    model, bp = cs6
+    rng = np.random.default_rng(0)
+    vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
+    c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
+    kernel = [i * model.shape[1] + j for i, j in bp.kernel_modes]
+    complement = [m for m in range(model.n_modes) if m not in kernel]
+    k, sizes = len(sizes), np.array(sizes)
+    directions = rng.standard_normal((k, bp.kernel_dim)) @ vecs
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    mixed = rng.standard_normal(model.shape)
+    mixed[:, 0] = 0.0
+    mixed = mixed.ravel() / np.linalg.norm(mixed)
+
+    def solve(members):
+        size, direction = sizes[members], directions[members]
+        if kind == "complement":
+            _, _, ev, errors = continuation._complement_solve(
+                model, bp.t, c_triv + size[:, None] * direction, complement,
+                size[:, None] * mixed[complement])
+            return ev, errors
+        rows = np.concatenate([direction, np.zeros((len(members), 1))], axis=1)
+        ev, _, errors = continuation._solve_bordered(
+            model, c_triv + size[:, None] * (direction + mixed), [bp.t] * len(members),
+            continuation._orbit(model, [bp] * len(members), direction), rows,
+            direction @ c_triv + size)
+        return ev, errors
+
+    alone = [solve([i])[0] for i in range(k)]
+    iterates, evaluate = [], continuation._evaluate
+
+    def recording(*args):
+        out = evaluate(*args)
+        iterates.append(out[0])
+        return out
+
+    monkeypatch.setattr(continuation, "_evaluate", recording)
+    ev, errors = solve(list(range(k)))
+    together = sizes[0] == sizes[1]
+    assert errors == [None] * k
+    assert isinstance(ev, galerkin.Evaluation) and len(ev) == k
+    assert ({len(s) for s in iterates} == {k}) == together
+    assert any(ev is s for s in iterates) == together
+    for i, one in enumerate(alone):
+        assert abs(ev.t[i] - one.t[0]) <= 1e-12
+        assert np.abs(ev.state.coeffs[i] - one.state.coeffs[0]).max() <= 1e-12
 
 
 def test_a_stack_of_complement_solves_returns_each_member_its_own_norm(cs_model,
@@ -1345,8 +1411,8 @@ def test_branches_followed_together_get_the_bits_they_get_alone(
     # circle_sphere at 8x4 has four horizontal cos/sin points on (1/20, 2],
     # one group; S^2 x S^2 at 8x6 over (3/10, 3] has one horizontal and one
     # vertical group, and over (3/10, 10] two vertical points (t = 2 and 8)
-    # whose group stops at 41 and 31 samples, each tangent using its own
-    # corrector's preconditioner.  Away from u = 1 at ds = 2 the
+    # whose group stops at 41 and 31 samples, each tangent preconditioned
+    # at its own solution.  Away from u = 1 at ds = 2 the
     # circle_sphere members stop at different steps, two of them by an
     # InvalidArgumentError of their own (a predictor with t < 0).  A
     # three-mode kernel fails alone and among the others with the same

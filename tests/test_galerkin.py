@@ -6,7 +6,9 @@ residual/energy relationship; nothing in the package computes gradients
 this way.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -431,11 +433,40 @@ def test_a_stacks_parts_are_its_members_parts_bit_for_bit(small_model, monkeypat
         for order in orders:
             check(galerkin.stack([ev[i:i + 1] for i in order]), order)
 
-    # a join of views reads what its stack computed, with no kernel call
+    # a view taken before its stack computes computes its own parts, with
+    # the same bits: it copied what the stack had when it was made
+    calls, energy = [], galerkin.energy
+    fresh = galerkin.Evaluation(small_model, state)
+    early = fresh[np.array([2, 0])]
+    check(fresh, [0, 1, 2])
+    monkeypatch.setattr(galerkin, "energy", lambda e: calls.append(len(e)) or energy(e))
+    check(early, [2, 0])
+    assert calls == [2]
+
+    # a join of views made after the stack computed reads its parts, with
+    # no kernel call
     calls = []
     monkeypatch.setattr(galerkin, "energy", calls.append)
     assert np.array_equal(galerkin.stack([ev[2:], ev[:1]]).energy, ev.energy[[2, 0]])
     assert calls == []
+
+
+def test_no_evaluation_holds_another(small_model):
+    # a view and a join copy their parts when made, so dropping the stack
+    # frees it while they live on and read the bits it computed
+    rng = np.random.default_rng(23)
+    members = [_random_positive_state(small_model, rng, t) for t in (0.6, 1.3)]
+    ev = galerkin.Evaluation(small_model, galerkin.State(
+        np.concatenate([m.t for m in members]), np.concatenate([m.coeffs for m in members])))
+    residual = ev.residual.copy()
+    view, joined = ev[1:], galerkin.stack([ev[:1], ev[1:]])
+    gone = weakref.ref(ev)
+    del ev
+    gc.collect()
+    assert gone() is None
+    assert np.array_equal(view.residual, residual[1:])
+    assert np.array_equal(joined.residual, residual)
+    assert np.array_equal(joined.grid, galerkin.grid_values(small_model, joined.state))
 
 
 # ---------------------------------------------------------------------------
