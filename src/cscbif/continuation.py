@@ -22,8 +22,12 @@ and its restricted samples, evaluated, factored and stepped together
 while each member keeps its own tolerances, damping, outcome and error.
 So are branches: `follow_branch` switches the branch points of one group
 as one stack and continues them in lockstep, each step one corrector and
-one tangent solve over the members still running, and a followed branch
-is one evaluation of its samples as a stack.
+one tangent solve over the members still running, and the samples of
+every branch of the group are one evaluation, which each branch cuts.
+Evaluations are cut, never joined: a Newton solve returns the iterate
+stack its members converged in, or a cut of it, and evaluates their
+solutions again, as one stack, only when they converged at different
+steps.
 In the corrector the unknowns are (c, t) and the equations are
 residual(c, t) = 0 plus one affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
 with n a unit kernel direction, or the arclength row when continuing.
@@ -49,7 +53,6 @@ import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -551,37 +554,29 @@ def _bordered_linear(ev, orbit, row, mu=None):
 def _evaluate(model, t, coeffs):
     """The `galerkin.Evaluation` of the stack of states (t [k], coeffs
     [k, nb, nf]), and None when every member is a state positive on the
-    grid.  Otherwise each member is evaluated as a stack of one: then the
-    evaluation returned is the stack of the members that are (None when
-    there are none), with the list of per member None or the
+    grid.  Otherwise each member is checked alone, only to name the ones
+    that fail: the evaluation returned is a new stack of the members that
+    pass (None when none does), with the list of per member None or the
     InvalidArgumentError (t <= 0) or PositivityViolationError it raises."""
     try:
         return galerkin.Evaluation(model, State(t, coeffs)), None
     except (InvalidArgumentError, PositivityViolationError):
         pass
-    evs, errors = [], []
+    errors = []
     for i in range(len(t)):
         try:
-            evs.append(galerkin.Evaluation(model, State(t[i:i + 1], coeffs[i:i + 1])))
+            galerkin.Evaluation(model, State(t[i:i + 1], coeffs[i:i + 1]))
             errors.append(None)
         except (InvalidArgumentError, PositivityViolationError) as exc:
             errors.append(exc)
-    return (galerkin.stack(evs) if evs else None), errors
+    ok = [i for i, error in enumerate(errors) if error is None]
+    return (galerkin.Evaluation(model, State(t[ok], coeffs[ok])) if ok else None), errors
 
 
 def _newton_failure(what, t, norm, cone):
     tail = "; damped steps left the positive cone" if cone else ""
     return NoConvergenceError(f"Newton {what} near t = {float(t)} (residual {norm:.3e}){tail}",
                               positivity_boundary=bool(cone))
-
-
-def _in_member_order(pieces):
-    """One stack of the members of `pieces`, (members, evaluation) pairs, in
-    member order: one piece is its own stack, and no pieces None."""
-    if len(pieces) < 2:
-        return pieces[0][1] if pieces else None
-    ids = np.concatenate([members for members, _ in pieces])
-    return galerkin.stack([piece for _, piece in pieces])[np.argsort(ids)]
 
 
 def _newton(model, state, system, linear, x, tol):
@@ -605,9 +600,9 @@ def _newton(model, state, system, linear, x, tol):
     Returns (x, ev, plain, errors): per member its last iterate, its plain
     (0 when it failed) and None or its error, and ev, the evaluation of the
     converged members as one stack in member order (None when none
-    converged): the iterate stack they converged in when they converged
-    together, else a join of the pieces.  The errors:
-    numpy.linalg.LinAlgError for a singular step,
+    converged): the iterate stack they converged in, or a cut of it, when
+    they converged at one step, else a new evaluation of their solutions.
+    The errors: numpy.linalg.LinAlgError for a singular step,
     InvalidArgumentError or PositivityViolationError for a start with no
     state or off the positive cone, and NoConvergenceError, whose
     `positivity_boundary` tells whether a candidate was not positive, for
@@ -616,7 +611,7 @@ def _newton(model, state, system, linear, x, tol):
     k = len(x)
     errors, cone = [None] * k, [False] * k
     plain_out = np.zeros(k)
-    pieces = []     # (members, evaluation) of the members converged at one step
+    out, staggered = None, False    # the converged stack; whether members converged apart
     # xa, F, norm, plain and ev hold the current iterates of `members`, in order
     members, pre = np.arange(k), None
     xa = x.copy()
@@ -639,7 +634,8 @@ def _newton(model, state, system, linear, x, tol):
         done = np.array([a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())])
         if done.any():
             x[members[done]], plain_out[members[done]] = xa[done], plain[done]
-            pieces.append((members[done], ev if done.all() else ev[np.flatnonzero(done)]))
+            staggered = staggered or out is not None
+            out = None if staggered else ev if done.all() else ev[np.flatnonzero(done)]
             if done.all():
                 break
             live = np.flatnonzero(~done)
@@ -659,55 +655,56 @@ def _newton(model, state, system, linear, x, tol):
             pre = pre.take(live)
 
         # the line search: every member starts at alpha = 1, and the members
-        # still halving (at the positions `search` in `members`; None: all of
-        # them) share alpha.  Unless all are accepted at once, `accepted`
-        # maps a position to its new iterate, F, plain, |F| and evaluation
-        alpha, search, accepted, at_once = 1.0, None, {}, False
+        # still halving (at the positions `search` in `members`) share alpha.
+        # A trial that every member takes is the next iterate stack as it
+        # stands.  Otherwise each member accepted is written into copies of
+        # the iterates, which are evaluated again, as one stack
+        alpha, search, whole, copied = 1.0, np.arange(len(members)), False, False
         while True:
-            if search is None:
-                ids, cand, positions = members, xa + alpha * step, list(range(len(members)))
-            else:
-                ids, cand, positions = members[search], xa[search] + alpha * step[search], search
-            cev, failed = _evaluate(model, *state(cand, ids))
-            evaluated = positions
+            cand = xa[search] + alpha * step[search]
+            cev, failed = _evaluate(model, *state(cand, members[search]))
+            tried = search
             if failed is not None:
-                for j, f in zip(positions, failed):
+                for j, f in zip(search, failed):
                     cone[members[j]] |= isinstance(f, PositivityViolationError)
                 kept = [i for i, f in enumerate(failed) if f is None]
-                evaluated = [positions[i] for i in kept]
-                ids, cand = members[evaluated], cand[kept]
+                tried, cand = search[kept], cand[kept]
             if cev is not None:
-                F_new, plain_new = system(cev, cand, ids)
+                F_new, plain_new = system(cev, cand, members[tried])
                 new_norm = galerkin.norms(F_new)
-                bar, old = 1 - 0.25 * alpha, norm.tolist()
-                ok = [a <= bar * old[j] or a < tol for a, j in zip(new_norm.tolist(), evaluated)]
-                # all accepted: keep the stack whole (views and a join cost branch ~5 %)
-                if search is None and failed is None and all(ok):
-                    xa, F, plain, norm, ev, at_once = cand, F_new, plain_new, new_norm, cev, True
+                ok = (new_norm <= (1 - 0.25 * alpha) * norm[tried]) | (new_norm < tol)
+                whole = len(tried) == len(members) and ok.all()
+                if whole:
                     break
-                for i, j in enumerate(evaluated):
-                    if ok[i]:
-                        accepted[j] = (cand[i], F_new[i], plain_new[i], new_norm[i],
-                                       cev[i:i + 1])
-            search = [j for j in positions if j not in accepted]
+                if not copied:      # plain may be the evaluation's own residual norms
+                    xa, F, plain, norm = (a.copy() for a in (xa, F, plain, norm))
+                    copied = True
+                rows = tried[ok]
+                xa[rows], F[rows], plain[rows] = cand[ok], F_new[ok], plain_new[ok]
+                norm[rows] = new_norm[ok]
+                search = np.setdiff1d(search, rows)
             alpha *= 0.5
             if alpha < _MIN_DAMPING:
                 for j in search:
                     errors[members[j]] = _newton_failure("stalled", ev.t[j], norm[j],
                                                          cone[members[j]])
                 break
-            if not search:
+            if not len(search):
                 break
-        if at_once:
+        if whole:
+            xa, F, plain, norm, ev = cand, F_new, plain_new, new_norm, cev
             continue
-        if not accepted:
+        live = np.setdiff1d(np.arange(len(members)), search)      # the members accepted
+        if not len(live):
             break
-        live = sorted(accepted)
-        xa, F, plain, norm = (np.array([accepted[j][n] for j in live]) for n in range(4))
-        ev = galerkin.stack([accepted[j][4] for j in live])
         if len(live) < len(members):
-            members, pre = members[live], pre.take(live)
-    return x, _in_member_order(pieces), plain_out, errors
+            members, xa, F, plain, norm, pre = (
+                members[live], xa[live], F[live], plain[live], norm[live], pre.take(live))
+        ev = galerkin.Evaluation(model, State(*state(xa, members)))
+    if staggered:
+        converged = np.flatnonzero([error is None for error in errors])
+        out = galerkin.Evaluation(model, State(*state(x[converged], converged)))
+    return x, out, plain_out, errors
 
 
 def _solve_bordered(model, coeffs, t, orbit, row, target):
@@ -777,14 +774,15 @@ def _switch_solve(model, points, c_triv, n_hat, amplitude, start):
 # ---------------------------------------------------------------------------
 # branch switching
 
-def switch_branch(model: GalerkinModel, points, amplitude: float) -> list:
+def switch_branch(model: GalerkinModel, points, amplitude: float):
     """Land on a nontrivial branch through each branch point of `points`,
     all of one `_orbit_kind`, as one stack: for each, solve the equation in
     (c, t) with the amplitude along its first kernel mode n pinned to
     `amplitude`, from the one start u = 1 + amplitude * n at t = bp.t.
-    Returns per point the converged `galerkin.Evaluation`, a stack of one
-    whose `.state` is the solution, or the error that left it without one:
-    a corrector failure, or a solution that collapses back to u = 1, is a
+    Returns (ev, errors): ev the `galerkin.Evaluation` of the points'
+    solutions as one stack in point order (None when there is none), and
+    per point None or the error that left it without a solution: a
+    corrector failure, or a solution that collapses back to u = 1, is a
     NoNontrivialSolutionError naming the cause.  A point with no kernel
     modes, or a kernel other than one mode or one circle cos/sin pair,
     raises PreconditionError."""
@@ -797,23 +795,22 @@ def switch_branch(model: GalerkinModel, points, amplitude: float) -> list:
     n_hat = np.array([kernel_vectors(model, bp)[0].ravel() for bp in points])
     ev, errors = _switch_solve(model, points, c_triv, n_hat, amplitude,
                                c_triv + amplitude * n_hat)
-    out = []
-    for i, (bp, error) in enumerate(zip(points, errors)):
-        if error is None:
-            r = errors[:i].count(None)      # the point's row in ev
-            if ev.u_distance[r] > _NONTRIVIAL_NORM:
-                out.append(ev[r:r + 1])
-                continue
+    solved = [i for i, error in enumerate(errors) if error is None]
+    collapsed = {i for i, d in zip(solved, ev.u_distance.tolist() if solved else ())
+                 if not d > _NONTRIVIAL_NORM}
+    for i, error in enumerate(errors):
+        if i in collapsed:
             cause = "the solution collapsed to u = 1"
         elif isinstance(error, (NoConvergenceError, PositivityViolationError)):
             cause = str(error)
         else:
-            out.append(error)
             continue
-        out.append(NoNontrivialSolutionError(
-            f"no nontrivial branch found at t = {bp.t} (amplitude {amplitude}): {cause}"
-        ))
-    return out
+        errors[i] = NoNontrivialSolutionError(
+            f"no nontrivial branch found at t = {points[i].t} (amplitude {amplitude}): {cause}")
+    if collapsed:
+        kept = [r for r, i in enumerate(solved) if i not in collapsed]
+        ev = ev[np.array(kept, dtype=int)] if kept else None
+    return ev, errors
 
 
 # ---------------------------------------------------------------------------
@@ -821,17 +818,18 @@ def switch_branch(model: GalerkinModel, points, amplitude: float) -> list:
 
 @dataclass(frozen=True)
 class Branch:
-    """A stack of followed branches, one per member.  Member i's samples
-    are `member_samples[i]`, one `galerkin.Evaluation`: a stack whose first
-    member is its start, and whose per-member arrays are the measurements
-    (t, u_distance, energy, fiber_fraction, residual_norm).  Per member
-    too: its origin, its stop reason, its smallest `fiber_margin`
-    (fiber-constant branches, else None), and None or the CscbifError that
-    left it without a branch (it then has no stop reason).  `samples`
-    joins every member's samples in member order; `branch[i]` is member i,
-    a stack of one, whose `stop_reason` and `fiber_margin` are its own."""
+    """A stack of followed branches, one per member.  `samples` is one
+    `galerkin.Evaluation` of every member's samples, member after member,
+    `sizes[i]` of them for member i, its start first; its per-member arrays
+    are the measurements (t, u_distance, energy, fiber_fraction,
+    residual_norm).  Per member too: its origin, its stop reason, its
+    smallest `fiber_margin` (fiber-constant branches, else None), and None
+    or the CscbifError that left it without a branch (it then has no stop
+    reason).  `branch[i]` is member i, a stack of one: its samples are a
+    cut of `samples`, and its `stop_reason` and `fiber_margin` its own."""
 
-    member_samples: tuple
+    samples: galerkin.Evaluation
+    sizes: tuple
     origins: tuple
     stop_reasons: tuple
     errors: tuple
@@ -841,11 +839,9 @@ class Branch:
         return len(self.samples)
 
     def __getitem__(self, i) -> Branch:
-        return Branch(*((getattr(self, f.name)[i],) for f in fields(self)))
-
-    @cached_property
-    def samples(self) -> galerkin.Evaluation:
-        return galerkin.stack(self.member_samples)
+        start = sum(self.sizes[:i])
+        return Branch(self.samples[start:start + self.sizes[i]],
+                      *((getattr(self, f.name)[i],) for f in fields(self)[1:]))
 
     @property
     def stop_reason(self) -> str:
@@ -909,9 +905,9 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
     NoConvergenceError.  A member that stops leaves the stack, and every
     member gets the bits it gets alone.  The rotation orbit of a cos/sin
     kernel pair of a member's origin is fixed by the phase of its start.
-    A member keeps its samples as (c, t) rows, its start first, and
-    evaluates them once, as one stack, when the branches return, so no
-    corrector's stack outlives its step.
+    A member keeps its samples as (c, t) rows, its start first, and the
+    samples of every member are evaluated once, as one stack, when the
+    branches return, so no corrector's stack outlives its step.
     """
     if not ds > 0:
         raise InvalidArgumentError(f"arclength step must be positive, got {ds}")
@@ -992,13 +988,10 @@ def continue_branch(model: GalerkinModel, start: State | galerkin.Evaluation,
             samples[i].append(x[i].copy())
             running.append(i)
     reasons = tuple(None if e is not None else r for r, e in zip(reasons, errors))
-    # the last step's stacks are freed before the samples are evaluated, which
-    # then reuse their memory (branch-cs16 peak RSS about 0.1 MB lower)
-    solved_ev = ev = None
-    member_samples = tuple(
-        galerkin.Evaluation(model, State(rows[:, n], rows[:, :n].reshape((-1,) + model.shape)))
-        for rows in map(np.array, samples))
-    return Branch(member_samples, origins, reasons, tuple(errors), (None,) * k)
+    sizes, rows = tuple(map(len, samples)), np.concatenate(samples)
+    coeffs = rows[:, :n].reshape((-1,) + model.shape)
+    samples = galerkin.Evaluation(model, State(rows[:, n], coeffs))
+    return Branch(samples, sizes, origins, reasons, tuple(errors), (None,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,12 +1025,12 @@ def _follow_group(model, sub, points, amplitude, direction, steps, ds):
     `model.fiber_constant` is kept as the fields of its padded `Branch` in
     `model`, with its samples' states in place of their evaluation, so that
     the group's evaluations are freed before any branch is padded."""
-    out = switch_branch(sub, points, amplitude)
-    switched = [j for j, start in enumerate(out) if not isinstance(start, CscbifError)]
+    ev, out = switch_branch(sub, points, amplitude)
+    switched = [j for j, error in enumerate(out) if error is None]
     if not switched:
         return out
-    branch = continue_branch(sub, galerkin.stack([out[j] for j in switched]), direction,
-                             steps, ds, origins=[points[j] for j in switched])
+    branch = continue_branch(sub, ev, direction, steps, ds,
+                             origins=[points[j] for j in switched])
     for r, j in enumerate(switched):
         one = branch[r]
         if branch.errors[r] is not None:
@@ -1045,11 +1038,10 @@ def _follow_group(model, sub, points, amplitude, direction, steps, ds):
         elif sub is model:
             out[j] = one
         else:
-            # the margin is measured on a view, so the blocks it computes
-            # are freed with it
-            samples = one.samples[:]
-            out[j] = (samples.state, one.origins, one.stop_reasons, one.errors,
-                      (float(fiber_margin(model, samples).min()),))
+            # the margin is measured on a cut, so the blocks it computes are
+            # freed with it
+            out[j] = (one.samples.state, one.origins, one.stop_reasons, one.errors,
+                      (float(fiber_margin(model, one.samples).min()),))
     return out
 
 
@@ -1089,7 +1081,8 @@ def follow_branch(model: GalerkinModel, points, amplitude: float, direction: int
         branch = followed.pop(i)
         if isinstance(branch, tuple):
             state, *rest = branch
-            branch = Branch((galerkin.Evaluation(model, _padded(model, state)),), *rest)
+            branch = Branch(galerkin.Evaluation(model, _padded(model, state)), (len(state.t),),
+                            *rest)
         yield branch
 
 

@@ -27,7 +27,8 @@ residual, and exactly the residual at t = 1.
 
 Every state is a stack: a `State` holds k states (t [k], coefficients
 [k, nb, nf]), a single state being a stack of one, and its `Evaluation`
-evaluates them together, each member getting the bits it gets alone.
+evaluates them together, each member getting the bits it gets alone.  An
+evaluation can be cut into some of its members, but not joined to another.
 """
 
 from __future__ import annotations
@@ -311,14 +312,6 @@ def _rows(value, rows):
     return value[rows]
 
 
-def _concatenated(values):
-    """The values of stacks joined along the member axis, item by item for
-    tuples of arrays."""
-    if isinstance(values[0], tuple):
-        return tuple(_concatenated(items) for items in zip(*values))
-    return np.concatenate(values)
-
-
 class Evaluation:
     """A stack of states of a model, evaluated: the numerical layer's one
     handle on states, which the kernels below take.  Its values on the
@@ -330,10 +323,11 @@ class Evaluation:
 
     Arrays carry a leading member axis, and scalars (t, s(t), the norms
     and measurements) are one per member.  `ev[rows]` is the members
-    `rows` (an index array or a slice) as a stack of their own, and
-    `stack` joins evaluations.  Both own their data: they copy the facts
-    their sources have computed when they are made (a slice keeps numpy
-    views), compute the rest themselves, and hold no other evaluation."""
+    `rows` (an index array or a slice) as a stack of their own: it copies
+    the facts its source has computed when it is made (a slice keeps numpy
+    views), computes the rest itself, and holds no other evaluation.  An
+    evaluation is cut, never joined: members evaluated apart are evaluated
+    again, together, as a new stack."""
 
     def __init__(self, model: GalerkinModel, state: State):
         self.model, self.state = model, state
@@ -344,25 +338,17 @@ class Evaluation:
                 f"state is not strictly positive on the grid (min {low:.6e})"
             )
 
-    def _made(self, state, parts) -> Evaluation:
-        """An evaluation of `state` with the computed `parts` (a dict of
-        every name's value, the grid included) and no grid check."""
-        out = type(self).__new__(type(self))
-        out.__dict__.update(parts, model=self.model, state=state)
-        return out
-
-    def _parts(self) -> dict:
-        """The facts computed so far, by name, the grid included."""
-        return {name: value for name, value in self.__dict__.items()
-                if name not in ("model", "state")}
-
     def __len__(self) -> int:
         return len(self.state.t)
 
     def __getitem__(self, rows) -> Evaluation:
-        state = _members(self.state, rows)
-        return self._made(state, {name: _rows(value, rows)
-                                  for name, value in self._parts().items()})
+        """The members `rows` with the facts computed so far (the grid
+        included) and no grid check."""
+        out = type(self).__new__(type(self))
+        out.state = _members(self.state, rows)      # checks `rows` before any copy
+        out.__dict__.update({name: _rows(value, rows) for name, value in self.__dict__.items()
+                             if name not in ("model", "state")}, model=self.model)
+        return out
 
     @property
     def t(self) -> np.ndarray:
@@ -429,20 +415,6 @@ class Evaluation:
     @cached_property
     def fiber_fraction(self) -> np.ndarray:
         return fiber_energy_fraction(self.state)
-
-
-def stack(evaluations) -> Evaluation:
-    """The members of `evaluations` (evaluations of one model) as one stack,
-    in order, with the facts that all of them have computed; one
-    evaluation is its own stack."""
-    if len(evaluations) == 1:
-        return evaluations[0]
-    parts = [ev._parts() for ev in evaluations]
-    state = State(np.concatenate([ev.t for ev in evaluations]),
-                  np.concatenate([ev.state.coeffs for ev in evaluations]))
-    return evaluations[0]._made(state, {
-        name: _concatenated([p[name] for p in parts])
-        for name in parts[0] if all(name in p for p in parts)})
 
 
 def norms(a: np.ndarray) -> np.ndarray:

@@ -221,7 +221,8 @@ def test_branch_point_location(circle_sphere):
 
 def test_bifurcating_branch(cs_model, cs_branch_point):
     chk = _Check()
-    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
     branch = continuation.continue_branch(
         cs_model, start, -1, 40, 4e-4, origins=[cs_branch_point]
     )

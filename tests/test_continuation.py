@@ -19,6 +19,7 @@ from cscbif.errors import (
     HypothesisViolatedError,
     InvalidArgumentError,
     NoConvergenceError,
+    NoNontrivialSolutionError,
     NondiscreteDegeneracyError,
     PositivityViolationError,
     PreconditionError,
@@ -181,7 +182,9 @@ def test_newton_reports_stagnation_at_the_degenerate_scale(cs_model):
 
 
 def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
+    ev, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
+    state = ev.state
     # the solve relaxes t along the branch, which bends at second order
     assert abs(state.t[0] - cs_branch_point.t) < 1e-4
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
@@ -193,9 +196,32 @@ def test_switch_produces_nontrivial_solution(cs_model, cs_branch_point):
 def test_switch_works_at_the_second_instant(cs_model):
     points = continuation.detect_branch_points(cs_model, 0.2, 0.3)
     assert [bp.t for bp in points] == [Fraction(1, 4)]
-    state = continuation.switch_branch(cs_model, [points[0]], 5e-3)[0].state
+    ev, errors = continuation.switch_branch(cs_model, [points[0]], 5e-3)
+    assert errors == [None]
+    state = ev.state
     assert galerkin.Evaluation(cs_model, state).residual_norm[0] < continuation.TOL_NEWTON
     assert galerkin.u_distance(cs_model, state)[0] > 1e-3
+
+
+def test_a_switch_stack_returns_its_solutions_and_each_points_error(circle_sphere):
+    # circle_sphere at 8x4 has four horizontal points on (1/20, 2]; at
+    # amplitude 3.4 the switches at t = 1/4 and 1 leave the positive cone
+    # and the others land: the evaluation holds the two solutions in point
+    # order, each with the bits of its switch alone, and each point gets
+    # the error it gets alone
+    model = galerkin.build_model(circle_sphere, 8, 4)
+    points = continuation.detect_branch_points(model, Fraction(1, 20), 2)
+    ev, errors = continuation.switch_branch(model.fiber_constant, points, 3.4)
+    assert [error is None for error in errors] == [True, True, False, False]
+    assert len(ev) == 2
+    for i, (bp, error) in enumerate(zip(points, errors)):
+        one, (alone,) = continuation.switch_branch(model.fiber_constant, [bp], 3.4)
+        if error is None:
+            assert ev.t[i] == one.t[0]
+            assert np.array_equal(ev.state.coeffs[i], one.state.coeffs[0])
+        else:
+            assert one is None and isinstance(error, NoNontrivialSolutionError)
+            assert str(error) == str(alone)
 
 
 def test_switch_needs_kernel_modes(cs_model):
@@ -209,7 +235,9 @@ def test_switch_needs_kernel_modes(cs_model):
 
 
 def test_bordered_tangent_matches_the_svd_null_vector(cs_model, cs_branch_point):
-    state = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
+    ev, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
+    state = ev.state
     offset = state.coeffs.ravel() - galerkin.constant_state(cs_model, 1.0).coeffs.ravel()
     orbit = continuation._orbit(cs_model, [cs_branch_point], offset[None])
     unit = offset / np.linalg.norm(offset)
@@ -521,7 +549,8 @@ def test_newton_steps_are_solved_to_the_forcing_term(cs_model, cs_branch_point, 
     for rtol, r_norm, _ in complement:
         assert 0 < rtol <= min(continuation._FORCING, r_norm)
     calls.clear()
-    (start,) = continuation.switch_branch(model, [bp], 1e-2)
+    start, errors = continuation.switch_branch(model, [bp], 1e-2)
+    assert errors == [None]
     continuation.continue_branch(model, start, -1, 2, 4e-4, origins=[bp])
     tangents = [rtol for rtol, r_norm, _ in calls if r_norm == 1.0]
     assert len(tangents) >= 3 and set(tangents) == {0.0}
@@ -647,7 +676,9 @@ def test_rotation_generator_is_tangent_to_the_orbit(which, cs_model, cs_branch_p
     else:
         model = mixed_model
         (bp,) = continuation.detect_branch_points(model, 0.5, 1.5)
-    state = continuation.switch_branch(model, [bp], 1e-2)[0].state
+    ev, errors = continuation.switch_branch(model, [bp], 1e-2)
+    assert errors == [None]
+    state = ev.state
     rot = continuation._orbit(model, [bp],
                               continuation.kernel_vectors(model, bp)[:1].reshape(1, -1))
     gen = dense_rotation(model, rot)
@@ -673,7 +704,8 @@ def test_branch_converges_under_base_refinement(circle_sphere):
     last = []
     for n_b in (16, 32):
         model = galerkin.build_model(circle_sphere, n_b, 8)
-        (start,) = continuation.switch_branch(model, [bp], 1e-2)
+        start, errors = continuation.switch_branch(model, [bp], 1e-2)
+        assert errors == [None]
         branch = continuation.continue_branch(model, start, -1, 10, 4e-4, origins=[bp])
         assert len(branch) == 11
         last.append(branch.samples[-1:])
@@ -688,7 +720,8 @@ def test_branch_converges_under_base_refinement(circle_sphere):
 
 @pytest.fixture(scope="module")
 def shrinking_branch(cs_model, cs_branch_point):
-    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
     return continuation.continue_branch(
         cs_model, start, -1, 40, 4e-4, origins=[cs_branch_point]
     )
@@ -733,7 +766,8 @@ def test_branch_energy_gradient_vanishes_along_tangent(cs_model, shrinking_branc
 
 
 def test_growing_branch_stops_at_positivity(cs_model, cs_branch_point):
-    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
     br = continuation.continue_branch(
         cs_model, start, +1, 400, 0.1, origins=[cs_branch_point]
     )
@@ -744,14 +778,16 @@ def test_growing_branch_stops_at_positivity(cs_model, cs_branch_point):
 
 
 def test_absurd_step_yields_no_branch(cs_model, cs_branch_point):
-    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
     with pytest.raises(EmptyBranchError):
         raise continuation.continue_branch(cs_model, start, +1, 5, 50.0,
                                            origins=[cs_branch_point]).errors[0]
 
 
 def test_continuation_argument_validation(cs_model, cs_branch_point):
-    (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
     with pytest.raises(InvalidArgumentError):
         continuation.continue_branch(cs_model, start, 0, 10, 1e-3)
     with pytest.raises(InvalidArgumentError):
@@ -765,7 +801,8 @@ def test_continuation_argument_validation(cs_model, cs_branch_point):
 
 def test_continuation_replays_bit_identically(cs_model, cs_branch_point):
     def run():
-        (start,) = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+        start, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+        assert errors == [None]
         br = continuation.continue_branch(
             cs_model, start, -1, 15, 4e-4, origins=[cs_branch_point]
         )
@@ -784,7 +821,9 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
     # reading its corrector's converged stack; a branch keeps its samples as
     # (c, t) rows, which it evaluates once more, as one stack, when it
     # returns, so that no corrector stack outlives its step
-    start = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)[0].state
+    ev, errors = continuation.switch_branch(cs_model, [cs_branch_point], 1e-2)
+    assert errors == [None]
+    start = ev.state
     evaluated = []     # the states themselves, so no id is reused in the run
 
     class Counting(galerkin.Evaluation):
@@ -833,7 +872,8 @@ def test_fiber_constant_branch_matches_the_dense_one(small_cs_model, t):
     bp = _only_point(model, t)
     (branch,) = continuation.follow_branch(model, [bp], 1e-2, -1, 40, 4e-4)
     start = branch.samples.state.coeffs[0]
-    (dense_start,) = continuation.switch_branch(model, [bp], 1e-2)
+    dense_start, errors = continuation.switch_branch(model, [bp], 1e-2)
+    assert errors == [None]
     dense = continuation.continue_branch(model, dense_start, -1, 40, 4e-4, origins=[bp])
 
     assert start.shape == model.shape
@@ -1266,6 +1306,9 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
             model, starts[members], [bp.t] * len(members),
             continuation._orbit(model, [bp] * len(members), n_hats[members]), rows[members],
             targets[members])
+        # the line search halves here, and accepts members in place without
+        # writing into the norms the evaluation keeps
+        assert ev is None or np.array_equal(ev.residual_norm, galerkin.norms(ev.residual))
         return dict(zip(members, zip(per_member(ev, errors), errors)))
 
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
@@ -1314,10 +1357,11 @@ def test_a_newton_solve_returns_its_converged_members_as_one_stack(cs6, monkeypa
                                                                    sizes):
     # trial starts (bordered) or full-complement samples (complement) of
     # the given amplitudes at 6x3: the solve returns one evaluation of its
-    # converged members in member order.  When they converge in the same
-    # iteration it is the iterate stack they converged in; when the first
-    # member, of the larger amplitude, takes more steps, it is a join that
-    # puts that member first again
+    # converged members in member order, each with the bits of its solve
+    # alone.  When they converge in the same iteration it is the iterate
+    # stack they converged in; when the first member, of the larger
+    # amplitude, takes more steps, it is a new evaluation of their
+    # solutions, which has computed nothing but its grid
     model, bp = cs6
     rng = np.random.default_rng(0)
     vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
@@ -1360,9 +1404,12 @@ def test_a_newton_solve_returns_its_converged_members_as_one_stack(cs6, monkeypa
     assert isinstance(ev, galerkin.Evaluation) and len(ev) == k
     assert ({len(s) for s in iterates} == {k}) == together
     assert any(ev is s for s in iterates) == together
+    if not together:
+        assert set(vars(ev)) == {"model", "state", "grid"}
     for i, one in enumerate(alone):
-        assert abs(ev.t[i] - one.t[0]) <= 1e-12
-        assert np.abs(ev.state.coeffs[i] - one.state.coeffs[0]).max() <= 1e-12
+        assert ev.t[i] == one.t[0]
+        assert np.array_equal(ev.state.coeffs[i], one.state.coeffs[0])
+        assert np.array_equal(ev.residual[i], one.residual[0])
 
 
 def test_a_stack_of_complement_solves_returns_each_member_its_own_norm(cs_model,

@@ -403,9 +403,8 @@ def _parts(ev, v):
 
 def test_a_stacks_parts_are_its_members_parts_bit_for_bit(small_model, monkeypatch):
     # three states, the middle one constant (fiber fraction 0), evaluated
-    # as one stack, as views of it and as joins of its views, before and
-    # after the stack has computed its parts: every member gets the bits of
-    # its own stack of one
+    # as one stack and as cuts of it, before and after the stack has
+    # computed its parts: every member gets the bits of its own stack of one
     rng = np.random.default_rng(19)
     members = [_random_positive_state(small_model, rng, 0.6),
                galerkin.constant_state(small_model, 0.9, 1.1),
@@ -423,15 +422,12 @@ def test_a_stacks_parts_are_its_members_parts_bit_for_bit(small_model, monkeypat
             for name, value in got.items():
                 assert np.array_equal(value[position], alone[i][name][0]), (name, i)
 
-    orders = ([2, 0], [1, 2], [0, 1, 2])
     for computed in (False, True):
         ev = galerkin.Evaluation(small_model, state)
         if computed:
             check(ev, [0, 1, 2])
         check(ev[np.array([2, 0])], [2, 0])
         check(ev[1:], [1, 2])
-        for order in orders:
-            check(galerkin.stack([ev[i:i + 1] for i in order]), order)
 
     # a view taken before its stack computes computes its own parts, with
     # the same bits: it copied what the stack had when it was made
@@ -443,30 +439,22 @@ def test_a_stacks_parts_are_its_members_parts_bit_for_bit(small_model, monkeypat
     check(early, [2, 0])
     assert calls == [2]
 
-    # a join of views made after the stack computed reads its parts, with
-    # no kernel call
-    calls = []
-    monkeypatch.setattr(galerkin, "energy", calls.append)
-    assert np.array_equal(galerkin.stack([ev[2:], ev[:1]]).energy, ev.energy[[2, 0]])
-    assert calls == []
-
 
 def test_no_evaluation_holds_another(small_model):
-    # a view and a join copy their parts when made, so dropping the stack
-    # frees it while they live on and read the bits it computed
+    # a view copies its parts when made, so dropping the stack frees it
+    # while the view lives on and reads the bits it computed
     rng = np.random.default_rng(23)
     members = [_random_positive_state(small_model, rng, t) for t in (0.6, 1.3)]
     ev = galerkin.Evaluation(small_model, galerkin.State(
         np.concatenate([m.t for m in members]), np.concatenate([m.coeffs for m in members])))
     residual = ev.residual.copy()
-    view, joined = ev[1:], galerkin.stack([ev[:1], ev[1:]])
+    view = ev[1:]
     gone = weakref.ref(ev)
     del ev
     gc.collect()
     assert gone() is None
     assert np.array_equal(view.residual, residual[1:])
-    assert np.array_equal(joined.residual, residual)
-    assert np.array_equal(joined.grid, galerkin.grid_values(small_model, joined.state))
+    assert np.array_equal(view.grid, galerkin.grid_values(small_model, view.state))
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,25 @@ def test_branch_solves_each_group_step_once(tmp_path, monkeypatch):
     steps = max(row["samples"] - 1 + (row["stop_reason"] != "steps-exhausted") for row in rows)
     assert len(sizes) == 1 + steps
     assert sizes[0] == 3
+
+
+def test_the_tracer_counts_every_member_of_a_stacked_branch(circle_sphere, monkeypatch):
+    # the tracer's return hooks count the samples of a `continue_branch`
+    # result, here one stack of the three horizontal points of the config
+    # above over (1/10, 3/2], and the trials of a `verify_fiber_constancy`
+    # report
+    tracing = _load_tracing(monkeypatch)
+    model = galerkin.build_model(circle_sphere, 6, 3)
+    points = continuation.detect_branch_points(model, Fraction(1, 10), Fraction(3, 2))
+    ev, errors = continuation.switch_branch(model.fiber_constant, points, 1e-2)
+    assert errors == [None] * len(points) == [None] * 3
+    branch = continuation.continue_branch(model.fiber_constant, ev, -1, 3, 4e-4,
+                                          origins=points)
+    counts = Counter()
+    tracing._ON_RETURN["continuation.continue_branch"](branch, counts)
+    assert counts["samples"] == sum(branch.sizes) == sum(len(branch[i]) for i in range(3))
+
+    report = continuation.verify_fiber_constancy(model, points[-1], 4, seed=0)
+    tracing._ON_RETURN["continuation.verify_fiber_constancy"](report, counts)
+    assert counts["trials"] == len(report.trials) == 4
+    assert counts["converged"] == sum(row.converged for row in report.trials)
