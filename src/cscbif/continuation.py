@@ -51,7 +51,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -822,11 +822,12 @@ class Branch:
     `galerkin.Evaluation` of every member's samples, member after member,
     `sizes[i]` of them for member i, its start first; its per-member arrays
     are the measurements (t, u_distance, energy, fiber_fraction,
-    residual_norm).  Per member too: its origin, its stop reason, its
-    smallest `fiber_margin` (fiber-constant branches, else None), and None
-    or the CscbifError that left it without a branch (it then has no stop
-    reason).  `branch[i]` is member i, a stack of one: its samples are a
-    cut of `samples`, and its `stop_reason` and `fiber_margin` its own."""
+    residual_norm).  Per member too: its origin, its stop reason, the
+    `fiber_margin` of its samples (fiber-constant branches, else None),
+    and None or the CscbifError that left it without a branch (it then has
+    no stop reason).  `branch[i]` is member i, a stack of one: its samples
+    are a cut of `samples`, and its `stop_reason` and `fiber_margin` its
+    own."""
 
     samples: galerkin.Evaluation
     sizes: tuple
@@ -1005,17 +1006,54 @@ def _padded(model, state):
     return State(state.t, coeffs)
 
 
-def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> np.ndarray:
-    """lambda_min(J_0) + a_m lam_1 / t at fiber-constant states of `model`,
-    given as `ev`, their evaluation in `model.fiber_constant`: J_0 is the
-    nb x nb Jacobian there (its `degree_zero_block`), and one `eigvalsh`
-    call gives the margins, one per member.
-    Every fiber block J_jj = J_0 + (a_m lam_j / t) I of `model` with j >= 1
-    has its smallest eigenvalue at or above it, so a positive margin makes
-    them all positive definite: no fiber-dependent mode is degenerate
-    there."""
-    lam1 = model.fiber.eigenvalues[1]
-    return np.linalg.eigvalsh(ev.degree_zero_block)[:, 0] + model.a_m * lam1 / ev.t
+def fiber_margin(model: GalerkinModel, ev: galerkin.Evaluation) -> float:
+    """The smallest fiber margin lambda_min(J_0) + a_m lam_1 / t over
+    fiber-constant states of `model`, given as `ev`, their evaluation in
+    `model.fiber_constant`: J_0 is the nb x nb Jacobian there (its
+    `degree_zero_block`).  Every fiber block J_jj = J_0 + (a_m lam_j / t) I
+    of `model` with j >= 1 has its smallest eigenvalue at or above a
+    member's margin, so a positive result makes them all positive definite
+    at every member: no fiber-dependent mode is degenerate there.
+
+    The result is min(eigvalsh(J_0)[:, 0] + c) over the stack,
+    c = a_m lam_1 / t, bit for bit, found with one `eigvalsh` matrix.  The
+    member g of the smallest Gershgorin lower bound is measured,
+    m = eigvalsh(J_0[g])[0] + c[g], and one stacked Cholesky factorization
+    of A_i = J_0[i] - s_i I, s_i = m - c[i] + delta_i, screens every other
+    member (member g's place holds I).  When it completes, every screened
+    member's computed margin is at or above m:
+    - A_i + E is positive definite for some |E|_2 <= n (n + 1) eps |A_i|_2
+      (1 + O(n eps)) (Demmel 1989; Higham, Accuracy and Stability,
+      Thm 10.5), so lambda_min(J_0[i]) > s_i - |E|_2;
+    - `eigvalsh` is within p(n) eps |J_0[i]|_2 of lambda_min(J_0[i]), p(n)
+      a modest multiple of n, and forming s_i and A_i's diagonal rounds by
+      a few eps (|J_0[i]|_2 + |m| + |c[i]|);
+    - delta_i = 2 (n + 1)^2 eps (|J_0[i]|_F + |c[i]| + |m|) exceeds these
+      together, so the exact sum of member i's computed eigenvalue and c[i]
+      lies above m, and rounding it to a double cannot take it below m.
+    A delta too large costs only time, one too small could miss a member
+    that undercuts m by rounding alone.  A screen that fails (a member
+    within delta_i of m, or one not positive definite) and a non-finite
+    block measure every member."""
+    blocks = ev.degree_zero_block
+    shifts = model.a_m * model.fiber.eigenvalues[1] / ev.t
+    if np.isfinite(blocks).all():
+        n, eye = blocks.shape[-1], np.eye(blocks.shape[-1])
+        centres = np.diagonal(blocks, axis1=-2, axis2=-1)
+        radii = np.abs(blocks).sum(axis=-1) - np.abs(centres)
+        g = int(np.argmin((centres - radii).min(axis=-1) + shifts))
+        least = np.linalg.eigvalsh(blocks[g])[0] + shifts[g]
+        delta = 2 * (n + 1) ** 2 * _EPS * (
+            np.linalg.norm(blocks, axis=(-2, -1)) + np.abs(shifts) + abs(least))
+        screen = blocks - (least - shifts + delta)[:, None, None] * eye
+        screen[g] = eye
+        try:
+            np.linalg.cholesky(screen)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return float(least)
+    return float((np.linalg.eigvalsh(blocks)[:, 0] + shifts).min())
 
 
 def _follow_group(model, sub, points, amplitude, direction, steps, ds):
@@ -1041,7 +1079,7 @@ def _follow_group(model, sub, points, amplitude, direction, steps, ds):
             # the margin is measured on a cut, so the blocks it computes are
             # freed with it
             out[j] = (one.samples.state, one.origins, one.stop_reasons, one.errors,
-                      (float(fiber_margin(model, one.samples).min()),))
+                      (fiber_margin(model, one.samples),))
     return out
 
 
@@ -1056,8 +1094,8 @@ def follow_branch(model: GalerkinModel, points, amplitude: float, direction: int
     reached, its samples are zero-padded to [nb, nf] and evaluated in
     `model` as one stack, which gives their energies, distances, fiber
     fractions (exactly 0) and residuals, so one padded branch is held at a
-    time.  It carries the smallest `fiber_margin` of its samples.  Any
-    other kernel is followed in `model` itself."""
+    time.  It carries the `fiber_margin` of its samples.  Any other kernel
+    is followed in `model` itself."""
     points = list(points)
     keys, groups = [], {}
     for i, bp in enumerate(points):
@@ -1109,7 +1147,7 @@ class ReductionResult:
     kernel_dim: int
     samples: tuple
     discrepancy: float             # max |alpha_full - alpha_restricted|
-    fiber_margin: float            # min `fiber_margin` at the restricted solutions
+    fiber_margin: float            # `fiber_margin` of the restricted solutions
 
     @property
     def passed(self) -> bool:
@@ -1182,8 +1220,8 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
     solve in `model` starts from a fiber-mixed v of norm `sample_radius`,
     seeded by `seed`: from v = 0 it would stay in the invariant subspace and
     agree by construction, while from off it agreement shows that its
-    solution near the kernel is the fiber-constant one.  The smallest
-    `fiber_margin` at the restricted solutions is the premise of their
+    solution near the kernel is the fiber-constant one.  The
+    `fiber_margin` of the restricted solutions is the premise of their
     agreement (every fiber block invertible).  All samples' full solves run
     as one stack and their restricted solves as another; a failing sample
     raises the first error in sample order (full before restricted), a
@@ -1242,7 +1280,7 @@ def lyapunov_schmidt_reduce(model: GalerkinModel, bp: BranchPoint,
             projected_residual_restricted=float(rr[i]),
         ))
     worst = max(0.0, *(sample.difference for sample in samples))
-    margin = float(fiber_margin(model, restricted).min())
+    margin = fiber_margin(model, restricted)
     return ReductionResult(bp.kernel_dim, tuple(samples), worst, margin)
 
 

@@ -6,7 +6,9 @@ pairs; they are checked against the windowed exact enumeration of
 u = 1.
 """
 
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -615,7 +617,7 @@ def test_the_fiber_margin_is_the_smallest_degree_one_eigenvalue(cs_model, padded
     oracle = np.linalg.eigvalsh(jac[:, 1, :, 1])[0]
     sub = galerkin.Evaluation(model.fiber_constant,
                               galerkin.State(ev.state.t, ev.state.coeffs[:, :, :1]))
-    (margin,) = continuation.fiber_margin(model, sub)
+    margin = continuation.fiber_margin(model, sub)
     assert abs(margin - oracle) <= 1e-13 * np.abs(jac).max()
 
 
@@ -1010,6 +1012,185 @@ def test_margins_read_the_corrector_evaluations(small_cs_model, monkeypatch):
         + shift / t
         for t, c in zip(branch.ts, branch.samples.state.coeffs))
     assert abs(branch.fiber_margin - want) <= 1e-12 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the smallest fiber margin: one measured member, a Cholesky screen of the rest
+
+
+def _margins(model, blocks, t):
+    """Every member's fiber margin, one `eigvalsh` per member: the oracle
+    whose minimum `fiber_margin` must give bit for bit."""
+    return np.linalg.eigvalsh(blocks)[:, 0] + model.a_m * model.fiber.eigenvalues[1] / t
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _restricted(model, samples):
+    """The evaluation in `model.fiber_constant` of fiber-constant samples of
+    `model`."""
+    return galerkin.Evaluation(model.fiber_constant,
+                               galerkin.State(samples.t, samples.state.coeffs[:, :, :1]))
+
+
+def _spied_margin(model, blocks, t, monkeypatch):
+    """`fiber_margin` of the stack (blocks, t) and the matrices it passed to
+    `eigvalsh`, each as given."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    try:
+        margin = continuation.fiber_margin(model, SimpleNamespace(degree_zero_block=blocks, t=t))
+    finally:
+        monkeypatch.undo()
+    return margin, seen
+
+
+def test_every_shipped_branch_margin_is_the_smallest_bit_for_bit(cs_model):
+    # the 15 fiber-constant branches of circle_sphere.yaml at 16x8
+    points = continuation.detect_branch_points(cs_model, Fraction(1, 1000), 2)
+    branches = list(continuation.follow_branch(cs_model, points, 1e-2, -1, 40, 4e-4))
+    assert len(branches) == 15 and all(b.subspace == "fiber-constant" for b in points)
+    for branch in branches:
+        ev = _restricted(cs_model, branch.samples)
+        want = _margins(cs_model, ev.degree_zero_block, ev.t).min()
+        margin = continuation.fiber_margin(cs_model, ev)
+        assert _bits(branch.fiber_margin) == _bits(margin) == _bits(want)
+
+
+def test_a_reduction_stack_ties_and_measures_every_member(cs_model, cs_branch_point,
+                                                          monkeypatch):
+    # the restricted solutions of the reduction at t = 1 lie on one rotation
+    # orbit, so their margins tie to rounding: the screen fails and every
+    # member is measured, and the result is still the smallest bit for bit
+    # (their spread, observed 9e-16 relative, is below the screen's delta)
+    stacks, margin = [], continuation.fiber_margin
+
+    def keep(model, ev):
+        stacks.append(ev)
+        return margin(model, ev)
+
+    monkeypatch.setattr(continuation, "fiber_margin", keep)
+    res = continuation.lyapunov_schmidt_reduce(cs_model, cs_branch_point, 1e-2, 8)
+    monkeypatch.undo()
+    (ev,) = stacks
+    blocks, want = ev.degree_zero_block, _margins(cs_model, ev.degree_zero_block, ev.t)
+    assert len(blocks) == 8
+    assert np.ptp(want) <= 1e-13 * abs(want.min())
+    again, seen = _spied_margin(cs_model, blocks, ev.t, monkeypatch)
+    assert [a.shape for a in seen] == [blocks.shape[1:], blocks.shape]
+    assert _bits(res.fiber_margin) == _bits(again) == _bits(want.min())
+
+
+@pytest.fixture(scope="module")
+def margin_stack(cs_model, cs_branch_point):
+    """The degree-0 blocks and t of the first samples of the t = 1 branch at
+    16x8, and the index of the member `fiber_margin` measures."""
+    (branch,) = continuation.follow_branch(cs_model, [cs_branch_point], 1e-2, -1, 3, 4e-4)
+    ev = _restricted(cs_model, branch.samples)
+    blocks, t = ev.degree_zero_block, ev.t
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, seen = _spied_margin(cs_model, blocks, t, monkeypatch)
+    (g,) = [i for i, b in enumerate(blocks) if np.array_equal(b, seen[0])]
+    assert len(seen) == 1 and len(blocks) >= 3
+    return blocks, t, g
+
+
+def _lowered_copy(model, blocks, t, g):
+    # a copy of the measured member with its smallest diagonal entry lowered
+    # by 4 ulps, so that it undercuts that member by rounding alone
+    copy = blocks[g].copy()
+    j = np.argmin(np.diagonal(copy))
+    copy[j, j] -= 4 * np.spacing(abs(copy[j, j]))
+    return [copy], [t[g]]
+
+
+def _wide(model, blocks, t, g):
+    # the smallest member plus beta (1 1^T + I): its margin rises by at least
+    # beta and its Gershgorin bound falls by (nb - 3) beta, so it is measured
+    # but is not the smallest
+    a = np.argmin(_margins(model, blocks, t))
+    nb = blocks.shape[-1]
+    beta = np.abs(blocks).max() / nb
+    return [blocks[a] + beta * (np.ones((nb, nb)) + np.eye(nb))], [t[a]]
+
+
+def _indefinite(model, blocks, t, g):
+    # the measured member shifted down by its margin plus 1: a margin near -1
+    margin = _margins(model, blocks[g:g + 1], t[g:g + 1])[0]
+    return [blocks[g] - (margin + 1.0) * np.eye(blocks.shape[-1])], [t[g]]
+
+
+def _indefinite_screened(model, blocks, t, g):
+    # the indefinite member next to a wide one, which is measured instead,
+    # so that the screen meets a member that is not positive definite
+    low, t_low = _indefinite(model, blocks, t, g)
+    wide, t_wide = _wide(model, blocks, t, g)
+    return low + wide, t_low + t_wide
+
+
+_SYNTHETIC = {
+    "duplicate": lambda model, blocks, t, g: ([blocks[g]], [t[g]]),
+    "lowered-copy": _lowered_copy,
+    "wide-is-measured": _wide,
+    "indefinite-is-measured": _indefinite,
+    "indefinite-is-screened": _indefinite_screened,
+}
+
+
+@pytest.mark.parametrize("case", [*_SYNTHETIC, "one"])
+def test_the_smallest_margin_of_a_synthetic_stack_is_exact(cs_model, margin_stack,
+                                                           monkeypatch, case):
+    # each stack is the branch stack with members appended (or its measured
+    # member alone); the margin is the smallest eigvalsh one bit for bit,
+    # from one `eigvalsh` matrix when the screen passes and from every
+    # member when it fails
+    blocks, t, g = margin_stack
+    if case == "one":
+        blocks, t = blocks[g:g + 1], t[g:g + 1]
+    else:
+        extra, t_extra = _SYNTHETIC[case](cs_model, blocks, t, g)
+        blocks, t = np.concatenate([blocks, extra]), np.append(t, t_extra)
+    margin, seen = _spied_margin(cs_model, blocks, t, monkeypatch)
+    want = _margins(cs_model, blocks, t)
+    assert _bits(margin) == _bits(want.min())
+    screened = len(seen) == 1
+    assert screened == (case in ("one", "indefinite-is-measured"))
+    assert screened or np.array_equal(seen[1], blocks)
+    if case == "lowered-copy":
+        assert want[-1] < want[g] and _bits(margin) == _bits(want[-1])
+    if case in ("wide-is-measured", "indefinite-is-screened", "indefinite-is-measured"):
+        assert np.array_equal(seen[0], blocks[-1])
+    if case == "wide-is-measured":
+        assert margin < want[-1]
+    if case.startswith("indefinite"):
+        assert margin < 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(4, 3), (3, 4), (5, 5)], ids=["lower", "upper", "diagonal"])
+def test_a_non_finite_block_gives_what_measuring_every_member_gives(
+        cs_model, margin_stack, monkeypatch, value, entry):
+    # a stack with a non-finite entry goes straight to measuring every
+    # member: the same result bits, or the same error
+    blocks, t, g = margin_stack
+    blocks = blocks.copy()
+    blocks[g][entry] = value
+    try:
+        want = _margins(cs_model, blocks, t).min()
+    except np.linalg.LinAlgError as error:
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(error))):
+            _spied_margin(cs_model, blocks, t, monkeypatch)
+    else:
+        margin, seen = _spied_margin(cs_model, blocks, t, monkeypatch)
+        assert _bits(margin) == _bits(want)
+        assert len(seen) == 1 and np.array_equal(seen[0], blocks, equal_nan=True)
 
 
 @pytest.fixture(scope="module")

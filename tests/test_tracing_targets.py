@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -117,6 +118,26 @@ def test_branch_solves_each_group_step_once(tmp_path, monkeypatch):
     steps = max(row["samples"] - 1 + (row["stop_reason"] != "steps-exhausted") for row in rows)
     assert len(sizes) == 1 + steps
     assert sizes[0] == 3
+
+
+def test_branch_measures_one_margin_matrix_per_fiber_constant_branch(cs_model,
+                                                                       monkeypatch):
+    # `branch` on circle_sphere.yaml at 16x8: its 15 branches are
+    # fiber-constant, and each takes the smallest fiber margin of its 26
+    # samples from one `eigvalsh` matrix (measuring every sample took 390)
+    points = continuation.detect_branch_points(cs_model, Fraction(1, 1000), 2)
+    cs_model.fiber_constant  # built first: its quadrature nodes call eigvalsh
+    matrices, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    branches = list(continuation.follow_branch(cs_model, points, 1e-2, -1, 40, 4e-4))
+    assert len(branches) == 15 and all(b.fiber_margin is not None for b in branches)
+    assert sum(len(b) for b in branches) == 390
+    assert matrices == [1] * 15
 
 
 def test_the_tracer_counts_every_member_of_a_stacked_branch(circle_sphere, monkeypatch):
