@@ -24,13 +24,15 @@ So are branches: `follow_branch` switches the branch points of one group
 as one stack and continues them in lockstep, each step one corrector and
 one tangent solve over the members still running, and the samples of
 every branch of the group are one evaluation, which each branch cuts.
-Evaluations are cut, never joined: a Newton solve returns the iterate
-stack its members converged in, or a cut of it, and evaluates their
-solutions again, as one stack, only when they converged at different
-steps.
+Evaluations are cut, never joined: the loop keeps its live members in one
+record and puts each stack of iterates on the grid once; a Newton solve
+returns the iterate stack its members converged in, or a cut of it, and
+evaluates their solutions again, as one stack, only when they converged
+at different steps.
 In the corrector the unknowns are (c, t) and the equations are
-residual(c, t) = 0 plus one affine row: the amplitude pin <c - c_triv, n> = amplitude when switching,
-with n a unit kernel direction, or the arclength row when continuing.
+residual(c, t) = 0 plus one affine row: the amplitude pin
+<c - c_triv, n> = amplitude when switching, with n a unit kernel
+direction, or the arclength row when continuing.
 When the kernel is the cos/sin pair of one circle-factor frequency, the
 rotation orbit of a solution is a null direction of that system.  An
 unfolding unknown mu then enters as residual(c, t) + mu R c = 0, with R
@@ -53,6 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from .errors import (
     PreconditionError,
     ReductionFailedError,
 )
-from .galerkin import GalerkinModel, State
+from .galerkin import POSITIVITY_ERROR, SCALE_ERROR, GalerkinModel, State
 
 TOL_NEWTON = 1e-10
 TOL_COMPLEMENT = 1e-11
@@ -320,13 +323,11 @@ class _Preconditioner:
     two degrees, so there P = M; near one c_j dominates the degree-j
     blocks, and GMRES on the true operator takes up the rest.  A
     fiber-mixed Newton solve factors P at its first step and keeps each
-    member's to the end; `take` drops the members that leave.  A member
-    with a zero or non-finite D_i + c_j, or a singular Schur system, has
-    its numpy.linalg.LinAlgError in `failed` (at the first solve when
+    member's to the end; `pre[members]` keeps the members that stay.  A
+    member with a zero or non-finite D_i + c_j, or a singular Schur system,
+    has its numpy.linalg.LinAlgError in `failed` (at the first solve when
     nf = 1).  `norm`, the |M| of the backward-error stops, is the Frobenius
     norm of P with J_00 + c_j I at every degree j >= 1."""
-
-    _STACKED = ("scale", "rows_up", "w", "schur_inv", "norm", "schur")
 
     def __init__(self, lin):
         ev, orbit, model = lin.ev, lin.orbit, lin.ev.model
@@ -386,12 +387,11 @@ class _Preconditioner:
         x[:, n:] = s[:, nb:]
         return x
 
-    def take(self, members):
-        """The preconditioner of the members `members`."""
+    def __getitem__(self, members):
+        """The preconditioner of the members `members`: every array is cut."""
         pre = copy.copy(self)
-        for name in self._STACKED:
-            if hasattr(self, name):
-                setattr(pre, name, getattr(self, name)[members])
+        pre.__dict__.update({name: value[members] for name, value in vars(self).items()
+                             if isinstance(value, np.ndarray)})
         pre.failed = [self.failed[i] for i in members]
         return pre
 
@@ -552,31 +552,41 @@ def _bordered_linear(ev, orbit, row, mu=None):
 
 
 def _evaluate(model, t, coeffs):
-    """The `galerkin.Evaluation` of the stack of states (t [k], coeffs
-    [k, nb, nf]), and None when every member is a state positive on the
-    grid.  Otherwise each member is checked alone, only to name the ones
-    that fail: the evaluation returned is a new stack of the members that
-    pass (None when none does), with the list of per member None or the
-    InvalidArgumentError (t <= 0) or PositivityViolationError it raises."""
-    try:
-        return galerkin.Evaluation(model, State(t, coeffs)), None
-    except (InvalidArgumentError, PositivityViolationError):
-        pass
-    errors = []
-    for i in range(len(t)):
-        try:
-            galerkin.Evaluation(model, State(t[i:i + 1], coeffs[i:i + 1]))
-            errors.append(None)
-        except (InvalidArgumentError, PositivityViolationError) as exc:
-            errors.append(exc)
-    ok = [i for i, error in enumerate(errors) if error is None]
-    return (galerkin.Evaluation(model, State(t[ok], coeffs[ok])) if ok else None), errors
+    """The `galerkin.Evaluation` of the members of the stack of states
+    (t [k], coeffs [k, nb, nf]) that are positive on the grid (None when
+    none is), with the list of per member None or the error it raises
+    alone: InvalidArgumentError (t <= 0) or PositivityViolationError.  The
+    members with t > 0 are put on the grid once, as one stack, and the
+    positive ones are cut out of it."""
+    errors = [None if v > 0 else InvalidArgumentError(SCALE_ERROR.format(v)) for v in t.tolist()]
+    scaled = [i for i, error in enumerate(errors) if error is None]
+    if not scaled:
+        return None, errors
+    if len(scaled) < len(t):
+        t, coeffs = t[scaled], coeffs[scaled]
+    ev = galerkin.Evaluation(model, State(t, coeffs), check=False)
+    low = ev.grid_min.tolist()
+    for i, v in zip(scaled, low):
+        errors[i] = None if v > 0 else PositivityViolationError(POSITIVITY_ERROR.format(v))
+    positive = [r for r, v in enumerate(low) if v > 0]
+    return (ev if len(positive) == len(ev) else ev[positive] if positive else None), errors
 
 
 def _newton_failure(what, t, norm, cone):
     tail = "; damped steps left the positive cone" if cone else ""
     return NoConvergenceError(f"Newton {what} near t = {float(t)} (residual {norm:.3e}){tail}",
                               positivity_boundary=bool(cone))
+
+
+class _Iterates(SimpleNamespace):
+    """The live members of a `_newton` solve, in member order: `members`,
+    their indices in the stack, and their x, ev, F, norm (|F|), plain, step
+    and pre (None before the first step).  `take` cuts every one of them."""
+
+    def take(self, rows):
+        """The members at the positions `rows` (a list or an index array)."""
+        return _Iterates(**{name: None if value is None else value[rows]
+                            for name, value in vars(self).items()})
 
 
 def _newton(model, state, system, linear, x, tol):
@@ -593,13 +603,14 @@ def _newton(model, state, system, linear, x, tol):
     term min(_FORCING, |F|), with the preconditioner factored at the first
     step and kept to the end, and is halved until |F| falls by a quarter of
     the fraction taken (or below `tol`); a candidate with no state (t <= 0)
-    or not positive on the grid is halved too.  The member stops when |F| and plain are below
-    `tol`.  The members still iterating are solved, factored and evaluated
-    as one stack; the members still halving share their damping factor.
+    or not positive on the grid is halved too.  The member stops when |F|
+    and plain are below `tol`.  The members still iterating are one
+    `_Iterates` record, solved, factored and evaluated as one stack; the
+    members still halving share their damping factor.
 
-    Returns (x, ev, plain, errors): per member its last iterate, its plain
-    (0 when it failed) and None or its error, and ev, the evaluation of the
-    converged members as one stack in member order (None when none
+    Returns (x, ev, plain, errors): per member its solution and plain (its
+    start and 0 when it failed) and None or its error, and ev, the evaluation
+    of the converged members as one stack in member order (None when none
     converged): the iterate stack they converged in, or a cut of it, when
     they converged at one step, else a new evaluation of their solutions.
     The errors: numpy.linalg.LinAlgError for a singular step,
@@ -609,98 +620,80 @@ def _newton(model, state, system, linear, x, tol):
     halving below _MIN_DAMPING or MAX_NEWTON_ITER steps."""
     x = np.array(x, dtype=float)
     k = len(x)
-    errors, cone = [None] * k, [False] * k
-    plain_out = np.zeros(k)
+    cone, plain_out = np.zeros(k, dtype=bool), np.zeros(k)
     out, staggered = None, False    # the converged stack; whether members converged apart
-    # xa, F, norm, plain and ev hold the current iterates of `members`, in order
-    members, pre = np.arange(k), None
-    xa = x.copy()
-    ev, failed = _evaluate(model, *state(xa, members))
-    if failed is not None:
-        errors = list(failed)
-        members = np.flatnonzero([f is None for f in failed])
-        xa = xa[members]
-    if len(members):
-        F, plain = system(ev, xa, members)
-        norm = galerkin.norms(F)
-    for iteration in range(MAX_NEWTON_ITER + 1):
-        if not len(members):
+
+    def trial(members, iterates):   # the record of the members with a state, and every error
+        ev, failed = _evaluate(model, *state(iterates, members))
+        if ev is None:
+            return None, failed
+        live = _Iterates(members=members, x=iterates, pre=None)
+        if len(ev) < len(iterates):
+            live = live.take([i for i, f in enumerate(failed) if f is None])
+        live.F, live.plain = system(ev, live.x, live.members)
+        live.ev, live.norm = ev, galerkin.norms(live.F)
+        return live, failed
+
+    live, errors = trial(np.arange(k), x)
+    for _ in range(MAX_NEWTON_ITER):
+        if live is None:
             break
-        if iteration == MAX_NEWTON_ITER:
-            for j, i in enumerate(members):
-                errors[i] = _newton_failure(f"did not converge in {MAX_NEWTON_ITER} steps",
-                                            ev.t[j], norm[j], cone[i])
-            break
-        done = np.array([a < tol and b < tol for a, b in zip(norm.tolist(), plain.tolist())])
+        done = (live.norm < tol) & (live.plain < tol)
         if done.any():
-            x[members[done]], plain_out[members[done]] = xa[done], plain[done]
+            rows = np.flatnonzero(done)
+            x[live.members[rows]], plain_out[live.members[rows]] = live.x[rows], live.plain[rows]
             staggered = staggered or out is not None
-            out = None if staggered else ev if done.all() else ev[np.flatnonzero(done)]
+            out = None if staggered else live.ev if done.all() else live.ev[rows]
             if done.all():
                 break
-            live = np.flatnonzero(~done)
-            members, xa, F, norm, plain, ev = (
-                members[live], xa[live], F[live], norm[live], plain[live], ev[live])
-            pre = None if pre is None else pre.take(live)
-        step, pre, failed = _solve_linear(linear(ev, xa, members), -F, pre,
-                                          np.minimum(_FORCING, norm))
-        if failed.count(None) < len(failed):
-            for i, error in zip(members, failed):
+            live = live.take(np.flatnonzero(~done))
+        live.step, live.pre, failed = _solve_linear(linear(live.ev, live.x, live.members),
+                                                    -live.F, live.pre,
+                                                    np.minimum(_FORCING, live.norm))
+        rows = [i for i, f in enumerate(failed) if f is None]
+        if len(rows) < len(failed):
+            for i, error in zip(live.members, failed):
                 errors[i] = error
-            live = np.flatnonzero([f is None for f in failed])
-            if not len(live):
+            if not rows:
                 break
-            members, xa, F, norm, plain, ev, step = (
-                members[live], xa[live], F[live], norm[live], plain[live], ev[live], step[live])
-            pre = pre.take(live)
+            live = live.take(rows)
 
         # the line search: every member starts at alpha = 1, and the members
-        # still halving (at the positions `search` in `members`) share alpha.
-        # A trial that every member takes is the next iterate stack as it
-        # stands.  Otherwise each member accepted is written into copies of
-        # the iterates, which are evaluated again, as one stack
-        alpha, search, whole, copied = 1.0, np.arange(len(members)), False, False
-        while True:
-            cand = xa[search] + alpha * step[search]
-            cev, failed = _evaluate(model, *state(cand, members[search]))
-            tried = search
-            if failed is not None:
-                for j, f in zip(search, failed):
-                    cone[members[j]] |= isinstance(f, PositivityViolationError)
-                kept = [i for i, f in enumerate(failed) if f is None]
-                tried, cand = search[kept], cand[kept]
-            if cev is not None:
-                F_new, plain_new = system(cev, cand, members[tried])
-                new_norm = galerkin.norms(F_new)
-                ok = (new_norm <= (1 - 0.25 * alpha) * norm[tried]) | (new_norm < tol)
-                whole = len(tried) == len(members) and ok.all()
-                if whole:
+        # still halving (at the positions `search` in `live`) share alpha.
+        # A trial that every member takes is the next record as it stands;
+        # otherwise the accepted members go into a copy, evaluated again
+        alpha, search, accepted = 1.0, np.arange(len(live.members)), None
+        while len(search) and alpha >= _MIN_DAMPING:
+            cand, failed = trial(live.members[search],
+                                 live.x[search] + alpha * live.step[search])
+            cone[live.members[search]] |= [isinstance(f, PositivityViolationError) for f in failed]
+            if cand is not None:
+                tried = search[[f is None for f in failed]]
+                ok = (cand.norm <= (1 - 0.25 * alpha) * live.norm[tried]) | (cand.norm < tol)
+                if len(tried) == len(live.members) and ok.all():
+                    cand.pre = live.pre
+                    live = cand
                     break
-                if not copied:      # plain may be the evaluation's own residual norms
-                    xa, F, plain, norm = (a.copy() for a in (xa, F, plain, norm))
-                    copied = True
-                rows = tried[ok]
-                xa[rows], F[rows], plain[rows] = cand[ok], F_new[ok], plain_new[ok]
-                norm[rows] = new_norm[ok]
-                search = np.setdiff1d(search, rows)
+                if accepted is None:    # plain may be the evaluation's own residual norms
+                    accepted = _Iterates(**{**vars(live), "ev": None})
+                    accepted = accepted.take(np.arange(len(live.members)))
+                for name in ("x", "F", "norm", "plain"):
+                    getattr(accepted, name)[tried[ok]] = getattr(cand, name)[ok]
+                search = np.setdiff1d(search, tried[ok])
             alpha *= 0.5
-            if alpha < _MIN_DAMPING:
-                for j in search:
-                    errors[members[j]] = _newton_failure("stalled", ev.t[j], norm[j],
-                                                         cone[members[j]])
+        else:   # every member accepted or stalled
+            for j in search:
+                errors[live.members[j]] = _newton_failure("stalled", live.ev.t[j], live.norm[j],
+                                                          cone[live.members[j]])
+            rows = np.setdiff1d(np.arange(len(live.members)), search)     # the members accepted
+            if not len(rows):
                 break
-            if not len(search):
-                break
-        if whole:
-            xa, F, plain, norm, ev = cand, F_new, plain_new, new_norm, cev
-            continue
-        live = np.setdiff1d(np.arange(len(members)), search)      # the members accepted
-        if not len(live):
-            break
-        if len(live) < len(members):
-            members, xa, F, plain, norm, pre = (
-                members[live], xa[live], F[live], plain[live], norm[live], pre.take(live))
-        ev = galerkin.Evaluation(model, State(*state(xa, members)))
+            live = accepted.take(rows)
+            live.ev = galerkin.Evaluation(model, State(*state(live.x, live.members)))
+    else:   # MAX_NEWTON_ITER steps taken
+        for j, i in enumerate(live.members):
+            errors[i] = _newton_failure(f"did not converge in {MAX_NEWTON_ITER} steps",
+                                        live.ev.t[j], live.norm[j], cone[i])
     if staggered:
         converged = np.flatnonzero([error is None for error in errors])
         out = galerkin.Evaluation(model, State(*state(x[converged], converged)))

@@ -49,6 +49,9 @@ from .spectra import ManifoldDescriptor, SphereSpectrum
 from .variation import SubmersionFamily
 
 _GRAM_TOL = 1e-12
+# the texts of the errors of a state at t not > 0 and of one not positive on the grid
+SCALE_ERROR = "state needs t > 0, got {!r}"
+POSITIVITY_ERROR = "state is not strictly positive on the grid (min {:.6e})"
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ class State:
                 f"{t.shape} and {np.shape(self.coeffs)}")
         bad = [v for v in t.tolist() if not v > 0]      # NaN included
         if bad:
-            raise InvalidArgumentError(f"state needs t > 0, got {bad[0]!r}")
+            raise InvalidArgumentError(SCALE_ERROR.format(bad[0]))
 
 
 def _members(state: State, rows) -> State:
@@ -316,10 +319,11 @@ class Evaluation:
     """A stack of states of a model, evaluated: the numerical layer's one
     handle on states, which the kernels below take.  Its values on the
     quadrature grid are computed and checked positive at construction (else
-    PositivityViolationError); every other fact is computed on first use
-    and kept: b_i + lam_j / t, s(t), the projected power u^(p-1), the
-    Jacobian's parts and degree-0 block, the residual, the energy and the
-    measurements of a branch.
+    PositivityViolationError) unless check is False: a caller then cuts
+    away the members whose `grid_min` is not positive.  Every other fact is
+    computed on first use and kept: b_i + lam_j / t, s(t), the projected
+    power u^(p-1), the Jacobian's parts and degree-0 block, the residual,
+    the energy and the measurements of a branch.
 
     Arrays carry a leading member axis, and scalars (t, s(t), the norms
     and measurements) are one per member.  `ev[rows]` is the members
@@ -329,14 +333,11 @@ class Evaluation:
     evaluation is cut, never joined: members evaluated apart are evaluated
     again, together, as a new stack."""
 
-    def __init__(self, model: GalerkinModel, state: State):
+    def __init__(self, model: GalerkinModel, state: State, check: bool = True):
         self.model, self.state = model, state
         self.grid = grid_values(model, state)     # u on the grid, [k, Mb, Mf]
-        low = self.grid.min()
-        if not low > 0:
-            raise PositivityViolationError(
-                f"state is not strictly positive on the grid (min {low:.6e})"
-            )
+        if check and not (low := self.grid.min()) > 0:
+            raise PositivityViolationError(POSITIVITY_ERROR.format(low))
 
     def __len__(self) -> int:
         return len(self.state.t)
@@ -353,6 +354,11 @@ class Evaluation:
     @property
     def t(self) -> np.ndarray:
         return self.state.t
+
+    @property
+    def grid_min(self) -> np.ndarray:
+        """Each member's minimum on the grid, [k]."""
+        return self.grid.min(axis=(1, 2))
 
     @cached_property
     def mode_eigenvalues(self) -> np.ndarray:

@@ -687,16 +687,27 @@ def test_verify_flags_fiber_kernels(tmp_path):
     assert cells[5] == "hypothesis-violated"
 
 
-def test_a_reduction_sample_off_the_positive_cone_fails_its_row_only(tmp_path):
+def test_a_reduction_sample_off_the_positive_cone_fails_its_row_only(tmp_path, monkeypatch):
     # at reduce_radius 1.5 the complement solve leaves u > 0: the row's
     # reduction reads reduction-failed and names the positivity loss, its
-    # trials still run, and the run writes both files and exits 5
+    # trials still run, and the run writes both files and exits 5.  The
+    # line search's trials that leave the cone put each member on the grid
+    # once: 460 grid rows in 285 passes (725 in 535 when the members of a
+    # trial that failed were evaluated again one by one)
     path = _small_circle_sphere(tmp_path, reduce_radius=1.5)
     data = yaml.safe_load(path.read_text())
     data["galerkin"] = {"N_b": 6, "N_f": 3}
     data["window"] = {"t_min": "1/5", "t_max": "1/3"}
     path.write_text(yaml.safe_dump(data))
+    passes, grid_values = [], galerkin.grid_values
+
+    def counting(model, state):
+        passes.append(len(state.t))
+        return grid_values(model, state)
+
+    monkeypatch.setattr(galerkin, "grid_values", counting)
     code, out = _run(tmp_path, "verify", "--config", str(path))
+    assert (sum(passes), len(passes)) == (460, 285)
     assert code == 5
     (row,) = json.loads((out / "report.json").read_text())["results"]["rows"]
     assert row["reduction"]["status"] == "reduction-failed"

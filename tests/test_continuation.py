@@ -829,9 +829,9 @@ def test_continuation_evaluates_each_state_once(cs_model, cs_branch_point, monke
     evaluated = []     # the states themselves, so no id is reused in the run
 
     class Counting(galerkin.Evaluation):
-        def __init__(self, model, state):
+        def __init__(self, model, state, **kwargs):
             evaluated.append(state)
-            super().__init__(model, state)
+            super().__init__(model, state, **kwargs)
 
     def rows(state):
         return [(t, c.tobytes()) for t, c in zip(state.t.tolist(), state.coeffs)]
@@ -1461,15 +1461,55 @@ def cs6(circle_sphere):
     return model, bp
 
 
+def test_an_evaluation_puts_a_stack_on_the_grid_once(cs6, monkeypatch):
+    # a stack with a member at t <= 0, one not positive on the grid and
+    # three positive ones: the grid is computed once, for the members with
+    # t > 0; each failing member gets the error it gets alone, and each
+    # positive one the grid and residual it gets alone, bit for bit
+    model, _ = cs6
+    rng = np.random.default_rng(3)
+    c_triv = galerkin.constant_state(model, 1.0).coeffs[0]
+    t = np.array([1.0, -0.5, 0.7, 1.0, 1.3])
+    coeffs = np.array([c_triv + 0.05 * rng.standard_normal(model.shape) for _ in t])
+    coeffs[3] = -c_triv
+    alone = []
+    for i in range(len(t)):
+        try:
+            alone.append(galerkin.Evaluation(model, galerkin.State(t[i:i + 1], coeffs[i:i + 1])))
+        except (InvalidArgumentError, PositivityViolationError) as exc:
+            alone.append(exc)
+    calls, grid_values = [], galerkin.grid_values
+
+    def recording(model, state):
+        calls.append(state.t.tolist())
+        return grid_values(model, state)
+
+    monkeypatch.setattr(galerkin, "grid_values", recording)
+    ev, errors = continuation._evaluate(model, t, coeffs)
+    assert calls == [[1.0, 0.7, 1.0, 1.3]]
+    assert [type(e) for e in errors] == [type(None), InvalidArgumentError, type(None),
+                                         PositivityViolationError, type(None)]
+    for i in (1, 3):
+        assert (type(errors[i]), str(errors[i])) == (type(alone[i]), str(alone[i]))
+    assert "min -" in str(errors[3])
+    assert ev.t.tolist() == [1.0, 0.7, 1.3]
+    for r, i in enumerate([0, 2, 4]):
+        assert np.array_equal(ev.grid[r], alone[i].grid[0])
+        assert np.array_equal(ev.residual[r], alone[i].residual[0])
+
+
 def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
     # fiber-mixed trial starts at amplitude 1e-2 converge at 6x3; at
     # amplitude 3 a start leaves the positive cone (as in the none-converges
-    # case below), and at 1.5 and 2 the damped steps stall against it
+    # case below), at 1.5 the damped steps stall against it (at 2 they get
+    # through), and the last member's zero pin row makes its first linear
+    # step singular: one stack in which members leave at a failed start, on
+    # convergence, at a singular step and when their line search stalls
     model, bp = cs6
     rng = np.random.default_rng(0)
     vecs = continuation.kernel_vectors(model, bp).reshape(bp.kernel_dim, -1)
     c_triv = galerkin.constant_state(model, bp.t).coeffs.ravel()
-    amplitudes = np.array([1e-2, 3.0, 1.5, 1e-2, 2.0, -1e-2])
+    amplitudes = np.array([1e-2, 3.0, 1.5, 1e-2, 2.0, -1e-2, 1e-2])
     n_hats, starts = [], []
     for amplitude in amplitudes:
         n_hat = rng.standard_normal(bp.kernel_dim) @ vecs
@@ -1480,6 +1520,7 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
         starts.append(c_triv + amplitude * (n_hat + fiber.ravel() / np.linalg.norm(fiber)))
     n_hats, starts = np.array(n_hats), np.array(starts)
     rows = np.concatenate([n_hats, np.zeros((len(n_hats), 1))], axis=1)
+    rows[-1] = 0.0
     targets = n_hats @ c_triv + amplitudes
 
     def solve(members):
@@ -1495,6 +1536,9 @@ def test_a_stack_of_trials_gives_each_member_its_own_result(cs6):
     alone, stacked, converged, only_converged = _alone_and_stacked(solve, len(amplitudes))
     assert {type(error).__name__ for _, error in stacked.values()} == {
         "NoneType", "PositivityViolationError", "NoConvergenceError"}
+    outcomes = [str(error) for _, error in stacked.values()]
+    assert "Newton stalled" in outcomes[2]
+    assert outcomes[-1].startswith("singular bordered matrix")
     _assert_each_member_gets_its_own_result(alone, stacked, converged, only_converged)
 
 
