@@ -388,7 +388,15 @@ def _csv(header, rows) -> str:
     """One line per row: the row's value under each column of `header`, a
     string as it is and any other value as its JSON literal."""
     def cell(value):
-        return value if isinstance(value, str) else json.dumps(value)
+        if isinstance(value, str):
+            return value
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        return json.dumps(value)
     lines = [",".join(header)]
     lines += [",".join(cell(row[column]) for column in header) for row in rows]
     return "\n".join(lines) + "\n"

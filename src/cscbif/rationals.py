@@ -1,10 +1,10 @@
 """Small helpers around exact rational arithmetic.
 
-Classification is done end to end in `fractions.Fraction` whenever the
-inputs are rational; these helpers centralize parsing, formatting, and the
-one exact square root the quadratic root solver needs.  Floats that enter
-through configuration files are converted through their shortest decimal
-representation, so `0.05` means 1/20 and not the nearest binary double.
+Classification is done end to end in exact arithmetic whenever the
+inputs are rational; these helpers centralize parsing and formatting.
+Floats that enter through configuration files are converted through their
+shortest decimal representation, so `0.05` means 1/20 and not the nearest
+binary double.
 """
 
 from __future__ import annotations
@@ -37,18 +37,6 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgumentError(f"cannot parse rational {value!r}") from exc
     raise InvalidArgumentError(f"expected a rational number, got {type(value).__name__}")
-
-
-def exact_sqrt(value: Fraction):
-    """Return the exact rational square root of `value`, or None when the
-    root is irrational.  `value` must be nonnegative."""
-    if value < 0:
-        raise InvalidArgumentError("square root of a negative rational")
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def fmt_number(value) -> str:

@@ -11,10 +11,9 @@ bound below which its table is exhaustive and refuses enumeration past it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import IncompleteSpectrumError, InvalidArgumentError
 from .rationals import as_rational
@@ -45,7 +44,9 @@ class SpectrumModel:
     returns every entry with value < bound (or <= bound with
     `include_equal=True`) and raises `IncompleteSpectrumError` when the
     request exceeds `completeness_bound()`.  A completeness bound of None
-    means the enumeration is exhaustive at every height.
+    means the enumeration is exhaustive at every height.  `counts(x)` and
+    `keys_through(bound)` answer from the same entries, under the same
+    completeness check.
     """
 
     def entry(self, k: int) -> EigenvalueEntry:
@@ -56,6 +57,21 @@ class SpectrumModel:
 
     def completeness_bound(self):
         return None
+
+    def counts(self, x):
+        """(total multiplicity of the eigenvalues < x, of those <= x)."""
+        entries = self.entries_below(x, include_equal=True)
+        at_most = sum(e.multiplicity for e in entries)
+        if entries and entries[-1].value == x:
+            return at_most - entries[-1].multiplicity, at_most
+        return at_most, at_most
+
+    def keys_through(self, bound):
+        """(unit, keys): the eigenvalues <= bound as ascending integer keys
+        over one positive rational unit, value = key * unit."""
+        values = [e.value for e in self.entries_below(bound, include_equal=True)]
+        den = math.lcm(*(v.denominator for v in values))
+        return Fraction(1, den), [v.numerator * (den // v.denominator) for v in values]
 
     def _check_enumerable(self, bound):
         if isinstance(bound, float) and not math.isfinite(bound):
@@ -68,15 +84,85 @@ class SpectrumModel:
             )
 
 
-def _cut(entries, bound, include_equal):
-    """The prefix of the strictly ascending `entries` with value < bound
-    (<= bound with `include_equal`), found by bisection on the exact values."""
-    cut = bisect_right if include_equal else bisect_left
-    return entries[:cut(entries, bound, key=attrgetter("value"))]
+class _KeyedSpectrum(SpectrumModel):
+    """A spectrum whose k-th distinct eigenvalue is `_keys[k] * _unit`, for
+    ascending integer keys and one positive rational unit, kept beside the
+    running multiplicity totals `_totals[k]` of entries 0..k.  Every cut is a
+    bisection on the integer keys, so `counts` is O(log n) and no answer
+    slices or sums a prefix, and `entries_below` is a `_Prefix` over its
+    count.  `_extend(top)` makes every key <= top present when the last key
+    is below top (a table has no more), and `_entries(count)` is the list of
+    the first `count` entries."""
+
+    def _extend(self, top):
+        pass
+
+    def _top(self, x):
+        """divmod(x / unit, 1) as integers: the largest key <= x and whether
+        x lies off the key grid."""
+        self._check_enumerable(x)
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        unit = self._unit
+        return divmod(x.numerator * unit.denominator, x.denominator * unit.numerator)
+
+    def _through(self, top):
+        """Number of entries with key <= top."""
+        keys = self._keys
+        if keys[-1] < top:
+            self._extend(top)
+        return bisect_right(keys, top)
+
+    def counts(self, x):
+        top, off = self._top(x)
+        i = self._through(top)
+        totals = self._totals
+        at_most = totals[i - 1] if i else 0
+        if off or not i or self._keys[i - 1] != top:
+            return at_most, at_most
+        return (totals[i - 2] if i > 1 else 0), at_most
+
+    def keys_through(self, bound):
+        return self._unit, self._keys[:self._through(self._top(bound)[0])]
+
+    def entries_below(self, bound, include_equal=False):
+        top, off = self._top(bound)
+        return _Prefix(self, self._through(top if include_equal or off else top - 1))
+
+
+class _Prefix:
+    """The first `count` entries of a keyed spectrum, as its `entries_below`
+    returns them: a read-only list whose length costs nothing and whose
+    entries are built only when it is read."""
+
+    __slots__ = ("_spectrum", "_count")
+    __hash__ = None
+
+    def __init__(self, spectrum, count):
+        self._spectrum, self._count = spectrum, count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, _Prefix):
+            other = other._list()
+        return self._list() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self):
+        return repr(self._list())
+
+    def _list(self):
+        return self._spectrum._entries(self._count)
 
 
 @dataclass(frozen=True)
-class SphereSpectrum(SpectrumModel):
+class SphereSpectrum(_KeyedSpectrum):
     """Spectrum of the round sphere of dimension `dim` and radius `radius`.
 
     The k-th distinct eigenvalue is k (k + dim - 1) / radius^2.  For
@@ -84,15 +170,18 @@ class SphereSpectrum(SpectrumModel):
     harmonics, C(dim + k, k) - C(dim + k - 2, k - 2); the circle is
     special-cased with multiplicity 2 for every k >= 1.
 
-    Each instance enumerates its entries once: `entries_below` extends the
-    prefix built so far only when asked past its end, then cuts it on the
-    integer keys k (k + dim - 1) = radius^2 * value.
+    Each instance enumerates its keys k (k + dim - 1) over the unit
+    1 / radius^2, and their multiplicity totals, once: a cut extends them
+    only when asked past their end.  The entries themselves are built once,
+    when a prefix that `entries_below` returns is first read.
     """
 
     dim: int
     radius: Fraction
     _built: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _keys: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _keys: list = field(default_factory=lambda: [0], init=False, repr=False, compare=False)
+    _totals: list = field(default_factory=lambda: [1], init=False, repr=False, compare=False)
+    _unit: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -100,6 +189,7 @@ class SphereSpectrum(SpectrumModel):
         object.__setattr__(self, "radius", as_rational(self.radius))
         if self.radius <= 0:
             raise InvalidArgumentError(f"sphere radius must be positive, got {self.radius}")
+        object.__setattr__(self, "_unit", 1 / self.radius**2)
 
     def entry(self, k):
         if k < 0:
@@ -115,29 +205,30 @@ class SphereSpectrum(SpectrumModel):
         lower = math.comb(self.dim + k - 2, k - 2) if k >= 2 else 0
         return math.comb(self.dim + k, k) - lower
 
-    def entries_below(self, bound, include_equal=False):
-        self._check_enumerable(bound)
-        # key <= radius^2 bound = n / d iff key <= n // d, and key < n / d
-        # iff key < ceil(n / d) = -(-n // d)
-        bound = bound if isinstance(bound, Fraction) else Fraction(bound)
-        n = bound.numerator * self.radius.numerator**2
-        d = bound.denominator * self.radius.denominator**2
-        below = -(-n // d)
-        top = n // d if include_equal else below - 1
-        keys = self._keys
-        while not keys or keys[-1] < below:
+    def _extend(self, top):
+        keys, totals = self._keys, self._totals
+        while keys[-1] < top:
             k = len(keys)
             keys.append(k * (k + self.dim - 1))
-            self._built.append(self.entry(k))
-        return self._built[:bisect_right(keys, top)]
+            totals.append(totals[-1] + self._multiplicity(k))
+
+    def _entries(self, count):
+        built = self._built
+        while len(built) < count:
+            built.append(self.entry(len(built)))
+        return built[:count]
 
 
 @dataclass(frozen=True)
-class ExplicitSpectrum(SpectrumModel):
-    """User-tabulated spectrum, complete for all values <= `complete_below`."""
+class ExplicitSpectrum(_KeyedSpectrum):
+    """User-tabulated spectrum, complete for all values <= `complete_below`.
+    Its keys are the values over the unit 1 / (common denominator)."""
 
     entries: tuple
     complete_below: Fraction
+    _keys: list = field(init=False, repr=False, compare=False)
+    _totals: list = field(init=False, repr=False, compare=False)
+    _unit: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(
@@ -158,6 +249,14 @@ class ExplicitSpectrum(SpectrumModel):
             raise InvalidArgumentError(
                 "completeness bound lies below the last tabulated eigenvalue"
             )
+        den = math.lcm(*(e.value.denominator for e in entries))
+        object.__setattr__(self, "_unit", Fraction(1, den))
+        object.__setattr__(self, "_keys", [
+            e.value.numerator * (den // e.value.denominator) for e in entries])
+        totals = [e.multiplicity for e in entries]
+        for k in range(1, len(totals)):
+            totals[k] += totals[k - 1]
+        object.__setattr__(self, "_totals", totals)
 
     def completeness_bound(self):
         return self.complete_below
@@ -172,9 +271,8 @@ class ExplicitSpectrum(SpectrumModel):
             )
         return self.entries[k]
 
-    def entries_below(self, bound, include_equal=False):
-        self._check_enumerable(bound)
-        return list(_cut(self.entries, bound, include_equal))
+    def _entries(self, count):
+        return list(self.entries[:count])
 
 
 @dataclass(frozen=True)
@@ -255,15 +353,15 @@ def count_strictly_below(spectrum: SpectrumModel, x) -> int:
     """Total multiplicity of eigenvalues strictly below x."""
     if x <= 0:
         return 0
-    return sum(e.multiplicity for e in spectrum.entries_below(x))
+    return spectrum.counts(x)[0]
 
 
 def contains(spectrum: SpectrumModel, x) -> bool:
-    """Exact membership of x in the spectrum: the last entry up to x is x."""
+    """Exact membership of x in the spectrum: more entries reach x than lie
+    below it."""
     if x < 0:
         return False
-    below = spectrum.entries_below(x, include_equal=True)
-    return bool(below) and below[-1].value == x
+    return len(spectrum.entries_below(x, include_equal=True)) > len(spectrum.entries_below(x))
 
 
 def first_nonzero(spectrum: SpectrumModel) -> Fraction:

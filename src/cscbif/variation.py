@@ -19,18 +19,21 @@ Clearing denominators turns this into the polynomial
     |A|^2 t^2 + ((m-1) b - s_h) t + ((m-1) lam - s_g) = 0,
 
 whose positive roots are the degeneracy instants contributed by the pair.
-Everything in this module is exact rational arithmetic and uses no float
-tolerance.  Irrational quadratic roots are floats.  All pair polynomials
-share the leading coefficient |A|^2, so two different pairs share a root
-only when it is rational, and a float root groups only with the bitwise
-identical roots of its own pair.  A float t enters the Morse index by its
-exact binary value, and a certificate at a float instant by its root's branch.
+Everything in this module is exact and uses no float tolerance.  A pair
+polynomial is solved on integers: one common denominator L clears it to
+A t^2 + B t + C, and a rational root is a reduced integer pair (n, d) until
+an instant's row needs its Fraction.  Irrational quadratic roots are
+floats.  All pair polynomials share the leading coefficient |A|^2, so two
+different pairs share a root only when it is rational, and a float root
+groups only with the bitwise identical roots of its own pair.  A float t
+enters the Morse index by its exact binary value, and a certificate at a
+float instant by its root's branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -42,7 +45,7 @@ from .errors import (
     NotApplicableError,
     ZeroScalarCurvatureError,
 )
-from .rationals import as_rational, exact_sqrt
+from .rationals import as_rational
 from .spectra import ManifoldDescriptor, contains, count_strictly_below, first_nonzero
 
 
@@ -100,12 +103,14 @@ class SubmersionFamily:
     are the base eigenvalues: a horizontal eigenfunction with lam = 0 is
     constant along the fibers, hence a pullback.  Rejected: `AllPairs`
     with |A|^2 != 0, and a table row (b, 0) whose b is not a base
-    eigenvalue."""
+    eigenvalue.  `_clearing` is (m - 1, L, |A|^2 L, s_h L, s_g L) on
+    integers for the least common denominator L of |A|^2, s_h and s_g."""
 
     fiber: ManifoldDescriptor
     base: ManifoldDescriptor
     a_norm_sq: Fraction = Fraction(0)
     joint_mode: AllPairs | ExplicitJoint = ALL_PAIRS
+    _clearing: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_norm_sq", as_rational(self.a_norm_sq))
@@ -115,6 +120,10 @@ class SubmersionFamily:
             raise InvalidArgumentError(
                 f"total dimension must be at least 3, got {self.m}"
             )
+        coefficients = (self.a_norm_sq, self.base.scalar_curvature, self.fiber.scalar_curvature)
+        den = math.lcm(*(x.denominator for x in coefficients))
+        object.__setattr__(self, "_clearing", (self.m - 1, den, *(
+            x.numerator * (den // x.denominator) for x in coefficients)))
         if self.is_product:
             if self.a_norm_sq != 0:
                 raise InvalidArgumentError(
@@ -170,6 +179,59 @@ NO_ROOT = RootResult()
 ALL_POSITIVE = RootResult(all_positive=True)
 
 
+def _frame(fam: SubmersionFamily, b_unit, lam_unit):
+    """The integers (L, A, Bb, Bh, Cl, Cg) that clear the pair polynomial of
+    every pair (b, lam) = (kb b_unit, kl lam_unit) on the grid of two
+    rational units by one common denominator L:
+
+        L q(t) = A t^2 + (Bb kb - Bh) t + (Cl kl - Cg).
+
+    A single pair (b, lam) is the grid point kb = kl = 1 of the units b, lam."""
+    m1, fam_den, a, s_h, s_g = fam._clearing
+    den = math.lcm(fam_den, b_unit.denominator, lam_unit.denominator)
+    k = den // fam_den
+    return (den, a * k, m1 * b_unit.numerator * (den // b_unit.denominator), s_h * k,
+            m1 * lam_unit.numerator * (den // lam_unit.denominator), s_g * k)
+
+
+def _cleared(fam, b, lam):
+    """(A, B, C, L): the pair polynomial of (b, lam) times L, on integers."""
+    den, a, bb, bh, cl, cg = _frame(fam, b, lam)
+    return a, bb - bh, cl - cg, den
+
+
+def _roots(a, b, c, den):
+    """The positive roots of a t^2 + b t + c (a >= 0, the cleared pair
+    polynomial times `den`), ascending: a rational root as a reduced
+    integer pair (n, d), d > 0, an irrational one as the float the
+    quadratic formula gives at the pair's exact coefficients a/den, b/den,
+    c/den.  Returns None when the polynomial vanishes identically."""
+    if a == 0:
+        if b == 0:
+            return None if c == 0 else []
+        n, d = (-c, b) if b > 0 else (c, -b)
+        g = math.gcd(n, d)
+        return [(n // g, d // g)] if n > 0 else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    sq = math.isqrt(disc)
+    if sq * sq == disc:
+        out = []
+        for n in (-b - sq, -b + sq) if sq else (-b,):
+            if n > 0:
+                g = math.gcd(n, 2 * a)
+                out.append((n // g, 2 * a // g))
+        return out
+    # irrational pair of roots; split the quadratic formula to avoid
+    # cancellation between -b and the square root.  Each int / int is the
+    # correctly rounded value of its exact ratio
+    s = math.sqrt(disc / (den * den))
+    fa, fb, fc = a / den, b / den, c / den
+    q = -(fb + math.copysign(s, fb)) / 2 if fb != 0 else s / 2
+    return [r for r in sorted({q / fa, fc / q}) if r > 0]
+
+
 def degeneracy_roots(fam: SubmersionFamily, base_eigenvalue, fiber_eigenvalue) -> RootResult:
     """Positive solutions t of the cleared degeneracy polynomial
 
@@ -182,37 +244,18 @@ def degeneracy_roots(fam: SubmersionFamily, base_eigenvalue, fiber_eigenvalue) -
     lam = as_rational(fiber_eigenvalue)
     if b < 0 or lam < 0:
         raise InvalidArgumentError("eigenvalues must be nonnegative")
-    m1 = fam.m - 1
-    quad = fam.a_norm_sq
-    slope = m1 * b - fam.base.scalar_curvature
-    const = m1 * lam - fam.fiber.scalar_curvature
-
-    if quad == 0:
-        if slope == 0:
-            return ALL_POSITIVE if const == 0 else NO_ROOT
-        t = -Fraction(const, 1) / slope
-        return RootResult((t,)) if t > 0 else NO_ROOT
-
-    disc = slope * slope - 4 * quad * const
-    if disc < 0:
+    roots = _roots(*_cleared(fam, b, lam))
+    if roots is None:
+        return ALL_POSITIVE
+    if not roots:
         return NO_ROOT
-    sq = exact_sqrt(disc)
-    if sq is not None:
-        r1 = (-slope - sq) / (2 * quad)
-        r2 = (-slope + sq) / (2 * quad)
-        roots = sorted({r1, r2})
-    else:
-        # irrational pair of roots; split the quadratic formula to avoid
-        # cancellation between -slope and the square root
-        s = math.sqrt(float(disc))
-        fa, fb, fc = float(quad), float(slope), float(const)
-        q = -(fb + math.copysign(s, fb)) / 2 if fb != 0 else s / 2
-        roots = sorted({q / fa, fc / q})
-    roots = tuple(r for r in roots if r > 0)
-    return RootResult(roots) if roots else NO_ROOT
+    return RootResult(tuple(Fraction(*t) if type(t) is tuple else t for t in roots))
 
 
 # --- windowed enumeration ---------------------------------------------------
+
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class DegeneracyInstant:
@@ -252,6 +295,42 @@ def pair_truncation_bounds(fam: SubmersionFamily, t_min, t_max):
     return b_max, lam_max
 
 
+def _grouped(solved, t_min, t_max):
+    """The roots of `solved` on (t_min, t_max], ascending: [(t, keys)] with
+    the key of every pair that has t as a root.  `solved` yields
+    (key, pair, roots), `roots` as `_roots` gives them.
+    A rational root (n, d) is tested against the window ends and grouped on
+    its integers, and becomes a Fraction only once it is in the list.  A
+    float root groups only with the bitwise identical roots of the same
+    `pair`.  The order is exact: by the correctly rounded value first,
+    which is monotone, and by the exact value on a tie, a rational root
+    before an equal float.  An infinite t_max is the pair (1, 0)."""
+    lo_n, lo_d = t_min.as_integer_ratio()
+    hi_n, hi_d = (1, 0) if t_max == math.inf else t_max.as_integer_ratio()
+    groups = {}
+    for key, pair, roots in solved:
+        for t in roots:
+            if type(t) is tuple:
+                n, d = t
+                if lo_n * d < n * lo_d and n * hi_d <= hi_n * d:
+                    groups.setdefault(t, []).append(key)
+            elif t_min < t <= t_max:
+                groups.setdefault((t, pair), []).append(key)
+    rows = [(_rounded(n, d), Fraction(n, d), False, keys) if type(n) is int
+            else (n, n, True, keys) for (n, d), keys in groups.items()]
+    rows.sort(key=lambda row: row[:3])
+    return [(t, keys) for _, t, _, keys in rows]
+
+
+def _rounded(n, d):
+    """n / d correctly rounded, and inf past the double range, which keeps
+    the rounding monotone."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf
+
+
 def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
     """The degeneracy instants on (t_min, t_max] of the eigenvalue pairs in
     `keyed_pairs`, ascending: [(t, keys)] with the key of every
@@ -262,44 +341,65 @@ def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
     identical roots of the same (b, lam).  Raises
     `NondiscreteDegeneracyError` when some pair vanishes identically."""
     t_min, t_max = _check_window(t_min, t_max)
-    groups = {}
-    for key, b, lam in keyed_pairs:
-        if b == 0 and lam == 0:
-            continue
-        rr = degeneracy_roots(fam, b, lam)
-        if rr.all_positive:
-            raise NondiscreteDegeneracyError((b, lam))
-        for t in rr.roots:
-            if t_min < t <= t_max:
-                group = t if isinstance(t, Fraction) else (t, b, lam)
-                groups.setdefault(group, (t, []))[1].append(key)
-    return sorted(groups.values(), key=lambda g: (g[0], isinstance(g[0], float)))
+
+    def solved():
+        for key, b, lam in keyed_pairs:
+            if b == 0 and lam == 0:
+                continue
+            rr = degeneracy_roots(fam, b, lam)
+            if rr.all_positive:
+                raise NondiscreteDegeneracyError((b, lam))
+            yield key, (b, lam), [t.as_integer_ratio() if isinstance(t, Fraction) else t
+                                  for t in rr.roots]
+
+    return _grouped(solved(), t_min, t_max)
 
 
-def _realized_pairs(fam, b_max, lam_max):
-    """The realized eigenvalue pairs (b, lam) with b <= b_max and
-    lam <= lam_max: the pullbacks (b, 0) from the base spectrum, the pairs
-    with lam > 0 from the joint mode, base x fiber for a product and the
-    table rows otherwise."""
-    zero = Fraction(0)
-    base = [be.value for be in fam.base.spectrum.entries_below(b_max, include_equal=True)]
-    pairs = [(b, zero) for b in base]
+def _witness(key):
+    """The pair (kb b_unit, kl lam_unit) of the key (kb, b_unit, kl, lam_unit),
+    in Fractions."""
+    kb, b_unit, kl, lam_unit = key
+    b = Fraction(kb * b_unit.numerator, b_unit.denominator) if kb else _ZERO
+    return b, Fraction(kl * lam_unit.numerator, lam_unit.denominator) if kl else _ZERO
+
+
+def _instants(fam, b_max, lam_max, t_min, t_max):
+    """The degeneracy instants on (t_min, t_max] of the realized pairs
+    (b, lam) with b <= b_max and lam <= lam_max, each witnessed by its
+    pairs and horizontal when some witness has lam = 0.  The realized pairs
+    are the pullbacks (b, 0) from the base spectrum, then the pairs with
+    lam > 0 of the joint mode: base x fiber for a product, the table rows
+    otherwise.  Spectrum pairs are integer keys (kb, kl) over the spectra's
+    units, solved in one frame; a table row is the grid point (1, 1) of its
+    own frame.  A pair becomes Fractions only as the witness of an instant.
+    Raises `NondiscreteDegeneracyError` when some pair vanishes
+    identically."""
+    ub, base = fam.base.spectrum.keys_through(b_max)
+    ul, fiber, rows = _ZERO, [], []
     if fam.is_product:
-        fiber = fam.fiber.spectrum.entries_below(lam_max, include_equal=True)
-        pairs += [(b, fe.value) for b in base for fe in fiber if fe.value > 0]
+        ul, fiber = fam.fiber.spectrum.keys_through(lam_max)
+        fiber = [kl for kl in fiber if kl > 0]
     else:
-        pairs += [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
-                  if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
-    return pairs
+        rows = [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
+                if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
 
+    def solved():
+        den, a, bb, bh, cl, cg = _frame(fam, ub, ul)
+        grid = [(kb, 0) for kb in base if kb] + [(kb, kl) for kb in base for kl in fiber]
+        keyed = [((kb, ub, kl, ul), (a, bb * kb - bh, cl * kl - cg, den)) for kb, kl in grid]
+        keyed += [((1, b, 1, lam), _cleared(fam, b, lam)) for b, lam in rows]
+        for key, cleared in keyed:
+            roots = _roots(*cleared)
+            if roots is None:
+                raise NondiscreteDegeneracyError(_witness(key))
+            yield key, key, roots
 
-def _instants(fam, pairs, t_min, t_max):
-    """The degeneracy instants of `pairs` on (t_min, t_max], each witnessed
-    by its pairs; horizontal when some witness has lam = 0."""
     out = []
-    for t, keys in window_roots(fam, [(p, *p) for p in pairs], t_min, t_max):
-        witnesses = tuple(sorted(set(keys)))
-        out.append(DegeneracyInstant(t, witnesses, any(lam == 0 for _, lam in witnesses)))
+    for t, keys in _grouped(solved(), t_min, t_max):
+        witnesses = [_witness(key) for key in keys]
+        if len(witnesses) > 1:
+            witnesses = sorted(set(witnesses))
+        out.append(DegeneracyInstant(t, tuple(witnesses), any(key[2] == 0 for key in keys)))
     return out
 
 
@@ -310,8 +410,7 @@ def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
     degeneracy polynomial vanish identically (the degenerate set is then
     the whole half line)."""
     t_min, t_max = _check_window(t_min, t_max)
-    pairs = _realized_pairs(fam, *pair_truncation_bounds(fam, t_min, t_max))
-    return _instants(fam, pairs, t_min, t_max)
+    return _instants(fam, *pair_truncation_bounds(fam, t_min, t_max), t_min, t_max)
 
 
 def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
@@ -321,7 +420,7 @@ def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
     is needed and the result is valid for arbitrary |A|^2."""
     t_min, t_max = _check_window(t_min, t_max)
     b_max, _ = pair_truncation_bounds(fam, t_min, t_max)
-    return _instants(fam, _realized_pairs(fam, b_max, 0), t_min, t_max)
+    return _instants(fam, b_max, 0, t_min, t_max)
 
 
 # --- Morse index and bifurcation certificates -------------------------------
@@ -389,39 +488,43 @@ def _certify(fam, t_star, crossing) -> BifurcationCertificate:
     polynomial q(t) = |A|^2 t^2 + ((m-1) b - s_h) t - s_g of the pullback
     pair (b, 0), b = `crossing`.  Since s(t) - (m-1) b = -q(t)/t, the Morse
     index is #{base eigenvalues < b} where q > 0 and #{<= b} where q < 0,
-    so the sign of q'(t_star) orders the two counts.  Raises
-    `NotApplicableError` when b is no base eigenvalue, `InconclusiveError`
-    at a multiple root and `NondiscreteDegeneracyError` when q vanishes."""
+    so the sign of q'(t_star) orders the two counts, which the base
+    spectrum gives by one bisection.  On the cleared integers
+    L q = A t^2 + B t + C and t_star = n/d, q(t_star) = 0 decides whether
+    t_star is exactly a root, where the sign of q' is that of 2 A n + B d.
+    Otherwise t_star is the double nearest an irrational root, whose branch
+    gives the sign.  Raises `NotApplicableError` when b is no base
+    eigenvalue, `InconclusiveError` at a multiple root and
+    `NondiscreteDegeneracyError` when q vanishes."""
     spectrum = fam.base.spectrum
     if not contains(spectrum, crossing):
         raise NotApplicableError(
             f"t = {t_star} is not a horizontal degeneracy instant of this family"
         )
-    slope = (fam.m - 1) * crossing - fam.base.scalar_curvature
-    if scalar_curvature(fam, t_star) == (fam.m - 1) * crossing:
+    a, b, c, den = _cleared(fam, crossing, _ZERO)
+    n, d = t_star.as_integer_ratio()
+    if (a * n + b * d) * n + c * d * d == 0:
         # t_star is exactly a root: the sign of q'(t_star) is exact
-        sign = 2 * fam.a_norm_sq * Fraction(t_star) + slope
+        sign = 2 * a * n + b * d
     else:
         # t_star is the double nearest an irrational root, where q'(t_star) =
         # +-sqrt(disc): + at the larger root and - at the smaller.  The roots'
-        # product is -s_g/|A|^2, so both are positive unless s_g > 0
-        roots = degeneracy_roots(fam, crossing, 0).roots
-        if len(roots) < 2 and fam.fiber.scalar_curvature < 0:
+        # product is c/a, so both are positive when c > 0
+        roots = _roots(a, b, c, den)
+        if len(roots) < 2 and c > 0:
             raise InconclusiveError(
                 f"the two roots of the crossing polynomial of ({crossing}, 0) "
                 f"round to one double t = {t_star}; the index jump cannot be placed"
             )
         sign = 1 if t_star == roots[-1] else -1
     if sign == 0:
-        if degeneracy_roots(fam, crossing, 0).all_positive:
-            raise NondiscreteDegeneracyError((crossing, Fraction(0)))
+        if a == b == c == 0:
+            raise NondiscreteDegeneracyError((crossing, _ZERO))
         raise InconclusiveError(
             f"t = {t_star} is no simple root of the crossing polynomial of "
             f"({crossing}, 0); the Morse index does not change across it"
         )
-    entries = spectrum.entries_below(crossing, include_equal=True)
-    at_most = sum(e.multiplicity for e in entries)
-    below = at_most - entries[-1].multiplicity
+    below, at_most = spectrum.counts(crossing)
     indices = (at_most, below) if sign > 0 else (below, at_most)
     return BifurcationCertificate(t_star, crossing, *indices)
 
@@ -444,9 +547,16 @@ def check_nondiscreteness(fam: SubmersionFamily) -> NondiscretenessResult:
     m1 = fam.m - 1
     b = Fraction(fam.base.scalar_curvature, m1)
     lam = Fraction(fam.fiber.scalar_curvature, m1)
-    if (fam.a_norm_sq == 0 and b >= 0 and lam >= 0 and b + lam != 0
-            and (b, lam) in _realized_pairs(fam, b, lam)):
-        return NondiscretenessResult(True, (b, lam))
+    if fam.a_norm_sq == 0 and b >= 0 and lam >= 0 and b + lam != 0:
+        in_base = contains(fam.base.spectrum, b)
+        if fam.is_product:
+            realized = contains(fam.fiber.spectrum, lam) and in_base
+        elif lam == 0:
+            realized = in_base
+        else:
+            realized = (b, lam) in [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs]
+        if realized:
+            return NondiscretenessResult(True, (b, lam))
     return NondiscretenessResult(False, None)
 
 

@@ -6,17 +6,28 @@ multiplicities come from exact linear algebra on homogeneous polynomials,
 product spectra from dictionary accumulation, and degeneracy instants
 from a per-pair sign scan of the raw defect s(t)/(m-1) - b - lam/t
 followed by bisection.  The package clears denominators and works with
-polynomial coefficients instead, so agreement is meaningful.
+polynomial coefficients instead, so agreement is meaningful.  A Fraction
+reference of the exact layer (`reference_instants`,
+`reference_certificate`, `reference_morse_index`) pins the package's
+integer route to the same instants, groups, flags and certificates.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 import numpy as np
 import pytest
 
 import cscbif
 from cscbif import galerkin, variation
+from cscbif.errors import (
+    DegeneratePointError,
+    IncompleteSpectrumError,
+    InconclusiveError,
+    NondiscreteDegeneracyError,
+    NotApplicableError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +185,139 @@ def brute_force_instants(fam, pairs, t_min, t_max):
             continue
         merged.append(r)
     return merged
+
+
+# ---------------------------------------------------------------------------
+# oracle: the exact layer in Fraction arithmetic
+#
+# The package solves the pair polynomials on cleared integers and counts
+# Morse indices by bisection over running multiplicity totals.  The
+# references below solve each pair in `Fraction` arithmetic, group by exact
+# equality, decide a certificate's sign from s(t*) and sum multiplicities
+# over an entry-by-entry walk of the spectrum.
+
+
+def entries_through(spectrum, bound):
+    """(value, multiplicity) of every eigenvalue <= bound, from
+    `spectrum.entry(k)` one k at a time (a table ends at its last row); a
+    product's from its factors' walks, every sum accumulated."""
+    if isinstance(spectrum, cscbif.spectra.ProductSumSpectrum):
+        sums = {}
+        for lv, lm in entries_through(spectrum.left, bound):
+            for rv, rm in entries_through(spectrum.right, bound - lv):
+                sums[lv + rv] = sums.get(lv + rv, 0) + lm * rm
+        return sorted(sums.items())
+    out = []
+    for k in count():
+        try:
+            entry = spectrum.entry(k)
+        except IncompleteSpectrumError:
+            return out
+        if entry.value > bound:
+            return out
+        out.append((entry.value, entry.multiplicity))
+
+
+def reference_roots(fam, b, lam):
+    """The positive roots of the pair (b, lam), ascending, in Fraction
+    arithmetic: Fractions for a rational-square discriminant, floats from
+    the split quadratic formula otherwise; None when the pair polynomial
+    vanishes identically."""
+    b, lam = Fraction(b), Fraction(lam)
+    m1 = fam.m - 1
+    quad = fam.a_norm_sq
+    slope = m1 * b - fam.base.scalar_curvature
+    const = m1 * lam - fam.fiber.scalar_curvature
+    if quad == 0:
+        if slope == 0:
+            return None if const == 0 else ()
+        t = -const / slope
+        return (t,) if t > 0 else ()
+    disc = slope * slope - 4 * quad * const
+    if disc < 0:
+        return ()
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn == disc.numerator and rd * rd == disc.denominator:
+        sq = Fraction(rn, rd)
+        roots = sorted({(-slope - sq) / (2 * quad), (-slope + sq) / (2 * quad)})
+    else:
+        s = math.sqrt(float(disc))
+        fa, fb, fc = float(quad), float(slope), float(const)
+        q = -(fb + math.copysign(s, fb)) / 2 if fb != 0 else s / 2
+        roots = sorted({q / fa, fc / q})
+    return tuple(r for r in roots if r > 0)
+
+
+def reference_pairs(fam, b_max, lam_max):
+    """The realized pairs up to the truncation heights: the pullbacks, then
+    base x fiber for a product or the table rows with lam > 0."""
+    base = [v for v, _ in entries_through(fam.base.spectrum, b_max)]
+    pairs = [(b, Fraction(0)) for b in base]
+    if fam.is_product:
+        fiber = [v for v, _ in entries_through(fam.fiber.spectrum, lam_max) if v > 0]
+        return pairs + [(b, lam) for b in base for lam in fiber]
+    return pairs + [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
+                    if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
+
+
+def reference_instants(fam, pairs, t_min, t_max):
+    """[(t, witnesses, horizontal)] on (t_min, t_max], ascending: exact
+    roots grouped on equality, a float root only with the same float of the
+    same pair, a rational root before an equal float.  Raises
+    NondiscreteDegeneracyError at the first pair that vanishes identically."""
+    groups = {}
+    for b, lam in pairs:
+        if b == 0 and lam == 0:
+            continue
+        roots = reference_roots(fam, b, lam)
+        if roots is None:
+            raise NondiscreteDegeneracyError((b, lam))
+        for t in roots:
+            if t_min < t <= t_max:
+                group = t if isinstance(t, Fraction) else (t, b, lam)
+                groups.setdefault(group, (t, set()))[1].add((b, lam))
+    ordered = sorted(groups.values(), key=lambda g: (g[0], isinstance(g[0], float)))
+    return [(t, tuple(sorted(w)), any(lam == 0 for _, lam in w)) for t, w in ordered]
+
+
+def reference_certificate(fam, t_star, crossing):
+    """(index_below, index_above) at the horizontal instant `t_star` crossed
+    by (crossing, 0): the sign of q'(t_star) = 2 |A|^2 t_star + (m-1) b - s_h
+    where s(t_star) = (m-1) b holds exactly, the branch of an irrational
+    root otherwise, and the counts #{< b}, #{<= b} summed over the entry
+    walk.  Raises as the package's certificate does."""
+    m1 = fam.m - 1
+    s_h, s_g, a2 = fam.base.scalar_curvature, fam.fiber.scalar_curvature, fam.a_norm_sq
+    entries = entries_through(fam.base.spectrum, crossing)
+    if not entries or entries[-1][0] != crossing:
+        raise NotApplicableError(f"{crossing} is no base eigenvalue")
+    exact = Fraction(t_star)
+    if s_h + s_g / exact - exact * a2 == m1 * crossing:
+        sign = 2 * a2 * exact + m1 * crossing - s_h
+    else:
+        roots = reference_roots(fam, crossing, 0)
+        if len(roots) < 2 and s_g < 0:
+            raise InconclusiveError("two roots in one double")
+        sign = 1 if t_star == roots[-1] else -1
+    if sign == 0:
+        if reference_roots(fam, crossing, 0) is None:
+            raise NondiscreteDegeneracyError((crossing, Fraction(0)))
+        raise InconclusiveError("no simple root")
+    at_most = sum(m for _, m in entries)
+    below = at_most - entries[-1][1]
+    return (at_most, below) if sign > 0 else (below, at_most)
+
+
+def reference_morse_index(fam, t):
+    """#{base eigenvalues < s(t)/(m-1)} with multiplicity by the entry walk,
+    or DegeneratePointError when the threshold is a nonzero eigenvalue."""
+    t = Fraction(t)
+    threshold = (fam.base.scalar_curvature + fam.fiber.scalar_curvature / t
+                 - t * fam.a_norm_sq) / (fam.m - 1)
+    entries = entries_through(fam.base.spectrum, threshold)
+    if threshold != 0 and entries and entries[-1][0] == threshold:
+        raise DegeneratePointError(f"{t} is a horizontal instant")
+    return sum(m for v, m in entries if v < threshold)
 
 
 def b_sequence(fam, count):

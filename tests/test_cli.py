@@ -842,3 +842,42 @@ def test_seed_override_without_a_continuation_section(tmp_path):
     _, out_b = _run(tmp_path / "b", "classify", "--config", str(HOPF))
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert "continuation" not in json.loads((out_a / "report.json").read_text())["config"]
+
+
+# ---------------------------------------------------------------------------
+# the CSV tables against json.dumps
+
+
+def _dumped_csv(header, rows):
+    """The CSV text with every non-string cell written by `json.dumps`."""
+    def cell(value):
+        return value if isinstance(value, str) else json.dumps(value)
+    lines = [",".join(header)]
+    lines += [",".join(cell(row[column]) for column in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--config", str(CIRCLE_SPHERE)),
+    ("classify", "--config", str(HOPF)),
+    ("classify", "--config", str(NONDISCRETE)),
+    ("classify", "--config", str(CIRCLE_SPHERE), "--window", "1/10000..2"),
+    ("branch", "--config", str(CIRCLE_SPHERE)),
+    ("verify", "--config", str(CIRCLE_SPHERE), "--seed", "0"),
+], ids=["classify-cs", "classify-hopf", "classify-nondiscrete", "classify-cs-deep",
+        "branch-cs", "verify-cs"])
+def test_every_shipped_table_is_written_as_json_dumps_writes_it(argv, tmp_path, monkeypatch):
+    # every table is the CSV whose non-string cells json.dumps writes, byte
+    # for byte
+    tables = []
+    csv = cli._csv
+
+    def keeping_csv(header, rows):
+        text = csv(header, rows)
+        tables.append((text, _dumped_csv(header, rows)))
+        return text
+
+    monkeypatch.setattr(cli, "_csv", keeping_csv)
+    code, _ = _run(tmp_path, *argv)
+    assert code == 0
+    assert tables and all(ours == dumped for ours, dumped in tables)

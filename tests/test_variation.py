@@ -29,10 +29,16 @@ from conftest import (
     ablated_nondiscrete_families,
     b_sequence,
     brute_force_instants,
+    entries_through,
     harmonic_dimension,
     hopf_realized_pairs,
     per_instant_witnesses,
     pullback_nondiscrete_family,
+    reference_certificate,
+    reference_instants,
+    reference_morse_index,
+    reference_pairs,
+    reference_roots,
 )
 
 
@@ -245,6 +251,24 @@ def test_instants_closer_than_double_resolution_stay_ordered():
         (Fraction(big), Fraction(0)),
     )
     assert hits[0].horizontal
+
+
+def test_roots_past_the_double_range_and_an_infinite_window_end():
+    # a pullback root near 2 * 10^400, beyond every double, is ordered and
+    # certified exactly, and a float t_max of inf bounds nothing
+    base = cscbif.explicit_manifold(
+        "b", 1, 0, [(0, 1), (Fraction(1, 2 * 10**400), 1), (1, 2)], 10)
+    fiber = cscbif.explicit_manifold("f", 2, 2, [(0, 1), (Fraction(1, 2), 1)], 10)
+    fam = variation.SubmersionFamily(fiber=fiber, base=base,
+                                     joint_mode=variation.ExplicitJoint([(0, 0, 1)]))
+    pairs = [(b, Fraction(0)) for b in (Fraction(1, 2 * 10**400), Fraction(1))]
+    for t_max in (Fraction(10**500), math.inf):
+        expected = reference_instants(fam, pairs, Fraction(1, 10), t_max)
+        assert [t for t, _, _ in expected] == [1, 2 * 10**400]
+        rows = variation.classify_window(fam, Fraction(1, 10), t_max).rows
+        assert [(r.instant.t, r.instant.witnesses, r.instant.horizontal) for r in rows] == expected
+        assert [(r.certificate.index_below, r.certificate.index_above) for r in rows] == [
+            reference_certificate(fam, t, w[0][0]) for t, w, _ in expected]
 
 
 def test_window_validation(circle_sphere):
@@ -827,3 +851,194 @@ def test_inclusion_chain_on_random_products(base, fiber):
     horizontal = set(rep.horizontal_instants)
     certified = set(rep.certified_instants)
     assert certified <= horizontal <= instants
+
+
+# ---------------------------------------------------------------------------
+# the integer layer against the Fraction reference
+
+
+def _spectrum(draw, dim):
+    """A round sphere spectrum of a random rational radius, a random table,
+    or for dim 2 the product of two circles, with the scalar curvature of
+    the round metric (a table's is random)."""
+    if dim == 2 and draw(st.integers(0, 3)) == 0:
+        radii = draw(st.lists(st.sampled_from([Fraction(1), Fraction(2), Fraction(2, 3)]),
+                              min_size=2, max_size=2))
+        return cscbif.product_spectrum(*(cscbif.sphere_spectrum(1, r) for r in radii)), 0
+    if draw(st.booleans()):
+        radius = draw(st.one_of(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]),
+                                st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                             max_denominator=6)))
+        return cscbif.sphere_spectrum(dim, radius), Fraction(dim * (dim - 1)) / radius**2
+    values = draw(st.lists(st.fractions(min_value=Fraction(1, 5), max_value=30,
+                                        max_denominator=7), max_size=6, unique=True))
+    entries = [(0, 1)] + [(v, draw(st.integers(1, 4))) for v in sorted(values)]
+    return cscbif.explicit_spectrum(entries, 10**6), _curvature(draw)
+
+
+def _curvature(draw):
+    return draw(st.fractions(min_value=-12, max_value=12, max_denominator=5))
+
+
+@st.composite
+def exact_families(draw):
+    """A family with random spectra, curvatures and |A|^2, a product or a
+    joint table, with the round curvatures, random ones, or curvatures put
+    so that a pullback has a rational root (a square discriminant), some
+    pair a zero slope, or the nondiscrete pair vanishes; and a window
+    (t_min, t_max]."""
+    dim_b = draw(st.integers(1, 3))
+    dim_f = draw(st.integers(max(1, 3 - dim_b), 3))
+    base_spec, s_h = _spectrum(draw, dim_b)
+    fiber_spec, s_g = _spectrum(draw, dim_f)
+    m1 = dim_b + dim_f - 1
+    base_values = [v for v, _ in entries_through(base_spec, 40)]
+    fiber_values = [v for v, _ in entries_through(fiber_spec, 40)]
+    product = draw(st.booleans())
+    a2 = Fraction(0)
+    if not product and draw(st.booleans()):
+        a2 = draw(st.fractions(min_value=Fraction(1, 4), max_value=15, max_denominator=4))
+    rows = [(0, 0, 1)]
+    if not product:
+        rows += [(draw(st.sampled_from(base_values)), 0, 1)] * draw(st.integers(0, 1))
+        rows += [(draw(st.one_of(st.sampled_from(base_values),
+                                 st.fractions(min_value=0, max_value=20, max_denominator=4))),
+                  draw(st.fractions(min_value=Fraction(1, 3), max_value=20, max_denominator=4)),
+                  draw(st.integers(1, 3)))
+                 for _ in range(draw(st.integers(0, 4)))]
+    pairs = ([(b, 0) for b in base_values] + [(b, lam) for b in base_values
+                                              for lam in fiber_values if lam > 0]
+             if product else [(Fraction(r[0]), Fraction(r[1])) for r in rows])
+    shape = draw(st.sampled_from(["round", "generic", "rational-root", "zero-slope",
+                                  "nondiscrete"]))
+    if shape == "generic":
+        s_h, s_g = _curvature(draw), _curvature(draw)
+    elif shape == "rational-root":
+        # s_h put so that the pullback (b, 0) vanishes at t = r, and a
+        # table row (c, (b - c) r) with c < b that shares the root
+        b = draw(st.sampled_from(base_values))
+        r = draw(st.fractions(min_value=Fraction(1, 10), max_value=4, max_denominator=10))
+        s_h = (a2 * r * r + m1 * b * r - s_g) / r
+        if not product and b > 0:
+            c = b * draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+            rows += [(c, (b - c) * r, 1)] * draw(st.integers(1, 2))
+    elif shape == "zero-slope":
+        s_h = m1 * draw(st.sampled_from(base_values))
+    elif shape == "nondiscrete" and a2 == 0:
+        b, lam = draw(st.sampled_from(pairs))
+        s_h, s_g = m1 * b, m1 * lam
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.spectra.ManifoldDescriptor("f", dim_f, s_g, fiber_spec),
+        base=cscbif.spectra.ManifoldDescriptor("b", dim_b, s_h, base_spec),
+        a_norm_sq=a2,
+        joint_mode=variation.ALL_PAIRS if product else variation.ExplicitJoint(rows),
+    )
+    t_min = draw(st.fractions(min_value=Fraction(1, 30), max_value=3, max_denominator=30))
+    t_max = t_min + draw(st.fractions(min_value=Fraction(1, 10), max_value=5,
+                                      max_denominator=10))
+    return fam, t_min, t_max
+
+
+@given(case=exact_families())
+@settings(max_examples=150, deadline=None)
+def test_the_integer_layer_matches_the_fraction_reference(case):
+    # roots per pair, the grouped instants with their witnesses and flags,
+    # and every certificate, through classify and through the public entry
+    fam, t_min, t_max = case
+    pairs = reference_pairs(fam, *variation.pair_truncation_bounds(fam, t_min, t_max))
+    for b, lam in pairs:
+        expected = reference_roots(fam, b, lam)
+        got = variation.degeneracy_roots(fam, b, lam)
+        if expected is None:
+            assert got.all_positive and not got.roots
+        else:
+            assert got.roots == expected and not got.all_positive
+            assert [type(t) for t in got.roots] == [type(t) for t in expected]
+    try:
+        expected = reference_instants(fam, pairs, t_min, t_max)
+    except NondiscreteDegeneracyError as exc:
+        with pytest.raises(NondiscreteDegeneracyError) as info:
+            variation.enumerate_degeneracy(fam, t_min, t_max)
+        assert info.value.witness == exc.witness
+        assert variation.check_nondiscreteness(fam).witness == exc.witness
+        assert variation.classify_window(fam, t_min, t_max).nondiscrete
+        return
+    assert not variation.check_nondiscreteness(fam).nondiscrete
+    rows = variation.classify_window(fam, t_min, t_max).rows
+    assert [(r.instant.t, r.instant.witnesses, r.instant.horizontal) for r in rows] == expected
+    assert [type(r.instant.t) for r in rows] == [type(t) for t, _, _ in expected]
+    for row in rows:
+        if not row.instant.horizontal:
+            assert row.certificate is None
+            continue
+        crossing = next(b for b, lam in row.instant.witnesses if lam == 0)
+        try:
+            indices = reference_certificate(fam, row.instant.t, crossing)
+        except InconclusiveError:
+            assert row.certificate is None
+            assert row.certify_error.startswith("InconclusiveError: ")
+            with pytest.raises(InconclusiveError):
+                variation.certify_bifurcation(fam, row.instant.t)
+            continue
+        cert = row.certificate
+        assert (cert.base_eigenvalue, cert.index_below, cert.index_above) == (crossing, *indices)
+        assert variation.certify_bifurcation(fam, row.instant.t) == cert
+
+
+@given(case=exact_families(),
+       t=st.fractions(min_value=Fraction(1, 30), max_value=10, max_denominator=30))
+@settings(max_examples=100, deadline=None)
+def test_morse_index_matches_a_brute_force_count(case, t):
+    fam = case[0]
+    try:
+        expected = reference_morse_index(fam, t)
+    except DegeneratePointError:
+        with pytest.raises(DegeneratePointError):
+            variation.morse_index(fam, t)
+        return
+    assert variation.morse_index(fam, t) == expected
+
+
+def test_certificates_scale_with_the_window(circle_sphere, monkeypatch):
+    # 999 instants 1/j^2 on (10^-6, 2], each certified from the running
+    # totals: #{k^2 < j^2} = 2j - 1 and #{k^2 <= j^2} = 2j + 1 by a walk of
+    # the unit circle's entries.  The spectra build as many entries over 999
+    # instants as over 99 (a cut reads no prefix), and `contains` is called
+    # once per certified instant
+    built, tested = [], []
+    entry, contains = cscbif.spectra.SphereSpectrum.entry, variation.contains
+
+    def counting_entry(self, k):
+        built.append(k)
+        return entry(self, k)
+
+    def counting_contains(spectrum, x):
+        if spectrum is fam.base.spectrum:
+            tested.append(x)
+        return contains(spectrum, x)
+
+    monkeypatch.setattr(cscbif.spectra.SphereSpectrum, "entry", counting_entry)
+    monkeypatch.setattr(variation, "contains", counting_contains)
+    made = {}
+    for den in (10**4, 10**6):
+        built.clear()
+        tested.clear()
+        fam = variation.SubmersionFamily(fiber=cscbif.sphere_manifold(2, 1),
+                                          base=cscbif.sphere_manifold(1, 1))
+        rep = variation.classify_window(fam, Fraction(1, den), 2)
+        certified = [r.certificate.base_eigenvalue for r in rep.rows if r.certificate]
+        assert len(certified) == len(rep.rows) == {10**4: 99, 10**6: 999}[den]
+        # the nondiscreteness check asks for s_h / (m - 1) = 0 once more
+        assert sorted(tested) == [0] + sorted(certified)
+        made[den] = len(built)
+    assert made[10**6] == made[10**4]
+
+    walk = [(int(v), m) for v, m in entries_through(fam.base.spectrum, 10**6)]
+    for row in rep.rows:
+        b = int(row.certificate.base_eigenvalue)
+        below = sum(m for v, m in walk if v < b)
+        at_most = below + sum(m for v, m in walk if v == b)
+        j = math.isqrt(b)
+        assert row.instant.t == Fraction(1, b) and (below, at_most) == (2 * j - 1, 2 * j + 1)
+        # s_g > 0 and |A| = 0: q' = (m-1) b - s_h > 0, the index drops across t
+        assert (row.certificate.index_below, row.certificate.index_above) == (at_most, below)
