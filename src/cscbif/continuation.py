@@ -1,12 +1,12 @@
 """Branch structure of the discretized constant-scalar-curvature equation.
 
-Given a Galerkin model, this module takes the branch points from the exact
-degeneracy roots of the resolved mode pairs below the window's truncation
-heights (`variation.window_roots`; no float search), switches onto the
+Given a Galerkin model, this module takes the branch points from the
+enumerator of `variation.enumerate_degeneracy` over the resolved
+eigenvalue pairs (exact roots, no float search), switches onto the
 bifurcating branches, follows them by pseudo-arclength continuation, and
-runs a finite-dimensional two-subspace
-Lyapunov-Schmidt reduction whose agreement certifies that the bifurcating
-solutions are constant along the fibers.
+runs a finite-dimensional two-subspace Lyapunov-Schmidt reduction whose
+agreement certifies that the bifurcating solutions are constant along
+the fibers.
 
 One damped Newton loop (`_newton`) solves every nonlinear system here:
 the corrector that branch switching, continuation and the fiber-constancy
@@ -73,6 +73,7 @@ from .errors import (
     ReductionFailedError,
 )
 from .galerkin import POSITIVITY_ERROR, SCALE_ERROR, GalerkinModel, State
+from .rationals import integer_keys
 
 TOL_NEWTON = 1e-10
 TOL_COMPLEMENT = 1e-11
@@ -110,19 +111,26 @@ class BranchPoint:
 
 
 def detect_branch_points(model: GalerkinModel, t_min, t_max) -> list:
-    """The branch points on (t_min, t_max], ascending: the exact roots of
-    the degeneracy polynomial of every resolved mode pair except the
-    constant one, grouped by exact equality.  Pairs above the heights of
-    `variation.pair_truncation_bounds` at the window's exact ends have no
-    root in it and vanish nowhere identically, so they are not solved.
-    Raises NondiscreteDegeneracyError when some pair vanishes identically."""
+    """The branch points on (t_min, t_max], ascending: the degeneracy
+    instants of the distinct eigenvalue pairs of the resolved modes below
+    the heights of `variation.pair_truncation_bounds` (no pair above them
+    has a root in the window or vanishes identically), except the constant
+    pair, each with the modes of its witnesses as kernel.  The cos and sin
+    modes of one frequency share a pair, solved once.  Pairs that share an
+    instant differ in b, so the modes of the ascending witnesses are
+    row-major.  Raises NondiscreteDegeneracyError when some pair vanishes
+    identically."""
+    fam = model.family
     t_min, t_max = variation._check_window(t_min, t_max)
-    b_max, lam_max = variation.pair_truncation_bounds(model.family, Fraction(t_min),
-                                                      Fraction(t_max))
-    pairs = ((mode, b, lam) for mode, (b, lam) in model.eigentable(b_max, lam_max))
+    modes = {}
+    for mode, pair in model.eigentable(*variation.pair_truncation_bounds(fam, t_min, t_max)):
+        modes.setdefault(pair, []).append(mode)
+    ub, base = integer_keys(sorted({b for b, _ in modes}))
+    ul, fiber = integer_keys(sorted({lam for _, lam in modes}))
+    grid = [(kb, kl) for kb in base for kl in fiber if kb or kl]
     return [
-        BranchPoint(t, tuple(modes))
-        for t, modes in variation.window_roots(model.family, pairs, t_min, t_max)
+        BranchPoint(inst.t, tuple(m for pair in inst.witnesses for m in modes[pair]))
+        for inst in variation._instants(fam, [(ub, ul, grid)], t_min, t_max)
     ]
 
 

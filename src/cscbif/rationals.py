@@ -39,6 +39,13 @@ def as_rational(value) -> Fraction:
     raise InvalidArgumentError(f"expected a rational number, got {type(value).__name__}")
 
 
+def integer_keys(values):
+    """(unit, keys): the rationals `values` as integer keys over one unit,
+    value = key * unit, the unit 1 / (least common denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(1, den), [v.numerator * (den // v.denominator) for v in values]
+
+
 def fmt_number(value) -> str:
     """Canonical text form: integers plainly, other rationals as "p/q",
     floats with 17 significant digits (round-trip exact)."""

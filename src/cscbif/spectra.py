@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IncompleteSpectrumError, InvalidArgumentError
-from .rationals import as_rational
+from .rationals import as_rational, integer_keys
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class SpectrumModel:
     def keys_through(self, bound):
         """(unit, keys): the eigenvalues <= bound as ascending integer keys
         over one positive rational unit, value = key * unit."""
-        values = [e.value for e in self.entries_below(bound, include_equal=True)]
-        den = math.lcm(*(v.denominator for v in values))
-        return Fraction(1, den), [v.numerator * (den // v.denominator) for v in values]
+        return integer_keys([e.value for e in self.entries_below(bound, include_equal=True)])
 
     def _check_enumerable(self, bound):
         if isinstance(bound, float) and not math.isfinite(bound):
@@ -249,10 +247,9 @@ class ExplicitSpectrum(_KeyedSpectrum):
             raise InvalidArgumentError(
                 "completeness bound lies below the last tabulated eigenvalue"
             )
-        den = math.lcm(*(e.value.denominator for e in entries))
-        object.__setattr__(self, "_unit", Fraction(1, den))
-        object.__setattr__(self, "_keys", [
-            e.value.numerator * (den // e.value.denominator) for e in entries])
+        unit, keys = integer_keys([e.value for e in entries])
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_keys", keys)
         totals = [e.multiplicity for e in entries]
         for k in range(1, len(totals)):
             totals[k] += totals[k - 1]

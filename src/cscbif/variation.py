@@ -286,36 +286,43 @@ def pair_truncation_bounds(fam: SubmersionFamily, t_min, t_max):
     b = s_h/(m-1) - (lam - s_g/(m-1))/t - t |A|^2/(m-1); with lam >= 0 and
     t in the window this is at most s_h/(m-1) + max(0, s_g) / ((m-1) t_min).
     Symmetrically lam <= s_g/(m-1) + t_max * max(0, s_h)/(m-1).  Any pair
-    above these heights has no root inside (t_min, t_max]."""
+    above these heights has no root inside (t_min, t_max].  The heights are
+    exact: a float end is read as its exact binary value.  An infinite
+    t_max bounds lam only when s_h <= 0, and is refused otherwise."""
     m1 = fam.m - 1
     s_h = fam.base.scalar_curvature
     s_g = fam.fiber.scalar_curvature
-    b_max = Fraction(s_h, m1) + max(Fraction(0), s_g) / (m1 * t_min)
-    lam_max = Fraction(s_g, m1) + t_max * max(Fraction(0), s_h) / Fraction(m1)
+    b_max = Fraction(s_h, m1) + max(_ZERO, s_g) / (m1 * Fraction(t_min))
+    lam_max = Fraction(s_g, m1)
+    if s_h > 0:
+        if t_max == math.inf:
+            raise InvalidArgumentError(
+                "a window up to inf has no fiber truncation height when s_h > 0")
+        lam_max += Fraction(t_max) * s_h / m1
     return b_max, lam_max
 
 
 def _grouped(solved, t_min, t_max):
     """The roots of `solved` on (t_min, t_max], ascending: [(t, keys)] with
     the key of every pair that has t as a root.  `solved` yields
-    (key, pair, roots), `roots` as `_roots` gives them.
+    (key, roots), a key naming its pair and `roots` as `_roots` gives them.
     A rational root (n, d) is tested against the window ends and grouped on
     its integers, and becomes a Fraction only once it is in the list.  A
     float root groups only with the bitwise identical roots of the same
-    `pair`.  The order is exact: by the correctly rounded value first,
+    key.  The order is exact: by the correctly rounded value first,
     which is monotone, and by the exact value on a tie, a rational root
     before an equal float.  An infinite t_max is the pair (1, 0)."""
     lo_n, lo_d = t_min.as_integer_ratio()
     hi_n, hi_d = (1, 0) if t_max == math.inf else t_max.as_integer_ratio()
     groups = {}
-    for key, pair, roots in solved:
+    for key, roots in solved:
         for t in roots:
             if type(t) is tuple:
                 n, d = t
                 if lo_n * d < n * lo_d and n * hi_d <= hi_n * d:
                     groups.setdefault(t, []).append(key)
             elif t_min < t <= t_max:
-                groups.setdefault((t, pair), []).append(key)
+                groups.setdefault((t, key), []).append(key)
     rows = [(_rounded(n, d), Fraction(n, d), False, keys) if type(n) is int
             else (n, n, True, keys) for (n, d), keys in groups.items()]
     rows.sort(key=lambda row: row[:3])
@@ -331,30 +338,6 @@ def _rounded(n, d):
         return math.inf
 
 
-def window_roots(fam: SubmersionFamily, keyed_pairs, t_min, t_max):
-    """The degeneracy instants on (t_min, t_max] of the eigenvalue pairs in
-    `keyed_pairs`, ascending: [(t, keys)] with the key of every
-    (key, b, lam) whose polynomial has t as a root.  The constant pair
-    (0, 0) is skipped.  Exact roots group on exact equality.  A float root
-    is irrational, and every pair polynomial has the leading coefficient
-    |A|^2, so no other pair shares it: it groups only with the bitwise
-    identical roots of the same (b, lam).  Raises
-    `NondiscreteDegeneracyError` when some pair vanishes identically."""
-    t_min, t_max = _check_window(t_min, t_max)
-
-    def solved():
-        for key, b, lam in keyed_pairs:
-            if b == 0 and lam == 0:
-                continue
-            rr = degeneracy_roots(fam, b, lam)
-            if rr.all_positive:
-                raise NondiscreteDegeneracyError((b, lam))
-            yield key, (b, lam), [t.as_integer_ratio() if isinstance(t, Fraction) else t
-                                  for t in rr.roots]
-
-    return _grouped(solved(), t_min, t_max)
-
-
 def _witness(key):
     """The pair (kb b_unit, kl lam_unit) of the key (kb, b_unit, kl, lam_unit),
     in Fractions."""
@@ -363,43 +346,46 @@ def _witness(key):
     return b, Fraction(kl * lam_unit.numerator, lam_unit.denominator) if kl else _ZERO
 
 
-def _instants(fam, b_max, lam_max, t_min, t_max):
-    """The degeneracy instants on (t_min, t_max] of the realized pairs
-    (b, lam) with b <= b_max and lam <= lam_max, each witnessed by its
-    pairs and horizontal when some witness has lam = 0.  The realized pairs
-    are the pullbacks (b, 0) from the base spectrum, then the pairs with
-    lam > 0 of the joint mode: base x fiber for a product, the table rows
-    otherwise.  Spectrum pairs are integer keys (kb, kl) over the spectra's
-    units, solved in one frame; a table row is the grid point (1, 1) of its
-    own frame.  A pair becomes Fractions only as the witness of an instant.
-    Raises `NondiscreteDegeneracyError` when some pair vanishes
-    identically."""
+def _realized(fam, b_max, lam_max):
+    """The realized pairs (b, lam) with b <= b_max and lam <= lam_max, as
+    frames of `_instants`: the pullbacks (b, 0) from the base spectrum, then
+    the pairs with lam > 0 of the joint mode, base x fiber for a product in
+    the frame of the pullbacks, the table rows otherwise, each the grid
+    point (1, 1) of its own frame."""
     ub, base = fam.base.spectrum.keys_through(b_max)
-    ul, fiber, rows = _ZERO, [], []
-    if fam.is_product:
-        ul, fiber = fam.fiber.spectrum.keys_through(lam_max)
-        fiber = [kl for kl in fiber if kl > 0]
-    else:
-        rows = [(p.horizontal, p.fiber) for p in fam.joint_mode.pairs
-                if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
+    pullbacks = [(kb, 0) for kb in base if kb]
+    if not fam.is_product:
+        return [(ub, _ZERO, pullbacks)] + [
+            (p.horizontal, p.fiber, [(1, 1)]) for p in fam.joint_mode.pairs
+            if 0 < p.fiber <= lam_max and p.horizontal <= b_max]
+    ul, fiber = fam.fiber.spectrum.keys_through(lam_max)
+    return [(ub, ul, pullbacks + [(kb, kl) for kb in base for kl in fiber if kl])]
+
+
+def _instants(fam, frames, t_min, t_max):
+    """The degeneracy instants on (t_min, t_max] of the pairs of `frames`,
+    ascending, each witnessed by its pairs and horizontal when some witness
+    has lam = 0.  A frame (b_unit, lam_unit, grid) holds the pairs
+    (kb b_unit, kl lam_unit) for the integer keys (kb, kl) in `grid`, in
+    order, and solves them on the integers of the two units.  A pair becomes
+    Fractions only as the witness of an instant.  Raises
+    `NondiscreteDegeneracyError` when some pair vanishes identically."""
 
     def solved():
-        den, a, bb, bh, cl, cg = _frame(fam, ub, ul)
-        grid = [(kb, 0) for kb in base if kb] + [(kb, kl) for kb in base for kl in fiber]
-        keyed = [((kb, ub, kl, ul), (a, bb * kb - bh, cl * kl - cg, den)) for kb, kl in grid]
-        keyed += [((1, b, 1, lam), _cleared(fam, b, lam)) for b, lam in rows]
-        for key, cleared in keyed:
-            roots = _roots(*cleared)
-            if roots is None:
-                raise NondiscreteDegeneracyError(_witness(key))
-            yield key, key, roots
+        for ub, ul, grid in frames:
+            den, a, bb, bh, cl, cg = _frame(fam, ub, ul)
+            for kb, kl in grid:
+                roots = _roots(a, bb * kb - bh, cl * kl - cg, den)
+                if roots is None:
+                    raise NondiscreteDegeneracyError(_witness((kb, ub, kl, ul)))
+                yield (kb, ub, kl, ul), roots
 
     out = []
     for t, keys in _grouped(solved(), t_min, t_max):
         witnesses = [_witness(key) for key in keys]
         if len(witnesses) > 1:
             witnesses = sorted(set(witnesses))
-        out.append(DegeneracyInstant(t, tuple(witnesses), any(key[2] == 0 for key in keys)))
+        out.append(DegeneracyInstant(t, tuple(witnesses), any(lam == 0 for _, lam in witnesses)))
     return out
 
 
@@ -410,7 +396,7 @@ def enumerate_degeneracy(fam: SubmersionFamily, t_min, t_max):
     degeneracy polynomial vanish identically (the degenerate set is then
     the whole half line)."""
     t_min, t_max = _check_window(t_min, t_max)
-    return _instants(fam, *pair_truncation_bounds(fam, t_min, t_max), t_min, t_max)
+    return _instants(fam, _realized(fam, *pair_truncation_bounds(fam, t_min, t_max)), t_min, t_max)
 
 
 def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
@@ -419,8 +405,9 @@ def enumerate_horizontal_degeneracy(fam: SubmersionFamily, t_min, t_max):
     for every submersion (base eigenfunctions pull back), so no joint mode
     is needed and the result is valid for arbitrary |A|^2."""
     t_min, t_max = _check_window(t_min, t_max)
-    b_max, _ = pair_truncation_bounds(fam, t_min, t_max)
-    return _instants(fam, b_max, 0, t_min, t_max)
+    # b_max reads t_min only: an infinite t_max is no fiber height to refuse here
+    b_max, _ = pair_truncation_bounds(fam, t_min, t_min)
+    return _instants(fam, _realized(fam, b_max, 0), t_min, t_max)
 
 
 # --- Morse index and bifurcation certificates -------------------------------

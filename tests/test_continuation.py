@@ -6,12 +6,15 @@ pairs; they are checked against the windowed exact enumeration of
 u = 1.
 """
 
+import math
 import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cscbif
 from cscbif import continuation, galerkin, variation
@@ -33,6 +36,7 @@ from conftest import (
     one_evaluation,
     one_state,
     per_member,
+    reference_instants,
     solve_bordered,
 )
 
@@ -80,6 +84,16 @@ def test_detected_points_lie_on_exact_instants(cs_model, circle_sphere):
     assert {bp.t: {pair_of[m] for m in bp.kernel_modes} for bp in points} == expected
 
 
+def reference_branch_points(model, t_min, t_max):
+    """The branch points of `conftest.reference_instants` over every
+    resolved pair, each with the modes of its witnesses in row-major
+    order, as `model.eigentable` lists them."""
+    table = model.eigentable()
+    pairs = list(dict.fromkeys(pair for _, pair in table))
+    return [continuation.BranchPoint(t, tuple(mode for mode, pair in table if pair in witnesses))
+            for t, witnesses, _ in reference_instants(model.family, pairs, t_min, t_max)]
+
+
 @pytest.mark.parametrize("family, window", [
     ("circle_sphere", (Fraction(1, 1000), 2)),
     ("circle_sphere", (0.05, 1.5)),
@@ -88,21 +102,73 @@ def test_detected_points_lie_on_exact_instants(cs_model, circle_sphere):
 def test_detection_solves_only_the_pairs_below_the_truncation_heights(
         family, window, request, monkeypatch):
     # no pair above `variation.pair_truncation_bounds` has a root in the
-    # window: at 16x8 the list equals the one from every resolved pair, from
-    # fewer solved pairs (observed 30 and 8 of 247, and 5 of 127)
+    # window: at 16x8 the list equals the reference over every resolved
+    # pair, from fewer solved pairs (observed 15 and 4 of the 127 distinct
+    # pairs, and 5 of 127)
     fam = request.getfixturevalue(family)
     model = galerkin.build_model(fam, 16, 8)
-    every = [continuation.BranchPoint(t, tuple(modes)) for t, modes in variation.window_roots(
-        fam, ((mode, b, lam) for mode, (b, lam) in model.eigentable()), *window)]
-    solved, roots = [], variation.degeneracy_roots
+    every = reference_branch_points(model, *window)
+    solved, roots = [], variation._roots
 
-    def counting(fam, b, lam):
-        solved.append((b, lam))
-        return roots(fam, b, lam)
+    def counting(*cleared):
+        solved.append(cleared)
+        return roots(*cleared)
 
-    monkeypatch.setattr(variation, "degeneracy_roots", counting)
+    monkeypatch.setattr(variation, "_roots", counting)
     assert continuation.detect_branch_points(model, *window) == every
     assert every and 0 < len(solved) < (model.n_modes - 1) // 2
+
+
+@st.composite
+def discretized_windows(draw):
+    """A circle or round 2-sphere base and fiber (not both circles) of
+    random radii at random mode counts, and a window whose ends are exact
+    or floats."""
+    dims = draw(st.sampled_from([(1, 2), (2, 1), (2, 2)]))
+    radii = [draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=6))
+             for _ in dims]
+    fam = variation.SubmersionFamily(
+        base=cscbif.sphere_manifold(dims[0], radii[0]),
+        fiber=cscbif.sphere_manifold(dims[1], radii[1]),
+    )
+    model = galerkin.build_model(fam, draw(st.integers(2, 9)), draw(st.integers(2, 6)))
+    t_min = draw(st.fractions(min_value=Fraction(1, 50), max_value=3, max_denominator=50))
+    t_max = t_min + draw(st.fractions(min_value=Fraction(1, 10), max_value=10,
+                                      max_denominator=10))
+    ends = [float(t) if draw(st.booleans()) else t for t in (t_min, t_max)]
+    return model, *ends
+
+
+@given(case=discretized_windows())
+@settings(max_examples=60, deadline=None)
+def test_detection_matches_the_fraction_reference(case):
+    # each branch point's t, its type and its kernel modes in order
+    model, t_min, t_max = case
+    got = continuation.detect_branch_points(model, t_min, t_max)
+    expected = reference_branch_points(model, t_min, t_max)
+    assert [(bp.t, bp.kernel_modes) for bp in got] == [
+        (bp.t, bp.kernel_modes) for bp in expected]
+    assert [type(bp.t) for bp in got] == [type(bp.t) for bp in expected]
+
+
+def test_an_infinite_window_end(cs_model, sphere_sphere):
+    # s_h = 0 on the circle base: lam <= s_g/(m-1) at every t, so the
+    # window (1/2, inf] is enumerated, and holds the instants of (1/2, 10^6]
+    cs = cs_model.family
+    assert variation.enumerate_degeneracy(cs, Fraction(1, 2), math.inf) == \
+        variation.enumerate_degeneracy(cs, Fraction(1, 2), 10**6)
+    points = continuation.detect_branch_points(cs_model, Fraction(1, 2), math.inf)
+    assert [bp.t for bp in points] == [1]
+    assert points == continuation.detect_branch_points(cs_model, Fraction(1, 2), 10**6)
+    # s_h > 0: no fiber height bounds lam up to t = inf; the horizontal
+    # enumeration needs none
+    model = galerkin.build_model(sphere_sphere, 8, 6)
+    with pytest.raises(InvalidArgumentError):
+        variation.enumerate_degeneracy(sphere_sphere, Fraction(1, 4), math.inf)
+    with pytest.raises(InvalidArgumentError):
+        continuation.detect_branch_points(model, Fraction(1, 4), math.inf)
+    assert [i.t for i in variation.enumerate_horizontal_degeneracy(
+        sphere_sphere, Fraction(1, 4), math.inf)] == [Fraction(1, 2)]
 
 
 def test_window_is_half_open(cs_model):

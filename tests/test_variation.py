@@ -278,6 +278,22 @@ def test_window_validation(circle_sphere):
         variation.enumerate_degeneracy(circle_sphere, -1, 1)
 
 
+def test_a_float_window_end_is_read_at_its_exact_binary_value():
+    # the instant 247/6944 of the pullback (184/19, 0) lies one double above
+    # t_min; heights computed in floats rounded b_max below 184/19
+    fam = variation.SubmersionFamily(
+        fiber=cscbif.explicit_manifold("f", 2, Fraction(20, 31), [(0, 1)], 10**7),
+        base=cscbif.explicit_manifold(
+            "b", 1, Fraction(16, 13), [(0, 1), (Fraction(184, 19), 1)], 10**6),
+    )
+    t_min = 0.03557027649769585
+    assert math.nextafter(t_min, 1) == float(Fraction(247, 6944))
+    assert variation.pair_truncation_bounds(fam, t_min, 1.0) == \
+        variation.pair_truncation_bounds(fam, Fraction(t_min), 1)
+    assert [i.t for i in variation.enumerate_degeneracy(fam, t_min, 1.0)] == [Fraction(247, 6944)]
+    assert variation.classify_window(fam, t_min, 1.0).certified_instants == (Fraction(247, 6944),)
+
+
 def test_nondiscrete_enumeration_raises(nondiscrete_family):
     with pytest.raises(NondiscreteDegeneracyError) as info:
         variation.enumerate_degeneracy(nondiscrete_family, Fraction(1, 10), 3)
