@@ -536,8 +536,6 @@ def cmd_branch(cfg: FamilyConfig) -> CliReport:
 
 
 def cmd_verify(cfg: FamilyConfig) -> CliReport:
-    from . import continuation
-
     model, cont, points, detected = _branch_points(cfg, "verify")
     provenance = [
         detected,
@@ -549,60 +547,167 @@ def cmd_verify(cfg: FamilyConfig) -> CliReport:
                     "amplitude": fmt_number(cont.amplitude)}},
     ]
 
-    rows = []
-    csv_rows = []
-    for bp in points:
-        try:
-            red = continuation.lyapunov_schmidt_reduce(
-                model, bp, cont.reduce_radius, cont.reduce_samples, seed=cont.seed,
-            )
-        except (HypothesisViolatedError, ReductionFailedError, PreconditionError) as exc:
-            reduction = _failure(exc)
-        else:
-            reduction = {
-                "status": "ok" if red.passed else "discrepancy-exceeded",
-                "discrepancy": fmt_number(red.discrepancy),
-                "fiber_margin": fmt_number(red.fiber_margin),
-            }
-        try:
-            fc = continuation.verify_fiber_constancy(
-                model, bp, cont.trials, seed=cont.seed, amplitude=cont.amplitude,
-            )
-        except PreconditionError as exc:
-            constancy = _failure(exc)
-        else:
-            constancy = {
-                "status": ("ok" if fc.passed else "no-nontrivial-trial" if not fc.nontrivial
-                           else "fraction-exceeded"),
-                "max_fraction": fmt_number(fc.max_fraction),
-                "trials": len(fc.trials),
-                "nontrivial_trials": fc.nontrivial,
-                "seed": fc.seed,
-            }
-        failing = [block["status"] for block in (reduction, constancy)
-                   if block["status"] != "ok"]
-        row = {
-            "t": fmt_number(float(bp.t)),
-            "kernel_dim": bp.kernel_dim,
-            "horizontal": bp.horizontal,
-            "reduction": reduction,
-            "fiber_constancy": constancy,
-            "status": "failed" if failing else "ok",
-        }
-        rows.append(row)
-        csv_rows.append({
-            **row,
-            "reduction_discrepancy": reduction.get("discrepancy", ""),
-            "max_fiber_fraction": constancy.get("max_fraction", ""),
-            "status": failing[0] if failing else "ok",
-        })
-
+    verified = _verify_rows(model, cont, points)
+    rows = [row for row, _ in verified]
     passed = all(row["status"] == "ok" for row in rows)
     payload = _payload("verify", cfg, provenance, {
         "n_branch_points": len(points), "rows": rows, "passed": passed,
     })
+    csv_rows = [csv_row for _, csv_row in verified]
     return CliReport(payload, {"verify.csv": _csv(VERIFY_CSV, csv_rows)},
                      0 if passed else _EXIT_VERIFY)
+
+
+def _verify_row(model, cont, bp):
+    """The report row of branch point `bp` and its verify.csv cells: both
+    checks, each seeded by `cont.seed` alone, so a row depends on no other
+    point."""
+    from . import continuation
+
+    try:
+        red = continuation.lyapunov_schmidt_reduce(
+            model, bp, cont.reduce_radius, cont.reduce_samples, seed=cont.seed,
+        )
+    except (HypothesisViolatedError, ReductionFailedError, PreconditionError) as exc:
+        reduction = _failure(exc)
+    else:
+        reduction = {
+            "status": "ok" if red.passed else "discrepancy-exceeded",
+            "discrepancy": fmt_number(red.discrepancy),
+            "fiber_margin": fmt_number(red.fiber_margin),
+        }
+    try:
+        fc = continuation.verify_fiber_constancy(
+            model, bp, cont.trials, seed=cont.seed, amplitude=cont.amplitude,
+        )
+    except PreconditionError as exc:
+        constancy = _failure(exc)
+    else:
+        constancy = {
+            "status": ("ok" if fc.passed else "no-nontrivial-trial" if not fc.nontrivial
+                       else "fraction-exceeded"),
+            "max_fraction": fmt_number(fc.max_fraction),
+            "trials": len(fc.trials),
+            "nontrivial_trials": fc.nontrivial,
+            "seed": fc.seed,
+        }
+    failing = [block["status"] for block in (reduction, constancy)
+               if block["status"] != "ok"]
+    row = {
+        "t": fmt_number(float(bp.t)),
+        "kernel_dim": bp.kernel_dim,
+        "horizontal": bp.horizontal,
+        "reduction": reduction,
+        "fiber_constancy": constancy,
+        "status": "failed" if failing else "ok",
+    }
+    csv_row = {
+        **row,
+        "reduction_discrepancy": reduction.get("discrepancy", ""),
+        "max_fiber_fraction": constancy.get("max_fraction", ""),
+        "status": failing[0] if failing else "ok",
+    }
+    return row, csv_row
+
+
+def _verify_share(model, cont, points, start, step) -> list:
+    """`_verify_row` of points[start::step] in order, up to the first point
+    whose checks raised: that point's error ends the list."""
+    share = []
+    for bp in points[start::step]:
+        try:
+            share.append(_verify_row(model, cont, bp))
+        except Exception as exc:  # raised by _verify_rows, in point order
+            share.append(exc)
+            break
+    return share
+
+
+def _send_share(conn, model, cont, points, start, step):
+    """A forked worker's body: its share, sent to the parent."""
+    with conn:
+        conn.send(_verify_share(model, cont, points, start, step))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _processes(n_points) -> int:
+    """How many processes verify `n_points` branch points: one per usable
+    CPU, at most one per point, and only this one without fork or while
+    other threads run (a forked child could find their locks held)."""
+    w = min(_usable_cpus(), n_points)
+    if w < 2:
+        return 1
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return w
+
+
+def _verify_rows(model, cont, points) -> list:
+    """`_verify_row` of every point in point order; the error of the first
+    point whose checks raised is raised, as a loop over the points would.
+
+    The points are spread over w = `_processes(len(points))` processes:
+    this one takes points 0, w, 2w, ... and w - 1 forked workers take the
+    other residues.  A row depends on its point alone, so the rows are the
+    same bits for every w."""
+    w = _processes(len(points))
+    shares = (_forked_shares(model, cont, points, w) if w > 1
+              else [_verify_share(model, cont, points, 0, 1)])
+    rows = [None] * len(points)
+    for start, share in enumerate(shares):
+        rows[start:start + w * len(share):w] = share
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
+
+
+def _forked_shares(model, cont, points, w) -> list:
+    """The shares of residues 0 .. w - 1: residue 0 checked here, each other
+    one by a forked worker, which inherits the model and the points through
+    the fork and sends back only its share.  Every worker is joined before
+    this returns."""
+    import multiprocessing
+
+    if any(bp.horizontal for bp in points):
+        model.fiber_constant  # built once here, not once in each worker
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for start in range(1, w):
+            recv, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_share, daemon=True,
+                                     args=(send, model, cont, points, start, w))
+            with send:
+                worker.start()
+            workers.append((worker, recv))
+        shares = [_verify_share(model, cont, points, 0, w)]
+        for worker, recv in workers:
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                worker.join()
+                raise CscbifError(f"a verify worker exited with code {worker.exitcode} "
+                                  "before sending its rows") from None
+        return shares
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, recv in workers:
+            recv.close()
+            worker.join()
 
 
 def _failure(exc) -> dict:

@@ -7,7 +7,22 @@ particular) catch these rather than parsing messages.
 
 
 class CscbifError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error pickles as its class, its `args` and its attributes, and is
+    rebuilt without calling `__init__`: the args of a subclass that words
+    its own message hold that final message, not the constructor's
+    arguments.  So an error raised in a worker process reaches the parent
+    with the same `str` and attributes."""
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args), self.__dict__
+
+
+def _rebuilt(cls, args):
+    error = cls.__new__(cls)
+    error.args = args
+    return error
 
 
 class InvalidArgumentError(CscbifError, ValueError):

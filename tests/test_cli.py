@@ -3,17 +3,21 @@ byte-level reproducibility of the tabular outputs."""
 
 import datetime
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from cscbif import CscbifError, cli, galerkin
+from cscbif.errors import NoConvergenceError
 
 from conftest import PULLBACK_BASE, PULLBACK_ROWS
 
@@ -741,6 +745,112 @@ def test_verify_is_byte_deterministic(tmp_path):
     _, out_b = _run(tmp_path / "b", "verify", "--config", str(path))
     for name in ("report.json", "verify.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _five_point_circle_sphere(tmp_path, **overrides):
+    """The 6 x 3 product config over 1/50..3/2: branch points 1/25, 1/16,
+    1/9, 1/4 and 1."""
+    path = _small_circle_sphere(tmp_path, **overrides)
+    data = yaml.safe_load(path.read_text())
+    data["galerkin"] = {"N_b": 6, "N_f": 3}
+    data["window"] = {"t_min": "1/50", "t_max": "3/2"}
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+def _verify_on(cpus, tmp_path, monkeypatch, capsys, *argv):
+    """`cli.main(["verify", *argv])` as if this process could run on
+    `cpus` CPUs: its exit code, stderr, the number of processes it
+    verified in (a list of one) and the files it wrote.  It leaves no process or thread
+    running."""
+    forked = []
+    forked_shares = cli._forked_shares
+
+    def spy(model, cont, points, w):
+        forked.append(w)
+        return forked_shares(model, cont, points, w)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_forked_shares", spy)
+    capsys.readouterr()
+    out = tmp_path / f"cpus{cpus}"
+    code = cli.main(["verify", *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return SimpleNamespace(code=code, err=err, processes=forked or [1], files=files)
+
+
+@pytest.mark.parametrize("radius, code", [(1e-2, 0), (1.5, 5)])
+def test_forked_rows_are_the_in_process_rows(tmp_path, monkeypatch, capsys, radius, code):
+    # 3 processes over 5 points: this one takes 1/25 and 1/4, a worker 1/16
+    # and 1, another 1/9; at reduce_radius 1.5 every row fails its reduction
+    path = _five_point_circle_sphere(tmp_path, reduce_radius=radius)
+    alone = _verify_on(1, tmp_path, monkeypatch, capsys, "--config", str(path))
+    spread = _verify_on(3, tmp_path, monkeypatch, capsys, "--config", str(path))
+    assert (alone.processes, spread.processes) == ([1], [3])
+    assert alone.code == spread.code == code
+    assert alone.err == spread.err == ""
+    assert alone.files == spread.files and set(alone.files) == {"report.json", "verify.csv"}
+    assert len(json.loads(alone.files["report.json"])["results"]["rows"]) == 5
+
+
+@pytest.mark.parametrize("fail_at", [
+    {Fraction(1)},                    # a worker's last point
+    {Fraction(1, 9), Fraction(1, 4)},  # one worker's point before one of this process
+])
+def test_an_error_in_a_workers_share_reads_as_in_process(tmp_path, monkeypatch, capsys,
+                                                         fail_at):
+    # the patch is made before the fork, so the workers inherit it; the
+    # error of the first failing point is the one reported, whichever
+    # process checked it
+    from cscbif import continuation
+
+    verify_fiber_constancy = continuation.verify_fiber_constancy
+
+    def failing(model, bp, *args, **kwargs):
+        if bp.t in fail_at:
+            raise NoConvergenceError(f"no convergence at t = {bp.t}")
+        return verify_fiber_constancy(model, bp, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "verify_fiber_constancy", failing)
+    path = _five_point_circle_sphere(tmp_path)
+    alone = _verify_on(1, tmp_path, monkeypatch, capsys, "--config", str(path))
+    spread = _verify_on(3, tmp_path, monkeypatch, capsys, "--config", str(path))
+    assert (alone.processes, spread.processes) == ([1], [3])
+    assert alone.code == spread.code == 1
+    assert alone.err == spread.err == f"cscbif: error: no convergence at t = {min(fail_at)}\n"
+    assert alone.files == spread.files == {}
+
+
+def test_a_worker_that_dies_is_a_run_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_send_share", lambda conn, *args: os._exit(3))
+    path = _five_point_circle_sphere(tmp_path)
+    run = _verify_on(3, tmp_path, monkeypatch, capsys, "--config", str(path))
+    assert (run.code, run.processes, run.files) == (1, [3], {})
+    assert run.err == "cscbif: error: a verify worker exited with code 3 before sending its rows\n"
+
+
+def test_a_one_point_window_forks_nothing(tmp_path, monkeypatch, capsys):
+    path = _small_circle_sphere(tmp_path)
+    run = _verify_on(3, tmp_path, monkeypatch, capsys, "--config", str(path))
+    assert (run.code, run.err, run.processes) == (0, "", [1])
+    assert len(json.loads(run.files["report.json"])["results"]["rows"]) == 1
+
+
+def test_verify_uses_every_usable_cpu_up_to_one_per_point(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    assert [cli._processes(n) for n in (0, 1, 2, 5)] == [1, 1, 2, 4]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert cli._processes(5) == 1  # no fork while another thread runs
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def test_successive_calls_write_what_fresh_runs_write(tmp_path):
